@@ -27,6 +27,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _step_budget(text: str) -> int:
+    # run_tests rejects a budget below 1; refuse it before any work starts
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {budget}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="repair",
                      description="Bandit-guided program repair experiments.")
@@ -50,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--bugs", default=None,
                      help="comma-separated bug names; default: all")
-    run.add_argument("--step-budget", type=int,
+    run.add_argument("--step-budget", type=_step_budget,
                      default=EXPERIMENT_STEP_BUDGET)
     run.set_defaults(func=cmd_run)
 
@@ -63,13 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
                              help="held-out scores for saved patches")
     quality.add_argument("--patches", required=True)
     quality.add_argument("--corpus", default=None)
-    quality.add_argument("--step-budget", type=int,
+    quality.add_argument("--step-budget", type=_step_budget,
                          default=EXPERIMENT_STEP_BUDGET)
     quality.set_defaults(func=cmd_quality)
 
     gate = sub.add_parser("gate", help="corpus reachability oracle")
     gate.add_argument("--corpus", default=None)
-    gate.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
+    gate.add_argument("--step-budget", type=_step_budget,
+                      default=DEFAULT_STEP_BUDGET)
     gate.set_defaults(func=cmd_gate)
     return parser
 

@@ -155,6 +155,7 @@ def check_bug(bug: Bug, step_budget: int = DEFAULT_STEP_BUDGET) \
 
     fixing = []
     examined = 0
+    fix_count = 0
     if False in buggy_report.flags:
         try:
             weights = localize(bug.program, bug.repair_suite,
@@ -167,19 +168,12 @@ def check_bug(bug: Bug, step_budget: int = DEFAULT_STEP_BUDGET) \
             if not applied:
                 errors.append(f"enumerated edit failed to apply: {edit}")
                 continue
-            if edit.op not in fixing and \
-                    passes_all(variant, bug.repair_suite, step_budget):
-                fixing.append(edit.op)
+            if passes_all(variant, bug.repair_suite, step_budget):
+                fix_count += 1
+                if edit.op not in fixing:
+                    fixing.append(edit.op)
         if not fixing:
             errors.append("no single-edit variant passes the repair suite")
-
-    fix_count = 0
-    if fixing:
-        # second pass to count every fixing edit, not just one per operator
-        fix_count = sum(
-            1 for edit in enumerate_edits(bug.program, weights)
-            if passes_all(apply_edit(bug.program, edit)[0],
-                          bug.repair_suite, step_budget))
 
     return BugGateResult(bug.name, tuple(errors), tuple(fixing),
                          fix_count, examined)

@@ -21,6 +21,9 @@ ARM_SCHEMES = ("arms3", "arms18", "arms7")
 # into a single shared arm
 _ARMS7_GROUPS = ("func_expr", "checks", "init_cast", "multi_line")
 
+# tournament selection and crossover need two individuals to choose from
+MIN_POPULATION = 2
+
 BORN_INITIAL = "initial"
 BORN_CROSSOVER = "crossover"
 
@@ -112,8 +115,8 @@ class SearchConfig:
 
     def __post_init__(self):
         scheme_arm_count(self.arm_scheme)
-        if self.population_size < 2:
-            raise ConfigError("population_size must be >= 2")
+        if self.population_size < MIN_POPULATION:
+            raise ConfigError(f"population_size must be >= {MIN_POPULATION}")
         if self.generations < 0:
             raise ConfigError("generations must be >= 0")
         if not 0.0 <= self.crossover_rate <= 1.0:

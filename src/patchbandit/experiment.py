@@ -17,7 +17,7 @@ from pathlib import Path
 from .aos import (AosConfig, CADENCES, ConfigError, CREDITS, DEFAULT_ALPHA,
                   POLICIES, REWARDS)
 from .corpus import DEFAULT_CORPUS_DIR, edits_to_jsonable, load_corpus
-from .engine import (SearchConfig, derive_seed, run_repair,
+from .engine import (MIN_POPULATION, SearchConfig, derive_seed, run_repair,
                      run_repair_uniform, scheme_arm_count)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
                       run_tests)
@@ -30,6 +30,10 @@ EXPERIMENT_STEP_BUDGET = 5000
 CSV_COLUMNS = ("policy", "credit", "reward", "cadence", "arms", "alpha",
                "success_rate_micro", "success_rate_macro", "bugs_patched",
                "avg_variant", "median_variant")
+
+# smallest value each integer plan field accepts, checked before any cell runs
+_PLAN_MINIMUMS = {"attempts": 1, "population_size": MIN_POPULATION,
+                  "generations": 0, "step_budget": 1}
 
 _ARM_ALIASES = {"3": "arms3", "18": "arms18", "7": "arms7",
                 "arms3": "arms3", "arms18": "arms18", "arms7": "arms7"}
@@ -113,8 +117,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.configs:
             raise PlanFormatError("a plan needs at least one config")
-        if self.attempts < 1:
-            raise PlanFormatError("attempts must be >= 1")
+        for name, low in _PLAN_MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise PlanFormatError(f"{name} must be >= {low}")
 
     def seed_for(self, bug_name: str, config: ConfigSpec,
                  attempt: int) -> int:
@@ -350,7 +355,11 @@ def _parse_config_line(value: str, line_no: int) -> ConfigSpec:
                 raise PlanFormatError(f"line {line_no}: unknown arms {raw!r}")
             kwargs["arms"] = _ARM_ALIASES[raw]
         elif key == "alpha":
-            kwargs["alpha"] = float(raw)
+            try:
+                kwargs["alpha"] = float(raw)
+            except ValueError:
+                raise PlanFormatError(f"line {line_no}: alpha needs a number, "
+                                      f"got {raw!r}") from None
         elif key in ("credit", "reward", "cadence"):
             kwargs[key] = raw
         else:
@@ -378,10 +387,15 @@ def parse_plan(text: str) -> ExperimentPlan:
             fields["configs"].append(_parse_config_line(value, line_no))
         elif key in int_keys:
             try:
-                fields[int_keys[key]] = int(value)
+                number = int(value)
             except ValueError:
                 raise PlanFormatError(
                     f"line {line_no}: {key} needs an integer") from None
+            low = _PLAN_MINIMUMS.get(int_keys[key])
+            if low is not None and number < low:
+                raise PlanFormatError(
+                    f"line {line_no}: {key} must be >= {low}")
+            fields[int_keys[key]] = number
         elif key == "corpus":
             fields["corpus_dir"] = value
         elif key == "bugs":

@@ -12,6 +12,21 @@ condition check.  Exhausting the budget is a fault.  Loops additionally
 snapshot the frame after 64 iterations and fault as soon as an exact state
 repeats, which catches no-progress infinite loops long before the budget
 would.
+
+The hot path rests on two exactness arguments:
+
+* A loop snapshot is the tuple of the frame's values alone, arrays copied
+  to tuples.  Names are never removed from a frame, only added, and a
+  dict keeps insertion order, so two snapshots of one loop with the same
+  length hold the same names in the same order.  Equal value tuples
+  therefore mean equal frames, and snapshots of different lengths never
+  compare equal.
+* `Num` with an int literal, `Unary`, `Binary` and `len(...)` can only
+  produce an int (or fault), so conditions, `&&`/`||` operands, indexes
+  and stored values built from them skip the run-time int check.  `Var`,
+  `Index` and user `Call` results keep it: a variable or a callee's
+  return may be an array, and array elements come from test arguments
+  that nothing validates.
 """
 
 from __future__ import annotations
@@ -55,10 +70,9 @@ class _Ctx:
         self.depth = 0
 
 
-def _int_of(v, what: str):
-    if type(v) is not int:
-        raise ToyFault("type", f"{what} must be an integer")
-    return v
+def _undefined(name: str) -> ToyFault:
+    return ToyFault("undefined-variable",
+                    f"variable {name!r} read before assignment")
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -67,8 +81,7 @@ def _trunc_div(a: int, b: int) -> int:
 
 
 def _state_key(env: dict) -> tuple:
-    return tuple((k, tuple(v) if type(v) is list else v)
-                 for k, v in env.items())
+    return tuple([tuple(v) if type(v) is list else v for v in env.values()])
 
 
 class CompiledProgram:
@@ -119,6 +132,28 @@ class _CompiledFn:
 # ------------------------------------------------------ expression compile
 
 
+def _yields_int(expr) -> bool:
+    """True when expr can only evaluate to an int (or fault)."""
+    t = type(expr)
+    if t is Num:
+        return type(expr.value) is int
+    return t is Unary or t is Binary or (t is Call and expr.name == BUILTIN_LEN)
+
+
+def _compile_int(expr, cp: CompiledProgram, what: str):
+    """Compile expr into a closure that returns an int or faults `type`."""
+    fn = _compile_expr(expr, cp)
+    if _yields_int(expr):
+        return fn
+    message = f"{what} must be an integer"
+    def checked(env, ctx):
+        v = fn(env, ctx)
+        if type(v) is not int:
+            raise ToyFault("type", message)
+        return v
+    return checked
+
+
 def _compile_expr(expr, cp: CompiledProgram):
     t = type(expr)
     if t is Num:
@@ -130,12 +165,13 @@ def _compile_expr(expr, cp: CompiledProgram):
             try:
                 return env[name]
             except KeyError:
-                raise ToyFault("undefined-variable",
-                               f"variable {name!r} read before assignment")
+                raise _undefined(name)
         return var_read
     if t is Index:
         name = expr.name
-        idx = _compile_expr(expr.index, cp)
+        if type(expr.index) is Var:
+            return _compile_index_by_var(name, expr.index.name)
+        idx = _compile_int(expr.index, cp, "array index")
         def index_read(env, ctx):
             try:
                 arr = env[name]
@@ -144,15 +180,15 @@ def _compile_expr(expr, cp: CompiledProgram):
                                f"array {name!r} is not defined")
             if type(arr) is not list:
                 raise ToyFault("type", f"{name!r} is not an array")
-            i = _int_of(idx(env, ctx), "array index")
+            i = idx(env, ctx)
             if 0 <= i < len(arr):
                 return arr[i]
             raise ToyFault("index",
                            f"{name}[{i}] out of bounds (length {len(arr)})")
         return index_read
     if t is Unary:
-        operand = _compile_expr(expr.operand, cp)
-        return lambda env, ctx: -_int_of(operand(env, ctx), "operand of -")
+        operand = _compile_int(expr.operand, cp, "operand of -")
+        return lambda env, ctx: -operand(env, ctx)
     if t is Binary:
         return _compile_binary(expr, cp)
     if t is Call:
@@ -160,23 +196,121 @@ def _compile_expr(expr, cp: CompiledProgram):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _compile_index_by_var(name: str, idx_name: str):
+    """`name[idx_name]`, both read straight from env, faulting in the
+    general path's order."""
+    def index_by_var(env, ctx):
+        try:
+            arr = env[name]
+        except KeyError:
+            raise ToyFault("undefined-variable",
+                           f"array {name!r} is not defined")
+        if type(arr) is not list:
+            raise ToyFault("type", f"{name!r} is not an array")
+        try:
+            i = env[idx_name]
+        except KeyError:
+            raise _undefined(idx_name)
+        if type(i) is not int:
+            raise ToyFault("type", "array index must be an integer")
+        if 0 <= i < len(arr):
+            return arr[i]
+        raise ToyFault("index",
+                       f"{name}[{i}] out of bounds (length {len(arr)})")
+    return index_by_var
+
+
+def _compile_leaf_binary(expr: Binary):
+    """Arithmetic or comparison of a variable with a variable or an int
+    literal, read straight from env; None for other operand shapes.
+
+    Faults keep the general path's order: the left variable undefined,
+    then the right one undefined, then a non-int operand.
+    """
+    left, right = expr.left, expr.right
+    if type(left) is not Var:
+        return None
+    op = expr.op
+    is_cmp = op in _CMP_FNS
+    fn = _CMP_FNS[op] if is_cmp else _ARITH_FNS[op]
+    a_name = left.name
+    message = f"operands of {op} must be integers"
+    if type(right) is Num and type(right.value) is int:
+        b = right.value
+        if is_cmp:
+            def cmp_var_num(env, ctx):
+                try:
+                    a = env[a_name]
+                except KeyError:
+                    raise _undefined(a_name)
+                if type(a) is not int:
+                    raise ToyFault("type", message)
+                return 1 if fn(a, b) else 0
+            return cmp_var_num
+        def arith_var_num(env, ctx):
+            try:
+                a = env[a_name]
+            except KeyError:
+                raise _undefined(a_name)
+            if type(a) is not int:
+                raise ToyFault("type", message)
+            return fn(a, b)
+        return arith_var_num
+    if type(right) is Var:
+        b_name = right.name
+        if is_cmp:
+            def cmp_var_var(env, ctx):
+                try:
+                    a = env[a_name]
+                except KeyError:
+                    raise _undefined(a_name)
+                try:
+                    b = env[b_name]
+                except KeyError:
+                    raise _undefined(b_name)
+                if type(a) is not int or type(b) is not int:
+                    raise ToyFault("type", message)
+                return 1 if fn(a, b) else 0
+            return cmp_var_var
+        def arith_var_var(env, ctx):
+            try:
+                a = env[a_name]
+            except KeyError:
+                raise _undefined(a_name)
+            try:
+                b = env[b_name]
+            except KeyError:
+                raise _undefined(b_name)
+            if type(a) is not int or type(b) is not int:
+                raise ToyFault("type", message)
+            return fn(a, b)
+        return arith_var_var
+    return None
+
+
 def _compile_binary(expr: Binary, cp: CompiledProgram):
     op = expr.op
-    left = _compile_expr(expr.left, cp)
-    right = _compile_expr(expr.right, cp)
-    if op == "&&":
-        def and_(env, ctx):
-            if _int_of(left(env, ctx), "operand of &&") == 0:
-                return 0
-            return 1 if _int_of(right(env, ctx), "operand of &&") != 0 else 0
-        return and_
-    if op == "||":
+    if op == "&&" or op == "||":
+        left = _compile_int(expr.left, cp, f"operand of {op}")
+        right = _compile_int(expr.right, cp, f"operand of {op}")
+        if op == "&&":
+            def and_(env, ctx):
+                if not left(env, ctx):
+                    return 0
+                return 1 if right(env, ctx) else 0
+            return and_
         def or_(env, ctx):
-            if _int_of(left(env, ctx), "operand of ||") != 0:
+            if left(env, ctx):
                 return 1
-            return 1 if _int_of(right(env, ctx), "operand of ||") != 0 else 0
+            return 1 if right(env, ctx) else 0
         return or_
 
+    if op in _ARITH_FNS or op in _CMP_FNS:
+        leaf = _compile_leaf_binary(expr)
+        if leaf is not None:
+            return leaf
+    left = _compile_expr(expr.left, cp)
+    right = _compile_expr(expr.right, cp)
     if op in _ARITH_FNS:
         fn = _ARITH_FNS[op]
         def arith(env, ctx):
@@ -249,8 +383,9 @@ def _compile_stmt(stmt, cp: CompiledProgram):
         name = stmt.name
         value = _compile_expr(stmt.expr, cp)
         def assign(env, ctx):
-            ctx.steps -= 1
-            if ctx.steps < 0:
+            steps = ctx.steps - 1
+            ctx.steps = steps
+            if steps < 0:
                 raise ToyFault("budget", "step budget exhausted")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
@@ -258,11 +393,12 @@ def _compile_stmt(stmt, cp: CompiledProgram):
         return assign
     if t is Store:
         name = stmt.name
-        idx = _compile_expr(stmt.index, cp)
-        value = _compile_expr(stmt.expr, cp)
+        idx = _compile_int(stmt.index, cp, "array index")
+        value = _compile_int(stmt.expr, cp, "stored value")
         def store(env, ctx):
-            ctx.steps -= 1
-            if ctx.steps < 0:
+            steps = ctx.steps - 1
+            ctx.steps = steps
+            if steps < 0:
                 raise ToyFault("budget", "step budget exhausted")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
@@ -273,68 +409,70 @@ def _compile_stmt(stmt, cp: CompiledProgram):
                                f"array {name!r} is not defined")
             if type(arr) is not list:
                 raise ToyFault("type", f"{name!r} is not an array")
-            i = _int_of(idx(env, ctx), "array index")
+            i = idx(env, ctx)
             if not 0 <= i < len(arr):
                 raise ToyFault("index",
                                f"{name}[{i}] out of bounds (length {len(arr)})")
-            arr[i] = _int_of(value(env, ctx), "stored value")
+            arr[i] = value(env, ctx)
         return store
     if t is Return:
         value = _compile_expr(stmt.expr, cp)
         def ret(env, ctx):
-            ctx.steps -= 1
-            if ctx.steps < 0:
+            steps = ctx.steps - 1
+            ctx.steps = steps
+            if steps < 0:
                 raise ToyFault("budget", "step budget exhausted")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
             raise _ReturnSignal(value(env, ctx))
         return ret
     if t is If:
-        cond = _compile_expr(stmt.cond, cp)
+        cond = _compile_int(stmt.cond, cp, "condition")
         then = tuple(_compile_stmt(s, cp) for s in stmt.then)
         orelse = tuple(_compile_stmt(s, cp) for s in stmt.orelse)
         def if_(env, ctx):
-            ctx.steps -= 1
-            if ctx.steps < 0:
+            steps = ctx.steps - 1
+            ctx.steps = steps
+            if steps < 0:
                 raise ToyFault("budget", "step budget exhausted")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
-            branch = then if _int_of(cond(env, ctx), "condition") != 0 else orelse
-            for s in branch:
+            for s in then if cond(env, ctx) else orelse:
                 s(env, ctx)
         return if_
     if t is While:
-        cond = _compile_expr(stmt.cond, cp)
+        cond = _compile_int(stmt.cond, cp, "condition")
         body = tuple(_compile_stmt(s, cp) for s in stmt.body)
         def while_(env, ctx):
             iters = 0
             seen = None
             while True:
-                ctx.steps -= 1
-                if ctx.steps < 0:
+                steps = ctx.steps - 1
+                ctx.steps = steps
+                if steps < 0:
                     raise ToyFault("budget", "step budget exhausted")
                 if ctx.coverage is not None:
                     ctx.coverage.add(sid)
-                if _int_of(cond(env, ctx), "condition") == 0:
+                if not cond(env, ctx):
                     return
                 iters += 1
                 if iters >= _CYCLE_CHECK_AFTER:
-                    key = _state_key(env)
                     if seen is None:
-                        seen = {key}
-                    elif key in seen:
+                        seen = set()
+                    size = len(seen)
+                    seen.add(_state_key(env))
+                    if len(seen) == size:
                         raise ToyFault("cycle", "loop state repeats; "
                                        "the loop cannot terminate")
-                    else:
-                        seen.add(key)
                 for s in body:
                     s(env, ctx)
         return while_
     if t is Block:
         body = tuple(_compile_stmt(s, cp) for s in stmt.body)
         def block(env, ctx):
-            ctx.steps -= 1
-            if ctx.steps < 0:
+            steps = ctx.steps - 1
+            ctx.steps = steps
+            if steps < 0:
                 raise ToyFault("budget", "step budget exhausted")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)

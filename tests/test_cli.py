@@ -130,3 +130,31 @@ def test_malformed_plan_is_a_usage_error(tmp_path, capsys):
     assert main(["bench", "--plan", str(plan),
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert "tempo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("config = pm credit=erwa alpha=abc", "line 2: alpha needs a number"),
+    ("step_budget = 0", "line 2: step_budget must be >= 1"),
+    ("pop = 1", "line 2: pop must be >= 2"),
+])
+def test_bad_plan_values_are_usage_errors_before_any_cell(tmp_path, capsys,
+                                                          line, message):
+    plan = tmp_path / "bad.plan"
+    plan.write_text(f"config = uniform\n{line}\nbugs = reset-1\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--plan", str(plan), "--out", str(out)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--policy", "uniform", "--pop", "1", "--out", "x"],
+    ["run", "--policy", "uniform", "--step-budget", "0", "--out", "x"],
+    ["quality", "--patches", "x", "--step-budget", "0"],
+    ["gate", "--step-budget", "-5"],
+])
+def test_out_of_range_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")

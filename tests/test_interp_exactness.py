@@ -145,3 +145,11 @@ fn f(a) {
 }
 """
     assert _fault(aliased, [(0,)], budget=2000) == "budget"
+
+
+def test_index_by_variable_faults_in_the_general_order():
+    assert _fault("fn f(i) { return b[i]; }", [0]) == "undefined-variable"
+    assert _fault("fn f(b) { return b[i]; }", [3]) == "type"
+    assert _fault("fn f(b) { return b[i]; }", [(1,)]) == "undefined-variable"
+    assert _fault("fn f(b, i) { return b[i]; }", [(1,), (0,)]) == "type"
+    assert _fault("fn f(b, i) { return b[i]; }", [(1,), 1]) == "index"
