@@ -16,10 +16,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .toylang import (Edit, NothingToRepair, ParseError, SuiteFormatError,
-                      enumerate_edits, apply_edit, load_suite, localize,
-                      parse_program, passes_all, print_program, run_tests,
-                      same_shape)
+from .toylang import (ALL_OPERATORS, Edit, NothingToRepair, ParseError,
+                      SuiteFormatError, enumerate_edits, apply_edit,
+                      load_suite, localize, parse_program, passes_all,
+                      payload_fits, print_program, run_tests, same_shape)
 from .toylang.interp import DEFAULT_STEP_BUDGET
 
 DEFAULT_CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -84,10 +84,18 @@ def edits_to_jsonable(edits):
 
 def edits_from_jsonable(records):
     try:
-        return tuple(Edit(r["op"], int(r["target"]), tuple(r["path"]),
-                          tuple(r["payload"])) for r in records)
+        edits = tuple(Edit(r["op"], int(r["target"]), tuple(r["path"]),
+                           tuple(r["payload"])) for r in records)
     except (KeyError, TypeError) as err:
         raise CorpusError(f"malformed edit record: {err}") from err
+    for edit in edits:
+        if edit.op not in ALL_OPERATORS:
+            raise CorpusError(f"malformed edit record: unknown operator "
+                              f"{edit.op!r}")
+        if not payload_fits(edit):
+            raise CorpusError(f"malformed edit record: payload "
+                              f"{list(edit.payload)!r} does not fit {edit.op}")
+    return edits
 
 
 def save_patch(path, bug_name: str, edits) -> None:
@@ -100,9 +108,13 @@ def load_patch(path):
     """Read a patch file; returns (bug name, edit tuple)."""
     try:
         data = json.loads(Path(path).read_text())
-        return data["bug"], edits_from_jsonable(data["edits"])
-    except (OSError, ValueError, KeyError) as err:
+        bug_name, records = data["bug"], data["edits"]
+    except (OSError, ValueError, KeyError, TypeError) as err:
         raise CorpusError(f"unreadable patch file {path}: {err}") from err
+    if not isinstance(bug_name, str):
+        raise CorpusError(f"unreadable patch file {path}: bug name "
+                          f"{bug_name!r} is not a string")
+    return bug_name, edits_from_jsonable(records)
 
 
 # ------------------------------------------------------------------ gate

@@ -5,6 +5,12 @@ tournament selection, one-point crossover on the lists, then exactly one
 fresh mutation per individual per generation.  The mutation operator for
 every mint is chosen either by an adaptive controller (run_repair) or
 uniformly over the scheme's operator set (run_repair_uniform).
+
+Every variant is an edit list against the original program.  A mutation
+child's program is built from its parent's program by applying the one
+new edit; a crossover child's program is built by replaying its whole
+list from the original.  Both give the same program, because applying a
+list is a left fold of applying one edit.
 """
 
 import random
@@ -160,14 +166,18 @@ def _search(program, suite, config, step_budget, select, controller):
         # inapplicable operator: the arm wasted the slot, reward 0, and the
         # individual carries forward unchanged
         operator, arm = select()
+        parent = program_of(individual)
         try:
-            edit = mint_edit(operator, program_of(individual), weights, rng)
+            edit = mint_edit(operator, parent, weights, rng)
         except InapplicableOperator:
             if controller is not None and arm is not None:
                 controller.credit(arm, 0.0)
             return individual
+        # apply_edits is a left fold of apply_edit, so one edit on the
+        # parent's program builds what replaying the child's list would
         return Variant(edits=individual.edits + (edit,), born_by=operator,
-                       born_arm=arm, parent_fitness=individual.fitness)
+                       born_arm=arm, parent_fitness=individual.fitness,
+                       program=apply_edits(parent, (edit,))[0])
 
     def evaluate(batch):
         # first full-pass variant ends the search immediately

@@ -137,10 +137,7 @@ class QualityScore:
 
 
 def evaluate_quality(edits, bug, step_budget: int = DEFAULT_STEP_BUDGET):
-    """Held-out pass fraction of the patched program; None when the bug
-    ships no held-out suite."""
-    if bug.heldout_suite is None:
-        return None
+    """Held-out pass fraction of the patched program."""
     patched, _ = apply_edits(bug.program, edits)
     report = run_tests(patched, bug.heldout_suite, step_budget=step_budget)
     return QualityScore(report.flags.count(True), len(report.flags))
@@ -185,10 +182,9 @@ def _run_attempt(task):
         record["edits"] = edits_to_jsonable(outcome.patch.edits)
         quality = evaluate_quality(outcome.patch.edits, bug,
                                    step_budget=budget)
-        if quality is not None:
-            record["quality"] = {"t_pass": quality.t_pass,
-                                 "t_total": quality.t_total,
-                                 "score": quality.score}
+        record["quality"] = {"t_pass": quality.t_pass,
+                             "t_total": quality.t_total,
+                             "score": quality.score}
     return record
 
 

@@ -5,7 +5,8 @@ from .interp import (DEFAULT_STEP_BUDGET, FitnessReport, ToyFault,
 from .localize import LocalizeResult, NothingToRepair, localize
 from .mutate import (ALL_OPERATORS, COARSE_OPERATORS, Edit, GROUP_OF,
                      InapplicableOperator, OPERATOR_GROUPS, apply_edit,
-                     apply_edits, enumerate_edits, mint_edit)
+                     apply_edits, enumerate_edits, mint_edit,
+                     payload_fits)
 from .suite import SuiteFormatError, TestCase, TestSuite, load_suite, parse_suite
 from .syntax import (ParseError, Program, parse_expression, parse_program,
                      print_expr, print_program, print_statement,
@@ -18,6 +19,7 @@ __all__ = [
     "SuiteFormatError", "TestCase", "TestSuite", "ToyFault", "apply_edit",
     "apply_edits", "compile_program", "enumerate_edits", "load_suite",
     "localize", "mint_edit", "parse_expression", "parse_program",
-    "passes_all", "print_expr", "print_program", "print_statement",
-    "program_statements", "run_tests", "same_shape", "walk_statements",
+    "passes_all", "payload_fits", "print_expr", "print_program",
+    "print_statement", "program_statements", "run_tests", "same_shape",
+    "walk_statements",
 ]

@@ -11,8 +11,9 @@ target statement id, an optional expression path, and a payload.
 Statement donors travel by id and are resolved against whatever program
 the edit is applied to; expression donors travel as printed text and are
 re-parsed on application. Application is total: an edit whose target,
-donor, or path no longer resolves leaves the program unchanged and
-reports a no-op, so edit lists can be replayed in any lineage.
+donor, or path no longer resolves, or whose payload does not have the
+shape its operator mints, leaves the program unchanged and reports a
+no-op, so edit lists can be replayed in any lineage.
 """
 
 from dataclasses import dataclass, replace as _dc_replace
@@ -488,19 +489,32 @@ def _splice_children(stmt, sid, transform):
     return Block(stmt.sid, body), status
 
 
-def _stmt_by_sid(program, sid):
-    for _, stmt in program_statements(program):
+def _find(body, sid):
+    """First statement with the id in body, pre-order; None if absent."""
+    for stmt in body:
         if stmt.sid == sid:
             return stmt
+        if isinstance(stmt, If):
+            found = _find(stmt.then, sid)
+            if found is None:
+                found = _find(stmt.orelse, sid)
+        elif isinstance(stmt, (While, Block)):
+            found = _find(stmt.body, sid)
+        else:
+            continue
+        if found is not None:
+            return found
     return None
 
 
-def _owner_function(program, sid):
+def _locate(program, sid):
+    """(owner function, statement) of the first statement with the id, in
+    program order; (None, None) if no statement has it."""
     for fn in program.functions:
-        for stmt in walk_statements(fn.body):
-            if stmt.sid == sid:
-                return fn
-    return None
+        stmt = _find(fn.body, sid)
+        if stmt is not None:
+            return fn, stmt
+    return None, None
 
 
 def _parse_payload_expr(text):
@@ -523,7 +537,7 @@ def _edit_stmt(stmt, new_stmt):
 
 
 def _tf_stmt_append(program, stmt, edit, ctr):
-    donor = _stmt_by_sid(program, edit.payload[0])
+    _, donor = _locate(program, edit.payload[0])
     if donor is None:
         return None
     return (stmt, _renumber(donor, ctr))
@@ -534,7 +548,7 @@ def _tf_stmt_delete(program, stmt, edit, ctr):
 
 
 def _tf_stmt_replace(program, stmt, edit, ctr):
-    donor = _stmt_by_sid(program, edit.payload[0])
+    _, donor = _locate(program, edit.payload[0])
     if donor is None:
         return None
     return (_renumber(donor, ctr),)
@@ -661,6 +675,26 @@ def _tf_negate_condition(program, stmt, edit, ctr):
     return _edit_stmt(stmt, _set_expr(stmt, edit.path, flipped))
 
 
+# The payload each operator mints, by item type: statement ids, deltas and
+# literals are ints, names and printed expressions are strings.  A float or
+# bool literal, for one, would print but not parse back.
+_PAYLOAD_TYPES = {
+    "stmt_append": (int,), "stmt_delete": (), "stmt_replace": (int,),
+    "func_call_swap": (str,), "expr_replace": (str,),
+    "expr_add": (str, str, str), "expr_remove": (str,),
+    "guard_insert": (str,), "range_check_insert": (str, str),
+    "size_check_insert": (str,), "lower_bound_clamp": (str,),
+    "upper_bound_clamp": (str, str), "off_by_one": (int,),
+    "var_init_insert": (str,), "const_perturb": (int,),
+    "negate_condition": (), "default_return_insert": (int,),
+    "stmt_swap": (),
+}
+
+def payload_fits(edit: Edit) -> bool:
+    """Whether the payload has the item types the edit's operator mints."""
+    return tuple(map(type, edit.payload)) == _PAYLOAD_TYPES.get(edit.op)
+
+
 _TRANSFORMS = {
     "stmt_append": _tf_stmt_append,
     "stmt_delete": _tf_stmt_delete,
@@ -725,7 +759,9 @@ def _function_with_body(program, fn, new_body, next_sid):
 
 def apply_edit(program: Program, edit: Edit):
     """Apply one edit; returns (program, applied). Never raises."""
-    fn = _owner_function(program, edit.target)
+    if not payload_fits(edit):
+        return program, False
+    fn, _ = _locate(program, edit.target)
     if fn is None:
         return program, False
     ctr = [program.next_sid]
@@ -744,9 +780,7 @@ def apply_edit(program: Program, edit: Edit):
         new_body = fn.body + (Return(sid, Num(edit.payload[0])),)
         return _function_with_body(program, fn, new_body, ctr[0]), True
 
-    transform = _TRANSFORMS.get(edit.op)
-    if transform is None:
-        return program, False
+    transform = _TRANSFORMS[edit.op]
     new_body, status = _splice(fn.body, edit.target,
                                lambda stmt: transform(program, stmt,
                                                       edit, ctr))

@@ -29,6 +29,10 @@ ADD_OPS = ("+", "-")
 MUL_OPS = ("*", "/", "%")
 LOGIC_OPS = ("&&", "||")
 
+# Deepest nesting of blocks and expressions the parser accepts; deeper
+# input is a ParseError rather than a RecursionError.
+MAX_NESTING = 64
+
 
 class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
@@ -137,9 +141,6 @@ class Program:
                 return fn
         return None
 
-    def function_names(self) -> list[str]:
-        return [fn.name for fn in self.functions]
-
 
 def walk_statements(body):
     """Yield every statement in a body, pre-order, including nested ones."""
@@ -243,6 +244,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.sid = first_sid
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -262,6 +264,12 @@ class _Parser:
     def fail(self, msg):
         tok = self.peek()
         raise ParseError(msg, tok[2], tok[3])
+
+    def descend(self):
+        """Enter one nesting level; the caller leaves it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     def fresh_sid(self) -> int:
         sid = self.sid
@@ -308,10 +316,12 @@ class _Parser:
 
     def block_body(self) -> tuple:
         self.expect("{")
+        self.descend()
         body = []
         while self.peek()[0] != "}":
             body.append(self.statement())
         self.expect("}")
+        self.depth -= 1
         return tuple(body)
 
     def statement(self):
@@ -401,10 +411,16 @@ class _Parser:
         return left
 
     def unary_expr(self):
+        # every nested expression (operand, parenthesis, argument, index)
+        # passes through here
+        self.descend()
         if self.peek()[0] == "-":
             self.next()
-            return Unary(self.unary_expr())
-        return self.atom()
+            expr = Unary(self.unary_expr())
+        else:
+            expr = self.atom()
+        self.depth -= 1
+        return expr
 
     def atom(self):
         tok = self.next()

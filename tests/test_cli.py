@@ -66,6 +66,29 @@ def test_quality_rejects_unknown_bug(tmp_path, capsys):
     assert "ghost-1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['["mid3"]', '{"bug": "mid3"}', "{",
+                                  '{"bug": ["mid3"], "edits": []}'])
+def test_quality_rejects_malformed_patch_files(tmp_path, capsys, text):
+    patch_dir = tmp_path / "patches"
+    patch_dir.mkdir()
+    (patch_dir / "x.patch").write_text(text + "\n")
+    assert main(["quality", "--patches", str(patch_dir)]) == EXIT_CORPUS
+    assert "unreadable patch file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1.0", "true"])
+def test_quality_rejects_non_int_payload(tmp_path, capsys, value):
+    # applied, [1.0] would build `return 1.0;`, which does not parse back
+    patch_dir = tmp_path / "patches"
+    patch_dir.mkdir()
+    (patch_dir / "x.patch").write_text(
+        '{"bug": "mid3", "edits": [{"op": "default_return_insert", '
+        f'"target": 0, "path": [], "payload": [{value}]}}]}}\n')
+    assert main(["quality", "--patches", str(patch_dir)]) == EXIT_CORPUS
+    err = capsys.readouterr().err
+    assert err.startswith("corpus error:") and "payload" in err
+
+
 def test_quality_on_empty_directory(tmp_path, capsys):
     patch_dir = tmp_path / "patches"
     patch_dir.mkdir()

@@ -112,6 +112,30 @@ def test_patch_files_round_trip(tmp_path):
     assert edits_from_jsonable(edits_to_jsonable(edits)) == edits
 
 
+@pytest.mark.parametrize("op,payload,good", [
+    ("default_return_insert", [1.0], [1]),
+    ("default_return_insert", [True], [1]),
+    ("const_perturb", [0.5], [-1]),
+    ("off_by_one", [False], [1]),
+    ("stmt_append", [None], [3]),
+    ("stmt_append", [], [3]),
+    ("guard_insert", [[1]], ["x"]),
+    ("expr_add", ["x", "&&"], ["x", "&&", "left"]),
+])
+def test_payloads_must_fit_their_operator(op, payload, good):
+    record = {"op": op, "target": 0, "path": [], "payload": payload}
+    with pytest.raises(CorpusError, match="does not fit"):
+        edits_from_jsonable([record])
+    record["payload"] = good
+    assert edits_from_jsonable([record]) == (Edit(op, 0, (), tuple(good)),)
+
+
+def test_unknown_operator_is_a_corpus_error():
+    record = {"op": "stmt_teleport", "target": 0, "path": [], "payload": []}
+    with pytest.raises(CorpusError, match="unknown operator"):
+        edits_from_jsonable([record])
+
+
 def test_missing_files_raise_corpus_error(tmp_path):
     bugdir = tmp_path / "broken-1"
     bugdir.mkdir()

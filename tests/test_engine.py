@@ -156,6 +156,21 @@ def test_patches_revalidate_on_a_fresh_interpreter(bugs):
         assert out.variants_evaluated_at_patch <= out.total_evaluations
 
 
+def test_crossover_heavy_patch_program_is_its_replayed_edit_list(bugs):
+    # every pair crosses over, so patches splice lineages; reset-1 seed 9
+    # ends in a 12-edit patch with two no-op edits
+    for name, seed in (("reset-1", 9), ("init-1", 2), ("mid3", 1)):
+        bug = bugs[name]
+        cfg = SearchConfig(seed=seed, arm_scheme="arms18", generations=20,
+                           crossover_rate=1.0)
+        out = run_repair_uniform(bug.program, bug.repair_suite, cfg,
+                                 step_budget=BUDGET)
+        assert out.patched, name
+        assert len(out.patch.edits) > 1, name
+        assert out.patch.program == \
+            apply_edits(bug.program, out.patch.edits)[0], name
+
+
 def test_correct_program_raises_nothing_to_repair(bugs):
     bug = bugs["mid3"]
     with pytest.raises(NothingToRepair):

@@ -110,11 +110,6 @@ def test_overfit_patch_scores_below_full_quality(bugs):
     assert score.t_pass == score.t_total - 1
 
 
-def test_missing_heldout_suite_yields_marker_not_zero(bugs):
-    bug = dataclasses.replace(bugs["mid3"], heldout_suite=None)
-    assert evaluate_quality((), bug) is None
-
-
 # ----------------------------------------------------------------- metrics
 
 def _record(patched, at=None):

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from patchbandit.corpus import load_corpus
+from patchbandit.toylang.localize import localize
 from patchbandit.toylang.mutate import (ALL_OPERATORS, COARSE_OPERATORS,
                                         Edit, GROUP_OF, InapplicableOperator,
                                         OPERATOR_GROUPS, apply_edit,
@@ -410,3 +412,83 @@ def test_apply_edits_reports_per_edit_flags():
     assert flags == (True, False, True)
     assert "i = 0;" not in [print_statement(s) for s in
                             out.function("main").body]
+
+
+# ------------------------------------------------------ malformed payloads
+
+def _misfits(payload):
+    yield payload + (1,)
+    yield payload + ("x",)
+    if payload:
+        yield payload[:-1]
+        # a float or bool where an int goes, a number where a string goes;
+        # (1.0,) and (True,) compare equal to (1,), so only types tell
+        yield tuple(float(v) if type(v) is int else 1.5 for v in payload)
+        yield tuple(v == 1 if type(v) is int else 0 for v in payload)
+
+
+def test_payloads_that_do_not_fit_their_operator_are_noops():
+    program = demo()
+    first_of = {}
+    for edit in enumerate_edits(program, all_weights(program)):
+        first_of.setdefault(edit.op, edit)
+    assert set(first_of) == set(ALL_OPERATORS)
+    for edit in first_of.values():
+        assert apply_edit(program, edit)[1], edit
+        for bad in _misfits(edit.payload):
+            misfit = Edit(edit.op, edit.target, edit.path, bad)
+            assert apply_edit(program, misfit) == (program, False), misfit
+    assert apply_edit(program, Edit("no_such_op", 0)) == (program, False)
+
+
+def test_payload_nested_past_the_parser_limit_is_a_noop():
+    program = demo()
+    deep = "(" * 400 + "1" + ")" * 400
+    loop = sid_of(program, "while (i < n) {")
+    body = sid_of(program, "s = s + a[i];")
+    for edit in (Edit("expr_replace", loop, ("cond",), (deep,)),
+                 Edit("expr_add", loop, ("cond",), (deep, "&&", "left")),
+                 Edit("range_check_insert", body, (), (deep, "a"))):
+        assert apply_edit(program, edit) == (program, False), edit.op
+
+
+# ----------------------------------------------------------- fold property
+
+FOLD_LISTS_PER_BUG = 20
+FOLD_MAX_LENGTH = 8
+
+
+def _minted_list(program, weights, rng):
+    """Up to FOLD_MAX_LENGTH edits, each minted on the program so far."""
+    edits = []
+    for _ in range(rng.randint(0, FOLD_MAX_LENGTH)):
+        try:
+            edit = mint_edit(rng.choice(ALL_OPERATORS), program, weights,
+                             rng)
+        except InapplicableOperator:
+            continue
+        edits.append(edit)
+        program = apply_edit(program, edit)[0]
+    return tuple(edits), program
+
+
+@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+def test_applying_a_list_is_a_left_fold(bug):
+    weights = localize(bug.program, bug.repair_suite, 5000).weights
+    rng = random.Random(f"fold:{bug.name}")
+    noops = 0
+    for _ in range(FOLD_LISTS_PER_BUG):
+        head, middle = _minted_list(bug.program, weights, rng)
+        successor, _ = _minted_list(middle, weights, rng)
+        # minted in another lineage, as crossover splices them: some of
+        # these edits lose their target or donor and become no-ops
+        stranger, _ = _minted_list(bug.program, weights, rng)
+        for tail in (successor, stranger):
+            first, head_flags = apply_edits(bug.program, head)
+            second, tail_flags = apply_edits(first, tail)
+            whole, flags = apply_edits(bug.program, head + tail)
+            assert second == whole
+            assert second.next_sid == whole.next_sid
+            assert head_flags + tail_flags == flags
+            noops += flags.count(False)
+    assert noops > 0

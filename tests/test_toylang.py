@@ -7,10 +7,11 @@ from patchbandit.toylang.interp import (run_tests, passes_all, ToyFault,
 from patchbandit.toylang.suite import (SuiteFormatError, TestCase, TestSuite,
                                        parse_suite)
 from patchbandit.toylang.localize import NothingToRepair, localize
-from patchbandit.toylang.syntax import (ParseError, parse_program,
-                                        parse_expression, print_program,
-                                        print_expr, print_statement,
-                                        program_statements, same_shape)
+from patchbandit.toylang.syntax import (MAX_NESTING, Num, ParseError,
+                                        parse_program, parse_expression,
+                                        print_program, print_expr,
+                                        print_statement, program_statements,
+                                        same_shape)
 
 MID = """
 fn mid(x, y, z) {
@@ -105,6 +106,26 @@ def test_parse_errors_carry_line_and_column():
         parse_program("   # nothing here\n")
     with pytest.raises(ParseError, match="unexpected character"):
         parse_program("fn f() { x = 1 @ 2; }")
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    # 400 parentheses overflow Python's stack without the limit
+    deep = 400
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_expression("(" * deep + "1" + ")" * deep)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_expression("-" * deep + "1")
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_program("fn f() {" + "{" * deep + "}" * deep + "return 1; }")
+    # the limit counts levels, not length: a long flat chain is fine
+    assert parse_expression(" + ".join(["1"] * deep)) is not None
+
+
+def test_nesting_at_the_limit_parses():
+    inner = MAX_NESTING - 1     # the outermost expression is a level too
+    assert parse_expression("(" * inner + "7" + ")" * inner) == Num(7)
+    with pytest.raises(ParseError):
+        parse_expression("(" * MAX_NESTING + "7" + ")" * MAX_NESTING)
 
 
 def test_comments_and_whitespace_are_ignored():
