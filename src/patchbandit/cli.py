@@ -4,8 +4,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .aos import ConfigError
+from .aos import CADENCES, CREDITS, POLICIES, REWARDS, ConfigError
 from .corpus import CorpusError, DEFAULT_CORPUS_DIR, load_corpus, load_patch, run_gate
+from .engine import ARM_SCHEMES
 from .experiment import (ConfigSpec, EXPERIMENT_STEP_BUDGET, ExperimentPlan,
                          PlanFormatError, evaluate_quality, load_plan,
                          run_experiment, write_report)
@@ -45,14 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="one selection config over the corpus")
     run.add_argument("--policy", required=True,
-                     choices=("uniform", "pm", "ap", "egreedy", "ucb"))
-    run.add_argument("--credit", choices=("avg", "erwa"), default="avg")
+                     choices=("uniform",) + POLICIES)
+    run.add_argument("--credit", choices=CREDITS, default="avg")
     run.add_argument("--alpha", type=float, default=None,
                      help="ERWA decay; defaults to the policy's tuned value")
-    run.add_argument("--reward", choices=("raw", "relative"), default="raw")
-    run.add_argument("--cadence", choices=("generation", "mutation"),
-                     default="generation")
-    run.add_argument("--arms", choices=("3", "18", "7"), default="3")
+    run.add_argument("--reward", choices=REWARDS, default="raw")
+    run.add_argument("--cadence", choices=CADENCES, default="generation")
+    run.add_argument("--arms", default="3",
+                     choices=[s.removeprefix("arms") for s in ARM_SCHEMES])
     run.add_argument("--pop", type=int, default=40)
     run.add_argument("--gens", type=int, default=10)
     run.add_argument("--attempts", type=int, default=20)

@@ -82,26 +82,40 @@ def edits_to_jsonable(edits):
              "payload": list(e.payload)} for e in edits]
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _items(record, key) -> tuple:
+    # tuple() would also split a string into its characters
+    if not isinstance(record[key], list):
+        raise TypeError(f"{key} {record[key]!r} is not a list")
+    return tuple(record[key])
+
+
 def edits_from_jsonable(records):
     try:
-        edits = tuple(Edit(r["op"], int(r["target"]), tuple(r["path"]),
-                           tuple(r["payload"])) for r in records)
+        edits = tuple(Edit(r["op"], r["target"], _items(r, "path"),
+                           _items(r, "payload")) for r in records)
     except (KeyError, TypeError) as err:
         raise CorpusError(f"malformed edit record: {err}") from err
     for edit in edits:
         if edit.op not in ALL_OPERATORS:
             raise CorpusError(f"malformed edit record: unknown operator "
                               f"{edit.op!r}")
+        if not _is_int(edit.target):
+            raise CorpusError(f"malformed edit record: target "
+                              f"{edit.target!r} is not an integer")
+        if not all(isinstance(step, str) or _is_int(step)
+                   for step in edit.path):
+            raise CorpusError(f"malformed edit record: path "
+                              f"{list(edit.path)!r} holds an item that is "
+                              f"neither a string nor an integer")
         if not payload_fits(edit):
             raise CorpusError(f"malformed edit record: payload "
                               f"{list(edit.payload)!r} does not fit {edit.op}")
     return edits
-
-
-def save_patch(path, bug_name: str, edits) -> None:
-    payload = {"bug": bug_name, "edits": edits_to_jsonable(edits)}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n")
 
 
 def load_patch(path):

@@ -18,14 +18,21 @@ from dataclasses import dataclass, field
 
 from .aos import AosConfig, ConfigError, Controller, compute_reward
 from .toylang import (ALL_OPERATORS, COARSE_OPERATORS, DEFAULT_STEP_BUDGET,
-                      GROUP_OF, InapplicableOperator, OPERATOR_GROUPS,
-                      apply_edits, localize, mint_edit, run_tests)
+                      InapplicableOperator, OPERATOR_GROUPS, apply_edits,
+                      localize, mint_edit, run_tests)
 
-ARM_SCHEMES = ("arms3", "arms18", "arms7")
-
-# arms7 keeps one arm per coarse operator and folds each template group
-# into a single shared arm
-_ARMS7_GROUPS = ("func_expr", "checks", "init_cast", "multi_line")
+# scheme -> its arms, in arm order.  A coarse arm is a bare operator name;
+# a group arm is a tuple of operators and draws one uniformly, even when it
+# has a single member (arms7's multi_line arm), so every group pick
+# advances the rng the same way.  arms7 keeps one arm per coarse operator
+# and folds each template group into a single shared arm.
+ARM_SCHEMES = {
+    "arms3": COARSE_OPERATORS,
+    "arms18": ALL_OPERATORS,
+    "arms7": COARSE_OPERATORS + tuple(
+        OPERATOR_GROUPS[group]
+        for group in ("func_expr", "checks", "init_cast", "multi_line")),
+}
 
 # tournament selection and crossover need two individuals to choose from
 MIN_POPULATION = 2
@@ -53,44 +60,31 @@ def derive_seed(*parts) -> int:
 
 # ---------------------------------------------------------------- schemes
 
-def scheme_arm_count(scheme: str) -> int:
+def _arms(scheme: str) -> tuple:
     try:
-        return {"arms3": 3, "arms18": 18, "arms7": 7}[scheme]
+        return ARM_SCHEMES[scheme]
     except KeyError:
         raise ConfigError(f"unknown arm scheme {scheme!r}") from None
 
 
+def scheme_arm_count(scheme: str) -> int:
+    return len(_arms(scheme))
+
+
 def scheme_operators(scheme: str) -> tuple:
-    """Operator set reachable under the scheme."""
-    scheme_arm_count(scheme)
-    return COARSE_OPERATORS if scheme == "arms3" else ALL_OPERATORS
-
-
-def arm_of(operator: str, scheme: str) -> int:
-    """Arm credited for a concrete operator under the scheme."""
-    ops = scheme_operators(scheme)
-    if operator not in ops:
-        raise ConfigError(f"operator {operator!r} unavailable under {scheme}")
-    if scheme == "arms3":
-        return COARSE_OPERATORS.index(operator)
-    if scheme == "arms18":
-        return ALL_OPERATORS.index(operator)
-    group = GROUP_OF[operator]
-    if group == "coarse":
-        return COARSE_OPERATORS.index(operator)
-    return 3 + _ARMS7_GROUPS.index(group)
+    """Operator set reachable under the scheme, in arm order."""
+    return tuple(op for arm in _arms(scheme)
+                 for op in ((arm,) if isinstance(arm, str) else arm))
 
 
 def operator_for_arm(arm: int, scheme: str, rng) -> str:
     """Concrete operator for a selected arm; group arms draw uniformly."""
-    count = scheme_arm_count(scheme)
-    if not 0 <= arm < count:
+    arms = _arms(scheme)
+    if not 0 <= arm < len(arms):
         raise ConfigError(f"arm {arm} out of range for {scheme}")
-    if scheme == "arms18":
-        return ALL_OPERATORS[arm]
-    if arm < 3:
-        return COARSE_OPERATORS[arm]
-    members = OPERATOR_GROUPS[_ARMS7_GROUPS[arm - 3]]
+    members = arms[arm]
+    if isinstance(members, str):
+        return members
     return members[rng.randrange(len(members))]
 
 

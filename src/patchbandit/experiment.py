@@ -14,11 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .aos import (AosConfig, CADENCES, ConfigError, CREDITS, DEFAULT_ALPHA,
-                  POLICIES, REWARDS)
+from .aos import AosConfig, ConfigError
 from .corpus import DEFAULT_CORPUS_DIR, edits_to_jsonable, load_corpus
-from .engine import (MIN_POPULATION, SearchConfig, derive_seed, run_repair,
-                     run_repair_uniform, scheme_arm_count)
+from .engine import (ARM_SCHEMES, MIN_POPULATION, SearchConfig, derive_seed,
+                     run_repair, run_repair_uniform, scheme_arm_count)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
                       run_tests)
 
@@ -35,8 +34,8 @@ CSV_COLUMNS = ("policy", "credit", "reward", "cadence", "arms", "alpha",
 _PLAN_MINIMUMS = {"attempts": 1, "population_size": MIN_POPULATION,
                   "generations": 0, "step_budget": 1}
 
-_ARM_ALIASES = {"3": "arms3", "18": "arms18", "7": "arms7",
-                "arms3": "arms3", "arms18": "arms18", "arms7": "arms7"}
+_ARM_ALIASES = {alias: scheme for scheme in ARM_SCHEMES
+                for alias in (scheme, scheme.removeprefix("arms"))}
 
 
 class PlanFormatError(ValueError):
@@ -63,7 +62,7 @@ class ConfigSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        scheme_arm_count(self.arms)
+        n_arms = scheme_arm_count(self.arms)
         if self.policy == "uniform":
             # the baseline has no bandit state; blank the unused axes
             object.__setattr__(self, "credit", "-")
@@ -71,20 +70,12 @@ class ConfigSpec:
             object.__setattr__(self, "cadence", "-")
             object.__setattr__(self, "alpha", None)
             return
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.credit not in CREDITS:
-            raise ConfigError(f"unknown credit {self.credit!r}")
-        if self.reward not in REWARDS:
-            raise ConfigError(f"unknown reward {self.reward!r}")
-        if self.cadence not in CADENCES:
-            raise ConfigError(f"unknown cadence {self.cadence!r}")
+        # avg credit has no learning rate; erwa fills in the policy default
         if self.credit == "avg":
             object.__setattr__(self, "alpha", None)
-        elif self.alpha is None:
-            object.__setattr__(self, "alpha", DEFAULT_ALPHA[self.policy])
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
+        resolved = self.aos_config().resolved(n_arms)
+        if self.credit != "avg":
+            object.__setattr__(self, "alpha", resolved.alpha)
 
     @property
     def is_uniform(self) -> bool:

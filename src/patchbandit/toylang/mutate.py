@@ -225,22 +225,6 @@ def _condition_pool(fn: Function):
     return _dedup(texts)
 
 
-def _has_successor(body, sid):
-    for i, stmt in enumerate(body):
-        if stmt.sid == sid:
-            return i + 1 < len(body)
-        if isinstance(stmt, If):
-            for sub in (stmt.then, stmt.orelse):
-                found = _has_successor(sub, sid)
-                if found is not None:
-                    return found
-        elif isinstance(stmt, (While, Block)):
-            found = _has_successor(stmt.body, sid)
-            if found is not None:
-                return found
-    return None
-
-
 # ------------------------------------------------------------ site minting
 #
 # Each builder returns the (path, payload) options the operator admits on
@@ -348,7 +332,8 @@ def _sites_default_return_insert(program, fn, stmt):
 
 
 def _sites_stmt_swap(program, fn, stmt):
-    if _has_successor(fn.body, stmt.sid):
+    trail = _trail(fn.body, stmt.sid)
+    if trail[-1] < len(_holder(fn.body, trail)) - 1:
         return [((), ())]
     return []
 
@@ -443,78 +428,72 @@ def _renumber(stmt, ctr):
     raise TypeError(f"not a statement node: {stmt!r}")
 
 
-def _splice(body, sid, transform):
-    """Rebuild body, replacing the sid-statement with transform(stmt).
+# A trail leads from a function body down to one statement: list indexes
+# alternating with the body fields passed through, e.g. (2, "orelse", 0)
+# is the first statement of the else branch of the body's third statement.
 
-    transform returns a tuple of statements to splice in, or None to
-    veto. Returns (new_body, status) with status in {"done", "noop",
-    "missing"}.
-    """
-    out = []
-    status = "missing"
-    for stmt in body:
-        if status == "missing" and stmt.sid == sid:
-            replacement = transform(stmt)
-            if replacement is None:
-                return body, "noop"
-            out.extend(replacement)
-            status = "done"
-            continue
-        if status == "missing" and isinstance(stmt, (If, While, Block)):
-            new_stmt, status = _splice_children(stmt, sid, transform)
-            if status == "noop":
-                return body, "noop"
-            out.append(new_stmt)
-            continue
-        out.append(stmt)
-    return tuple(out), status
+_BODY_FIELDS = {If: ("then", "orelse"), While: ("body",), Block: ("body",)}
 
 
-def _splice_children(stmt, sid, transform):
-    if isinstance(stmt, If):
-        then, status = _splice(stmt.then, sid, transform)
-        if status == "done":
-            return If(stmt.sid, stmt.cond, then, stmt.orelse), status
-        if status == "noop":
-            return stmt, status
-        orelse, status = _splice(stmt.orelse, sid, transform)
-        if status == "done":
-            return If(stmt.sid, stmt.cond, stmt.then, orelse), status
-        return stmt, status
-    body, status = _splice(stmt.body, sid, transform)
-    if status != "done":
-        return stmt, status
-    if isinstance(stmt, While):
-        return While(stmt.sid, stmt.cond, body), status
-    return Block(stmt.sid, body), status
-
-
-def _find(body, sid):
-    """First statement with the id in body, pre-order; None if absent."""
-    for stmt in body:
+def _trail(body, sid):
+    """Trail to the first statement with the id in body, pre-order; None
+    if no statement has it."""
+    for i, stmt in enumerate(body):
         if stmt.sid == sid:
-            return stmt
-        if isinstance(stmt, If):
-            found = _find(stmt.then, sid)
-            if found is None:
-                found = _find(stmt.orelse, sid)
-        elif isinstance(stmt, (While, Block)):
-            found = _find(stmt.body, sid)
-        else:
-            continue
-        if found is not None:
-            return found
+            return (i,)
+        for field in _BODY_FIELDS.get(type(stmt), ()):
+            rest = _trail(getattr(stmt, field), sid)
+            if rest is not None:
+                return (i, field) + rest
     return None
 
 
 def _locate(program, sid):
-    """(owner function, statement) of the first statement with the id, in
+    """(owner function, trail) of the first statement with the id, in
     program order; (None, None) if no statement has it."""
     for fn in program.functions:
-        stmt = _find(fn.body, sid)
-        if stmt is not None:
-            return fn, stmt
+        trail = _trail(fn.body, sid)
+        if trail is not None:
+            return fn, trail
     return None, None
+
+
+def _holder(body, trail):
+    """The statement list that the trail's last index points into."""
+    for k in range(1, len(trail), 2):
+        body = getattr(body[trail[k - 1]], trail[k])
+    return body
+
+
+def _rebuild(body, trail, edit_holder, k=0):
+    """Copy body, rebuilding only the statements along trail[k:]; the list
+    the trail ends in becomes edit_holder(holder, index).  None from
+    edit_holder vetoes the edit and is returned as is."""
+    i = trail[k]
+    if k + 1 == len(trail):
+        return edit_holder(body, i)
+    stmt = body[i]
+    field = trail[k + 1]
+    sub = _rebuild(getattr(stmt, field), trail, edit_holder, k + 2)
+    if sub is None:
+        return None
+    if field == "then":
+        stmt = If(stmt.sid, stmt.cond, sub, stmt.orelse)
+    elif field == "orelse":
+        stmt = If(stmt.sid, stmt.cond, stmt.then, sub)
+    elif isinstance(stmt, While):
+        stmt = While(stmt.sid, stmt.cond, sub)
+    else:
+        stmt = Block(stmt.sid, sub)
+    return body[:i] + (stmt,) + body[i + 1:]
+
+
+def _statement(program, sid):
+    """First statement with the id in program order; None if absent."""
+    fn, trail = _locate(program, sid)
+    if fn is None:
+        return None
+    return _holder(fn.body, trail)[trail[-1]]
 
 
 def _parse_payload_expr(text):
@@ -532,12 +511,12 @@ def _edit_stmt(stmt, new_stmt):
     return None if new_stmt is None else (new_stmt,)
 
 
-# Handlers return the transform result for _splice: a tuple of statements
-# to put in the target's place, or None to veto the whole edit.
+# Statement transforms return a tuple of statements to put in the target's
+# place, or None to veto the whole edit.
 
 
 def _tf_stmt_append(program, stmt, edit, ctr):
-    _, donor = _locate(program, edit.payload[0])
+    donor = _statement(program, edit.payload[0])
     if donor is None:
         return None
     return (stmt, _renumber(donor, ctr))
@@ -548,7 +527,7 @@ def _tf_stmt_delete(program, stmt, edit, ctr):
 
 
 def _tf_stmt_replace(program, stmt, edit, ctr):
-    _, donor = _locate(program, edit.payload[0])
+    donor = _statement(program, edit.payload[0])
     if donor is None:
         return None
     return (_renumber(donor, ctr),)
@@ -695,59 +674,59 @@ def payload_fits(edit: Edit) -> bool:
     return tuple(map(type, edit.payload)) == _PAYLOAD_TYPES.get(edit.op)
 
 
-_TRANSFORMS = {
-    "stmt_append": _tf_stmt_append,
-    "stmt_delete": _tf_stmt_delete,
-    "stmt_replace": _tf_stmt_replace,
-    "func_call_swap": _tf_func_call_swap,
-    "expr_replace": _tf_expr_replace,
-    "expr_add": _tf_expr_add,
-    "expr_remove": _tf_expr_remove,
-    "guard_insert": _tf_guard_insert,
-    "range_check_insert": _tf_range_check_insert,
-    "size_check_insert": _tf_size_check_insert,
-    "lower_bound_clamp": _tf_lower_bound_clamp,
-    "upper_bound_clamp": _tf_upper_bound_clamp,
-    "off_by_one": _tf_off_by_one,
-    "var_init_insert": _tf_var_init_insert,
-    "const_perturb": _tf_const_perturb,
-    "negate_condition": _tf_negate_condition,
+def _in_place(transform):
+    """Body edit that puts transform's statements in the target's place."""
+    def body_edit(program, fn, trail, edit, ctr):
+        def splice(holder, i):
+            replacement = transform(program, holder[i], edit, ctr)
+            if replacement is None:
+                return None
+            return holder[:i] + replacement + holder[i + 1:]
+        return _rebuild(fn.body, trail, splice)
+    return body_edit
+
+
+def _swap_with_next(holder, i):
+    if i + 1 >= len(holder):
+        return None
+    return holder[:i] + (holder[i + 1], holder[i]) + holder[i + 2:]
+
+
+def _edit_stmt_swap(program, fn, trail, edit, ctr):
+    return _rebuild(fn.body, trail, _swap_with_next)
+
+
+def _edit_default_return_insert(program, fn, trail, edit, ctr):
+    # the target only names the function; the return goes at its end
+    if edit.payload[0] not in (0, 1):
+        return None
+    sid = ctr[0]
+    ctr[0] += 1
+    return fn.body + (Return(sid, Num(edit.payload[0])),)
+
+
+# Body edits: (program, owner function, trail to the target, edit, id
+# counter) -> the function's new body, or None to veto the edit.
+_BODY_EDITS = {
+    "stmt_append": _in_place(_tf_stmt_append),
+    "stmt_delete": _in_place(_tf_stmt_delete),
+    "stmt_replace": _in_place(_tf_stmt_replace),
+    "func_call_swap": _in_place(_tf_func_call_swap),
+    "expr_replace": _in_place(_tf_expr_replace),
+    "expr_add": _in_place(_tf_expr_add),
+    "expr_remove": _in_place(_tf_expr_remove),
+    "guard_insert": _in_place(_tf_guard_insert),
+    "range_check_insert": _in_place(_tf_range_check_insert),
+    "size_check_insert": _in_place(_tf_size_check_insert),
+    "lower_bound_clamp": _in_place(_tf_lower_bound_clamp),
+    "upper_bound_clamp": _in_place(_tf_upper_bound_clamp),
+    "off_by_one": _in_place(_tf_off_by_one),
+    "var_init_insert": _in_place(_tf_var_init_insert),
+    "const_perturb": _in_place(_tf_const_perturb),
+    "negate_condition": _in_place(_tf_negate_condition),
+    "default_return_insert": _edit_default_return_insert,
+    "stmt_swap": _edit_stmt_swap,
 }
-
-
-def _swap_with_successor(body, sid):
-    for i, stmt in enumerate(body):
-        if stmt.sid == sid:
-            if i + 1 >= len(body):
-                return body, "noop"
-            out = list(body)
-            out[i], out[i + 1] = out[i + 1], out[i]
-            return tuple(out), "done"
-        if isinstance(stmt, If):
-            then, status = _swap_with_successor(stmt.then, sid)
-            if status == "done":
-                out = list(body)
-                out[i] = If(stmt.sid, stmt.cond, then, stmt.orelse)
-                return tuple(out), status
-            if status == "noop":
-                return body, status
-            orelse, status = _swap_with_successor(stmt.orelse, sid)
-            if status == "done":
-                out = list(body)
-                out[i] = If(stmt.sid, stmt.cond, stmt.then, orelse)
-                return tuple(out), status
-            if status == "noop":
-                return body, status
-        elif isinstance(stmt, (While, Block)):
-            sub, status = _swap_with_successor(stmt.body, sid)
-            if status == "done":
-                out = list(body)
-                out[i] = While(stmt.sid, stmt.cond, sub) \
-                    if isinstance(stmt, While) else Block(stmt.sid, sub)
-                return tuple(out), status
-            if status == "noop":
-                return body, status
-    return body, "missing"
 
 
 def _function_with_body(program, fn, new_body, next_sid):
@@ -761,30 +740,12 @@ def apply_edit(program: Program, edit: Edit):
     """Apply one edit; returns (program, applied). Never raises."""
     if not payload_fits(edit):
         return program, False
-    fn, _ = _locate(program, edit.target)
+    fn, trail = _locate(program, edit.target)
     if fn is None:
         return program, False
     ctr = [program.next_sid]
-
-    if edit.op == "stmt_swap":
-        new_body, status = _swap_with_successor(fn.body, edit.target)
-        if status != "done":
-            return program, False
-        return _function_with_body(program, fn, new_body, ctr[0]), True
-
-    if edit.op == "default_return_insert":
-        if edit.payload[0] not in (0, 1):
-            return program, False
-        sid = ctr[0]
-        ctr[0] += 1
-        new_body = fn.body + (Return(sid, Num(edit.payload[0])),)
-        return _function_with_body(program, fn, new_body, ctr[0]), True
-
-    transform = _TRANSFORMS[edit.op]
-    new_body, status = _splice(fn.body, edit.target,
-                               lambda stmt: transform(program, stmt,
-                                                      edit, ctr))
-    if status != "done":
+    new_body = _BODY_EDITS[edit.op](program, fn, trail, edit, ctr)
+    if new_body is None:
         return program, False
     return _function_with_body(program, fn, new_body, ctr[0]), True
 

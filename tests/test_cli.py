@@ -89,6 +89,20 @@ def test_quality_rejects_non_int_payload(tmp_path, capsys, value):
     assert err.startswith("corpus error:") and "payload" in err
 
 
+@pytest.mark.parametrize("target,path", [
+    ("2.7", "[]"), ("true", "[]"), ('"3"', "[]"), ("2", '[["x"], 1.5]'),
+])
+def test_quality_rejects_non_int_target_or_path(tmp_path, capsys, target,
+                                                path):
+    patch_dir = tmp_path / "patches"
+    patch_dir.mkdir()
+    (patch_dir / "x.patch").write_text(
+        '{"bug": "mid3", "edits": [{"op": "stmt_delete", '
+        f'"target": {target}, "path": {path}, "payload": []}}]}}\n')
+    assert main(["quality", "--patches", str(patch_dir)]) == EXIT_CORPUS
+    assert capsys.readouterr().err.startswith("corpus error:")
+
+
 def test_quality_on_empty_directory(tmp_path, capsys):
     patch_dir = tmp_path / "patches"
     patch_dir.mkdir()

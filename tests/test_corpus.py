@@ -5,7 +5,8 @@ import pytest
 from patchbandit.corpus import (Bug, CorpusError, DEFAULT_CORPUS_DIR,
                                 check_bug, edits_from_jsonable,
                                 edits_to_jsonable, load_bug, load_corpus,
-                                load_patch, run_gate, save_patch)
+                                load_patch, run_gate)
+from patchbandit.experiment import ExperimentReport, write_report
 from patchbandit.toylang import (COARSE_OPERATORS, Edit, apply_edits,
                                  run_tests)
 
@@ -105,11 +106,31 @@ def test_overfit_patch_discriminates_suites():
 
 def test_patch_files_round_trip(tmp_path):
     edits = (Edit("stmt_append", 2, (), (3,)),
-             Edit("const_perturb", 4, ("expr", "right"), (-1,)))
-    save_patch(tmp_path / "p.patch", "demo", edits)
-    name, back = load_patch(tmp_path / "p.patch")
+             Edit("const_perturb", 4, ("expr", "right"), (-1,)),
+             Edit("func_call_swap", 5, ("expr", 0), ("g",)))
+    metrics = dict.fromkeys(("success_rate_micro", "success_rate_macro",
+                             "bugs_patched", "avg_variant", "median_variant"))
+    block = {"policy": "uniform", "credit": "-", "reward": "-",
+             "cadence": "-", "arms": "arms3", "alpha": None,
+             "metrics": metrics,
+             "bugs": {"demo": [{"patched": True, "attempt": 0,
+                                "edits": edits_to_jsonable(edits)}]}}
+    write_report(ExperimentReport(None, {"configs": [block]}, ()), tmp_path)
+    name, back = load_patch(tmp_path / "patches" / "c00-demo-a00.patch")
     assert name == "demo" and back == edits
     assert edits_from_jsonable(edits_to_jsonable(edits)) == edits
+
+
+@pytest.mark.parametrize("field,value", [
+    ("target", 2.7), ("target", True), ("target", "3"),
+    ("path", [["x"], 1.5]), ("path", "cond"),
+])
+def test_targets_and_paths_must_be_ints_and_strings(field, value):
+    record = {"op": "stmt_delete", "target": 2, "path": [], "payload": []}
+    assert edits_from_jsonable([record]) == (Edit("stmt_delete", 2),)
+    record[field] = value
+    with pytest.raises(CorpusError, match=field):
+        edits_from_jsonable([record])
 
 
 @pytest.mark.parametrize("op,payload,good", [

@@ -9,13 +9,13 @@ import patchbandit.engine as engine
 from patchbandit.aos import AosConfig, ConfigError, Controller
 from patchbandit.corpus import load_corpus
 from patchbandit.engine import (ARM_SCHEMES, RepairOutcome, SearchConfig,
-                                Variant, arm_of, derive_seed, fnv1a_64,
+                                Variant, derive_seed, fnv1a_64,
                                 operator_for_arm, run_repair,
                                 run_repair_uniform, scheme_arm_count,
                                 scheme_operators)
 from patchbandit.toylang import (ALL_OPERATORS, COARSE_OPERATORS, Edit,
-                                 GROUP_OF, InapplicableOperator,
-                                 NothingToRepair, apply_edits, run_tests)
+                                 InapplicableOperator, NothingToRepair,
+                                 OPERATOR_GROUPS, apply_edits, run_tests)
 
 BUDGET = 5000
 
@@ -53,27 +53,49 @@ def test_scheme_operator_sets():
     assert scheme_operators("arms7") == ALL_OPERATORS
 
 
+def test_each_scheme_covers_its_operators_exactly_once():
+    for scheme, arms in ARM_SCHEMES.items():
+        members = [op for arm in arms
+                   for op in ((arm,) if isinstance(arm, str) else arm)]
+        assert sorted(members) == sorted(scheme_operators(scheme))
+        assert len(members) == len(set(members))
+
+
 def test_coarse_arms_use_canonical_order():
-    assert arm_of("stmt_append", "arms3") == 0
-    assert arm_of("stmt_delete", "arms3") == 1
-    assert arm_of("stmt_replace", "arms3") == 2
+    for scheme in ARM_SCHEMES:
+        assert ARM_SCHEMES[scheme][:3] == COARSE_OPERATORS
 
 
 def test_off_by_one_lands_on_the_checks_arm():
-    assert arm_of("off_by_one", "arms7") == 4
+    assert "off_by_one" in ARM_SCHEMES["arms7"][4]
 
 
 def test_arms7_group_layout():
-    assert arm_of("stmt_delete", "arms7") == 1
-    assert arm_of("expr_replace", "arms7") == 3
-    assert arm_of("var_init_insert", "arms7") == 5
-    assert arm_of("stmt_swap", "arms7") == 6
+    arms = ARM_SCHEMES["arms7"]
+    assert arms[1] == "stmt_delete"
+    for arm, group in ((3, "func_expr"), (4, "checks"), (5, "init_cast"),
+                       (6, "multi_line")):
+        assert arms[arm] == OPERATOR_GROUPS[group]
+    assert "expr_replace" in arms[3] and "var_init_insert" in arms[5]
+    assert arms[6] == ("stmt_swap",)
 
 
 def test_arms18_round_trips_every_operator():
     rng = random.Random(0)
-    for op in ALL_OPERATORS:
-        assert operator_for_arm(arm_of(op, "arms18"), "arms18", rng) == op
+    for arm, op in enumerate(ALL_OPERATORS):
+        assert operator_for_arm(arm, "arms18", rng) == op
+
+
+def test_only_group_arms_draw_from_the_rng():
+    # the one-member multi_line arm still draws, so P0's arms7 stream holds
+    rng, reference = random.Random(5), random.Random(5)
+    for arm in range(3):
+        assert operator_for_arm(arm, "arms7", rng) == COARSE_OPERATORS[arm]
+        assert operator_for_arm(arm, "arms18", rng) == ALL_OPERATORS[arm]
+    assert rng.getstate() == reference.getstate()
+    assert operator_for_arm(6, "arms7", rng) == "stmt_swap"
+    reference.randrange(1)
+    assert rng.getstate() == reference.getstate()
 
 
 def test_group_arm_draws_uniformly_within_group():
@@ -86,8 +108,7 @@ def test_group_arm_draws_uniformly_within_group():
 
 
 def test_template_operator_unavailable_under_arms3():
-    with pytest.raises(ConfigError):
-        arm_of("guard_insert", "arms3")
+    assert "guard_insert" not in scheme_operators("arms3")
     with pytest.raises(ConfigError):
         operator_for_arm(3, "arms3", random.Random(0))
 

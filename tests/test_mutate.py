@@ -262,6 +262,65 @@ def test_stmt_swap_exchanges_with_successor():
     assert not applied
 
 
+NESTED = """
+fn f(x) {
+  y = 0;
+  if (x > 0) {
+    y = 1;
+  } else {
+    y = 2;
+    y = 3;
+    {
+      y = 4;
+      y = 5;
+    }
+  }
+  return y;
+}
+"""
+
+
+def test_stmt_swap_inside_orelse_and_nested_block():
+    program = parse_program(NESTED)
+    out = apply_ok(program, Edit("stmt_swap", sid_of(program, "y = 2;")))
+    orelse = out.function("f").body[1].orelse
+    assert [print_statement(s) for s in orelse[:2]] == ["y = 3;", "y = 2;"]
+    out = apply_ok(program, Edit("stmt_swap", sid_of(program, "y = 4;")))
+    block = out.function("f").body[1].orelse[2]
+    assert [print_statement(s) for s in block.body] == ["y = 5;", "y = 4;"]
+
+
+def test_stmt_swap_on_last_nested_statement_is_a_noop():
+    # each of these ends its own body while its enclosing statement does
+    # not: the swap must not reach into the parent's list
+    program = parse_program(NESTED)
+    for text in ("y = 1;", "y = 5;"):
+        out, applied = apply_edit(program,
+                                  Edit("stmt_swap", sid_of(program, text)))
+        assert not applied and out is program
+
+
+def test_stmt_replace_takes_donors_across_nesting_levels():
+    program = parse_program(NESTED)
+    top, nested = sid_of(program, "y = 0;"), sid_of(program, "y = 4;")
+    out = apply_ok(program, Edit("stmt_replace", top, (), (nested,)))
+    assert print_statement(out.function("f").body[0]) == "y = 4;"
+    assert out.function("f").body[0].sid == program.next_sid
+    out = apply_ok(program, Edit("stmt_replace", nested, (), (top,)))
+    block = out.function("f").body[1].orelse[2]
+    assert [print_statement(s) for s in block.body] == ["y = 0;", "y = 5;"]
+
+
+@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+def test_stmt_swap_is_offered_exactly_where_it_applies(bug):
+    for program in (bug.program, bug.fixed):
+        offered = {edit.target for edit in enumerate_edits(
+            program, all_weights(program), ("stmt_swap",))}
+        for _, stmt in program_statements(program):
+            _, applied = apply_edit(program, Edit("stmt_swap", stmt.sid))
+            assert applied == (stmt.sid in offered), print_statement(stmt)
+
+
 def test_func_call_swap_respects_arity():
     program = demo()
     target = sid_of(program, "s = helper(s);")
