@@ -19,12 +19,16 @@ applied as a batch (``generation`` cadence, via flush_generation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 POLICIES = ("pm", "ap", "egreedy", "ucb")
 CREDITS = ("avg", "erwa")
 REWARDS = ("raw", "relative")
 CADENCES = ("generation", "mutation")
+
+# every finite float is a whole number of 2**-1074, so an int sum of rewards
+# in these units is exact, and int / int rounds it correctly, as fsum does
+_UNITS = 1 << 1074
 
 # per-policy learning-rate defaults from the hyperparameter sweep
 DEFAULT_ALPHA = {"pm": 0.8, "ucb": 0.8, "ap": 0.2, "egreedy": 0.4}
@@ -106,7 +110,7 @@ class ArmStats:
     quality: float = 1.0          # optimistic start
     plays: int = 0                # rewards credited, not selections
     probability: float = 0.0
-    reward_history: list = field(default_factory=list)
+    reward_sum: int = 0           # exact, in units of 2**-1074 (_UNITS)
 
 
 class Controller:
@@ -145,14 +149,10 @@ class Controller:
     def probabilities(self) -> list[float]:
         return [a.probability for a in self.arms]
 
-    @property
-    def reward_histories(self) -> list[list[float]]:
-        return [a.reward_history for a in self.arms]
-
-    def snapshot(self) -> list[dict]:
-        return [{"arm": i, "quality": a.quality, "plays": a.plays,
-                 "probability": a.probability}
-                for i, a in enumerate(self.arms)]
+    def snapshot(self) -> tuple:
+        return tuple({"arm": i, "quality": a.quality, "plays": a.plays,
+                      "probability": a.probability}
+                     for i, a in enumerate(self.arms))
 
     # ----------------------------------------------------------- credit
 
@@ -177,10 +177,11 @@ class Controller:
 
     def _apply(self, arm: int, reward: float) -> None:
         stats = self.arms[arm]
-        stats.reward_history.append(reward)
         stats.plays += 1
         if self.config.credit == "avg":
-            stats.quality = math.fsum(stats.reward_history) / stats.plays
+            numerator, denominator = reward.as_integer_ratio()
+            stats.reward_sum += numerator * (_UNITS // denominator)
+            stats.quality = stats.reward_sum / _UNITS / stats.plays
         else:  # erwa
             stats.quality += self.config.alpha * (reward - stats.quality)
 
@@ -239,3 +240,22 @@ class Controller:
             if score > best_score:
                 best, best_score = i, score
         return best
+
+
+class UniformSelector:
+    """The baseline: answers a Controller's calls and learns nothing."""
+
+    # credits arrive one at a time and are dropped: nothing to flush
+    config = AosConfig(cadence="mutation")
+
+    def __init__(self, n_arms: int):
+        self.n_arms = n_arms
+
+    def select_arm(self, rng) -> int:
+        return rng.randrange(self.n_arms)
+
+    def credit(self, arm: int, reward: float) -> None:
+        pass
+
+    def snapshot(self) -> None:
+        return None

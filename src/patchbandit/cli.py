@@ -9,7 +9,7 @@ from .corpus import CorpusError, DEFAULT_CORPUS_DIR, load_corpus, load_patch, ru
 from .engine import ARM_SCHEMES
 from .experiment import (ConfigSpec, EXPERIMENT_STEP_BUDGET, ExperimentPlan,
                          PlanFormatError, evaluate_quality, load_plan,
-                         run_experiment, write_report)
+                         parse_bug_names, run_experiment, write_report)
 from .toylang import DEFAULT_STEP_BUDGET
 
 EXIT_OK = 0
@@ -101,9 +101,7 @@ def cmd_run(args) -> int:
     spec = ConfigSpec(policy=args.policy, credit=args.credit,
                       reward=args.reward, cadence=args.cadence,
                       arms=f"arms{args.arms}", alpha=args.alpha)
-    bug_names = None
-    if args.bugs is not None:
-        bug_names = tuple(n.strip() for n in args.bugs.split(",") if n.strip())
+    bug_names = None if args.bugs is None else parse_bug_names(args.bugs)
     plan = ExperimentPlan(configs=(spec,), bug_names=bug_names,
                           attempts=args.attempts, base_seed=args.seed,
                           population_size=args.pop, generations=args.gens,
@@ -167,10 +165,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PlanFormatError, ConfigError) as err:
+    except (_UsageError, PlanFormatError, ConfigError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except CorpusError as err:

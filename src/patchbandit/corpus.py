@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .toylang import (ALL_OPERATORS, Edit, NothingToRepair, ParseError,
                       SuiteFormatError, enumerate_edits, apply_edit,
-                      load_suite, localize, parse_program, passes_all,
+                      localize, parse_program, parse_suite, passes_all,
                       payload_fits, print_program, run_tests, same_shape)
 from .toylang.interp import DEFAULT_STEP_BUDGET
 
@@ -43,18 +43,21 @@ class Bug:
 
 def load_bug(path) -> Bug:
     path = Path(path)
+    texts = {}
     for filename in BUG_FILES:
         if not (path / filename).is_file():
             raise CorpusError(f"{path.name}: missing {filename}")
+        try:
+            texts[filename] = (path / filename).read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise CorpusError(
+                f"{path.name}: {filename} is not UTF-8 text") from err
     try:
-        program = parse_program((path / "bug.toy").read_text())
-        fixed = parse_program((path / "fixed.toy").read_text())
-    except ParseError as err:
-        raise CorpusError(f"{path.name}: {err}") from err
-    try:
-        repair = load_suite(path / "repair.tests")
-        heldout = load_suite(path / "heldout.tests")
-    except SuiteFormatError as err:
+        program = parse_program(texts["bug.toy"])
+        fixed = parse_program(texts["fixed.toy"])
+        repair, heldout = (parse_suite(texts[name], source=str(path / name))
+                           for name in ("repair.tests", "heldout.tests"))
+    except (ParseError, SuiteFormatError) as err:
         raise CorpusError(f"{path.name}: {err}") from err
     return Bug(path.name, path, program, fixed, repair, heldout)
 

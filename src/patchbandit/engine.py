@@ -2,9 +2,10 @@
 
 One repair attempt is a classic generational GP search over edit lists:
 tournament selection, one-point crossover on the lists, then exactly one
-fresh mutation per individual per generation.  The mutation operator for
-every mint is chosen either by an adaptive controller (run_repair) or
-uniformly over the scheme's operator set (run_repair_uniform).
+fresh mutation per individual per generation.  run_repair is the only
+entry: a selector picks the arm of every mint and is credited with the
+child's reward, an aos.Controller over the scheme's arms or, for the
+uniform baseline, an aos.UniformSelector over the scheme's operators.
 
 Every variant is an edit list against the original program.  A mutation
 child's program is built from its parent's program by applying the one
@@ -16,7 +17,8 @@ list is a left fold of applying one edit.
 import random
 from dataclasses import dataclass, field
 
-from .aos import AosConfig, ConfigError, Controller, compute_reward
+from .aos import (AosConfig, ConfigError, Controller, UniformSelector,
+                  compute_reward)
 from .toylang import (ALL_OPERATORS, COARSE_OPERATORS, DEFAULT_STEP_BUDGET,
                       InapplicableOperator, OPERATOR_GROUPS, apply_edits,
                       localize, mint_edit, run_tests)
@@ -77,15 +79,18 @@ def scheme_operators(scheme: str) -> tuple:
                  for op in ((arm,) if isinstance(arm, str) else arm))
 
 
+def _draw(members, rng) -> str:
+    if isinstance(members, str):
+        return members
+    return members[rng.randrange(len(members))]
+
+
 def operator_for_arm(arm: int, scheme: str, rng) -> str:
     """Concrete operator for a selected arm; group arms draw uniformly."""
     arms = _arms(scheme)
     if not 0 <= arm < len(arms):
         raise ConfigError(f"arm {arm} out of range for {scheme}")
-    members = arms[arm]
-    if isinstance(members, str):
-        return members
-    return members[rng.randrange(len(members))]
+    return _draw(arms[arm], rng)
 
 
 # ------------------------------------------------------------------ types
@@ -131,18 +136,27 @@ class RepairOutcome:
     patch: Variant | None
     variants_evaluated_at_patch: int | None
     total_evaluations: int
-    aos_snapshot: tuple | None          # None when no controller was used
+    aos_snapshot: tuple | None          # None for the uniform baseline
 
 
 # ----------------------------------------------------------------- search
 
-def _search(program, suite, config, step_budget, select, controller):
-    """Shared loop; select() -> (operator, arm or None) per mutation."""
+def run_repair(program, suite, config: SearchConfig, *,
+               step_budget: int = DEFAULT_STEP_BUDGET) -> RepairOutcome:
+    """One repair attempt; config.aos None runs the uniform baseline."""
+    if config.aos is None:
+        # one arm per operator: each pick is one randrange on the aos stream
+        arms = scheme_operators(config.arm_scheme)
+        selector = UniformSelector(len(arms))
+    else:
+        arms = _arms(config.arm_scheme)
+        selector = Controller(config.aos, len(arms))
+    aos_rng = random.Random(derive_seed(config.seed, "aos"))
     located = localize(program, suite, step_budget=step_budget)
     weights = located.weights
     rng = random.Random(derive_seed(config.seed, "search"))
     pop_size = config.population_size
-    reward_type = controller.config.reward if controller is not None else "raw"
+    reward_type = selector.config.reward
 
     base = Variant(edits=(), born_by=BORN_INITIAL,
                    fitness=located.report.fitness, variant_index=0,
@@ -159,13 +173,13 @@ def _search(program, suite, config, step_budget, select, controller):
     def mutate(individual):
         # inapplicable operator: the arm wasted the slot, reward 0, and the
         # individual carries forward unchanged
-        operator, arm = select()
+        arm = selector.select_arm(aos_rng)
+        operator = _draw(arms[arm], aos_rng)
         parent = program_of(individual)
         try:
             edit = mint_edit(operator, parent, weights, rng)
         except InapplicableOperator:
-            if controller is not None and arm is not None:
-                controller.credit(arm, 0.0)
+            selector.credit(arm, 0.0)
             return individual
         # apply_edits is a left fold of apply_edit, so one edit on the
         # parent's program builds what replaying the child's list would
@@ -189,11 +203,11 @@ def _search(program, suite, config, step_budget, select, controller):
                 variant.variant_index = evaluated
             else:
                 variant.fitness, variant.variant_index = known
-            if controller is not None and variant.born_arm is not None:
-                controller.credit(variant.born_arm,
-                                  compute_reward(variant.fitness,
-                                                 variant.parent_fitness,
-                                                 reward_type))
+            if variant.born_arm is not None:
+                selector.credit(variant.born_arm,
+                                compute_reward(variant.fitness,
+                                               variant.parent_fitness,
+                                               reward_type))
             if variant.fitness == 1.0:
                 return variant
         return None
@@ -213,8 +227,8 @@ def _search(program, suite, config, step_budget, select, controller):
         winner = evaluate(population)
         if winner is not None or generation == config.generations:
             break
-        if controller is not None and controller.config.cadence == "generation":
-            controller.flush_generation()
+        if selector.config.cadence == "generation":
+            selector.flush_generation()
         parents = [pick_parent(population) for _ in range(pop_size)]
         for left in range(0, pop_size - 1, 2):
             if rng.random() >= config.crossover_rate:
@@ -230,40 +244,9 @@ def _search(program, suite, config, step_budget, select, controller):
                 born_by=BORN_CROSSOVER)
         population = [mutate(individual) for individual in parents]
 
-    snapshot = None
-    if controller is not None:
-        if controller.config.cadence == "generation":
-            controller.flush_generation()
-        snapshot = tuple(controller.snapshot())
+    if selector.config.cadence == "generation":
+        selector.flush_generation()
     if winner is not None:
         return RepairOutcome(True, winner, winner.variant_index,
-                             evaluated, snapshot)
-    return RepairOutcome(False, None, None, evaluated, snapshot)
-
-
-def run_repair(program, suite, config: SearchConfig, *,
-               step_budget: int = DEFAULT_STEP_BUDGET) -> RepairOutcome:
-    """Repair attempt with adaptive operator selection."""
-    if config.aos is None:
-        raise ConfigError("run_repair needs an AosConfig; "
-                          "use run_repair_uniform for the baseline")
-    controller = Controller(config.aos, scheme_arm_count(config.arm_scheme))
-    aos_rng = random.Random(derive_seed(config.seed, "aos"))
-
-    def select():
-        arm = controller.select_arm(aos_rng)
-        return operator_for_arm(arm, config.arm_scheme, aos_rng), arm
-
-    return _search(program, suite, config, step_budget, select, controller)
-
-
-def run_repair_uniform(program, suite, config: SearchConfig, *,
-                       step_budget: int = DEFAULT_STEP_BUDGET) -> RepairOutcome:
-    """Baseline attempt: uniform draw over the scheme's operator set."""
-    operators = scheme_operators(config.arm_scheme)
-    pick_rng = random.Random(derive_seed(config.seed, "aos"))
-
-    def select():
-        return operators[pick_rng.randrange(len(operators))], None
-
-    return _search(program, suite, config, step_budget, select, None)
+                             evaluated, selector.snapshot())
+    return RepairOutcome(False, None, None, evaluated, selector.snapshot())

@@ -17,9 +17,11 @@ from pathlib import Path
 from .aos import AosConfig, ConfigError
 from .corpus import DEFAULT_CORPUS_DIR, edits_to_jsonable, load_corpus
 from .engine import (ARM_SCHEMES, MIN_POPULATION, SearchConfig, derive_seed,
-                     run_repair, run_repair_uniform, scheme_arm_count)
+                     run_repair, scheme_arm_count)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
                       run_tests)
+
+run_repair_uniform = run_repair  # unused; perfbench/spans.py hooks the name
 
 # experiment searches cap the interpreter tighter than the library default:
 # every true corpus fix runs in well under this, so only doomed variants
@@ -86,9 +88,9 @@ class ConfigSpec:
         return "|".join((self.policy, self.credit, self.reward, self.cadence,
                          self.arms, _fmt(self.alpha)))
 
-    def aos_config(self) -> AosConfig:
+    def aos_config(self) -> AosConfig | None:     # None: the uniform baseline
         if self.is_uniform:
-            raise ConfigError("the uniform baseline has no bandit config")
+            return None
         return AosConfig(policy=self.policy, credit=self.credit,
                          reward=self.reward, cadence=self.cadence,
                          alpha=self.alpha)
@@ -150,14 +152,12 @@ def _run_attempt(task):
     (corpus_dir, bug_name, spec_fields, seed, pop, gens, budget) = task
     bug = _bugs_for(corpus_dir)[bug_name]
     spec = ConfigSpec(*spec_fields)
-    config = SearchConfig(
-        seed=seed,
-        aos=None if spec.is_uniform else spec.aos_config(),
-        arm_scheme=spec.arms, population_size=pop, generations=gens)
-    runner = run_repair_uniform if spec.is_uniform else run_repair
+    config = SearchConfig(seed=seed, aos=spec.aos_config(),
+                          arm_scheme=spec.arms, population_size=pop,
+                          generations=gens)
     try:
-        outcome = runner(bug.program, bug.repair_suite, config,
-                         step_budget=budget)
+        outcome = run_repair(bug.program, bug.repair_suite, config,
+                             step_budget=budget)
     except NothingToRepair:
         return {"seed": seed, "patched": False,
                 "variants_evaluated_at_patch": None, "total_evaluations": 0,
@@ -167,8 +167,7 @@ def _run_attempt(task):
               "variants_evaluated_at_patch": outcome.variants_evaluated_at_patch,
               "total_evaluations": outcome.total_evaluations,
               "edits": None, "quality": None,
-              "aos_snapshot": (None if outcome.aos_snapshot is None
-                               else list(outcome.aos_snapshot))}
+              "aos_snapshot": outcome.aos_snapshot}
     if outcome.patched:
         record["edits"] = edits_to_jsonable(outcome.patch.edits)
         quality = evaluate_quality(outcome.patch.edits, bug,
@@ -357,6 +356,16 @@ def _parse_config_line(value: str, line_no: int) -> ConfigSpec:
         raise PlanFormatError(f"line {line_no}: {err}") from err
 
 
+def parse_bug_names(text: str, where: str = "") -> tuple:
+    """Comma-separated bug names, each listed at most once."""
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    for index, name in enumerate(names):
+        # a repeated bug would run its cells twice and keep one record set
+        if name in names[:index]:
+            raise PlanFormatError(f"{where}bug {name!r} is listed twice")
+    return names
+
+
 def parse_plan(text: str) -> ExperimentPlan:
     """Plain-text manifest: one key = value per line, # for comments."""
     fields = {"configs": []}
@@ -386,8 +395,7 @@ def parse_plan(text: str) -> ExperimentPlan:
         elif key == "corpus":
             fields["corpus_dir"] = value
         elif key == "bugs":
-            fields["bug_names"] = tuple(
-                name.strip() for name in value.split(",") if name.strip())
+            fields["bug_names"] = parse_bug_names(value, f"line {line_no}: ")
         else:
             raise PlanFormatError(f"line {line_no}: unknown key {key!r}")
     try:
@@ -402,4 +410,7 @@ def load_plan(path) -> ExperimentPlan:
     path = Path(path)
     if not path.is_file():
         raise PlanFormatError(f"plan file not found: {path}")
-    return parse_plan(path.read_text())
+    try:
+        return parse_plan(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise PlanFormatError(f"{path} is not UTF-8 text ({err})") from err

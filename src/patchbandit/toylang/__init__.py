@@ -7,7 +7,7 @@ from .mutate import (ALL_OPERATORS, COARSE_OPERATORS, Edit, GROUP_OF,
                      InapplicableOperator, OPERATOR_GROUPS, apply_edit,
                      apply_edits, enumerate_edits, mint_edit,
                      payload_fits)
-from .suite import SuiteFormatError, TestCase, TestSuite, load_suite, parse_suite
+from .suite import SuiteFormatError, TestCase, TestSuite, parse_suite
 from .syntax import (ParseError, Program, parse_expression, parse_program,
                      print_expr, print_program, print_statement,
                      program_statements, same_shape, walk_statements)
@@ -17,8 +17,8 @@ __all__ = [
     "FitnessReport", "GROUP_OF", "InapplicableOperator", "LocalizeResult",
     "NothingToRepair", "OPERATOR_GROUPS", "ParseError", "Program",
     "SuiteFormatError", "TestCase", "TestSuite", "ToyFault", "apply_edit",
-    "apply_edits", "compile_program", "enumerate_edits", "load_suite",
-    "localize", "mint_edit", "parse_expression", "parse_program",
+    "apply_edits", "compile_program", "enumerate_edits", "localize",
+    "mint_edit", "parse_expression", "parse_program", "parse_suite",
     "passes_all", "payload_fits", "print_expr", "print_program",
     "print_statement", "program_statements", "run_tests", "same_shape",
     "walk_statements",

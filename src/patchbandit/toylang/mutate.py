@@ -281,7 +281,7 @@ def _sites_expr_remove(program, fn, stmt):
     return []
 
 
-def _sites_guard_insert(program, fn, stmt):
+def _sites_var_names(program, fn, stmt):
     return [((), (name,)) for name in _subtree_var_names(stmt)]
 
 
@@ -310,10 +310,6 @@ def _sites_off_by_one(program, fn, stmt):
             and stmt.cond.op in _CMP_OPS:
         paths.extend((("cond", "left"), ("cond", "right")))
     return [(path, (delta,)) for path in paths for delta in (1, -1)]
-
-
-def _sites_var_init_insert(program, fn, stmt):
-    return [((), (name,)) for name in _subtree_var_names(stmt)]
 
 
 def _sites_const_perturb(program, fn, stmt):
@@ -346,22 +342,18 @@ _SITES = {
     "expr_replace": _sites_expr_replace,
     "expr_add": _sites_expr_add,
     "expr_remove": _sites_expr_remove,
-    "guard_insert": _sites_guard_insert,
+    "guard_insert": _sites_var_names,
     "range_check_insert": _sites_range_check_insert,
     "size_check_insert": _sites_size_check_insert,
     "lower_bound_clamp": _sites_lower_bound_clamp,
     "upper_bound_clamp": _sites_upper_bound_clamp,
     "off_by_one": _sites_off_by_one,
-    "var_init_insert": _sites_var_init_insert,
+    "var_init_insert": _sites_var_names,
     "const_perturb": _sites_const_perturb,
     "negate_condition": _sites_negate_condition,
     "default_return_insert": _sites_default_return_insert,
     "stmt_swap": _sites_stmt_swap,
 }
-
-
-def operator_sites(operator, program, fn, stmt):
-    return _SITES[operator](program, fn, stmt)
 
 
 def mint_edit(operator, program, weights, rng) -> Edit:

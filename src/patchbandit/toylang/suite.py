@@ -111,8 +111,3 @@ def parse_suite(text: str, source: str = "<string>") -> TestSuite:
     if not cases:
         raise SuiteFormatError("no test cases", source, 0)
     return TestSuite(tuple(cases))
-
-
-def load_suite(path) -> TestSuite:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_suite(fh.read(), source=str(path))

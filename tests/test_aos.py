@@ -15,6 +15,7 @@ from patchbandit.aos import (
     CadenceError,
     ConfigError,
     Controller,
+    UniformSelector,
     compute_reward,
 )
 
@@ -316,3 +317,14 @@ def test_snapshot_exposes_quality_plays_probability():
     assert snap[0]["plays"] == 1
     assert snap[0]["probability"] == pytest.approx(c.probabilities[0])
     assert set(snap[1]) == {"arm", "quality", "plays", "probability"}
+
+
+def test_uniform_selector_is_one_randrange_per_pick_and_learns_nothing():
+    # the baseline's bytes rest on this stream: one draw per pick, no other
+    selector = UniformSelector(5)
+    rng, reference = random.Random(3), random.Random(3)
+    for arm in range(5):
+        selector.credit(arm, 1.0)
+        assert selector.select_arm(rng) == reference.randrange(5)
+    assert rng.getstate() == reference.getstate()
+    assert selector.snapshot() is None

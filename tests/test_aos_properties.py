@@ -57,6 +57,17 @@ def test_average_credit_is_brute_force_mean(seq):
         assert abs(c.qualities[arm] - expect) < 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300, allow_nan=False,
+                          allow_infinity=False), min_size=1, max_size=80))
+def test_average_credit_is_bit_identical_to_fsum_of_history(rewards):
+    # the running sum is exact, so every prefix mean rounds like fsum's
+    c = Controller(AosConfig(policy="pm", credit="avg", cadence="mutation"), 1)
+    for n, reward in enumerate(rewards, start=1):
+        c.credit(0, reward)
+        assert c.qualities[0] == math.fsum(rewards[:n]) / n
+
+
 @settings(max_examples=150, deadline=None)
 @given(rewards_st, st.floats(min_value=0.05, max_value=1.0, allow_nan=False))
 def test_erwa_credit_matches_closed_form(seq, alpha):
@@ -100,4 +111,3 @@ def test_plays_count_credited_rewards_exactly(seq):
     for arm, _ in seq:
         per_arm[arm] += 1
     assert c.plays == per_arm
-    assert [len(h) for h in c.reward_histories] == per_arm

@@ -1,11 +1,13 @@
 """CLI subcommands, output files, and exit-code contract."""
 
 import json
+import shutil
 
 import pytest
 
 from patchbandit.cli import (EXIT_CORPUS, EXIT_GATE, EXIT_OK, EXIT_USAGE,
                              main)
+from patchbandit.corpus import DEFAULT_CORPUS_DIR
 from patchbandit.experiment import CSV_COLUMNS
 
 RUN_ARGS = ["run", "--policy", "uniform", "--bugs", "reset-1,dupadd-1",
@@ -128,6 +130,17 @@ def test_gate_fails_on_unreachable_fix(tmp_path, capsys):
     assert "gate: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("filename", ["bug.toy", "repair.tests"])
+def test_non_utf8_corpus_file_is_a_corpus_error(tmp_path, capsys, filename):
+    shutil.copytree(DEFAULT_CORPUS_DIR / "mid3", tmp_path / "mid3")
+    with open(tmp_path / "mid3" / filename, "ab") as fh:
+        fh.write(b"# \xff\n")
+    assert main(["gate", "--corpus", str(tmp_path)]) == EXIT_CORPUS
+    err = capsys.readouterr().err
+    assert err.startswith("corpus error:")
+    assert f"{filename} is not UTF-8 text" in err
+
+
 def test_missing_corpus_is_a_corpus_error(tmp_path, capsys):
     code = main(["run", "--policy", "uniform",
                  "--corpus", str(tmp_path / "nowhere"),
@@ -183,6 +196,38 @@ def test_bad_plan_values_are_usage_errors_before_any_cell(tmp_path, capsys,
         == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and message in err
+    assert not out.exists()
+
+
+def test_non_utf8_plan_is_a_usage_error(tmp_path, capsys):
+    plan = tmp_path / "bad.plan"
+    plan.write_bytes(b"config = uniform\n# caf\xff\nbugs = reset-1\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--plan", str(plan), "--out", str(out)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "not UTF-8 text" in err
+    assert not out.exists()
+
+
+def test_repeated_bug_in_a_plan_is_a_usage_error(tmp_path, capsys):
+    plan = tmp_path / "twice.plan"
+    plan.write_text("config = uniform\nbugs = reset-1, dupadd-1, reset-1\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--plan", str(plan), "--out", str(out)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "line 2: bug 'reset-1' is listed twice" in err
+    assert not out.exists()
+
+
+def test_repeated_bug_in_run_bugs_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--policy", "uniform", "--bugs", "reset-1,reset-1",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "listed twice" in err
     assert not out.exists()
 
 

@@ -11,8 +11,7 @@ from patchbandit.corpus import load_corpus
 from patchbandit.engine import (ARM_SCHEMES, RepairOutcome, SearchConfig,
                                 Variant, derive_seed, fnv1a_64,
                                 operator_for_arm, run_repair,
-                                run_repair_uniform, scheme_arm_count,
-                                scheme_operators)
+                                scheme_arm_count, scheme_operators)
 from patchbandit.toylang import (ALL_OPERATORS, COARSE_OPERATORS, Edit,
                                  InapplicableOperator, NothingToRepair,
                                  OPERATOR_GROUPS, apply_edits, run_tests)
@@ -123,21 +122,15 @@ def test_search_config_rejects_bad_values():
             SearchConfig(seed=1, **kwargs)
 
 
-def test_run_repair_requires_a_controller_config(bugs):
-    bug = bugs["mid3"]
-    with pytest.raises(ConfigError, match="uniform"):
-        run_repair(bug.program, bug.repair_suite, SearchConfig(seed=1))
-
-
 # ------------------------------------------------------------- determinism
 
 def test_uniform_repair_is_deterministic(bugs):
     bug = bugs["mid3"]
     cfg = SearchConfig(seed=7)
-    first = run_repair_uniform(bug.program, bug.repair_suite, cfg,
-                               step_budget=BUDGET)
-    second = run_repair_uniform(bug.program, bug.repair_suite, cfg,
-                                step_budget=BUDGET)
+    first = run_repair(bug.program, bug.repair_suite, cfg,
+                       step_budget=BUDGET)
+    second = run_repair(bug.program, bug.repair_suite, cfg,
+                        step_budget=BUDGET)
     assert first.patched and second.patched
     assert first.patch.edits == second.patch.edits
     assert first.variants_evaluated_at_patch == second.variants_evaluated_at_patch
@@ -155,9 +148,9 @@ def test_adaptive_repair_is_deterministic(bugs):
 
 def test_different_seeds_diverge(bugs):
     bug = bugs["mid3"]
-    outcomes = {run_repair_uniform(bug.program, bug.repair_suite,
-                                   SearchConfig(seed=s), step_budget=BUDGET
-                                   ).variants_evaluated_at_patch
+    outcomes = {run_repair(bug.program, bug.repair_suite,
+                           SearchConfig(seed=s), step_budget=BUDGET
+                           ).variants_evaluated_at_patch
                 for s in range(6)}
     assert len(outcomes) > 1
 
@@ -167,8 +160,8 @@ def test_different_seeds_diverge(bugs):
 def test_patches_revalidate_on_a_fresh_interpreter(bugs):
     for name in ("mid3", "span-1", "dupadd-1", "reset-1"):
         bug = bugs[name]
-        out = run_repair_uniform(bug.program, bug.repair_suite,
-                                 SearchConfig(seed=11), step_budget=BUDGET)
+        out = run_repair(bug.program, bug.repair_suite,
+                         SearchConfig(seed=11), step_budget=BUDGET)
         assert out.patched, name
         patched, _ = apply_edits(bug.program, out.patch.edits)
         assert run_tests(patched, bug.repair_suite).fitness == 1.0, name
@@ -184,8 +177,8 @@ def test_crossover_heavy_patch_program_is_its_replayed_edit_list(bugs):
         bug = bugs[name]
         cfg = SearchConfig(seed=seed, arm_scheme="arms18", generations=20,
                            crossover_rate=1.0)
-        out = run_repair_uniform(bug.program, bug.repair_suite, cfg,
-                                 step_budget=BUDGET)
+        out = run_repair(bug.program, bug.repair_suite, cfg,
+                         step_budget=BUDGET)
         assert out.patched, name
         assert len(out.patch.edits) > 1, name
         assert out.patch.program == \
@@ -195,7 +188,7 @@ def test_crossover_heavy_patch_program_is_its_replayed_edit_list(bugs):
 def test_correct_program_raises_nothing_to_repair(bugs):
     bug = bugs["mid3"]
     with pytest.raises(NothingToRepair):
-        run_repair_uniform(bug.fixed, bug.repair_suite, SearchConfig(seed=1))
+        run_repair(bug.fixed, bug.repair_suite, SearchConfig(seed=1))
 
 
 # ------------------------------------------------------- evaluation budget
@@ -203,8 +196,8 @@ def test_correct_program_raises_nothing_to_repair(bugs):
 def test_evaluation_bound_holds(bugs):
     bug = bugs["guard-1"]          # no coarse fix exists: runs to exhaustion
     cfg = SearchConfig(seed=5, population_size=10, generations=4)
-    out = run_repair_uniform(bug.program, bug.repair_suite, cfg,
-                             step_budget=BUDGET)
+    out = run_repair(bug.program, bug.repair_suite, cfg,
+                     step_budget=BUDGET)
     assert not out.patched
     assert out.total_evaluations <= 10 * (4 + 1) + 10
 
@@ -222,8 +215,8 @@ def test_memoized_duplicates_do_not_recount(bugs, monkeypatch):
     monkeypatch.setattr(engine, "mint_edit", same_edit_every_time)
     cfg = SearchConfig(seed=2, population_size=8, generations=5,
                        crossover_rate=0.0)
-    out = run_repair_uniform(bug.program, bug.repair_suite, cfg,
-                             step_budget=BUDGET)
+    out = run_repair(bug.program, bug.repair_suite, cfg,
+                     step_budget=BUDGET)
     # every individual shares one lineage; without crossover the distinct
     # edit lists are exactly the repeat counts 1..generations+1
     assert out.total_evaluations == cfg.generations + 1
@@ -241,9 +234,9 @@ def test_first_evaluation_claims_the_variant_index(bugs, monkeypatch):
     assert len(fixing) == 1
 
     monkeypatch.setattr(engine, "mint_edit", lambda *a: fixing[0])
-    out = run_repair_uniform(bug.program, bug.repair_suite,
-                             SearchConfig(seed=9, population_size=6,
-                                          generations=2), step_budget=BUDGET)
+    out = run_repair(bug.program, bug.repair_suite,
+                     SearchConfig(seed=9, population_size=6,
+                                  generations=2), step_budget=BUDGET)
     # forty identical winners collapse to a single evaluation
     assert out.patched
     assert out.total_evaluations == 1
@@ -312,8 +305,8 @@ def test_uniform_baseline_draws_each_coarse_operator_evenly(bugs, monkeypatch):
     monkeypatch.setattr(engine, "mint_edit", refuse)
     bug = bugs["mid3"]
     cfg = SearchConfig(seed=123, population_size=100, generations=99)
-    out = run_repair_uniform(bug.program, bug.repair_suite, cfg,
-                             step_budget=BUDGET)
+    out = run_repair(bug.program, bug.repair_suite, cfg,
+                     step_budget=BUDGET)
     assert not out.patched and out.total_evaluations == 0
     n = len(seen)
     assert n == 100 * 100
@@ -337,24 +330,24 @@ def test_adaptive_selection_covers_scheme_arms(bugs):
 def test_crossover_free_run_still_patches(bugs):
     bug = bugs["dupadd-1"]
     cfg = SearchConfig(seed=17, crossover_rate=0.0)
-    out = run_repair_uniform(bug.program, bug.repair_suite, cfg,
-                             step_budget=BUDGET)
+    out = run_repair(bug.program, bug.repair_suite, cfg,
+                     step_budget=BUDGET)
     assert out.patched
 
 
 def test_outcome_shape_for_unpatched_run(bugs):
     bug = bugs["guard-1"]
-    out = run_repair_uniform(bug.program, bug.repair_suite,
-                             SearchConfig(seed=1, population_size=4,
-                                          generations=2), step_budget=BUDGET)
+    out = run_repair(bug.program, bug.repair_suite,
+                     SearchConfig(seed=1, population_size=4,
+                                  generations=2), step_budget=BUDGET)
     assert out == RepairOutcome(False, None, None, out.total_evaluations, None)
     assert out.total_evaluations > 0
 
 
 def test_patch_variants_record_their_operator(bugs):
     bug = bugs["reset-1"]
-    out = run_repair_uniform(bug.program, bug.repair_suite,
-                             SearchConfig(seed=29), step_budget=BUDGET)
+    out = run_repair(bug.program, bug.repair_suite,
+                     SearchConfig(seed=29), step_budget=BUDGET)
     assert out.patched
     assert out.patch.born_by in COARSE_OPERATORS + ("crossover",)
     assert isinstance(out.patch, Variant)

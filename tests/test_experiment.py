@@ -35,8 +35,7 @@ def test_uniform_spec_blanks_bandit_fields():
     assert (spec.credit, spec.reward, spec.cadence, spec.alpha) == \
            ("-", "-", "-", None)
     assert spec.is_uniform
-    with pytest.raises(ConfigError):
-        spec.aos_config()
+    assert spec.aos_config() is None
 
 
 def test_erwa_alpha_defaults_follow_the_tuned_table():
