@@ -5,22 +5,42 @@ run against test cases.  Values are Python ints plus int arrays (lists)
 bound to parameters.  Any misuse (undefined variable, array index out of
 bounds, division or modulus by zero, non-integer operand, unknown callee,
 wrong arity, call depth past the cap, falling off a function without
-returning) raises a runtime fault, which fails the current test.
+returning) raises a runtime fault, which fails the current test.  Call
+depth is the toy program's own: a case whose recursion outgrows Python's
+stack before the cap is rerun with room for the whole cap.
 
 A step is one statement execution; a while loop spends one step per
-condition check.  Exhausting the budget is a fault.  Loops additionally
-snapshot the frame after 64 iterations and fault as soon as an exact state
-repeats, which catches no-progress infinite loops long before the budget
-would.
+condition check.  Exhausting the budget is a fault.  From its 64th
+iteration on, a loop also snapshots its frame at every condition check,
+leaving out its accumulators: names whose every occurrence in the loop
+(condition and body, nested statements included) is a self-update
+`v = v + e`, `v = v - e` or `v = e + v`, where `e` reads no accumulator
+(found when the loop takes its first snapshot).  At the first repeat of
+such a reduced snapshot the loop can never end: it faults `cycle` if the
+accumulators repeat too, and `budget` at once otherwise.  Both are the
+fault the loop would reach without the projection, at any budget.
 
-The hot path rests on two exactness arguments:
+The hot path rests on three exactness arguments:
 
 * A loop snapshot is the tuple of the frame's values alone, arrays copied
   to tuples.  Names are never removed from a frame, only added, and a
   dict keeps insertion order, so two snapshots of one loop with the same
   length hold the same names in the same order.  Equal value tuples
   therefore mean equal frames, and snapshots of different lengths never
-  compare equal.
+  compare equal.  With accumulators the reduced snapshot starts with the
+  frame length for the same reason.
+* A reduced snapshot holds everything that can steer the loop or raise a
+  fault.  An accumulator is read only by its own update, and that read
+  faults only if the name is undefined (the frame length shows that) or
+  not an int (then the period before the repeat would have faulted,
+  unless it never ran the update).  So once the reduced snapshot repeats, the loop
+  takes the same path forever and each accumulator changes by the same
+  amount every period.  If every amount is zero, the full frame repeats
+  at this iteration, the first at which it can, and the full snapshot
+  faults `cycle` here too.  Otherwise the full frame never repeats and
+  the loop runs until the budget is gone.  Every statement it would run
+  was covered in that period, and the statement that runs out of budget
+  is not covered, so coverage matches as well.
 * `Num` with an int literal, `Unary`, `Binary` and `len(...)` can only
   produce an int (or fault), so conditions, `&&`/`||` operands, indexes
   and stored values built from them skip the run-time int check.  `Var`,
@@ -32,6 +52,7 @@ The hot path rests on two exactness arguments:
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 
 from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
@@ -82,6 +103,18 @@ def _trunc_div(a: int, b: int) -> int:
 
 def _state_key(env: dict) -> tuple:
     return tuple([tuple(v) if type(v) is list else v for v in env.values()])
+
+
+def _split_state(env: dict, accumulators: frozenset) -> tuple:
+    """The frame as (reduced key, accumulator values), arrays copied to
+    tuples as in `_state_key`; the reduced key starts with the frame
+    length, so it tells which accumulators are defined."""
+    key = [len(env)]
+    totals = []
+    for name, v in env.items():
+        (totals if name in accumulators else key).append(
+            tuple(v) if type(v) is list else v)
+    return tuple(key), tuple(totals)
 
 
 class CompiledProgram:
@@ -443,7 +476,9 @@ def _compile_stmt(stmt, cp: CompiledProgram):
     if t is While:
         cond = _compile_int(stmt.cond, cp, "condition")
         body = tuple(_compile_stmt(s, cp) for s in stmt.body)
+        accumulators = None     # found at the first snapshot, if any
         def while_(env, ctx):
+            nonlocal accumulators
             iters = 0
             seen = None
             while True:
@@ -458,12 +493,20 @@ def _compile_stmt(stmt, cp: CompiledProgram):
                 iters += 1
                 if iters >= _CYCLE_CHECK_AFTER:
                     if seen is None:
-                        seen = set()
+                        seen = {}
+                        if accumulators is None:
+                            accumulators = _accumulators(stmt)
+                    if accumulators:
+                        key, totals = _split_state(env, accumulators)
+                    else:
+                        key, totals = _state_key(env), None
                     size = len(seen)
-                    seen.add(_state_key(env))
+                    first = seen.setdefault(key, totals)
                     if len(seen) == size:
-                        raise ToyFault("cycle", "loop state repeats; "
-                                       "the loop cannot terminate")
+                        if first == totals:
+                            raise ToyFault("cycle", "loop state repeats; "
+                                           "the loop cannot terminate")
+                        raise ToyFault("budget", "step budget exhausted")
                 for s in body:
                     s(env, ctx)
         return while_
@@ -480,6 +523,69 @@ def _compile_stmt(stmt, cp: CompiledProgram):
                 s(env, ctx)
         return block
     raise TypeError(f"not a statement node: {stmt!r}")
+
+
+def _self_update_delta(stmt: Assign):
+    """`e` when stmt is `v = v + e`, `v = v - e` or `v = e + v`, else None."""
+    expr = stmt.expr
+    if type(expr) is not Binary or expr.op not in ("+", "-"):
+        return None
+    if type(expr.left) is Var and expr.left.name == stmt.name:
+        return expr.right
+    if expr.op == "+" and type(expr.right) is Var \
+            and expr.right.name == stmt.name:
+        return expr.left
+    return None
+
+
+def _accumulators(loop: While) -> frozenset:
+    """Names whose every occurrence in the loop (condition and body, nested
+    statements included) is the target of a self-update `v = v + e`,
+    `v = v - e` or `v = e + v`.
+
+    Any other occurrence of a name counts against it, an occurrence inside
+    a delta `e` included, so no delta reads its own or another
+    accumulator: a name in doubt is dropped in this one pass.
+    """
+    updated, other = set(), set()
+    todo = [loop.cond, *loop.body]
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t is Assign:
+            delta = _self_update_delta(node)
+            if delta is not None:
+                updated.add(node.name)
+                todo.append(delta)
+                continue
+        if t is Var or t is Index or t is Store or t is Assign:
+            other.add(node.name)
+        todo.extend(_parts(node))
+    return frozenset(updated - other)
+
+
+def _parts(node) -> tuple:
+    """The statements and expressions directly inside node."""
+    t = type(node)
+    if t is If:
+        return (node.cond, *node.then, *node.orelse)
+    if t is While:
+        return (node.cond, *node.body)
+    if t is Block:
+        return node.body
+    if t is Assign or t is Return:
+        return (node.expr,)
+    if t is Store:
+        return (node.index, node.expr)
+    if t is Index:
+        return (node.index,)
+    if t is Unary:
+        return (node.operand,)
+    if t is Binary:
+        return (node.left, node.right)
+    if t is Call:
+        return node.args
+    return ()
 
 
 # --------------------------------------------------------------- running
@@ -501,7 +607,45 @@ class FitnessReport:
         return all(self.flags)
 
 
+def _height(nodes) -> int:
+    """Most levels of statements and expressions from any of nodes down,
+    counted without recursion, so it needs no room on the stack."""
+    height = 0
+    todo = [(node, 1) for node in nodes]
+    while todo:
+        node, level = todo.pop()
+        height = max(height, level)
+        todo.extend([(part, level + 1) for part in _parts(node)])
+    return height
+
+
+def _stack_room(cp: CompiledProgram) -> int:
+    """Python frames enough for MAX_CALL_DEPTH nested toy calls and the one
+    that faults: per call, its `invoke` and at most three frames per level
+    (a statement's or an expression's closure, plus an int check or a
+    call's argument list), with headroom for raising a fault."""
+    height = _height([s for fn in cp.program.functions for s in fn.body])
+    return (MAX_CALL_DEPTH + 1) * (3 * height + 2) + 100
+
+
 def _run_case(cp: CompiledProgram, case, step_budget: int, want_cov: bool):
+    try:
+        return _run_case_once(cp, case, step_budget, want_cov)
+    except RecursionError:
+        # The toy recursion outgrew Python's stack before MAX_CALL_DEPTH.
+        # Rerun the case with room for the whole toy depth on top of
+        # whatever the caller's stack already holds, so that the toy
+        # semantics decide the outcome; deterministic, so exact.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + _stack_room(cp))
+        try:
+            return _run_case_once(cp, case, step_budget, want_cov)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def _run_case_once(cp: CompiledProgram, case, step_budget: int,
+                   want_cov: bool):
     ctx = _Ctx(step_budget, set() if want_cov else None)
     args = [list(a) if type(a) in (list, tuple) else a for a in case.args]
     try:

@@ -1,0 +1,354 @@
+"""Accumulator projection of loop snapshots, and deep toy recursion.
+
+A loop leaves its accumulators (names only ever updated as `v = v + e`,
+`v = v - e` or `v = e + v`) out of its snapshot and decides at the first
+repeat of the rest: `cycle` when the accumulators repeat too, `budget`
+otherwise.  Every case here is checked against the same interpreter with
+no accumulators, which snapshots the whole frame and, on a runaway loop,
+spends the whole budget: the fault kind, the return value and the
+coverage must agree, and the projected run may only stop earlier.
+"""
+
+import random
+import sys
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from patchbandit.cli import EXIT_OK, main
+from patchbandit.corpus import load_corpus
+from patchbandit.toylang import (ALL_OPERATORS, InapplicableOperator,
+                                 apply_edit, compile_program, localize,
+                                 mint_edit, parse_program, parse_suite,
+                                 passes_all, run_tests)
+from patchbandit.toylang import interp
+from patchbandit.toylang.interp import (MAX_CALL_DEPTH, ToyFault, _Ctx,
+                                        _accumulators)
+from patchbandit.toylang.syntax import While, walk_statements
+
+
+def _unprojected():
+    return mock.patch.object(interp, "_accumulators",
+                             lambda loop: frozenset())
+
+
+def _outcome(text, args, budget):
+    cp = compile_program(parse_program(text))
+    ctx = _Ctx(budget, set())
+    try:
+        value = cp.invoke("f", [list(a) if isinstance(a, tuple) else a
+                                for a in args], ctx)
+        kind = None
+    except ToyFault as fault:
+        value, kind = None, fault.kind
+    return value, kind, ctx.steps, sorted(ctx.coverage)
+
+
+def _compare(text, args=(), budget=100_000):
+    """(value, fault kind, steps left, steps left unprojected), after
+    checking that both runs agree on all but the steps left."""
+    value, kind, steps, coverage = _outcome(text, args, budget)
+    with _unprojected():
+        full_value, full_kind, full_steps, full_coverage = \
+            _outcome(text, args, budget)
+    assert (value, kind, coverage) == (full_value, full_kind, full_coverage)
+    assert steps >= full_steps
+    return value, kind, steps, full_steps
+
+
+def _loops(text):
+    fn = parse_program(text).functions[-1]
+    return [s for s in walk_statements(fn.body) if type(s) is While]
+
+
+# ------------------------------------------------------------ the rule
+
+
+def test_zero_delta_accumulator_is_a_cycle_at_the_same_step():
+    text = """
+fn f(a) {
+  s = 0;
+  i = 0;
+  while (i < 3) {
+    s = s + a[i];
+  }
+}
+"""
+    assert _accumulators(_loops(text)[0]) == {"s"}
+    _, kind, steps, full_steps = _compare(text, [(0, 5, 5)])
+    assert kind == "cycle" and steps == full_steps
+
+
+@pytest.mark.parametrize("update", ["s = s + a[i];", "s = s - 1;",
+                                    "s = 2 + s;", "s = s + (a[i] - 3);"])
+def test_nonzero_delta_accumulator_is_a_budget_fault_at_once(update):
+    text = f"""
+fn f(a) {{
+  s = 0;
+  i = 0;
+  while (i < 3) {{
+    {update}
+  }}
+}}
+"""
+    _, kind, steps, full_steps = _compare(text, [(4, 5, 6)])
+    assert kind == "budget"
+    assert full_steps == -1 and steps > 100_000 - 200
+
+
+def test_a_repeat_with_two_accumulators_is_a_cycle_only_if_both_repeat():
+    loop = """
+fn f(d) {{
+  s = 0;
+  t = 0;
+  while (1) {{
+    s = s + d;
+    t = t - {0};
+  }}
+}}
+"""
+    assert _accumulators(_loops(loop.format(1))[0]) == {"s", "t"}
+    assert _compare(loop.format(0), [0])[1] == "cycle"
+    assert _compare(loop.format(1), [0])[1] == "budget"
+    assert _compare(loop.format(0), [2])[1] == "budget"
+
+
+@pytest.mark.parametrize("read, kind", [
+    ("if (s > 500) { i = 3; }", None),         # an if
+    ("x = a[s / 1000];", "index"),             # an index
+    ("if (g(s) == 1) { i = 3; }", None),       # a call argument
+    ("if (s == 300) { return s; }", None),     # a return
+    ("t = t + s;", "budget"),                  # another accumulator's delta
+    ("s = s + s;", "budget"),                  # its own delta
+    ("while (s < 0) { }", "budget"),           # a nested loop's condition
+    ("s = 7;", "cycle"),                       # another assignment
+])
+def test_a_read_or_other_write_keeps_the_name_in_the_snapshot(read, kind):
+    text = f"""
+fn g(v) {{
+  if (v == 400) {{
+    return 1;
+  }}
+  return 0;
+}}
+fn f(a) {{
+  s = 1;
+  t = 0;
+  i = 0;
+  while (i < 3) {{
+    s = s + 1;
+    {read}
+  }}
+  return s;
+}}
+"""
+    assert "s" not in _accumulators(_loops(text)[0])
+    assert _compare(text, [(1, 2)], budget=20_000)[1] == kind
+
+
+def test_a_store_target_is_kept_and_an_undefined_accumulator_faults():
+    text = """
+fn f(a) {
+  i = 0;
+  while (i < 3) {
+    a = a + 1;
+    a[0] = 1;
+    u = u + 1;
+  }
+}
+"""
+    assert _accumulators(_loops(text)[0]) == {"u"}
+    assert _compare(text, [(1, 2)])[1] == "type"
+    assert _compare(text.replace("    a = a + 1;\n", ""),
+                    [(1, 2)])[1] == "undefined-variable"
+
+
+def test_a_frame_that_grows_late_beside_an_accumulator_is_a_cycle():
+    text = """
+fn f() {
+  s = 0;
+  i = 0;
+  while (1) {
+    s = s - 0;
+    if (i < 100) {
+      i = i + 1;
+    } else {
+      late = 7;
+    }
+  }
+}
+"""
+    _, kind, steps, full_steps = _compare(text)
+    assert kind == "cycle" and steps == full_steps
+
+
+def test_an_accumulator_only_an_inner_loop_updates():
+    text = """
+fn f(a, n) {
+  s = 0;
+  i = 0;
+  while (i < n) {
+    j = 0;
+    while (j < len(a)) {
+      s = s + a[j];
+      j = j + 1;
+    }
+  }
+  return s;
+}
+"""
+    outer, inner = _loops(text)
+    assert _accumulators(outer) == _accumulators(inner) == {"s"}
+    assert _compare(text, [(1, 2), 1])[1] == "budget"
+    assert _compare(text, [(0, 0), 1])[1] == "cycle"
+    ending = text.replace("    j = 0;", "    i = i + 1;\n    j = 0;")
+    assert _compare(ending, [(1, 2), 80])[:2] == (240, None)
+
+
+def test_an_inner_runaway_fails_before_the_outer_loop_snapshots():
+    text = """
+fn f(a, n) {
+  s = 0;
+  i = 0;
+  while (i < n) {
+    j = 0;
+    while (j < len(a)) {
+      s = s + a[j];
+    }
+    i = i + 1;
+  }
+  return s;
+}
+"""
+    assert _compare(text, [(1, 2), 3])[1] == "budget"
+    assert _compare(text, [(0, 2), 3])[1] == "cycle"
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40, 64, 67, 130, 131, 132, 200])
+def test_a_budget_that_runs_out_before_the_first_repeat(budget):
+    text = """
+fn f() {
+  s = 0;
+  i = 0;
+  while (i < 2) {
+    s = s + 1;
+  }
+}
+"""
+    _, kind, steps, full_steps = _compare(text, budget=budget)
+    assert kind == "budget" and full_steps == -1
+    # two assignments, 65 condition checks and 64 bodies take the loop to
+    # the snapshot of iteration 65, the first repeat
+    assert (steps == -1) == (budget < 2 + 65 + 64)
+
+
+# ------------------------------------------- differential, whole programs
+
+
+def _lineage(bug, operators, rng):
+    weights = localize(bug.program, bug.repair_suite, 5000).weights
+    program = bug.program
+    for operator in operators:
+        try:
+            edit = mint_edit(operator, program, weights, rng)
+        except InapplicableOperator:
+            continue
+        program = apply_edit(program, edit)[0]
+    return program
+
+
+def _report(program, suite, budget):
+    report = run_tests(program, suite, budget, coverage=True)
+    return report.flags, report.faults, report.coverage
+
+
+@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+@settings(max_examples=60, deadline=None)
+@given(operators=st.lists(st.sampled_from(ALL_OPERATORS), min_size=1,
+                          max_size=12),
+       seed=st.integers(min_value=0, max_value=2 ** 32),
+       budget=st.integers(min_value=40, max_value=100_000))
+def test_projection_changes_no_flag_fault_or_coverage(bug, operators, seed,
+                                                      budget):
+    program = _lineage(bug, operators, random.Random(seed))
+    for suite in (bug.repair_suite, bug.heldout_suite):
+        projected = _report(program, suite, budget)
+        with _unprojected():
+            assert _report(program, suite, budget) == projected
+
+
+# ------------------------------------------------- deep toy recursion
+
+
+def _deep(nesting):
+    body = "return f(n + 1);"
+    for _ in range(nesting):
+        body = f"if (n >= 0) {{ {body} }}"
+    return parse_program(f"fn f(n) {{ {body} return 0; }}")
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("nesting", [0, 10, 40])
+def test_deep_toy_recursion_is_a_depth_fault(nesting):
+    suite = parse_suite("t | f | 0 | 0\n")
+    limit = sys.getrecursionlimit()
+    report = run_tests(_deep(nesting), suite, coverage=True)
+    assert report.faults == ["depth"]
+    assert sys.getrecursionlimit() == limit
+
+    # the same under a caller whose stack is nearly full
+    cp = compile_program(_deep(nesting))
+
+    def nested(levels):
+        if levels:
+            return nested(levels - 1)
+        return run_tests(cp, suite, coverage=True)
+
+    deep_report = nested(limit - _stack_depth() - 60)
+    assert (deep_report.faults, deep_report.coverage) == \
+           (report.faults, report.coverage)
+    assert not passes_all(cp, suite)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_recursion_just_inside_the_cap_returns_its_value():
+    text = """
+fn f(n) {
+  if (n > 0) { if (n > 0) { if (n > 0) { if (n > 0) { if (n > 0) {
+    if (n > 0) { if (n > 0) { if (n > 0) { if (n > 0) { if (n > 0) {
+      return f(n - 1) + 1;
+    } } } } }
+  } } } } }
+  return 0;
+}
+"""
+    depth = MAX_CALL_DEPTH - 1
+    report = run_tests(parse_program(text),
+                       parse_suite(f"t | f | {depth} | {depth}\n"))
+    assert report.flags == [True]
+
+
+def test_gate_on_a_deeply_recursive_mutant_ends_without_a_traceback(
+        tmp_path, capsys):
+    # deleting the base case leaves a recursion nested in ten ifs
+    bugdir = tmp_path / "deep-1"
+    bugdir.mkdir()
+    nest = "  if (n < 1000) {\n" * 10
+    close = "  }\n" * 10
+    (bugdir / "bug.toy").write_text(
+        "fn f(n) {\n  if (n <= 0) {\n    return 0;\n  }\n"
+        f"{nest}  return f(n - 1) + 2;\n{close}  return 0;\n}}\n")
+    (bugdir / "fixed.toy").write_text(
+        (bugdir / "bug.toy").read_text().replace("+ 2;", "+ 1;"))
+    (bugdir / "repair.tests").write_text(
+        "z | f | 0 | 0\nt | f | 2 | 2\nu | f | 3 | 3\n")
+    (bugdir / "heldout.tests").write_text("h | f | 1 | 1\n")
+    assert main(["gate", "--corpus", str(tmp_path)]) == EXIT_OK
+    assert "deep-1: PASS" in capsys.readouterr().out
