@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-POLICIES = ("pm", "ap", "egreedy", "ucb")
 CREDITS = ("avg", "erwa")
 REWARDS = ("raw", "relative")
 CADENCES = ("generation", "mutation")
@@ -29,9 +29,6 @@ CADENCES = ("generation", "mutation")
 # every finite float is a whole number of 2**-1074, so an int sum of rewards
 # in these units is exact, and int / int rounds it correctly, as fsum does
 _UNITS = 1 << 1074
-
-# per-policy learning-rate defaults from the hyperparameter sweep
-DEFAULT_ALPHA = {"pm": 0.8, "ucb": 0.8, "ap": 0.2, "egreedy": 0.4}
 
 
 class ConfigError(ValueError):
@@ -185,25 +182,13 @@ class Controller:
         else:  # erwa
             stats.quality += self.config.alpha * (reward - stats.quality)
 
-    # ----------------------------------------------------- probabilities
+    # ------------------------------------------- policies (see _POLICIES)
+
+    def select_arm(self, rng) -> int:
+        return _POLICIES[self.config.policy].select(self, rng)
 
     def recompute_probabilities(self) -> None:
-        if self.config.policy == "pm":
-            total = math.fsum(a.quality for a in self.arms)
-            if total <= 0.0:
-                for a in self.arms:
-                    a.probability = 1.0 / self.n_arms
-                return
-            span = 1.0 - self.n_arms * self.config.p_min
-            for a in self.arms:
-                a.probability = self.config.p_min + span * (a.quality / total)
-        elif self.config.policy == "ap":
-            best = self._argmax_quality()
-            beta = self.config.beta
-            for i, a in enumerate(self.arms):
-                target = self.config.p_max if i == best else self.config.p_min
-                a.probability += beta * (target - a.probability)
-        # egreedy and ucb keep no probability table: no-op
+        _POLICIES[self.config.policy].recompute(self)
 
     def _argmax_quality(self) -> int:
         best, best_q = 0, self.arms[0].quality
@@ -212,23 +197,22 @@ class Controller:
                 best, best_q = i, self.arms[i].quality
         return best
 
-    # -------------------------------------------------------- selection
+    def _select_by_probability(self, rng) -> int:
+        u = rng.random()
+        acc = 0.0
+        for i, a in enumerate(self.arms):
+            acc += a.probability
+            if u < acc:
+                return i
+        return self.n_arms - 1
 
-    def select_arm(self, rng) -> int:
-        policy = self.config.policy
-        if policy in ("pm", "ap"):
-            u = rng.random()
-            acc = 0.0
-            for i, a in enumerate(self.arms):
-                acc += a.probability
-                if u < acc:
-                    return i
-            return self.n_arms - 1
-        if policy == "egreedy":
-            if rng.random() < self.config.epsilon:
-                return rng.randrange(self.n_arms)
-            return self._argmax_quality()
-        # ucb: play every arm once, then maximise quality + bonus
+    def _select_egreedy(self, rng) -> int:
+        if rng.random() < self.config.epsilon:
+            return rng.randrange(self.n_arms)
+        return self._argmax_quality()
+
+    def _select_ucb(self, rng) -> int:
+        # play every arm once, then maximise quality + bonus
         for i, a in enumerate(self.arms):
             if a.plays == 0:
                 return i
@@ -240,6 +224,45 @@ class Controller:
             if score > best_score:
                 best, best_score = i, score
         return best
+
+    def _match_probabilities(self) -> None:
+        total = math.fsum(a.quality for a in self.arms)
+        if total <= 0.0:
+            for a in self.arms:
+                a.probability = 1.0 / self.n_arms
+            return
+        span = 1.0 - self.n_arms * self.config.p_min
+        for a in self.arms:
+            a.probability = self.config.p_min + span * (a.quality / total)
+
+    def _pursue_best(self) -> None:
+        best = self._argmax_quality()
+        beta = self.config.beta
+        for i, a in enumerate(self.arms):
+            target = self.config.p_max if i == best else self.config.p_min
+            a.probability += beta * (target - a.probability)
+
+    def _no_table(self) -> None:
+        """egreedy and ucb keep no probability table."""
+
+
+class _Policy(NamedTuple):
+    select: Callable        # picks an arm; changes no state
+    recompute: Callable     # refreshes the probability table after credits
+    alpha: float            # default learning rate (hyperparameter sweep)
+
+
+_POLICIES = {
+    "pm": _Policy(Controller._select_by_probability,
+                  Controller._match_probabilities, 0.8),
+    "ap": _Policy(Controller._select_by_probability,
+                  Controller._pursue_best, 0.2),
+    "egreedy": _Policy(Controller._select_egreedy, Controller._no_table, 0.4),
+    "ucb": _Policy(Controller._select_ucb, Controller._no_table, 0.8),
+}
+
+POLICIES = tuple(_POLICIES)
+DEFAULT_ALPHA = {name: policy.alpha for name, policy in _POLICIES.items()}
 
 
 class UniformSelector:

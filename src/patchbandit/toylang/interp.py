@@ -56,7 +56,8 @@ import sys
 from dataclasses import dataclass
 
 from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
-                     Program, Return, Store, Unary, Var, While, BUILTIN_LEN)
+                     Program, Return, Store, Unary, Var, While, BUILTIN_LEN,
+                     children, height)
 
 _ARITH_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _CMP_FNS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
@@ -548,7 +549,7 @@ def _accumulators(loop: While) -> frozenset:
     accumulator: a name in doubt is dropped in this one pass.
     """
     updated, other = set(), set()
-    todo = [loop.cond, *loop.body]
+    todo = list(children(loop))
     while todo:
         node = todo.pop()
         t = type(node)
@@ -560,32 +561,8 @@ def _accumulators(loop: While) -> frozenset:
                 continue
         if t is Var or t is Index or t is Store or t is Assign:
             other.add(node.name)
-        todo.extend(_parts(node))
+        todo.extend(children(node))
     return frozenset(updated - other)
-
-
-def _parts(node) -> tuple:
-    """The statements and expressions directly inside node."""
-    t = type(node)
-    if t is If:
-        return (node.cond, *node.then, *node.orelse)
-    if t is While:
-        return (node.cond, *node.body)
-    if t is Block:
-        return node.body
-    if t is Assign or t is Return:
-        return (node.expr,)
-    if t is Store:
-        return (node.index, node.expr)
-    if t is Index:
-        return (node.index,)
-    if t is Unary:
-        return (node.operand,)
-    if t is Binary:
-        return (node.left, node.right)
-    if t is Call:
-        return node.args
-    return ()
 
 
 # --------------------------------------------------------------- running
@@ -607,25 +584,15 @@ class FitnessReport:
         return all(self.flags)
 
 
-def _height(nodes) -> int:
-    """Most levels of statements and expressions from any of nodes down,
-    counted without recursion, so it needs no room on the stack."""
-    height = 0
-    todo = [(node, 1) for node in nodes]
-    while todo:
-        node, level = todo.pop()
-        height = max(height, level)
-        todo.extend([(part, level + 1) for part in _parts(node)])
-    return height
-
-
 def _stack_room(cp: CompiledProgram) -> int:
     """Python frames enough for MAX_CALL_DEPTH nested toy calls and the one
     that faults: per call, its `invoke` and at most three frames per level
     (a statement's or an expression's closure, plus an int check or a
-    call's argument list), with headroom for raising a fault."""
-    height = _height([s for fn in cp.program.functions for s in fn.body])
-    return (MAX_CALL_DEPTH + 1) * (3 * height + 2) + 100
+    call's argument list), with headroom for raising a fault.  Measuring
+    the height takes at most one frame per level, fewer than compiling the
+    program took."""
+    levels = height([s for fn in cp.program.functions for s in fn.body])
+    return (MAX_CALL_DEPTH + 1) * (3 * levels + 2) + 100
 
 
 def _run_case(cp: CompiledProgram, case, step_budget: int, want_cov: bool):

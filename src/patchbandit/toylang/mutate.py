@@ -11,16 +11,27 @@ target statement id, an optional expression path, and a payload.
 Statement donors travel by id and are resolved against whatever program
 the edit is applied to; expression donors travel as printed text and are
 re-parsed on application. Application is total: an edit whose target,
-donor, or path no longer resolves, or whose payload does not have the
-shape its operator mints, leaves the program unchanged and reports a
-no-op, so edit lists can be replayed in any lineage.
+donor, or path no longer resolves, whose payload does not have the shape
+its operator mints, or whose result would nest deeper than the parser
+accepts (syntax.MAX_NESTING, measured with syntax.height) leaves the
+program unchanged and reports a no-op, so edit lists can be replayed in
+any lineage.
+
+Each operator is one record in `_OPERATORS`: where it can act, how it
+rewrites the owner function's body, and its payload's item types.  The
+code here knows no node type's children: it finds, walks and rebuilds
+statements and expressions through syntax.EXPR_FIELDS and
+syntax.BODY_FIELDS, and rebuilds a node through its positional
+constructor with one field replaced.
 """
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
-from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
-                     ParseError, Program, Return, Store, Unary, Var, While,
-                     parse_expression, print_expr, program_statements,
+from .syntax import (BODY_FIELDS, CMP_OPS, EXPR_FIELDS, MAX_NESTING, Assign,
+                     Binary, Call, Function, If, Index, Num, ParseError,
+                     Program, Return, Store, Unary, Var, While, height,
+                     parse_expression, print_expr, program_statements, walk,
                      walk_statements)
 
 COARSE_OPERATORS = ("stmt_append", "stmt_delete", "stmt_replace")
@@ -35,14 +46,11 @@ OPERATOR_GROUPS = {
     "multi_line": ("stmt_swap",),
 }
 
-ALL_OPERATORS = tuple(op for group in ("coarse", "func_expr", "checks",
-                                       "init_cast", "multi_line")
-                      for op in OPERATOR_GROUPS[group])
+ALL_OPERATORS = tuple(op for ops in OPERATOR_GROUPS.values() for op in ops)
 
 GROUP_OF = {op: group for group, ops in OPERATOR_GROUPS.items()
             for op in ops}
 
-_CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 _NEGATED = {"<": ">=", ">=": "<", "<=": ">", ">": "<=", "==": "!=", "!=": "=="}
 
 
@@ -63,92 +71,76 @@ class Edit:
 
 
 # --------------------------------------------------- expression addressing
-
-_STMT_EXPR_FIELDS = {Assign: ("expr",), Store: ("index", "expr"),
-                     If: ("cond",), While: ("cond",), Return: ("expr",),
-                     Block: ()}
-
-
-def _walk_expr(path, node):
-    yield path, node
-    if isinstance(node, Unary):
-        yield from _walk_expr(path + ("operand",), node.operand)
-    elif isinstance(node, Binary):
-        yield from _walk_expr(path + ("left",), node.left)
-        yield from _walk_expr(path + ("right",), node.right)
-    elif isinstance(node, Index):
-        yield from _walk_expr(path + ("index",), node.index)
-    elif isinstance(node, Call):
-        for i, arg in enumerate(node.args):
-            yield from _walk_expr(path + (i,), arg)
+#
+# An expression path leads from a statement down to one expression: field
+# names from syntax.EXPR_FIELDS, and an int for a call argument's position
+# (negative counts from the end, as in a tuple).
 
 
-def iter_own_expressions(stmt):
-    """Yield (path, node) for expressions held directly by the statement."""
-    for field in _STMT_EXPR_FIELDS.get(type(stmt), ()):
-        yield from _walk_expr((field,), getattr(stmt, field))
+_FIELDS = {t: tuple(f.name for f in fields(t)) for t in EXPR_FIELDS}
+
+
+def _with(node, name, value):
+    """node rebuilt through its positional constructor with one field
+    replaced; cheaper than dataclasses.replace."""
+    return type(node)(*[value if field == name else getattr(node, field)
+                        for field in _FIELDS[type(node)]])
+
+
+def iter_own_expressions(node, path=()):
+    """Yield (path, expression) for every expression node holds, directly
+    or nested, pre-order; paths start from node, usually a statement."""
+    if type(node) is Call:
+        steps = enumerate(node.args)
+    else:
+        steps = [(name, getattr(node, name))
+                 for name in EXPR_FIELDS[type(node)]]
+    for step, child in steps:
+        yield path + (step,), child
+        yield from iter_own_expressions(child, path + (step,))
+
+
+def _chain(stmt, path):
+    """stmt and each expression along path below it; None if the path is
+    empty or leads nowhere."""
+    if not path:
+        return None
+    chain = [stmt]
+    for step in path:
+        node = chain[-1]
+        if isinstance(step, int):
+            if type(node) is not Call \
+                    or not -len(node.args) <= step < len(node.args):
+                return None
+            chain.append(node.args[step])
+        elif step in EXPR_FIELDS[type(node)]:
+            chain.append(getattr(node, step))
+        else:
+            return None
+    return chain
 
 
 def _get_expr(stmt, path):
-    if not path or path[0] not in _STMT_EXPR_FIELDS.get(type(stmt), ()):
-        return None
-    node = getattr(stmt, path[0])
-    for step in path[1:]:
-        if isinstance(step, int):
-            if not isinstance(node, Call) or step >= len(node.args):
-                return None
-            node = node.args[step]
-        elif step == "left" and isinstance(node, Binary):
-            node = node.left
-        elif step == "right" and isinstance(node, Binary):
-            node = node.right
-        elif step == "operand" and isinstance(node, Unary):
-            node = node.operand
-        elif step == "index" and isinstance(node, Index):
-            node = node.index
-        else:
-            return None
-    return node
+    chain = _chain(stmt, path)
+    return None if chain is None else chain[-1]
 
 
 def _set_expr(stmt, path, new_node):
     """Rebuild stmt with new_node grafted at path; None if unaddressable."""
-    if not path or path[0] not in _STMT_EXPR_FIELDS.get(type(stmt), ()):
+    chain = _chain(stmt, path)
+    if chain is None:
         return None
-
-    def rebuild(node, steps):
-        if not steps:
-            return new_node
-        step, rest = steps[0], steps[1:]
-        if isinstance(step, int) and isinstance(node, Call) \
-                and step < len(node.args):
-            child = rebuild(node.args[step], rest)
-            if child is None:
-                return None
-            args = list(node.args)
-            args[step] = child
-            return Call(node.name, tuple(args))
-        if step == "left" and isinstance(node, Binary):
-            child = rebuild(node.left, rest)
-            return None if child is None else Binary(node.op, child, node.right)
-        if step == "right" and isinstance(node, Binary):
-            child = rebuild(node.right, rest)
-            return None if child is None else Binary(node.op, node.left, child)
-        if step == "operand" and isinstance(node, Unary):
-            child = rebuild(node.operand, rest)
-            return None if child is None else Unary(child)
-        if step == "index" and isinstance(node, Index):
-            child = rebuild(node.index, rest)
-            return None if child is None else Index(node.name, child)
-        return None
-
-    root = rebuild(getattr(stmt, path[0]), path[1:])
-    if root is None:
-        return None
-    return _dc_replace(stmt, **{path[0]: root})
+    node = new_node
+    for parent, step in zip(reversed(chain[:-1]), reversed(path)):
+        if isinstance(step, int):
+            args = list(parent.args)
+            args[step] = node
+            step, node = "args", tuple(args)
+        node = _with(parent, step, node)
+    return node
 
 
-# ------------------------------------------------------- subtree collectors
+# ------------------------------------------------------ subtree collection
 
 
 def _dedup(seq):
@@ -159,54 +151,15 @@ def _dedup(seq):
     return out
 
 
-def _subtree_var_names(stmt):
-    names = []
-    for s in walk_statements((stmt,)):
-        if isinstance(s, Assign):
-            names.append(s.name)
-        for _, node in iter_own_expressions(s):
-            if isinstance(node, Var):
-                names.append(node.name)
-    return _dedup(names)
-
-
-def _subtree_array_names(stmt):
-    names = []
-    for s in walk_statements((stmt,)):
-        if isinstance(s, Store):
-            names.append(s.name)
-        for _, node in iter_own_expressions(s):
-            if isinstance(node, Index):
-                names.append(node.name)
-            elif isinstance(node, Call) and node.name == "len":
-                for arg in node.args:
-                    if isinstance(arg, Var):
-                        names.append(arg.name)
-    return _dedup(names)
-
-
-def _subtree_index_pairs(stmt):
-    """(index expression text, array name) for every array access."""
-    pairs = []
-    for s in walk_statements((stmt,)):
-        if isinstance(s, Store):
-            pairs.append((print_expr(s.index), s.name))
-        for _, node in iter_own_expressions(s):
-            if isinstance(node, Index):
-                pairs.append((print_expr(node.index), node.name))
-    return _dedup(pairs)
+# Store and Index both access an array: `name[index]`
+_ARRAY_ACCESS = (Store, Index)
 
 
 def _subtree_index_vars(stmt):
     """(variable name, array name) where a plain variable indexes an array."""
-    pairs = []
-    for s in walk_statements((stmt,)):
-        if isinstance(s, Store) and isinstance(s.index, Var):
-            pairs.append((s.index.name, s.name))
-        for _, node in iter_own_expressions(s):
-            if isinstance(node, Index) and isinstance(node.index, Var):
-                pairs.append((node.index.name, node.name))
-    return _dedup(pairs)
+    return _dedup((node.index.name, node.name) for node in walk(stmt)
+                  if type(node) in _ARRAY_ACCESS
+                  and type(node.index) is Var)
 
 
 def _condition_parts(expr):
@@ -282,15 +235,25 @@ def _sites_expr_remove(program, fn, stmt):
 
 
 def _sites_var_names(program, fn, stmt):
-    return [((), (name,)) for name in _subtree_var_names(stmt)]
+    names = (node.name for node in walk(stmt) if type(node) in (Assign, Var))
+    return [((), (name,)) for name in _dedup(names)]
 
 
 def _sites_range_check_insert(program, fn, stmt):
-    return [((), pair) for pair in _subtree_index_pairs(stmt)]
+    # (index expression text, array name) for every array access
+    pairs = ((print_expr(node.index), node.name) for node in walk(stmt)
+             if type(node) in _ARRAY_ACCESS)
+    return [((), pair) for pair in _dedup(pairs)]
 
 
 def _sites_size_check_insert(program, fn, stmt):
-    return [((), (name,)) for name in _subtree_array_names(stmt)]
+    names = []
+    for node in walk(stmt):
+        if type(node) in _ARRAY_ACCESS:
+            names.append(node.name)
+        elif type(node) is Call and node.name == "len":
+            names.extend(arg.name for arg in node.args if type(arg) is Var)
+    return [((), (name,)) for name in _dedup(names)]
 
 
 def _sites_lower_bound_clamp(program, fn, stmt):
@@ -307,7 +270,7 @@ def _sites_off_by_one(program, fn, stmt):
     if isinstance(stmt, Store):
         paths.append(("index",))
     if isinstance(stmt, While) and isinstance(stmt.cond, Binary) \
-            and stmt.cond.op in _CMP_OPS:
+            and stmt.cond.op in CMP_OPS:
         paths.extend((("cond", "left"), ("cond", "right")))
     return [(path, (delta,)) for path in paths for delta in (1, -1)]
 
@@ -334,37 +297,16 @@ def _sites_stmt_swap(program, fn, stmt):
     return []
 
 
-_SITES = {
-    "stmt_append": _sites_stmt_append,
-    "stmt_delete": _sites_stmt_delete,
-    "stmt_replace": _sites_stmt_replace,
-    "func_call_swap": _sites_func_call_swap,
-    "expr_replace": _sites_expr_replace,
-    "expr_add": _sites_expr_add,
-    "expr_remove": _sites_expr_remove,
-    "guard_insert": _sites_var_names,
-    "range_check_insert": _sites_range_check_insert,
-    "size_check_insert": _sites_size_check_insert,
-    "lower_bound_clamp": _sites_lower_bound_clamp,
-    "upper_bound_clamp": _sites_upper_bound_clamp,
-    "off_by_one": _sites_off_by_one,
-    "var_init_insert": _sites_var_names,
-    "const_perturb": _sites_const_perturb,
-    "negate_condition": _sites_negate_condition,
-    "default_return_insert": _sites_default_return_insert,
-    "stmt_swap": _sites_stmt_swap,
-}
-
-
 def mint_edit(operator, program, weights, rng) -> Edit:
     """Draw an Edit: target weight-proportional, site uniform within it."""
-    if operator not in _SITES:
+    if operator not in _OPERATORS:
         raise KeyError(f"unknown operator {operator!r}")
+    sites = _OPERATORS[operator].sites
     candidates = []
     for fn_name, stmt in program_statements(program):
         if weights.get(stmt.sid, 0.0) <= 0.0:
             continue
-        options = _SITES[operator](program, program.function(fn_name), stmt)
+        options = sites(program, program.function(fn_name), stmt)
         if options:
             candidates.append((stmt.sid, weights[stmt.sid], options))
     if not candidates:
@@ -391,7 +333,7 @@ def enumerate_edits(program, weights, operators=ALL_OPERATORS):
     for operator in operators:
         for fn_name, stmt in statements:
             fn = program.function(fn_name)
-            for path, payload in _SITES[operator](program, fn, stmt):
+            for path, payload in _OPERATORS[operator].sites(program, fn, stmt):
                 yield Edit(operator, stmt.sid, path, payload)
 
 
@@ -400,31 +342,17 @@ def enumerate_edits(program, weights, operators=ALL_OPERATORS):
 
 def _renumber(stmt, ctr):
     """Copy a statement subtree with fresh ids, allocated pre-order."""
-    sid = ctr[0]
+    node = _with(stmt, "sid", ctr[0])
     ctr[0] += 1
-    if isinstance(stmt, Assign):
-        return Assign(sid, stmt.name, stmt.expr)
-    if isinstance(stmt, Store):
-        return Store(sid, stmt.name, stmt.index, stmt.expr)
-    if isinstance(stmt, Return):
-        return Return(sid, stmt.expr)
-    if isinstance(stmt, If):
-        return If(sid, stmt.cond,
-                  tuple(_renumber(s, ctr) for s in stmt.then),
-                  tuple(_renumber(s, ctr) for s in stmt.orelse))
-    if isinstance(stmt, While):
-        return While(sid, stmt.cond,
-                     tuple(_renumber(s, ctr) for s in stmt.body))
-    if isinstance(stmt, Block):
-        return Block(sid, tuple(_renumber(s, ctr) for s in stmt.body))
-    raise TypeError(f"not a statement node: {stmt!r}")
+    for name in BODY_FIELDS[type(stmt)]:
+        node = _with(node, name,
+                     tuple(_renumber(s, ctr) for s in getattr(stmt, name)))
+    return node
 
 
 # A trail leads from a function body down to one statement: list indexes
 # alternating with the body fields passed through, e.g. (2, "orelse", 0)
 # is the first statement of the else branch of the body's third statement.
-
-_BODY_FIELDS = {If: ("then", "orelse"), While: ("body",), Block: ("body",)}
 
 
 def _trail(body, sid):
@@ -433,7 +361,7 @@ def _trail(body, sid):
     for i, stmt in enumerate(body):
         if stmt.sid == sid:
             return (i,)
-        for field in _BODY_FIELDS.get(type(stmt), ()):
+        for field in BODY_FIELDS[type(stmt)]:
             rest = _trail(getattr(stmt, field), sid)
             if rest is not None:
                 return (i, field) + rest
@@ -469,23 +397,13 @@ def _rebuild(body, trail, edit_holder, k=0):
     sub = _rebuild(getattr(stmt, field), trail, edit_holder, k + 2)
     if sub is None:
         return None
-    if field == "then":
-        stmt = If(stmt.sid, stmt.cond, sub, stmt.orelse)
-    elif field == "orelse":
-        stmt = If(stmt.sid, stmt.cond, stmt.then, sub)
-    elif isinstance(stmt, While):
-        stmt = While(stmt.sid, stmt.cond, sub)
-    else:
-        stmt = Block(stmt.sid, sub)
-    return body[:i] + (stmt,) + body[i + 1:]
+    return body[:i] + (_with(stmt, field, sub),) + body[i + 1:]
 
 
 def _statement(program, sid):
     """First statement with the id in program order; None if absent."""
-    fn, trail = _locate(program, sid)
-    if fn is None:
-        return None
-    return _holder(fn.body, trail)[trail[-1]]
+    return next((stmt for _, stmt in program_statements(program)
+                 if stmt.sid == sid), None)
 
 
 def _parse_payload_expr(text):
@@ -646,32 +564,25 @@ def _tf_negate_condition(program, stmt, edit, ctr):
     return _edit_stmt(stmt, _set_expr(stmt, edit.path, flipped))
 
 
-# The payload each operator mints, by item type: statement ids, deltas and
-# literals are ints, names and printed expressions are strings.  A float or
-# bool literal, for one, would print but not parse back.
-_PAYLOAD_TYPES = {
-    "stmt_append": (int,), "stmt_delete": (), "stmt_replace": (int,),
-    "func_call_swap": (str,), "expr_replace": (str,),
-    "expr_add": (str, str, str), "expr_remove": (str,),
-    "guard_insert": (str,), "range_check_insert": (str, str),
-    "size_check_insert": (str,), "lower_bound_clamp": (str,),
-    "upper_bound_clamp": (str, str), "off_by_one": (int,),
-    "var_init_insert": (str,), "const_perturb": (int,),
-    "negate_condition": (), "default_return_insert": (int,),
-    "stmt_swap": (),
-}
-
 def payload_fits(edit: Edit) -> bool:
     """Whether the payload has the item types the edit's operator mints."""
-    return tuple(map(type, edit.payload)) == _PAYLOAD_TYPES.get(edit.op)
+    operator = _OPERATORS.get(edit.op)
+    return operator is not None \
+        and tuple(map(type, edit.payload)) == operator.payload
 
 
 def _in_place(transform):
-    """Body edit that puts transform's statements in the target's place."""
+    """Body edit that puts transform's statements in the target's place,
+    unless they would nest deeper there than the parser accepts."""
     def body_edit(program, fn, trail, edit, ctr):
+        # the holder lies inside len(trail) // 2 statements, so its own
+        # statements sit one level below that, as the parser counts the
+        # function's block as its first level
+        depth = len(trail) // 2
         def splice(holder, i):
             replacement = transform(program, holder[i], edit, ctr)
-            if replacement is None:
+            if replacement is None \
+                    or depth + height(replacement) > MAX_NESTING:
                 return None
             return holder[:i] + replacement + holder[i + 1:]
         return _rebuild(fn.body, trail, splice)
@@ -697,27 +608,56 @@ def _edit_default_return_insert(program, fn, trail, edit, ctr):
     return fn.body + (Return(sid, Num(edit.payload[0])),)
 
 
-# Body edits: (program, owner function, trail to the target, edit, id
-# counter) -> the function's new body, or None to veto the edit.
-_BODY_EDITS = {
-    "stmt_append": _in_place(_tf_stmt_append),
-    "stmt_delete": _in_place(_tf_stmt_delete),
-    "stmt_replace": _in_place(_tf_stmt_replace),
-    "func_call_swap": _in_place(_tf_func_call_swap),
-    "expr_replace": _in_place(_tf_expr_replace),
-    "expr_add": _in_place(_tf_expr_add),
-    "expr_remove": _in_place(_tf_expr_remove),
-    "guard_insert": _in_place(_tf_guard_insert),
-    "range_check_insert": _in_place(_tf_range_check_insert),
-    "size_check_insert": _in_place(_tf_size_check_insert),
-    "lower_bound_clamp": _in_place(_tf_lower_bound_clamp),
-    "upper_bound_clamp": _in_place(_tf_upper_bound_clamp),
-    "off_by_one": _in_place(_tf_off_by_one),
-    "var_init_insert": _in_place(_tf_var_init_insert),
-    "const_perturb": _in_place(_tf_const_perturb),
-    "negate_condition": _in_place(_tf_negate_condition),
-    "default_return_insert": _edit_default_return_insert,
-    "stmt_swap": _edit_stmt_swap,
+class _Operator(NamedTuple):
+    # (program, owner function, target) -> the (path, payload) options
+    sites: Callable
+    # (program, owner function, trail to the target, edit, id counter) ->
+    # the function's new body, or None to veto the edit
+    body_edit: Callable
+    # the payload's item types: statement ids, deltas and literals are
+    # ints, names and printed expressions are strings.  A float or bool
+    # literal, for one, would print but not parse back.
+    payload: tuple
+
+
+_OPERATORS = {
+    "stmt_append": _Operator(_sites_stmt_append,
+                             _in_place(_tf_stmt_append), (int,)),
+    "stmt_delete": _Operator(_sites_stmt_delete,
+                             _in_place(_tf_stmt_delete), ()),
+    "stmt_replace": _Operator(_sites_stmt_replace,
+                              _in_place(_tf_stmt_replace), (int,)),
+    "func_call_swap": _Operator(_sites_func_call_swap,
+                                _in_place(_tf_func_call_swap), (str,)),
+    "expr_replace": _Operator(_sites_expr_replace,
+                              _in_place(_tf_expr_replace), (str,)),
+    "expr_add": _Operator(_sites_expr_add,
+                          _in_place(_tf_expr_add), (str, str, str)),
+    "expr_remove": _Operator(_sites_expr_remove,
+                             _in_place(_tf_expr_remove), (str,)),
+    "guard_insert": _Operator(_sites_var_names,
+                              _in_place(_tf_guard_insert), (str,)),
+    "range_check_insert": _Operator(_sites_range_check_insert,
+                                    _in_place(_tf_range_check_insert),
+                                    (str, str)),
+    "size_check_insert": _Operator(_sites_size_check_insert,
+                                   _in_place(_tf_size_check_insert), (str,)),
+    "lower_bound_clamp": _Operator(_sites_lower_bound_clamp,
+                                   _in_place(_tf_lower_bound_clamp), (str,)),
+    "upper_bound_clamp": _Operator(_sites_upper_bound_clamp,
+                                   _in_place(_tf_upper_bound_clamp),
+                                   (str, str)),
+    "off_by_one": _Operator(_sites_off_by_one,
+                            _in_place(_tf_off_by_one), (int,)),
+    "var_init_insert": _Operator(_sites_var_names,
+                                 _in_place(_tf_var_init_insert), (str,)),
+    "const_perturb": _Operator(_sites_const_perturb,
+                               _in_place(_tf_const_perturb), (int,)),
+    "negate_condition": _Operator(_sites_negate_condition,
+                                  _in_place(_tf_negate_condition), ()),
+    "default_return_insert": _Operator(_sites_default_return_insert,
+                                       _edit_default_return_insert, (int,)),
+    "stmt_swap": _Operator(_sites_stmt_swap, _edit_stmt_swap, ()),
 }
 
 
@@ -736,7 +676,13 @@ def apply_edit(program: Program, edit: Edit):
     if fn is None:
         return program, False
     ctr = [program.next_sid]
-    new_body = _BODY_EDITS[edit.op](program, fn, trail, edit, ctr)
+    try:
+        new_body = _OPERATORS[edit.op].body_edit(program, fn, trail, edit,
+                                                 ctr)
+    except RecursionError:
+        # only a tree hundreds of levels tall, far past MAX_NESTING,
+        # outgrows the stack while it is rebuilt or measured
+        return program, False
     if new_body is None:
         return program, False
     return _function_with_body(program, fn, new_body, ctr[0]), True

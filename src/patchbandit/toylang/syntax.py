@@ -19,7 +19,7 @@ during parsing; mutation edits address statements through these ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KEYWORDS = ("fn", "if", "else", "while", "return")
 BUILTIN_LEN = "len"
@@ -27,7 +27,6 @@ BUILTIN_LEN = "len"
 CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 ADD_OPS = ("+", "-")
 MUL_OPS = ("*", "/", "%")
-LOGIC_OPS = ("&&", "||")
 
 # Deepest nesting of blocks and expressions the parser accepts; deeper
 # input is a ParseError rather than a RecursionError.
@@ -44,49 +43,60 @@ class ParseError(ValueError):
 # ------------------------------------------------------------------ AST
 
 
+class _Node:
+    """Base of the node types."""
+
+    # A node never changes, so `height` works its height out once, from
+    # its children's, and keeps it on the node (frozen dataclasses take it
+    # through object.__setattr__; it is no field, so equality ignores it)
+    _height = None
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: int
+    _height = 1     # nothing inside it
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
+    _height = 1
 
 
 @dataclass(frozen=True)
-class Index:
+class Index(_Node):
     name: str
     index: object
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     operand: object  # unary minus is the only prefix operator
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     args: tuple
 
 
 @dataclass(frozen=True)
-class Assign:
+class Assign(_Node):
     sid: int
     name: str
     expr: object
 
 
 @dataclass(frozen=True)
-class Store:
+class Store(_Node):
     sid: int
     name: str
     index: object
@@ -94,7 +104,7 @@ class Store:
 
 
 @dataclass(frozen=True)
-class If:
+class If(_Node):
     sid: int
     cond: object
     then: tuple
@@ -102,25 +112,83 @@ class If:
 
 
 @dataclass(frozen=True)
-class While:
+class While(_Node):
     sid: int
     cond: object
     body: tuple
 
 
 @dataclass(frozen=True)
-class Return:
+class Return(_Node):
     sid: int
     expr: object
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(_Node):
     sid: int
     body: tuple
 
 
 STMT_TYPES = (Assign, Store, If, While, Return, Block)
+
+# The shape of the tree: which fields of each node type hold nodes, in
+# source order.  An expression field holds one expression and a body field
+# a tuple of statements; the one other field that holds nodes is
+# Call.args, a tuple of expressions addressed by position.  Every walker
+# and rebuilder reads these tables, so a node type's children are listed
+# here and nowhere else.
+EXPR_FIELDS = {
+    Num: (), Var: (), Index: ("index",), Unary: ("operand",),
+    Binary: ("left", "right"), Call: (),
+    Assign: ("expr",), Store: ("index", "expr"), If: ("cond",),
+    While: ("cond",), Return: ("expr",), Block: (),
+}
+BODY_FIELDS = {Assign: (), Store: (), If: ("then", "orelse"),
+               While: ("body",), Return: (), Block: ("body",)}
+
+
+def children(node) -> tuple:
+    """The statements and expressions directly inside node, in source
+    order: expression fields, then Call arguments or body statements."""
+    t = type(node)
+    if t is Call:
+        return node.args
+    parts = ()
+    for name in EXPR_FIELDS[t]:
+        parts += (getattr(node, name),)
+    for name in BODY_FIELDS.get(t, ()):
+        parts += getattr(node, name)
+    return parts
+
+
+def walk(node):
+    """Yield node and every node inside it, pre-order, in source order."""
+    yield node
+    for part in children(node):
+        yield from walk(part)
+
+
+def height(nodes) -> int:
+    """Most levels of statements and expressions from any of nodes down.
+    It recurses, one frame per level, only into nodes not measured yet.
+
+    Every node is one level, and a statement's empty body one more, so a
+    statement's height is never below the nesting the parser counts for
+    its text: each block or operand the parser descends into has a level
+    of its own here, while the parser adds nothing for the next operand
+    of a left-associative chain."""
+    most = 0
+    for node in nodes:
+        levels = node._height
+        if levels is None:
+            levels = 1 + height(children(node))
+            if levels == 1 and BODY_FIELDS.get(type(node)):
+                levels = 2      # `{ }`
+            object.__setattr__(node, "_height", levels)
+        if levels > most:
+            most = levels
+    return most
 
 
 @dataclass(frozen=True)
@@ -146,11 +214,8 @@ def walk_statements(body):
     """Yield every statement in a body, pre-order, including nested ones."""
     for stmt in body:
         yield stmt
-        if isinstance(stmt, If):
-            yield from walk_statements(stmt.then)
-            yield from walk_statements(stmt.orelse)
-        elif isinstance(stmt, (While, Block)):
-            yield from walk_statements(stmt.body)
+        for name in BODY_FIELDS[type(stmt)]:
+            yield from walk_statements(getattr(stmt, name))
 
 
 def program_statements(program: Program):
@@ -165,14 +230,10 @@ def same_shape(a, b) -> bool:
         return False
     if isinstance(a, (tuple, list)):
         return len(a) == len(b) and all(same_shape(x, y) for x, y in zip(a, b))
-    if isinstance(a, STMT_TYPES + (Function, Program, Num, Var, Index, Unary,
-                                   Binary, Call)):
-        for name in a.__dataclass_fields__:
-            if name in ("sid", "next_sid"):
-                continue
-            if not same_shape(getattr(a, name), getattr(b, name)):
-                return False
-        return True
+    if isinstance(a, tuple(EXPR_FIELDS) + (Function, Program)):
+        return all(same_shape(getattr(a, name), getattr(b, name))
+                   for name in a.__dataclass_fields__
+                   if name not in ("sid", "next_sid"))
     return a == b
 
 

@@ -11,7 +11,9 @@ from patchbandit.toylang.mutate import (ALL_OPERATORS, COARSE_OPERATORS,
                                         OPERATOR_GROUPS, apply_edit,
                                         apply_edits, enumerate_edits,
                                         mint_edit)
-from patchbandit.toylang.syntax import (parse_program, print_program,
+from patchbandit.toylang.interp import run_tests
+from patchbandit.toylang.syntax import (MAX_NESTING, parse_expression,
+                                        parse_program, print_program,
                                         print_statement, program_statements,
                                         same_shape, walk_statements)
 
@@ -500,6 +502,18 @@ def test_payloads_that_do_not_fit_their_operator_are_noops():
     assert apply_edit(program, Edit("no_such_op", 0)) == (program, False)
 
 
+def test_negative_argument_steps_count_from_the_end_or_are_noops():
+    program = demo()
+    call = sid_of(program, "s = helper(s);")
+    first = apply_ok(program, Edit("off_by_one", call, ("expr", 0), (1,)))
+    last = apply_ok(program, Edit("off_by_one", call, ("expr", -1), (1,)))
+    assert first == last
+    # one step before the first argument used to raise IndexError
+    for path in (("expr", -2), ("expr", 1)):
+        edit = Edit("off_by_one", call, path, (1,))
+        assert apply_edit(program, edit) == (program, False), path
+
+
 def test_payload_nested_past_the_parser_limit_is_a_noop():
     program = demo()
     deep = "(" * 400 + "1" + ")" * 400
@@ -509,6 +523,40 @@ def test_payload_nested_past_the_parser_limit_is_a_noop():
                  Edit("expr_add", loop, ("cond",), (deep, "&&", "left")),
                  Edit("range_check_insert", body, (), (deep, "a"))):
         assert apply_edit(program, edit) == (program, False), edit.op
+
+
+def test_payload_that_parses_alone_but_nests_too_deep_in_place_is_a_noop():
+    program = demo()
+    loop = sid_of(program, "while (i < n) {")
+    # the loop sits in the function's block, the parser's first level, so
+    # its condition starts at the second
+    fits = "-" * (MAX_NESTING - 2) + "1"
+    out = apply_ok(program, Edit("expr_replace", loop, ("cond",), (fits,)))
+    assert same_shape(parse_program(print_program(out)), out)
+    too_deep = "-" + fits
+    parse_expression(too_deep)
+    edit = Edit("expr_replace", loop, ("cond",), (too_deep,))
+    assert apply_edit(program, edit) == (program, False)
+
+
+@pytest.mark.parametrize("length", [70, 600])
+def test_guards_stacked_past_the_parser_limit_are_noops(length):
+    bug = next(bug for bug in load_corpus() if bug.name == "mid3")
+    last = [stmt for _, stmt in program_statements(bug.program)][-1]
+    rng = random.Random(length)
+    program, flags = bug.program, []
+    for _ in range(length):
+        edit = mint_edit("guard_insert", program, {last.sid: 1.0}, rng)
+        program, applied = apply_edit(program, edit)
+        flags.append(applied)
+    # `return m;` sits in the function's block, the parser's first level,
+    # and its operand one level below: each guard adds one level above both
+    fitting = MAX_NESTING - 2
+    assert flags == [True] * fitting + [False] * (length - fitting)
+    assert same_shape(parse_program(print_program(program)), program)
+    # at 600 guards compile_program used to raise RecursionError
+    report = run_tests(program, bug.repair_suite, step_budget=5000)
+    assert len(report.flags) == len(bug.repair_suite)
 
 
 # ----------------------------------------------------------- fold property

@@ -1,5 +1,7 @@
 """Parser, printer, and interpreter oracles for the toy language."""
 
+import dataclasses
+
 import pytest
 
 from patchbandit.toylang.interp import (run_tests, passes_all, ToyFault,
@@ -7,6 +9,10 @@ from patchbandit.toylang.interp import (run_tests, passes_all, ToyFault,
 from patchbandit.toylang.suite import (SuiteFormatError, TestCase, TestSuite,
                                        parse_suite)
 from patchbandit.toylang.localize import NothingToRepair, localize
+from patchbandit.toylang import syntax
+from patchbandit.toylang.syntax import (BODY_FIELDS, EXPR_FIELDS, STMT_TYPES,
+                                        Block, Call, Function, If, Program,
+                                        Return, Var, children, height, walk)
 from patchbandit.toylang.syntax import (MAX_NESTING, Num, ParseError,
                                         parse_program, parse_expression,
                                         print_program, print_expr,
@@ -133,6 +139,100 @@ def test_comments_and_whitespace_are_ignored():
     program = parse_program(text)
     assert run_entry(text, "f", []) == 1
     assert "comment" not in print_program(program)
+
+
+# -------------------------------------------------------------- schema
+
+# every node type, every field that holds nodes, every tuple non-empty
+EVERY_SHAPE = """
+fn f(a, n) {
+  x = -n + a[0] * len(a);
+  a[x] = g(x, 1);
+  if (x < n && n > 0) {
+    { return x; }
+  } else {
+    while (x > 0) { x = x - 1; }
+  }
+  return 0;
+}
+
+fn g(p, q) {
+  return p;
+}
+"""
+
+
+def _is_node(value):
+    return isinstance(value, tuple(EXPR_FIELDS))
+
+
+def _items(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _node_fields(node):
+    """The dataclass fields of node that hold a node or a tuple of them."""
+    return [f.name for f in dataclasses.fields(node)
+            if _items(getattr(node, f.name))
+            and all(map(_is_node, _items(getattr(node, f.name))))]
+
+
+def _every_node(value):
+    """Every node inside value, found through its dataclass fields alone."""
+    for item in _items(value):
+        if _is_node(item):
+            yield item
+        if dataclasses.is_dataclass(item):
+            for f in dataclasses.fields(item):
+                yield from _every_node(getattr(item, f.name))
+
+
+def test_shape_tables_list_every_field_that_holds_nodes():
+    declared = {obj for obj in vars(syntax).values()
+                if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert declared - {Function, Program} == set(EXPR_FIELDS)
+    assert set(BODY_FIELDS) == set(STMT_TYPES)
+    seen = {}
+    for node in _every_node(parse_program(EVERY_SHAPE)):
+        fields = _node_fields(node)
+        seen.setdefault(type(node), set()).update(fields)
+        # children: the contents of those fields, in field order
+        assert children(node) == tuple(
+            part for name in fields for part in _items(getattr(node, name)))
+    assert set(seen) == set(EXPR_FIELDS)
+    for node_type, fields in seen.items():
+        listed = set(EXPR_FIELDS[node_type])
+        listed |= set(BODY_FIELDS.get(node_type, ()))
+        listed |= {"args"} if node_type is Call else set()
+        assert fields == listed, node_type.__name__
+
+
+def test_walk_and_height_follow_the_tables():
+    program = parse_program(EVERY_SHAPE)
+    body = program.function("f").body
+    assert [node for stmt in body for node in walk(stmt)] == \
+        list(_every_node(body))
+    # x = -n + a[0] * len(a): Assign, Binary(+), Binary(*), Call, Var a
+    assert height(body[:1]) == 5
+    # as deep: if > while > x = x - 1 > x - 1 > x
+    assert height(body) == 5
+    assert height(()) == 0
+
+
+@pytest.mark.parametrize("ifs", [MAX_NESTING - 2, MAX_NESTING - 1])
+def test_height_is_never_below_the_parsers_nesting(ifs):
+    # ifs around an empty block, whose braces are a level to the parser
+    stmt = Block(0, ())
+    for sid in range(1, ifs + 1):
+        stmt = If(sid, Var("x"), (stmt,), ())
+    assert height([stmt]) == ifs + 2
+    fn = Function("f", ("x",), (stmt, Return(ifs + 1, Var("x"))))
+    text = print_program(Program((fn,), ifs + 2))
+    if height([stmt]) <= MAX_NESTING:
+        assert same_shape(parse_program(text).functions[0], fn)
+    else:
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_program(text)
 
 
 # ---------------------------------------------------------- evaluation
