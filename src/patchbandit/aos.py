@@ -14,6 +14,11 @@ and two credit assigners: ``avg`` (arithmetic mean of all rewards seen) and
 
 Rewards arrive either immediately (``mutation`` cadence) or buffered and
 applied as a batch (``generation`` cadence, via flush_generation).
+
+A Controller reads its policy, credit, cadence and alpha from an
+engine.ConfigSpec, which checks every name when it is built.  The rest is
+fixed: p_min = 1 / (2N) and p_max = 1 - (N - 1) p_min for N arms, and the
+module constants BETA, EPSILON and EXPLORE (E).
 """
 
 from __future__ import annotations
@@ -26,80 +31,37 @@ CREDITS = ("avg", "erwa")
 REWARDS = ("raw", "relative")
 CADENCES = ("generation", "mutation")
 
+# fixed policy constants: pursuit step, exploration rate, UCB bonus weight
+BETA = 0.8
+EPSILON = 0.2
+EXPLORE = 10.0
+
 # every finite float is a whole number of 2**-1074, so an int sum of rewards
 # in these units is exact, and int / int rounds it correctly, as fsum does
 _UNITS = 1 << 1074
 
 
 class ConfigError(ValueError):
-    """A controller configuration field is out of range or unknown."""
+    """A selection or search configuration field is out of range or unknown."""
 
 
 class CadenceError(RuntimeError):
     """A cadence-specific operation was called under the other cadence."""
 
 
-@dataclass(frozen=True)
-class AosConfig:
-    policy: str = "pm"
-    credit: str = "avg"
-    reward: str = "raw"
-    cadence: str = "generation"
-    alpha: float | None = None   # None: resolved from DEFAULT_ALPHA[policy]
-    p_min: float | None = None   # None: 1 / (2 * n_arms)
-    p_max: float | None = None   # None: 1 - (n_arms - 1) * p_min
-    beta: float = 0.8
-    epsilon: float = 0.2
-    explore: float = 10.0
-
-    def resolved(self, n_arms: int) -> "AosConfig":
-        """Validate and fill in arm-count-dependent defaults."""
-        if n_arms < 1:
-            raise ConfigError(f"n_arms must be >= 1, got {n_arms}")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.credit not in CREDITS:
-            raise ConfigError(f"unknown credit {self.credit!r}")
-        if self.reward not in REWARDS:
-            raise ConfigError(f"unknown reward {self.reward!r}")
-        if self.cadence not in CADENCES:
-            raise ConfigError(f"unknown cadence {self.cadence!r}")
-        alpha = DEFAULT_ALPHA[self.policy] if self.alpha is None else self.alpha
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        p_min = 1.0 / (2 * n_arms) if self.p_min is None else self.p_min
-        if not 0.0 <= p_min * n_arms <= 1.0:
-            raise ConfigError(f"p_min {p_min} infeasible for {n_arms} arms")
-        p_max = 1.0 - (n_arms - 1) * p_min if self.p_max is None else self.p_max
-        if not p_min <= p_max <= 1.0:
-            raise ConfigError(f"p_max {p_max} must lie in [p_min, 1]")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.explore < 0.0:
-            raise ConfigError(f"explore must be >= 0, got {self.explore}")
-        return AosConfig(self.policy, self.credit, self.reward, self.cadence,
-                         alpha, p_min, p_max, self.beta, self.epsilon,
-                         self.explore)
-
-
 def compute_reward(raw_fitness: float, parent_fitness: float | None,
                    reward_type: str) -> float:
     """Scalar reward for one credit event.
 
-    ``raw`` passes the fitness through; ``relative`` divides by the parent's
-    fitness, falling back to the raw value when the parent scored zero or is
-    unknown.  Rewards are clamped below at zero and uncapped above.
+    ``relative`` divides the fitness by the parent's, falling back to the
+    raw value when the parent scored zero or is unknown; any other type
+    (``raw``) passes the fitness through.  Rewards are clamped below at zero
+    and uncapped above.
     """
     raw_fitness = max(0.0, raw_fitness)
-    if reward_type == "raw":
-        return raw_fitness
-    if reward_type == "relative":
-        if parent_fitness:
-            return raw_fitness / parent_fitness
-        return raw_fitness
-    raise ConfigError(f"unknown reward {reward_type!r}")
+    if reward_type == "relative" and parent_fitness:
+        return raw_fitness / parent_fitness
+    return raw_fitness
 
 
 @dataclass
@@ -118,21 +80,20 @@ class Controller:
     effect, in arrival order, at flush_generation.
     """
 
-    def __init__(self, config: AosConfig, n_arms: int):
-        self.config = config.resolved(n_arms)
+    def __init__(self, config, n_arms: int):
+        # config: an engine.ConfigSpec, validated and normalised on its own
+        if n_arms < 1:
+            raise ConfigError(f"n_arms must be >= 1, got {n_arms}")
+        if config.policy not in _POLICIES:
+            raise ConfigError(f"{config.policy!r} is not a bandit policy")
+        self.config = config
         self.n_arms = n_arms
+        self.p_min = 1.0 / (2 * n_arms)
+        self.p_max = 1.0 - (n_arms - 1) * self.p_min
         self.arms = [ArmStats(probability=1.0 / n_arms) for _ in range(n_arms)]
         self._pending: list[tuple[int, float]] = []
 
     # ------------------------------------------------------------ state
-
-    @property
-    def p_min(self) -> float:
-        return self.config.p_min
-
-    @property
-    def p_max(self) -> float:
-        return self.config.p_max
 
     @property
     def qualities(self) -> list[float]:
@@ -207,7 +168,7 @@ class Controller:
         return self.n_arms - 1
 
     def _select_egreedy(self, rng) -> int:
-        if rng.random() < self.config.epsilon:
+        if rng.random() < EPSILON:
             return rng.randrange(self.n_arms)
         return self._argmax_quality()
 
@@ -220,7 +181,7 @@ class Controller:
         log_total = math.log(total)
         best, best_score = 0, -math.inf
         for i, a in enumerate(self.arms):
-            score = a.quality + self.config.explore * math.sqrt(log_total) / a.plays
+            score = a.quality + EXPLORE * math.sqrt(log_total) / a.plays
             if score > best_score:
                 best, best_score = i, score
         return best
@@ -231,16 +192,15 @@ class Controller:
             for a in self.arms:
                 a.probability = 1.0 / self.n_arms
             return
-        span = 1.0 - self.n_arms * self.config.p_min
+        span = 1.0 - self.n_arms * self.p_min
         for a in self.arms:
-            a.probability = self.config.p_min + span * (a.quality / total)
+            a.probability = self.p_min + span * (a.quality / total)
 
     def _pursue_best(self) -> None:
         best = self._argmax_quality()
-        beta = self.config.beta
         for i, a in enumerate(self.arms):
-            target = self.config.p_max if i == best else self.config.p_min
-            a.probability += beta * (target - a.probability)
+            target = self.p_max if i == best else self.p_min
+            a.probability += BETA * (target - a.probability)
 
     def _no_table(self) -> None:
         """egreedy and ucb keep no probability table."""
@@ -267,9 +227,6 @@ DEFAULT_ALPHA = {name: policy.alpha for name, policy in _POLICIES.items()}
 
 class UniformSelector:
     """The baseline: answers a Controller's calls and learns nothing."""
-
-    # credits arrive one at a time and are dropped: nothing to flush
-    config = AosConfig(cadence="mutation")
 
     def __init__(self, n_arms: int):
         self.n_arms = n_arms

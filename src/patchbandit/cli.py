@@ -100,7 +100,7 @@ def _finish(report, out_dir) -> int:
 def cmd_run(args) -> int:
     spec = ConfigSpec(policy=args.policy, credit=args.credit,
                       reward=args.reward, cadence=args.cadence,
-                      arms=f"arms{args.arms}", alpha=args.alpha)
+                      arms=args.arms, alpha=args.alpha)
     bug_names = None if args.bugs is None else parse_bug_names(args.bugs)
     plan = ExperimentPlan(configs=(spec,), bug_names=bug_names,
                           attempts=args.attempts, base_seed=args.seed,

@@ -1,11 +1,15 @@
 """Genetic-programming repair loop with bandit-driven operator choice.
 
 One repair attempt is a classic generational GP search over edit lists:
-tournament selection, one-point crossover on the lists, then exactly one
-fresh mutation per individual per generation.  run_repair is the only
-entry: a selector picks the arm of every mint and is credited with the
-child's reward, an aos.Controller over the scheme's arms or, for the
-uniform baseline, an aos.UniformSelector over the scheme's operators.
+binary tournament selection, one-point crossover on the lists, then
+exactly one fresh mutation per individual per generation.  run_repair is
+the only entry: a selector picks the arm of every mint and is credited
+with the child's reward, an aos.Controller over the scheme's arms or, for
+the uniform baseline, an aos.UniformSelector over the scheme's operators.
+
+ConfigSpec is the one selection config, from a plan line or the command
+line to the Controller: it checks every name and fills in every default
+when it is built, and nothing downstream checks them again.
 
 Every variant is an edit list against the original program.  A mutation
 child's program is built from its parent's program by applying the one
@@ -17,8 +21,8 @@ list is a left fold of applying one edit.
 import random
 from dataclasses import dataclass, field
 
-from .aos import (AosConfig, ConfigError, Controller, UniformSelector,
-                  compute_reward)
+from .aos import (CADENCES, CREDITS, DEFAULT_ALPHA, POLICIES, REWARDS,
+                  ConfigError, Controller, UniformSelector, compute_reward)
 from .toylang import (ALL_OPERATORS, COARSE_OPERATORS, DEFAULT_STEP_BUDGET,
                       InapplicableOperator, OPERATOR_GROUPS, apply_edits,
                       localize, mint_edit, run_tests)
@@ -95,6 +99,64 @@ def operator_for_arm(arm: int, scheme: str, rng) -> str:
 
 # ------------------------------------------------------------------ types
 
+def format_value(value) -> str:
+    """A config or metric value as text in keys and summary.csv."""
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return format(value, ".6g")
+    return str(value)
+
+
+@dataclass(frozen=True)
+class ConfigSpec:
+    """One row of the selection-config matrix, checked and normalised here.
+
+    The uniform baseline blanks the bandit axes to "-".  avg credit has no
+    learning rate; erwa fills in the policy's default.  ``arms`` may name a
+    scheme by its arm count ("7") and is kept as the scheme ("arms7").
+    """
+
+    policy: str                      # "uniform" or a bandit policy
+    credit: str = "avg"
+    reward: str = "raw"
+    cadence: str = "generation"
+    arms: str = "arms3"
+    alpha: float | None = None
+
+    def __post_init__(self):
+        scheme = self.arms if self.arms in ARM_SCHEMES else f"arms{self.arms}"
+        if scheme not in ARM_SCHEMES:
+            raise ConfigError(f"unknown arm scheme {self.arms!r}")
+        object.__setattr__(self, "arms", scheme)
+        if self.is_uniform:
+            # the baseline has no bandit state; blank the unused axes
+            for name in ("credit", "reward", "cadence"):
+                object.__setattr__(self, name, "-")
+            object.__setattr__(self, "alpha", None)
+            return
+        for name, known in (("policy", POLICIES), ("credit", CREDITS),
+                            ("reward", REWARDS), ("cadence", CADENCES)):
+            if getattr(self, name) not in known:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        alpha = None
+        if self.credit == "erwa":
+            alpha = (DEFAULT_ALPHA[self.policy] if self.alpha is None
+                     else self.alpha)
+            if not 0.0 < alpha <= 1.0:
+                raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
+
+    @property
+    def is_uniform(self) -> bool:
+        return self.policy == "uniform"
+
+    def key(self) -> str:
+        """Canonical text identity, part of every cell's seed."""
+        return "|".join((self.policy, self.credit, self.reward, self.cadence,
+                         self.arms, format_value(self.alpha)))
+
+
 @dataclass
 class Variant:
     """One point in the search: an edit list plus its evaluation record."""
@@ -111,23 +173,18 @@ class Variant:
 @dataclass(frozen=True)
 class SearchConfig:
     seed: int
-    aos: AosConfig | None = None
-    arm_scheme: str = "arms3"
+    spec: ConfigSpec = ConfigSpec("uniform")
     population_size: int = 40
     generations: int = 10
     crossover_rate: float = 0.5
-    tournament_size: int = 2
 
     def __post_init__(self):
-        scheme_arm_count(self.arm_scheme)
         if self.population_size < MIN_POPULATION:
             raise ConfigError(f"population_size must be >= {MIN_POPULATION}")
         if self.generations < 0:
             raise ConfigError("generations must be >= 0")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ConfigError("crossover_rate must be in [0, 1]")
-        if self.tournament_size < 1:
-            raise ConfigError("tournament_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,20 +200,23 @@ class RepairOutcome:
 
 def run_repair(program, suite, config: SearchConfig, *,
                step_budget: int = DEFAULT_STEP_BUDGET) -> RepairOutcome:
-    """One repair attempt; config.aos None runs the uniform baseline."""
-    if config.aos is None:
+    """One repair attempt under config.spec, the baseline or a bandit."""
+    spec = config.spec
+    if spec.is_uniform:
         # one arm per operator: each pick is one randrange on the aos stream
-        arms = scheme_operators(config.arm_scheme)
+        arms = scheme_operators(spec.arms)
         selector = UniformSelector(len(arms))
     else:
-        arms = _arms(config.arm_scheme)
-        selector = Controller(config.aos, len(arms))
+        arms = ARM_SCHEMES[spec.arms]
+        selector = Controller(spec, len(arms))
     aos_rng = random.Random(derive_seed(config.seed, "aos"))
     located = localize(program, suite, step_budget=step_budget)
     weights = located.weights
     rng = random.Random(derive_seed(config.seed, "search"))
     pop_size = config.population_size
-    reward_type = selector.config.reward
+    # the baseline's "-" axes: rewards pass through and nothing is flushed
+    reward_type = spec.reward
+    flush = spec.cadence == "generation"
 
     base = Variant(edits=(), born_by=BORN_INITIAL,
                    fitness=located.report.fitness, variant_index=0,
@@ -213,13 +273,10 @@ def run_repair(program, suite, config: SearchConfig, *,
         return None
 
     def pick_parent(population):
-        # tournament: strictly fitter wins, ties keep the first drawn
-        best = population[rng.randrange(pop_size)]
-        for _ in range(config.tournament_size - 1):
-            other = population[rng.randrange(pop_size)]
-            if other.fitness > best.fitness:
-                best = other
-        return best
+        # binary tournament: strictly fitter wins, ties keep the first drawn
+        first = population[rng.randrange(pop_size)]
+        second = population[rng.randrange(pop_size)]
+        return second if second.fitness > first.fitness else first
 
     population = [mutate(base) for _ in range(pop_size)]
     winner = None
@@ -227,7 +284,7 @@ def run_repair(program, suite, config: SearchConfig, *,
         winner = evaluate(population)
         if winner is not None or generation == config.generations:
             break
-        if selector.config.cadence == "generation":
+        if flush:
             selector.flush_generation()
         parents = [pick_parent(population) for _ in range(pop_size)]
         for left in range(0, pop_size - 1, 2):
@@ -244,7 +301,7 @@ def run_repair(program, suite, config: SearchConfig, *,
                 born_by=BORN_CROSSOVER)
         population = [mutate(individual) for individual in parents]
 
-    if selector.config.cadence == "generation":
+    if flush:
         selector.flush_generation()
     if winner is not None:
         return RepairOutcome(True, winner, winner.variant_index,

@@ -14,10 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .aos import AosConfig, ConfigError
+from .aos import ConfigError
 from .corpus import DEFAULT_CORPUS_DIR, edits_to_jsonable, load_corpus
-from .engine import (ARM_SCHEMES, MIN_POPULATION, SearchConfig, derive_seed,
-                     run_repair, scheme_arm_count)
+from .engine import (MIN_POPULATION, ConfigSpec, SearchConfig, derive_seed,
+                     format_value, run_repair)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
                       run_tests)
 
@@ -36,64 +36,9 @@ CSV_COLUMNS = ("policy", "credit", "reward", "cadence", "arms", "alpha",
 _PLAN_MINIMUMS = {"attempts": 1, "population_size": MIN_POPULATION,
                   "generations": 0, "step_budget": 1}
 
-_ARM_ALIASES = {alias: scheme for scheme in ARM_SCHEMES
-                for alias in (scheme, scheme.removeprefix("arms"))}
-
 
 class PlanFormatError(ValueError):
     """A plan manifest line could not be parsed."""
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
-@dataclass(frozen=True)
-class ConfigSpec:
-    """One row of the selection-config matrix."""
-
-    policy: str                      # "uniform" or a bandit policy
-    credit: str = "avg"
-    reward: str = "raw"
-    cadence: str = "generation"
-    arms: str = "arms3"
-    alpha: float | None = None
-
-    def __post_init__(self):
-        n_arms = scheme_arm_count(self.arms)
-        if self.policy == "uniform":
-            # the baseline has no bandit state; blank the unused axes
-            object.__setattr__(self, "credit", "-")
-            object.__setattr__(self, "reward", "-")
-            object.__setattr__(self, "cadence", "-")
-            object.__setattr__(self, "alpha", None)
-            return
-        # avg credit has no learning rate; erwa fills in the policy default
-        if self.credit == "avg":
-            object.__setattr__(self, "alpha", None)
-        resolved = self.aos_config().resolved(n_arms)
-        if self.credit != "avg":
-            object.__setattr__(self, "alpha", resolved.alpha)
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.policy == "uniform"
-
-    def key(self) -> str:
-        """Canonical text identity, part of every cell's seed."""
-        return "|".join((self.policy, self.credit, self.reward, self.cadence,
-                         self.arms, _fmt(self.alpha)))
-
-    def aos_config(self) -> AosConfig | None:     # None: the uniform baseline
-        if self.is_uniform:
-            return None
-        return AosConfig(policy=self.policy, credit=self.credit,
-                         reward=self.reward, cadence=self.cadence,
-                         alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -110,6 +55,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.configs:
             raise PlanFormatError("a plan needs at least one config")
+        if self.bug_names == ():
+            raise PlanFormatError("a plan needs at least one bug")
         for name, low in _PLAN_MINIMUMS.items():
             if getattr(self, name) < low:
                 raise PlanFormatError(f"{name} must be >= {low}")
@@ -151,10 +98,8 @@ def _bugs_for(corpus_dir):
 def _run_attempt(task):
     (corpus_dir, bug_name, spec_fields, seed, pop, gens, budget) = task
     bug = _bugs_for(corpus_dir)[bug_name]
-    spec = ConfigSpec(*spec_fields)
-    config = SearchConfig(seed=seed, aos=spec.aos_config(),
-                          arm_scheme=spec.arms, population_size=pop,
-                          generations=gens)
+    config = SearchConfig(seed=seed, spec=ConfigSpec(*spec_fields),
+                          population_size=pop, generations=gens)
     try:
         outcome = run_repair(bug.program, bug.repair_suite, config,
                              step_budget=budget)
@@ -208,15 +153,10 @@ class ExperimentReport:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for block in self.detail["configs"]:
-            metrics = block["metrics"]
-            writer.writerow((
-                block["policy"], block["credit"], block["reward"],
-                block["cadence"], block["arms"], _fmt(block["alpha"]),
-                _fmt(metrics["success_rate_micro"]),
-                _fmt(metrics["success_rate_macro"]),
-                _fmt(metrics["bugs_patched"]),
-                _fmt(metrics["avg_variant"]),
-                _fmt(metrics["median_variant"])))
+            # the six config axes, then the five metrics, in column order
+            row = [block[name] for name in CSV_COLUMNS[:6]]
+            row += [block["metrics"][name] for name in CSV_COLUMNS[6:]]
+            writer.writerow(format_value(value) for value in row)
         return out.getvalue()
 
 
@@ -336,17 +276,13 @@ def _parse_config_line(value: str, line_no: int) -> ConfigSpec:
             raise PlanFormatError(
                 f"line {line_no}: expected key=value, got {token!r}")
         key, _, raw = token.partition("=")
-        if key == "arms":
-            if raw not in _ARM_ALIASES:
-                raise PlanFormatError(f"line {line_no}: unknown arms {raw!r}")
-            kwargs["arms"] = _ARM_ALIASES[raw]
-        elif key == "alpha":
+        if key == "alpha":
             try:
                 kwargs["alpha"] = float(raw)
             except ValueError:
                 raise PlanFormatError(f"line {line_no}: alpha needs a number, "
                                       f"got {raw!r}") from None
-        elif key in ("credit", "reward", "cadence"):
+        elif key in ("credit", "reward", "cadence", "arms"):
             kwargs[key] = raw
         else:
             raise PlanFormatError(f"line {line_no}: unknown config key {key!r}")

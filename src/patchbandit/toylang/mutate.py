@@ -8,7 +8,7 @@ reorder.
 
 An Edit freezes everything needed to replay a mutation: operator name,
 target statement id, an optional expression path, and a payload.
-Statement donors travel by id and are resolved against whatever program
+Statement donors travel by id and are looked up in whatever program
 the edit is applied to; expression donors travel as printed text and are
 re-parsed on application. Application is total: an edit whose target,
 donor, or path no longer resolves, whose payload does not have the shape

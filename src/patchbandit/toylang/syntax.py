@@ -31,6 +31,7 @@ MUL_OPS = ("*", "/", "%")
 # Deepest nesting of blocks and expressions the parser accepts; deeper
 # input is a ParseError rather than a RecursionError.
 MAX_NESTING = 64
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
 
 class ParseError(ValueError):
@@ -176,8 +177,8 @@ def height(nodes) -> int:
     Every node is one level, and a statement's empty body one more, so a
     statement's height is never below the nesting the parser counts for
     its text: each block or operand the parser descends into has a level
-    of its own here, while the parser adds nothing for the next operand
-    of a left-associative chain."""
+    of its own here.  The parser also measures every statement it reads
+    with height, which counts the operators of a chain too."""
     most = 0
     for node in nodes:
         levels = node._height
@@ -322,15 +323,15 @@ class _Parser:
                              tok[2], tok[3])
         return tok
 
-    def fail(self, msg):
-        tok = self.peek()
+    def fail(self, msg, tok=None):
+        tok = tok or self.peek()
         raise ParseError(msg, tok[2], tok[3])
 
     def descend(self):
         """Enter one nesting level; the caller leaves it with depth -= 1."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+            self.fail(_TOO_DEEP)
 
     def fresh_sid(self) -> int:
         sid = self.sid
@@ -380,7 +381,14 @@ class _Parser:
         self.descend()
         body = []
         while self.peek()[0] != "}":
-            body.append(self.statement())
+            start = self.peek()
+            stmt = self.statement()
+            # depth counts blocks, operands and parentheses but not the
+            # level each chain operator adds, so measure the tree as
+            # apply_edit does (the function's own statements at depth 0)
+            if self.depth - 1 + height((stmt,)) > MAX_NESTING:
+                self.fail(_TOO_DEEP, start)
+            body.append(stmt)
         self.expect("}")
         self.depth -= 1
         return tuple(body)
@@ -440,14 +448,14 @@ class _Parser:
         left = self.and_expr()
         while self.peek()[0] == "||":
             self.next()
-            left = Binary("||", left, self.and_expr())
+            left = _link("||", left, self.and_expr())
         return left
 
     def and_expr(self):
         left = self.cmp_expr()
         while self.peek()[0] == "&&":
             self.next()
-            left = Binary("&&", left, self.cmp_expr())
+            left = _link("&&", left, self.cmp_expr())
         return left
 
     def cmp_expr(self):
@@ -461,14 +469,14 @@ class _Parser:
         left = self.mul_expr()
         while self.peek()[0] in ADD_OPS:
             op = self.next()[0]
-            left = Binary(op, left, self.mul_expr())
+            left = _link(op, left, self.mul_expr())
         return left
 
     def mul_expr(self):
         left = self.unary_expr()
         while self.peek()[0] in MUL_OPS:
             op = self.next()[0]
-            left = Binary(op, left, self.unary_expr())
+            left = _link(op, left, self.unary_expr())
         return left
 
     def unary_expr(self):
@@ -514,6 +522,15 @@ class _Parser:
                          tok[2], tok[3])
 
 
+def _link(op, left, right):
+    """One more operator of a left-associative chain.  Its height is kept
+    as the chain grows, so measuring the chain later recurses only through
+    the levels the parser descended into, not one per operator."""
+    node = Binary(op, left, right)
+    height((node,))
+    return node
+
+
 def parse_program(text: str) -> Program:
     return _Parser(text).program()
 
@@ -523,6 +540,8 @@ def parse_expression(text: str):
     expr = parser.expression()
     if parser.peek()[0] != "eof":
         parser.fail("trailing input after expression")
+    if height((expr,)) > MAX_NESTING:
+        parser.fail(_TOO_DEEP)
     return expr
 
 

@@ -16,7 +16,8 @@ from collections import Counter
 
 import pytest
 
-from patchbandit.aos import AosConfig, Controller, DEFAULT_ALPHA, compute_reward
+from patchbandit import aos
+from patchbandit.aos import Controller, DEFAULT_ALPHA, compute_reward
 from patchbandit.bandit_env import BanditSpec, run_episode
 from patchbandit.corpus import load_corpus, run_gate
 from patchbandit.engine import derive_seed
@@ -36,7 +37,7 @@ def test_policy_update_equations_match_closed_forms():
     t0 = time.perf_counter()
 
     # probability matching: equal qualities share mass exactly
-    pm = Controller(AosConfig(policy="pm", credit="avg", cadence="mutation"), 3)
+    pm = Controller(ConfigSpec(policy="pm", credit="avg", cadence="mutation"), 3)
     for arm in range(3):
         pm.credit(arm, 0.5)
     for p in pm.probabilities:
@@ -45,13 +46,13 @@ def test_policy_update_equations_match_closed_forms():
     # recency-weighted update from the optimistic start:
     # Q = 1.0 + 0.8 * (0.0 - 1.0) = 0.2
     er = Controller(
-        AosConfig(policy="pm", credit="erwa", alpha=0.8, cadence="mutation"), 2)
+        ConfigSpec(policy="pm", credit="erwa", alpha=0.8, cadence="mutation"), 2)
     er.credit(0, 0.0)
     assert abs(er.qualities[0] - 0.2) <= 1e-9
 
     # pursuit: the unique winner takes one beta-step toward the ceiling,
     # N=3 from uniform: P_1 = 1/3 + 0.8 * (2/3 - 1/3) = 0.6, losers 0.2
-    ap = Controller(AosConfig(policy="ap", credit="avg", cadence="mutation"), 3)
+    ap = Controller(ConfigSpec(policy="ap", credit="avg", cadence="mutation"), 3)
     ap.credit(1, 2.0)
     assert abs(ap.probabilities[1] - 0.6) <= 1e-9
     assert abs(ap.probabilities[0] - 0.2) <= 1e-9
@@ -64,7 +65,7 @@ def test_policy_update_equations_match_closed_forms():
 
     # tuned per-policy step sizes and the derived floor/ceiling
     assert DEFAULT_ALPHA == {"pm": 0.8, "ucb": 0.8, "ap": 0.2, "egreedy": 0.4}
-    resolved = AosConfig(policy="pm").resolved(4)
+    resolved = Controller(ConfigSpec(policy="pm"), 4)
     assert abs(resolved.p_min - 1 / 8) <= 1e-9
     assert abs(resolved.p_max - 5 / 8) <= 1e-9
 
@@ -78,7 +79,7 @@ def test_selection_distributions_stay_normalized_and_bounded():
         rng = random.Random(derive_seed("accept-dist", "pm", i))
         n = rng.randint(2, 8)
         c = Controller(
-            AosConfig(policy="pm", credit="avg", cadence="mutation"), n)
+            ConfigSpec(policy="pm", credit="avg", cadence="mutation"), n)
         if rng.random() < 0.2:
             for arm in range(n):  # zero total mass: uniform fallback
                 c.credit(arm, 0.0)
@@ -93,7 +94,7 @@ def test_selection_distributions_stay_normalized_and_bounded():
         rng = random.Random(derive_seed("accept-dist", "ap", i))
         n = rng.randint(2, 8)
         c = Controller(
-            AosConfig(policy="ap", credit="avg", cadence="mutation"), n)
+            ConfigSpec(policy="ap", credit="avg", cadence="mutation"), n)
         for _ in range(rng.randint(1, 12)):
             c.credit(rng.randrange(n), rng.random() * 2.0)
         probs = c.probabilities
@@ -108,7 +109,7 @@ def test_selection_distributions_stay_normalized_and_bounded():
         gap = abs(c.probabilities[best] - c.p_max)
         for _ in range(5):
             c.credit(best, 50.0)
-        shrink = (1 - c.config.beta) ** 5
+        shrink = (1 - aos.BETA) ** 5
         assert abs(c.probabilities[best] - c.p_max) <= shrink * gap + 1e-9
 
     assert time.perf_counter() - t0 < 10.0
@@ -124,7 +125,7 @@ def test_policies_converge_to_best_arm_within_thresholds():
     for s in range(5):
         rng = random.Random(derive_seed("accept-ap", s))
         c = Controller(
-            AosConfig(policy="ap", credit="avg", cadence="mutation"), 2)
+            ConfigSpec(policy="ap", credit="avg", cadence="mutation"), 2)
         run_episode(BanditSpec([0.1, 0.9]), c, 500, rng)
         assert abs(c.probabilities[1] - c.p_max) <= 1e-3
 
@@ -134,7 +135,7 @@ def test_policies_converge_to_best_arm_within_thresholds():
     for s in range(5):
         rng = random.Random(derive_seed("accept-eg", s))
         c = Controller(
-            AosConfig(policy="egreedy", credit="avg", cadence="mutation"), 5)
+            ConfigSpec(policy="egreedy", credit="avg", cadence="mutation"), 5)
         ep = run_episode(
             BanditSpec([0.1, 0.3, 0.5, 0.7, 0.9]), c, 20000, rng)
         rate = ep.selections[10000:].count(4) / 10000
@@ -144,7 +145,7 @@ def test_policies_converge_to_best_arm_within_thresholds():
     for s in range(5):
         rng = random.Random(derive_seed("accept-ucb", s))
         c = Controller(
-            AosConfig(policy="ucb", credit="avg", cadence="mutation"), 2)
+            ConfigSpec(policy="ucb", credit="avg", cadence="mutation"), 2)
         ep = run_episode(BanditSpec([0.9, 0.1]), c, 10000, rng)
         assert ep.selections.count(0) / 10000 >= 0.70
 
@@ -167,8 +168,8 @@ def test_recency_weighted_credit_tracks_drift_where_average_lags():
         for s in range(5):
             rng = random.Random(derive_seed("accept-drift", credit, s))
             c = Controller(
-                AosConfig(policy="egreedy", credit=credit, alpha=a,
-                          cadence="mutation"), 2)
+                ConfigSpec(policy="egreedy", credit=credit, alpha=a,
+                           cadence="mutation"), 2)
             ep = run_episode(spec, c, switch + 4 * window, rng)
             modal = Counter(
                 ep.selections[switch:switch + window]).most_common(1)[0][0]

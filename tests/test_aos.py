@@ -10,28 +10,29 @@ import random
 
 import pytest
 
+import patchbandit.aos as aos
 from patchbandit.aos import (
-    AosConfig,
     CadenceError,
     ConfigError,
     Controller,
     UniformSelector,
     compute_reward,
 )
+from patchbandit.engine import ConfigSpec
 
 
 def make(policy, n_arms, **kw):
-    return Controller(AosConfig(policy=policy, **kw), n_arms)
+    return Controller(ConfigSpec(policy=policy, **kw), n_arms)
 
 
 # ---------------------------------------------------------------- config
 
 
 def test_default_alpha_is_policy_specific():
-    assert make("pm", 3).config.alpha == 0.8
-    assert make("ucb", 3).config.alpha == 0.8
-    assert make("ap", 3).config.alpha == 0.2
-    assert make("egreedy", 3).config.alpha == 0.4
+    assert make("pm", 3, credit="erwa").config.alpha == 0.8
+    assert make("ucb", 3, credit="erwa").config.alpha == 0.8
+    assert make("ap", 3, credit="erwa").config.alpha == 0.2
+    assert make("egreedy", 3, credit="erwa").config.alpha == 0.4
 
 
 def test_default_floor_and_ceiling_follow_arm_count():
@@ -45,23 +46,25 @@ def test_default_floor_and_ceiling_follow_arm_count():
 
 def test_config_validation_names_offending_field():
     with pytest.raises(ConfigError, match="policy"):
-        Controller(AosConfig(policy="softmax"), 3)
+        Controller(ConfigSpec(policy="softmax"), 3)
     with pytest.raises(ConfigError, match="alpha"):
-        Controller(AosConfig(policy="pm", alpha=0.0), 3)
+        Controller(ConfigSpec(policy="pm", credit="erwa", alpha=0.0), 3)
     with pytest.raises(ConfigError, match="alpha"):
-        Controller(AosConfig(policy="pm", alpha=1.5), 3)
+        Controller(ConfigSpec(policy="pm", credit="erwa", alpha=1.5), 3)
     with pytest.raises(ConfigError, match="credit"):
-        Controller(AosConfig(policy="pm", credit="window"), 3)
+        Controller(ConfigSpec(policy="pm", credit="window"), 3)
     with pytest.raises(ConfigError, match="cadence"):
-        Controller(AosConfig(policy="pm", cadence="hourly"), 3)
+        Controller(ConfigSpec(policy="pm", cadence="hourly"), 3)
     with pytest.raises(ConfigError, match="reward"):
-        Controller(AosConfig(policy="pm", reward="ranked"), 3)
-    with pytest.raises(ConfigError, match="p_min"):
-        Controller(AosConfig(policy="pm", p_min=0.4), 3)  # 3 * 0.4 > 1
-    with pytest.raises(ConfigError, match="epsilon"):
-        Controller(AosConfig(policy="egreedy", epsilon=1.5), 3)
+        Controller(ConfigSpec(policy="pm", reward="ranked"), 3)
     with pytest.raises(ConfigError, match="n_arms"):
-        Controller(AosConfig(policy="pm"), 0)
+        Controller(ConfigSpec(policy="pm"), 0)
+
+
+def test_controller_needs_a_bandit_policy():
+    # the uniform baseline is aos.UniformSelector, never a Controller
+    with pytest.raises(ConfigError, match="not a bandit policy"):
+        Controller(ConfigSpec("uniform"), 3)
 
 
 def test_initial_state_is_optimistic_and_uniform():
@@ -257,7 +260,7 @@ def test_pm_selection_is_cumulative_sum_inversion():
 
 
 def test_egreedy_exploits_argmax_and_explores_uniformly():
-    c = make("egreedy", 5, credit="avg", cadence="mutation", epsilon=0.2)
+    c = make("egreedy", 5, credit="avg", cadence="mutation")
     # make arm 2 the unique best
     for arm, r in [(0, 0.1), (1, 0.2), (2, 0.9), (3, 0.3), (4, 0.1)]:
         c.credit(arm, r)
@@ -272,8 +275,9 @@ def test_egreedy_exploits_argmax_and_explores_uniformly():
         assert counts[arm] / n == pytest.approx(0.04, abs=0.01)
 
 
-def test_egreedy_greedy_tie_breaks_to_lowest_index():
-    c = make("egreedy", 3, credit="avg", cadence="mutation", epsilon=0.0)
+def test_egreedy_greedy_tie_breaks_to_lowest_index(monkeypatch):
+    monkeypatch.setattr(aos, "EPSILON", 0.0)
+    c = make("egreedy", 3, credit="avg", cadence="mutation")
     rng = random.Random(1)
     assert all(c.select_arm(rng) == 0 for _ in range(20))
 

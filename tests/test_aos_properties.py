@@ -5,7 +5,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from patchbandit.aos import AosConfig, Controller
+from patchbandit.aos import Controller
+from patchbandit.engine import ConfigSpec
 
 rewards_st = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3),
@@ -16,7 +17,7 @@ rewards_st = st.lists(
 
 
 def run_sequence(policy, credit, seq, cadence="mutation", flush_every=7):
-    c = Controller(AosConfig(policy=policy, credit=credit, cadence=cadence), 4)
+    c = Controller(ConfigSpec(policy=policy, credit=credit, cadence=cadence), 4)
     for i, (arm, r) in enumerate(seq):
         c.credit(arm, r)
         if cadence == "generation" and (i + 1) % flush_every == 0:
@@ -62,7 +63,7 @@ def test_average_credit_is_brute_force_mean(seq):
                           allow_infinity=False), min_size=1, max_size=80))
 def test_average_credit_is_bit_identical_to_fsum_of_history(rewards):
     # the running sum is exact, so every prefix mean rounds like fsum's
-    c = Controller(AosConfig(policy="pm", credit="avg", cadence="mutation"), 1)
+    c = Controller(ConfigSpec(policy="pm", credit="avg", cadence="mutation"), 1)
     for n, reward in enumerate(rewards, start=1):
         c.credit(0, reward)
         assert c.qualities[0] == math.fsum(rewards[:n]) / n
@@ -72,7 +73,7 @@ def test_average_credit_is_bit_identical_to_fsum_of_history(rewards):
 @given(rewards_st, st.floats(min_value=0.05, max_value=1.0, allow_nan=False))
 def test_erwa_credit_matches_closed_form(seq, alpha):
     c = Controller(
-        AosConfig(policy="pm", credit="erwa", alpha=alpha, cadence="mutation"), 4)
+        ConfigSpec(policy="pm", credit="erwa", alpha=alpha, cadence="mutation"), 4)
     for arm, r in seq:
         c.credit(arm, r)
     for arm in range(4):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from patchbandit.aos import AosConfig, CadenceError, Controller
+from patchbandit.aos import CadenceError, Controller
+from patchbandit.engine import ConfigSpec
 from patchbandit.bandit_env import BanditSpec, run_episode
 
 
@@ -53,7 +54,7 @@ def test_spec_validation():
 def test_episode_is_deterministic_given_seed():
     spec = BanditSpec(arm_means=[0.2, 0.8])
     def run():
-        c = Controller(AosConfig(policy="pm", cadence="mutation"), 2)
+        c = Controller(ConfigSpec(policy="pm", cadence="mutation"), 2)
         return run_episode(spec, c, steps=300, rng=random.Random(17))
     a, b = run(), run()
     assert a.selections == b.selections
@@ -63,14 +64,14 @@ def test_episode_is_deterministic_given_seed():
 
 def test_episode_requires_per_pull_crediting():
     spec = BanditSpec(arm_means=[0.2, 0.8])
-    c = Controller(AosConfig(policy="pm", cadence="generation"), 2)
+    c = Controller(ConfigSpec(policy="pm", cadence="generation"), 2)
     with pytest.raises(CadenceError):
         run_episode(spec, c, steps=10, rng=random.Random(0))
 
 
 def test_episode_credits_every_step():
     spec = BanditSpec(arm_means=[0.2, 0.8])
-    c = Controller(AosConfig(policy="egreedy", cadence="mutation"), 2)
+    c = Controller(ConfigSpec(policy="egreedy", cadence="mutation"), 2)
     out = run_episode(spec, c, steps=250, rng=random.Random(3))
     assert sum(c.plays) == 250
     assert len(out.selections) == len(out.rewards) == len(out.greedy_arms) == 250
@@ -78,6 +79,6 @@ def test_episode_credits_every_step():
 
 def test_pursuit_probability_reaches_ceiling_on_easy_instance():
     spec = BanditSpec(arm_means=[0.1, 0.9])
-    c = Controller(AosConfig(policy="ap", cadence="mutation"), 2)
+    c = Controller(ConfigSpec(policy="ap", cadence="mutation"), 2)
     run_episode(spec, c, steps=500, rng=random.Random(23))
     assert abs(c.probabilities[1] - c.p_max) <= 1e-3

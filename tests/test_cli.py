@@ -130,6 +130,18 @@ def test_gate_fails_on_unreachable_fix(tmp_path, capsys):
     assert "gate: FAIL" in capsys.readouterr().out
 
 
+def test_gate_on_a_flat_chain_too_deep_to_parse_is_a_corpus_error(tmp_path,
+                                                                 capsys):
+    bugdir = tmp_path / "chain-1"
+    shutil.copytree(DEFAULT_CORPUS_DIR / "mid3", bugdir)
+    chain = " + ".join(["x"] * 1000)
+    (bugdir / "bug.toy").write_text(
+        f"fn f(x) {{ y = {chain}; return y; }}\n")
+    assert main(["gate", "--corpus", str(tmp_path)]) == EXIT_CORPUS
+    err = capsys.readouterr().err
+    assert err.startswith("corpus error:") and "nesting deeper than" in err
+
+
 @pytest.mark.parametrize("filename", ["bug.toy", "repair.tests"])
 def test_non_utf8_corpus_file_is_a_corpus_error(tmp_path, capsys, filename):
     shutil.copytree(DEFAULT_CORPUS_DIR / "mid3", tmp_path / "mid3")
@@ -220,6 +232,34 @@ def test_repeated_bug_in_a_plan_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("usage error:")
     assert "line 2: bug 'reset-1' is listed twice" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bugs", [",", " , ,", ""])
+def test_empty_bug_list_in_run_is_a_usage_error(tmp_path, capsys, bugs):
+    out = tmp_path / "out"
+    assert main(["run", "--policy", "pm", "--bugs", bugs,
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "at least one bug" in err
+    assert not out.exists()
+
+
+def test_arms_count_and_scheme_name_give_the_same_run(tmp_path):
+    base = ["--bugs", "reset-1", "--attempts", "1", "--pop", "6",
+            "--gens", "2", "--seed", "5"]
+    assert main(["run", "--policy", "pm", "--arms", "7", *base,
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    details = [(tmp_path / "run" / "detail.json").read_bytes()]
+    for arms in ("7", "arms7"):
+        plan = tmp_path / f"{arms}.plan"
+        plan.write_text(f"config = pm arms={arms}\nbugs = reset-1\n"
+                        "attempts = 1\npop = 6\ngens = 2\nbase_seed = 5\n")
+        out = tmp_path / f"bench-{arms}"
+        assert main(["bench", "--plan", str(plan), "--out", str(out)]) \
+            == EXIT_OK
+        details.append((out / "detail.json").read_bytes())
+    assert details[0] == details[1] == details[2]
+    assert json.loads(details[0])["configs"][0]["arms"] == "arms7"
 
 
 def test_repeated_bug_in_run_bugs_is_a_usage_error(tmp_path, capsys):

@@ -6,10 +6,10 @@ import random
 import pytest
 
 import patchbandit.engine as engine
-from patchbandit.aos import AosConfig, ConfigError, Controller
+from patchbandit.aos import ConfigError, Controller
 from patchbandit.corpus import load_corpus
-from patchbandit.engine import (ARM_SCHEMES, RepairOutcome, SearchConfig,
-                                Variant, derive_seed, fnv1a_64,
+from patchbandit.engine import (ARM_SCHEMES, ConfigSpec, RepairOutcome,
+                                SearchConfig, Variant, derive_seed, fnv1a_64,
                                 operator_for_arm, run_repair,
                                 scheme_arm_count, scheme_operators)
 from patchbandit.toylang import (ALL_OPERATORS, COARSE_OPERATORS, Edit,
@@ -115,9 +115,8 @@ def test_template_operator_unavailable_under_arms3():
 # ------------------------------------------------------------------ config
 
 def test_search_config_rejects_bad_values():
-    for kwargs in ({"arm_scheme": "arms4"}, {"population_size": 1},
-                   {"generations": -1}, {"crossover_rate": 1.5},
-                   {"tournament_size": 0}):
+    for kwargs in ({"population_size": 1}, {"generations": -1},
+                   {"crossover_rate": 1.5}):
         with pytest.raises(ConfigError):
             SearchConfig(seed=1, **kwargs)
 
@@ -139,8 +138,8 @@ def test_uniform_repair_is_deterministic(bugs):
 
 def test_adaptive_repair_is_deterministic(bugs):
     bug = bugs["span-1"]
-    cfg = SearchConfig(seed=3, aos=AosConfig(policy="ucb", credit="erwa",
-                                             cadence="mutation"))
+    cfg = SearchConfig(seed=3, spec=ConfigSpec(policy="ucb", credit="erwa",
+                                               cadence="mutation"))
     first = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
     second = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
     assert first == second
@@ -175,8 +174,8 @@ def test_crossover_heavy_patch_program_is_its_replayed_edit_list(bugs):
     # ends in a 12-edit patch with two no-op edits
     for name, seed in (("reset-1", 9), ("init-1", 2), ("mid3", 1)):
         bug = bugs[name]
-        cfg = SearchConfig(seed=seed, arm_scheme="arms18", generations=20,
-                           crossover_rate=1.0)
+        cfg = SearchConfig(seed=seed, spec=ConfigSpec("uniform", arms="arms18"),
+                           generations=20, crossover_rate=1.0)
         out = run_repair(bug.program, bug.repair_suite, cfg,
                          step_budget=BUDGET)
         assert out.patched, name
@@ -263,8 +262,8 @@ def test_one_credit_event_per_mutation_slot(bugs, monkeypatch, cadence):
     bug = bugs["guard-1"]
     pop, gens = 8, 4
     cfg = SearchConfig(seed=13, population_size=pop, generations=gens,
-                       aos=AosConfig(policy="pm", credit="avg",
-                                     cadence=cadence))
+                       spec=ConfigSpec(policy="pm", credit="avg",
+                                       cadence=cadence))
     out = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
     assert not out.patched
     total_plays = sum(arm["plays"] for arm in out.aos_snapshot)
@@ -284,8 +283,8 @@ def test_snapshot_reflects_all_credits(bugs, monkeypatch):
     monkeypatch.setattr(engine, "Controller", Recorder)
     bug = bugs["guard-1"]
     cfg = SearchConfig(seed=4, population_size=6, generations=3,
-                       aos=AosConfig(policy="egreedy", credit="erwa",
-                                     reward="relative"))
+                       spec=ConfigSpec(policy="egreedy", credit="erwa",
+                                       reward="relative"))
     out = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
     events = spies[0].events
     assert len(events) == 6 * 4
@@ -317,8 +316,8 @@ def test_uniform_baseline_draws_each_coarse_operator_evenly(bugs, monkeypatch):
 
 def test_adaptive_selection_covers_scheme_arms(bugs):
     bug = bugs["sched-1"]
-    cfg = SearchConfig(seed=21, arm_scheme="arms7",
-                       aos=AosConfig(policy="pm", credit="avg"))
+    cfg = SearchConfig(seed=21,
+                       spec=ConfigSpec(policy="pm", credit="avg", arms="arms7"))
     out = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
     assert len(out.aos_snapshot) == 7
     played = [arm["plays"] for arm in out.aos_snapshot]

@@ -35,7 +35,6 @@ def test_uniform_spec_blanks_bandit_fields():
     assert (spec.credit, spec.reward, spec.cadence, spec.alpha) == \
            ("-", "-", "-", None)
     assert spec.is_uniform
-    assert spec.aos_config() is None
 
 
 def test_erwa_alpha_defaults_follow_the_tuned_table():
@@ -59,6 +58,16 @@ def test_spec_rejects_bad_fields():
         ConfigSpec("pm", arms="arms4")
     with pytest.raises(ConfigError):
         ConfigSpec("pm", credit="erwa", alpha=1.5)
+
+
+def test_spec_takes_an_arm_count_or_a_scheme_name():
+    by_count = ConfigSpec("pm", arms="7")
+    assert by_count.arms == "arms7"
+    assert by_count == ConfigSpec("pm", arms="arms7")
+    plan = parse_plan("config = pm arms=7\nconfig = pm arms=arms7\n")
+    assert [spec.key() for spec in plan.configs] == [by_count.key()] * 2
+    with pytest.raises(ConfigError, match="unknown arm scheme '5'"):
+        ConfigSpec("pm", arms="5")
 
 
 def test_spec_key_is_canonical_text():
@@ -284,6 +293,14 @@ def test_malformed_plan_lines_raise(line):
 def test_plan_needs_a_config():
     with pytest.raises(PlanFormatError):
         parse_plan("attempts = 3\n")
+
+
+def test_plan_needs_a_bug():
+    # an empty list would run nothing and report 0% success
+    with pytest.raises(PlanFormatError, match="at least one bug"):
+        parse_plan("config = pm\nbugs =\n")
+    with pytest.raises(PlanFormatError, match="at least one bug"):
+        ExperimentPlan(configs=(ConfigSpec("uniform"),), bug_names=())
 
 
 def test_load_plan_missing_file(tmp_path):

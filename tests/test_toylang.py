@@ -123,8 +123,41 @@ def test_nesting_past_the_limit_is_a_parse_error():
         parse_expression("-" * deep + "1")
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse_program("fn f() {" + "{" * deep + "}" * deep + "return 1; }")
-    # the limit counts levels, not length: a long flat chain is fine
-    assert parse_expression(" + ".join(["1"] * deep)) is not None
+    # each operator of a flat chain nests the tree one level deeper
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_expression(" + ".join(["1"] * deep))
+
+
+def _chain_program(operands, op="+"):
+    return ("fn f(x) { y = " + f" {op} ".join(["x"] * operands)
+            + "; return y; }")
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "&&", "||"])
+def test_flat_chain_at_the_limit_parses_and_one_more_does_not(op):
+    # the assignment is one level and each operand one more, so 63
+    # operands make a statement of height 64
+    program = parse_program(_chain_program(MAX_NESTING - 1, op))
+    assert height(program.functions[0].body) == MAX_NESTING
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_program(_chain_program(MAX_NESTING, op))
+
+
+def test_long_flat_chain_is_a_parse_error_not_a_recursion_error():
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_program(_chain_program(1000))
+
+
+def test_parenthesised_chains_count_their_tree_levels_once():
+    # x - (x - (... - x)): every level is one Binary node, and printing
+    # needs one pair of parentheses for each, so height 64 still parses
+    nested = "x"
+    for _ in range(MAX_NESTING - 2):
+        nested = f"x - ({nested})"
+    program = parse_program(f"fn f(x) {{ y = {nested}; return y; }}")
+    body = program.functions[0].body
+    assert height(body) == MAX_NESTING
+    assert parse_program(print_program(program)) == program
 
 
 def test_nesting_at_the_limit_parses():
