@@ -1,5 +1,7 @@
 """Corpus integrity and single-edit reachability checks."""
 
+import dataclasses
+
 import pytest
 
 from patchbandit.corpus import (Bug, CorpusError, DEFAULT_CORPUS_DIR,
@@ -191,3 +193,22 @@ def test_gate_flags_unfixable_bug(tmp_path):
     result = check_bug(load_bug(bugdir))
     assert not result.ok
     assert any("no single-edit variant" in e for e in result.errors)
+
+
+def test_gate_flags_a_bug_that_fails_no_repair_test(corpus):
+    bug = next(bug for bug in corpus if bug.name == "mid3")
+    result = check_bug(dataclasses.replace(bug, program=bug.fixed))
+    assert result.errors == ("buggy program fails no repair test",)
+    assert result.edits_examined == 0
+
+
+def test_gate_flags_a_bug_that_passes_no_repair_test(tmp_path):
+    bugdir = tmp_path / "wrong-1"
+    bugdir.mkdir()
+    (bugdir / "bug.toy").write_text("fn f(x) { return x + 1; }\n")
+    (bugdir / "fixed.toy").write_text("fn f(x) { return x; }\n")
+    (bugdir / "repair.tests").write_text("t0 | f | 0 | 0\nt2 | f | 2 | 2\n")
+    (bugdir / "heldout.tests").write_text("h1 | f | 1 | 1\n")
+    result = check_bug(load_bug(bugdir))
+    assert "buggy program passes no repair test" in result.errors
+    assert "buggy program fails no repair test" not in result.errors

@@ -222,6 +222,24 @@ def test_unknown_bug_is_recorded_and_skipped():
     assert set(report.detail["configs"][0]["bugs"]) == {"reset-1"}
 
 
+def test_a_bug_with_nothing_to_repair_is_an_error_record(tmp_path):
+    bugdir = tmp_path / "fine-1"
+    bugdir.mkdir()
+    program = "fn f(x) { return x; }\n"
+    (bugdir / "bug.toy").write_text(program)
+    (bugdir / "fixed.toy").write_text(program)
+    (bugdir / "repair.tests").write_text("t0 | f | 0 | 0\nt2 | f | 2 | 2\n")
+    (bugdir / "heldout.tests").write_text("h1 | f | 1 | 1\n")
+    plan = dataclasses.replace(SMALL_PLAN, bug_names=None, attempts=1,
+                               corpus_dir=str(tmp_path))
+    report = run_experiment(plan)
+    for block in report.detail["configs"]:
+        (record,) = block["bugs"]["fine-1"]
+        assert record["error"] == "nothing to repair"
+        assert record["patched"] is False
+        assert record["total_evaluations"] == 0
+
+
 def test_written_patches_reapply_and_revalidate(tmp_path, bugs, small_report):
     write_report(small_report, tmp_path)
     assert (tmp_path / "summary.csv").read_text() == small_report.to_csv()
