@@ -71,9 +71,6 @@ def load_corpus(path=None):
                  if sub.is_dir())
     if not bugs:
         raise CorpusError(f"no bug directories under {root}")
-    names = [bug.name for bug in bugs]
-    if len(names) != len(set(names)):
-        raise CorpusError("duplicate bug names")
     return bugs
 
 
@@ -176,22 +173,17 @@ def check_bug(bug: Bug, step_budget: int = DEFAULT_STEP_BUDGET) \
                    if not flag]
             errors.append(f"reference fix fails {label} tests: {bad}")
 
-    buggy_report = run_tests(bug.program, bug.repair_suite, step_budget)
-    if True not in buggy_report.flags:
-        errors.append("buggy program passes no repair test")
-    if False not in buggy_report.flags:
-        errors.append("buggy program fails no repair test")
-
     fixing = []
     examined = 0
     fix_count = 0
-    if False in buggy_report.flags:
-        try:
-            weights = localize(bug.program, bug.repair_suite,
-                               step_budget).weights
-        except NothingToRepair:   # unreachable given the flag check
-            weights = {}
-        for edit in enumerate_edits(bug.program, weights):
+    try:
+        located = localize(bug.program, bug.repair_suite, step_budget)
+    except NothingToRepair:
+        errors.append("buggy program fails no repair test")
+    else:
+        if True not in located.report.flags:
+            errors.append("buggy program passes no repair test")
+        for edit in enumerate_edits(bug.program, located.weights):
             examined += 1
             variant, applied = apply_edit(bug.program, edit)
             if not applied:

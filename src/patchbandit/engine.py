@@ -1,11 +1,14 @@
 """Genetic-programming repair loop with bandit-driven operator choice.
 
 One repair attempt is a classic generational GP search over edit lists:
-binary tournament selection, one-point crossover on the lists, then
-exactly one fresh mutation per individual per generation.  run_repair is
-the only entry: a selector picks the arm of every mint and is credited
-with the child's reward, an aos.Controller over the scheme's arms or, for
-the uniform baseline, an aos.UniformSelector over the scheme's operators.
+binary tournament selection, one-point crossover on the lists (each pair
+of parents crosses over with probability CROSSOVER_RATE), then exactly
+one fresh mutation per individual per generation.  run_repair is the
+only entry: a selector picks the arm of every mint and is credited with
+the child's reward, an aos.Controller over the scheme's arms or, for the
+uniform baseline, an aos.UniformSelector over the scheme's operators.
+An arm is one operator or a group of them; _draw turns the picked arm
+into the operator to mint, drawing a group's member uniformly.
 
 ConfigSpec is the one selection config, from a plan line or the command
 line to the Controller: it checks every name and fills in every default
@@ -43,6 +46,10 @@ ARM_SCHEMES = {
 # tournament selection and crossover need two individuals to choose from
 MIN_POPULATION = 2
 
+# chance that a pair of selected parents is replaced by its two crossover
+# children
+CROSSOVER_RATE = 0.5
+
 BORN_INITIAL = "initial"
 BORN_CROSSOVER = "crossover"
 
@@ -66,35 +73,17 @@ def derive_seed(*parts) -> int:
 
 # ---------------------------------------------------------------- schemes
 
-def _arms(scheme: str) -> tuple:
-    try:
-        return ARM_SCHEMES[scheme]
-    except KeyError:
-        raise ConfigError(f"unknown arm scheme {scheme!r}") from None
-
-
-def scheme_arm_count(scheme: str) -> int:
-    return len(_arms(scheme))
-
-
 def scheme_operators(scheme: str) -> tuple:
     """Operator set reachable under the scheme, in arm order."""
-    return tuple(op for arm in _arms(scheme)
+    return tuple(op for arm in ARM_SCHEMES[scheme]
                  for op in ((arm,) if isinstance(arm, str) else arm))
 
 
 def _draw(members, rng) -> str:
+    """The operator of a selected arm; a group arm draws one uniformly."""
     if isinstance(members, str):
         return members
     return members[rng.randrange(len(members))]
-
-
-def operator_for_arm(arm: int, scheme: str, rng) -> str:
-    """Concrete operator for a selected arm; group arms draw uniformly."""
-    arms = _arms(scheme)
-    if not 0 <= arm < len(arms):
-        raise ConfigError(f"arm {arm} out of range for {scheme}")
-    return _draw(arms[arm], rng)
 
 
 # ------------------------------------------------------------------ types
@@ -176,15 +165,12 @@ class SearchConfig:
     spec: ConfigSpec = ConfigSpec("uniform")
     population_size: int = 40
     generations: int = 10
-    crossover_rate: float = 0.5
 
     def __post_init__(self):
         if self.population_size < MIN_POPULATION:
             raise ConfigError(f"population_size must be >= {MIN_POPULATION}")
         if self.generations < 0:
             raise ConfigError("generations must be >= 0")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigError("crossover_rate must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -288,7 +274,7 @@ def run_repair(program, suite, config: SearchConfig, *,
             selector.flush_generation()
         parents = [pick_parent(population) for _ in range(pop_size)]
         for left in range(0, pop_size - 1, 2):
-            if rng.random() >= config.crossover_rate:
+            if rng.random() >= CROSSOVER_RATE:
                 continue
             first, second = parents[left], parents[left + 1]
             cut_f = rng.randrange(len(first.edits) + 1)

@@ -11,13 +11,13 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .aos import ConfigError
 from .corpus import DEFAULT_CORPUS_DIR, edits_to_jsonable, load_corpus
-from .engine import (MIN_POPULATION, ConfigSpec, SearchConfig, derive_seed,
-                     format_value, run_repair)
+from .engine import (MIN_POPULATION, ConfigSpec, RepairOutcome, SearchConfig,
+                     derive_seed, format_value, run_repair)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
                       run_tests)
 
@@ -28,9 +28,10 @@ run_repair_uniform = run_repair  # unused; perfbench/spans.py hooks the name
 # are cut short
 EXPERIMENT_STEP_BUDGET = 5000
 
-CSV_COLUMNS = ("policy", "credit", "reward", "cadence", "arms", "alpha",
-               "success_rate_micro", "success_rate_macro", "bugs_patched",
-               "avg_variant", "median_variant")
+# the six config axes, then the five metrics
+CSV_COLUMNS = tuple(field.name for field in fields(ConfigSpec)) + (
+    "success_rate_micro", "success_rate_macro", "bugs_patched",
+    "avg_variant", "median_variant")
 
 # smallest value each integer plan field accepts, checked before any cell runs
 _PLAN_MINIMUMS = {"attempts": 1, "population_size": MIN_POPULATION,
@@ -96,23 +97,22 @@ def _bugs_for(corpus_dir):
 
 
 def _run_attempt(task):
-    (corpus_dir, bug_name, spec_fields, seed, pop, gens, budget) = task
+    (corpus_dir, bug_name, axes, seed, pop, gens, budget) = task
     bug = _bugs_for(corpus_dir)[bug_name]
-    config = SearchConfig(seed=seed, spec=ConfigSpec(*spec_fields),
+    config = SearchConfig(seed=seed, spec=ConfigSpec(*axes),
                           population_size=pop, generations=gens)
+    record = {"seed": seed}
     try:
         outcome = run_repair(bug.program, bug.repair_suite, config,
                              step_budget=budget)
     except NothingToRepair:
-        return {"seed": seed, "patched": False,
-                "variants_evaluated_at_patch": None, "total_evaluations": 0,
-                "edits": None, "quality": None, "aos_snapshot": None,
-                "error": "nothing to repair"}
-    record = {"seed": seed, "patched": outcome.patched,
-              "variants_evaluated_at_patch": outcome.variants_evaluated_at_patch,
-              "total_evaluations": outcome.total_evaluations,
-              "edits": None, "quality": None,
-              "aos_snapshot": outcome.aos_snapshot}
+        outcome = RepairOutcome(False, None, None, 0, None)
+        record["error"] = "nothing to repair"
+    record.update(
+        patched=outcome.patched,
+        variants_evaluated_at_patch=outcome.variants_evaluated_at_patch,
+        total_evaluations=outcome.total_evaluations,
+        edits=None, quality=None, aos_snapshot=outcome.aos_snapshot)
     if outcome.patched:
         record["edits"] = edits_to_jsonable(outcome.patch.edits)
         quality = evaluate_quality(outcome.patch.edits, bug,
@@ -197,11 +197,10 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
     tasks = []
     for spec in plan.configs:
-        fields = (spec.policy, spec.credit, spec.reward, spec.cadence,
-                  spec.arms, spec.alpha)
+        axes = astuple(spec)
         for name in names:
             for attempt in range(plan.attempts):
-                tasks.append((corpus_dir, name, fields,
+                tasks.append((corpus_dir, name, axes,
                               plan.seed_for(name, spec, attempt),
                               plan.population_size, plan.generations,
                               plan.step_budget))
@@ -225,13 +224,8 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                 records.append(record)
                 cursor += 1
             per_bug[name] = records
-        blocks.append({
-            "policy": spec.policy, "credit": spec.credit,
-            "reward": spec.reward, "cadence": spec.cadence,
-            "arms": spec.arms, "alpha": spec.alpha,
-            "metrics": compute_metrics(per_bug),
-            "bugs": per_bug,
-        })
+        blocks.append({**asdict(spec), "metrics": compute_metrics(per_bug),
+                       "bugs": per_bug})
 
     detail = {
         "base_seed": plan.base_seed,
@@ -304,7 +298,7 @@ def parse_bug_names(text: str, where: str = "") -> tuple:
 
 def parse_plan(text: str) -> ExperimentPlan:
     """Plain-text manifest: one key = value per line, # for comments."""
-    fields = {"configs": []}
+    kwargs = {"configs": []}
     int_keys = {"base_seed": "base_seed", "attempts": "attempts",
                 "pop": "population_size", "gens": "generations",
                 "step_budget": "step_budget"}
@@ -316,7 +310,7 @@ def parse_plan(text: str) -> ExperimentPlan:
             raise PlanFormatError(f"line {line_no}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
         if key == "config":
-            fields["configs"].append(_parse_config_line(value, line_no))
+            kwargs["configs"].append(_parse_config_line(value, line_no))
         elif key in int_keys:
             try:
                 number = int(value)
@@ -327,15 +321,15 @@ def parse_plan(text: str) -> ExperimentPlan:
             if low is not None and number < low:
                 raise PlanFormatError(
                     f"line {line_no}: {key} must be >= {low}")
-            fields[int_keys[key]] = number
+            kwargs[int_keys[key]] = number
         elif key == "corpus":
-            fields["corpus_dir"] = value
+            kwargs["corpus_dir"] = value
         elif key == "bugs":
-            fields["bug_names"] = parse_bug_names(value, f"line {line_no}: ")
+            kwargs["bug_names"] = parse_bug_names(value, f"line {line_no}: ")
         else:
             raise PlanFormatError(f"line {line_no}: unknown key {key!r}")
     try:
-        return ExperimentPlan(configs=tuple(fields.pop("configs")), **fields)
+        return ExperimentPlan(configs=tuple(kwargs.pop("configs")), **kwargs)
     except PlanFormatError:
         raise
     except (ConfigError, TypeError) as err:

@@ -121,11 +121,9 @@ def _split_state(env: dict, accumulators: frozenset) -> tuple:
 class CompiledProgram:
     def __init__(self, program: Program):
         self.program = program
-        self.functions: dict[str, _CompiledFn] = {}
-        for fn in program.functions:
-            self.functions[fn.name] = _CompiledFn(fn)
-        for cfn in self.functions.values():
-            cfn.compile(self)
+        # a call looks its callee up when it runs, so one pass compiles all
+        self.functions: dict[str, _CompiledFn] = {
+            fn.name: _CompiledFn(fn, self) for fn in program.functions}
 
     def invoke(self, name: str, args: list, ctx: _Ctx):
         cfn = self.functions.get(name)
@@ -135,13 +133,10 @@ class CompiledProgram:
 
 
 class _CompiledFn:
-    def __init__(self, fn: Function):
+    def __init__(self, fn: Function, cp: CompiledProgram):
         self.fn = fn
         self.params = fn.params
-        self.body = None
-
-    def compile(self, cp: CompiledProgram):
-        self.body = tuple(_compile_stmt(s, cp) for s in self.fn.body)
+        self.body = tuple(_compile_stmt(s, cp) for s in fn.body)
 
     def invoke(self, args: list, ctx: _Ctx):
         if len(args) != len(self.params):

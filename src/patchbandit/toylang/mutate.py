@@ -18,11 +18,15 @@ program unchanged and reports a no-op, so edit lists can be replayed in
 any lineage.
 
 Each operator is one record in `_OPERATORS`: where it can act, how it
-rewrites the owner function's body, and its payload's item types.  The
-code here knows no node type's children: it finds, walks and rebuilds
-statements and expressions through syntax.EXPR_FIELDS and
-syntax.BODY_FIELDS, and rebuilds a node through its positional
-constructor with one field replaced.
+rewrites the owner function's body, and its payload's item types.  Two
+adapters build most of the rewrites: `_at_path` finds the expression at
+the edit's path, hands it to a small expression rewrite and grafts what
+that returns in its place (the seven expression operators), and
+`_guarded` wraps the target in an `if` on a condition built from the
+payload (the three guard operators).  The code here knows no node type's
+children: it finds, walks and rebuilds statements and expressions through
+syntax.EXPR_FIELDS and syntax.BODY_FIELDS, and rebuilds a node through its
+positional constructor with one field replaced.
 """
 
 from dataclasses import dataclass, fields
@@ -118,26 +122,6 @@ def _chain(stmt, path):
         else:
             return None
     return chain
-
-
-def _get_expr(stmt, path):
-    chain = _chain(stmt, path)
-    return None if chain is None else chain[-1]
-
-
-def _set_expr(stmt, path, new_node):
-    """Rebuild stmt with new_node grafted at path; None if unaddressable."""
-    chain = _chain(stmt, path)
-    if chain is None:
-        return None
-    node = new_node
-    for parent, step in zip(reversed(chain[:-1]), reversed(path)):
-        if isinstance(step, int):
-            args = list(parent.args)
-            args[step] = node
-            step, node = "args", tuple(args)
-        node = _with(parent, step, node)
-    return node
 
 
 # ------------------------------------------------------ subtree collection
@@ -303,10 +287,10 @@ def mint_edit(operator, program, weights, rng) -> Edit:
         raise KeyError(f"unknown operator {operator!r}")
     sites = _OPERATORS[operator].sites
     candidates = []
-    for fn_name, stmt in program_statements(program):
+    for fn, stmt in program_statements(program):
         if weights.get(stmt.sid, 0.0) <= 0.0:
             continue
-        options = sites(program, program.function(fn_name), stmt)
+        options = sites(program, fn, stmt)
         if options:
             candidates.append((stmt.sid, weights[stmt.sid], options))
     if not candidates:
@@ -327,12 +311,10 @@ def mint_edit(operator, program, weights, rng) -> Edit:
 
 def enumerate_edits(program, weights, operators=ALL_OPERATORS):
     """Every mintable edit over weighted targets, in deterministic order."""
-    statements = [(fn_name, stmt) for fn_name, stmt in
-                  program_statements(program)
+    statements = [(fn, stmt) for fn, stmt in program_statements(program)
                   if weights.get(stmt.sid, 0.0) > 0.0]
     for operator in operators:
-        for fn_name, stmt in statements:
-            fn = program.function(fn_name)
+        for fn, stmt in statements:
             for path, payload in _OPERATORS[operator].sites(program, fn, stmt):
                 yield Edit(operator, stmt.sid, path, payload)
 
@@ -342,8 +324,7 @@ def enumerate_edits(program, weights, operators=ALL_OPERATORS):
 
 def _renumber(stmt, ctr):
     """Copy a statement subtree with fresh ids, allocated pre-order."""
-    node = _with(stmt, "sid", ctr[0])
-    ctr[0] += 1
+    node = _with(stmt, "sid", _fresh(ctr))
     for name in BODY_FIELDS[type(stmt)]:
         node = _with(node, name,
                      tuple(_renumber(s, ctr) for s in getattr(stmt, name)))
@@ -417,8 +398,11 @@ def _len_of(array_name):
     return Call("len", (Var(array_name),))
 
 
-def _edit_stmt(stmt, new_stmt):
-    return None if new_stmt is None else (new_stmt,)
+def _fresh(ctr):
+    """The next free statement id, taken from the counter."""
+    sid = ctr[0]
+    ctr[0] += 1
+    return sid
 
 
 # Statement transforms return a tuple of statements to put in the target's
@@ -443,125 +427,126 @@ def _tf_stmt_replace(program, stmt, edit, ctr):
     return (_renumber(donor, ctr),)
 
 
-def _tf_func_call_swap(program, stmt, edit, ctr):
-    node = _get_expr(stmt, edit.path)
-    if not isinstance(node, Call):
-        return None
-    new_name = edit.payload[0]
-    target_fn = program.function(new_name)
-    if target_fn is None or len(target_fn.params) != len(node.args):
-        return None
-    return _edit_stmt(stmt, _set_expr(stmt, edit.path,
-                                      Call(new_name, node.args)))
+def _tf_var_init_insert(program, stmt, edit, ctr):
+    return (Assign(_fresh(ctr), edit.payload[0], Num(0)), stmt)
 
 
-def _tf_expr_replace(program, stmt, edit, ctr):
-    donor = _parse_payload_expr(edit.payload[0])
-    if donor is None:
-        return None
-    return _edit_stmt(stmt, _set_expr(stmt, edit.path, donor))
-
-
-def _tf_expr_add(program, stmt, edit, ctr):
-    text, op, side = edit.payload
-    donor = _parse_payload_expr(text)
-    current = _get_expr(stmt, edit.path)
-    if donor is None or current is None or op not in ("&&", "||"):
-        return None
-    joined = Binary(op, donor, current) if side == "left" \
-        else Binary(op, current, donor)
-    return _edit_stmt(stmt, _set_expr(stmt, edit.path, joined))
-
-
-def _tf_expr_remove(program, stmt, edit, ctr):
-    current = _get_expr(stmt, edit.path)
-    if not isinstance(current, Binary) or current.op not in ("&&", "||"):
-        return None
-    kept = current.left if edit.payload[0] == "left" else current.right
-    return _edit_stmt(stmt, _set_expr(stmt, edit.path, kept))
-
-
-def _tf_guard_insert(program, stmt, edit, ctr):
-    cond = Binary("!=", Var(edit.payload[0]), Num(0))
-    sid = ctr[0]
-    ctr[0] += 1
-    return (If(sid, cond, (stmt,), ()),)
-
-
-def _tf_range_check_insert(program, stmt, edit, ctr):
-    index_text, array_name = edit.payload
-    idx = _parse_payload_expr(index_text)
-    if idx is None:
-        return None
-    cond = Binary("&&", Binary(">=", idx, Num(0)),
-                  Binary("<", idx, _len_of(array_name)))
-    sid = ctr[0]
-    ctr[0] += 1
-    return (If(sid, cond, (stmt,), ()),)
-
-
-def _tf_size_check_insert(program, stmt, edit, ctr):
-    cond = Binary(">", _len_of(edit.payload[0]), Num(0))
-    sid = ctr[0]
-    ctr[0] += 1
-    return (If(sid, cond, (stmt,), ()),)
+def _clamp(var, op, bound, ctr):
+    """`if (var op bound) { var = bound; }`, the If's id taken first."""
+    sid = _fresh(ctr)
+    return If(sid, Binary(op, Var(var), bound),
+              (Assign(_fresh(ctr), var, bound),), ())
 
 
 def _tf_lower_bound_clamp(program, stmt, edit, ctr):
-    var = edit.payload[0]
-    if_sid = ctr[0]
-    assign_sid = ctr[0] + 1
-    ctr[0] += 2
-    clamp = If(if_sid, Binary("<", Var(var), Num(0)),
-               (Assign(assign_sid, var, Num(0)),), ())
-    return (clamp, stmt)
+    return (_clamp(edit.payload[0], "<", Num(0), ctr), stmt)
 
 
 def _tf_upper_bound_clamp(program, stmt, edit, ctr):
     var, array_name = edit.payload
     bound = Binary("-", _len_of(array_name), Num(1))
-    if_sid = ctr[0]
-    assign_sid = ctr[0] + 1
-    ctr[0] += 2
-    clamp = If(if_sid, Binary(">", Var(var), bound),
-               (Assign(assign_sid, var, bound),), ())
-    return (clamp, stmt)
+    return (_clamp(var, ">", bound, ctr), stmt)
 
 
-def _tf_off_by_one(program, stmt, edit, ctr):
-    node = _get_expr(stmt, edit.path)
-    if node is None:
+def _at_path(rewrite):
+    """Statement transform that grafts rewrite(program, node, payload) in
+    place of the expression node at the edit's path.  A path that leads
+    nowhere, or None from rewrite, vetoes the edit."""
+    def transform(program, stmt, edit, ctr):
+        chain = _chain(stmt, edit.path)
+        if chain is None:
+            return None
+        node = rewrite(program, chain[-1], edit.payload)
+        if node is None:
+            return None
+        for parent, step in zip(reversed(chain[:-1]), reversed(edit.path)):
+            if isinstance(step, int):
+                args = list(parent.args)
+                args[step] = node
+                step, node = "args", tuple(args)
+            node = _with(parent, step, node)
+        return (node,)
+    return transform
+
+
+# Expression rewrites, for _at_path: (program, node at the path, payload) ->
+# the node to graft there, or None to veto the edit.
+
+
+def _swap_callee(program, node, payload):
+    callee = program.function(payload[0])
+    if not isinstance(node, Call) or callee is None \
+            or len(callee.params) != len(node.args):
         return None
-    delta = edit.payload[0]
-    bumped = Binary("+" if delta > 0 else "-", node, Num(1))
-    return _edit_stmt(stmt, _set_expr(stmt, edit.path, bumped))
+    return Call(payload[0], node.args)
 
 
-def _tf_var_init_insert(program, stmt, edit, ctr):
-    sid = ctr[0]
-    ctr[0] += 1
-    return (Assign(sid, edit.payload[0], Num(0)), stmt)
+def _replace_expr(program, node, payload):
+    return _parse_payload_expr(payload[0])
 
 
-def _tf_const_perturb(program, stmt, edit, ctr):
-    node = _get_expr(stmt, edit.path)
+def _add_operand(program, node, payload):
+    text, op, side = payload
+    donor = _parse_payload_expr(text)
+    if donor is None or op not in ("&&", "||"):
+        return None
+    return Binary(op, donor, node) if side == "left" \
+        else Binary(op, node, donor)
+
+
+def _remove_operand(program, node, payload):
+    if not isinstance(node, Binary) or node.op not in ("&&", "||"):
+        return None
+    return node.left if payload[0] == "left" else node.right
+
+
+def _off_by_one(program, node, payload):
+    return Binary("+" if payload[0] > 0 else "-", node, Num(1))
+
+
+def _perturb_const(program, node, payload):
     if not isinstance(node, Num):
         return None
-    value = node.value + edit.payload[0]
+    value = node.value + payload[0]
     # negative literals print as unary minus, so store them that way
-    new_node = Unary(Num(-value)) if value < 0 else Num(value)
-    return _edit_stmt(stmt, _set_expr(stmt, edit.path, new_node))
+    return Unary(Num(-value)) if value < 0 else Num(value)
 
 
-def _tf_negate_condition(program, stmt, edit, ctr):
-    cond = _get_expr(stmt, edit.path)
-    if cond is None:
+def _negate(program, node, payload):
+    if isinstance(node, Binary) and node.op in _NEGATED:
+        return Binary(_NEGATED[node.op], node.left, node.right)
+    return Binary("==", node, Num(0))
+
+
+def _guarded(condition):
+    """Statement transform that wraps the target in an `if` on
+    condition(payload); None from condition vetoes the edit."""
+    def transform(program, stmt, edit, ctr):
+        cond = condition(edit.payload)
+        if cond is None:
+            return None
+        return (If(_fresh(ctr), cond, (stmt,), ()),)
+    return transform
+
+
+# Guard conditions, for _guarded: payload -> the condition, or None to veto.
+
+
+def _nonzero(payload):
+    return Binary("!=", Var(payload[0]), Num(0))
+
+
+def _in_range(payload):
+    index_text, array_name = payload
+    idx = _parse_payload_expr(index_text)
+    if idx is None:
         return None
-    if isinstance(cond, Binary) and cond.op in _NEGATED:
-        flipped = Binary(_NEGATED[cond.op], cond.left, cond.right)
-    else:
-        flipped = Binary("==", cond, Num(0))
-    return _edit_stmt(stmt, _set_expr(stmt, edit.path, flipped))
+    return Binary("&&", Binary(">=", idx, Num(0)),
+                  Binary("<", idx, _len_of(array_name)))
+
+
+def _nonempty(payload):
+    return Binary(">", _len_of(payload[0]), Num(0))
 
 
 def payload_fits(edit: Edit) -> bool:
@@ -603,9 +588,7 @@ def _edit_default_return_insert(program, fn, trail, edit, ctr):
     # the target only names the function; the return goes at its end
     if edit.payload[0] not in (0, 1):
         return None
-    sid = ctr[0]
-    ctr[0] += 1
-    return fn.body + (Return(sid, Num(edit.payload[0])),)
+    return fn.body + (Return(_fresh(ctr), Num(edit.payload[0])),)
 
 
 class _Operator(NamedTuple):
@@ -628,33 +611,33 @@ _OPERATORS = {
     "stmt_replace": _Operator(_sites_stmt_replace,
                               _in_place(_tf_stmt_replace), (int,)),
     "func_call_swap": _Operator(_sites_func_call_swap,
-                                _in_place(_tf_func_call_swap), (str,)),
+                                _in_place(_at_path(_swap_callee)), (str,)),
     "expr_replace": _Operator(_sites_expr_replace,
-                              _in_place(_tf_expr_replace), (str,)),
+                              _in_place(_at_path(_replace_expr)), (str,)),
     "expr_add": _Operator(_sites_expr_add,
-                          _in_place(_tf_expr_add), (str, str, str)),
+                          _in_place(_at_path(_add_operand)), (str, str, str)),
     "expr_remove": _Operator(_sites_expr_remove,
-                             _in_place(_tf_expr_remove), (str,)),
+                             _in_place(_at_path(_remove_operand)), (str,)),
     "guard_insert": _Operator(_sites_var_names,
-                              _in_place(_tf_guard_insert), (str,)),
+                              _in_place(_guarded(_nonzero)), (str,)),
     "range_check_insert": _Operator(_sites_range_check_insert,
-                                    _in_place(_tf_range_check_insert),
+                                    _in_place(_guarded(_in_range)),
                                     (str, str)),
     "size_check_insert": _Operator(_sites_size_check_insert,
-                                   _in_place(_tf_size_check_insert), (str,)),
+                                   _in_place(_guarded(_nonempty)), (str,)),
     "lower_bound_clamp": _Operator(_sites_lower_bound_clamp,
                                    _in_place(_tf_lower_bound_clamp), (str,)),
     "upper_bound_clamp": _Operator(_sites_upper_bound_clamp,
                                    _in_place(_tf_upper_bound_clamp),
                                    (str, str)),
     "off_by_one": _Operator(_sites_off_by_one,
-                            _in_place(_tf_off_by_one), (int,)),
+                            _in_place(_at_path(_off_by_one)), (int,)),
     "var_init_insert": _Operator(_sites_var_names,
                                  _in_place(_tf_var_init_insert), (str,)),
     "const_perturb": _Operator(_sites_const_perturb,
-                               _in_place(_tf_const_perturb), (int,)),
+                               _in_place(_at_path(_perturb_const)), (int,)),
     "negate_condition": _Operator(_sites_negate_condition,
-                                  _in_place(_tf_negate_condition), ()),
+                                  _in_place(_at_path(_negate)), ()),
     "default_return_insert": _Operator(_sites_default_return_insert,
                                        _edit_default_return_insert, (int,)),
     "stmt_swap": _Operator(_sites_stmt_swap, _edit_stmt_swap, ()),

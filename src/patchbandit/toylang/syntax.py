@@ -131,8 +131,6 @@ class Block(_Node):
     body: tuple
 
 
-STMT_TYPES = (Assign, Store, If, While, Return, Block)
-
 # The shape of the tree: which fields of each node type hold nodes, in
 # source order.  An expression field holds one expression and a body field
 # a tuple of statements; the one other field that holds nodes is
@@ -220,9 +218,10 @@ def walk_statements(body):
 
 
 def program_statements(program: Program):
+    """Yield (owner function, statement) for every statement, pre-order."""
     for fn in program.functions:
         for stmt in walk_statements(fn.body):
-            yield fn.name, stmt
+            yield fn, stmt
 
 
 def same_shape(a, b) -> bool:
@@ -270,11 +269,16 @@ def tokenize(text: str):
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), line, start_col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("integer literal too long",
+                                 line, start_col) from None
+            tokens.append(("int", value, line, start_col))
             col += j - i
             i = j
             continue

@@ -142,6 +142,34 @@ def test_gate_on_a_flat_chain_too_deep_to_parse_is_a_corpus_error(tmp_path,
     assert err.startswith("corpus error:") and "nesting deeper than" in err
 
 
+@pytest.mark.parametrize("literal", ["\u00b2", "9" * 5000],
+                         ids=["superscript-two", "5000-digits"])
+def test_gate_on_a_literal_the_lexer_rejects_is_a_corpus_error(tmp_path,
+                                                              capsys,
+                                                              literal):
+    bugdir = tmp_path / "literal-1"
+    shutil.copytree(DEFAULT_CORPUS_DIR / "mid3", bugdir)
+    (bugdir / "bug.toy").write_text(
+        f"fn mid(x, y, z) {{ return {literal}; }}\n")
+    assert main(["gate", "--corpus", str(tmp_path)]) == EXIT_CORPUS
+    err = capsys.readouterr().err
+    assert err.startswith("corpus error: literal-1: parse error at 1:26")
+
+
+def test_quality_on_a_payload_the_lexer_rejects_scores_the_bug(tmp_path,
+                                                               capsys):
+    # the edit cannot apply, so the patch scores as the unpatched program
+    patch_dir = tmp_path / "patches"
+    patch_dir.mkdir()
+    (patch_dir / "a.patch").write_text(
+        '{"bug": "mid3", "edits": [{"op": "expr_replace", "target": 1, '
+        '"path": ["cond"], "payload": ["\u00b2"]}]}\n')
+    (patch_dir / "b.patch").write_text('{"bug": "mid3", "edits": []}\n')
+    assert main(["quality", "--patches", str(patch_dir)]) == EXIT_OK
+    noop, unpatched = capsys.readouterr().out.splitlines()[:2]
+    assert noop.split()[1:] == unpatched.split()[1:]
+
+
 @pytest.mark.parametrize("filename", ["bug.toy", "repair.tests"])
 def test_non_utf8_corpus_file_is_a_corpus_error(tmp_path, capsys, filename):
     shutil.copytree(DEFAULT_CORPUS_DIR / "mid3", tmp_path / "mid3")

@@ -9,9 +9,8 @@ import patchbandit.engine as engine
 from patchbandit.aos import ConfigError, Controller
 from patchbandit.corpus import load_corpus
 from patchbandit.engine import (ARM_SCHEMES, ConfigSpec, RepairOutcome,
-                                SearchConfig, Variant, derive_seed, fnv1a_64,
-                                operator_for_arm, run_repair,
-                                scheme_arm_count, scheme_operators)
+                                SearchConfig, Variant, _draw, derive_seed,
+                                fnv1a_64, run_repair, scheme_operators)
 from patchbandit.toylang import (ALL_OPERATORS, COARSE_OPERATORS, Edit,
                                  InapplicableOperator, NothingToRepair,
                                  OPERATOR_GROUPS, apply_edits, run_tests)
@@ -41,9 +40,9 @@ def test_derived_seeds_are_stable_and_distinct():
 # ----------------------------------------------------------------- schemes
 
 def test_arm_counts():
-    assert [scheme_arm_count(s) for s in ARM_SCHEMES] == [3, 18, 7]
+    assert [len(arms) for arms in ARM_SCHEMES.values()] == [3, 18, 7]
     with pytest.raises(ConfigError):
-        scheme_arm_count("arms5")
+        ConfigSpec("uniform", arms="arms5")
 
 
 def test_scheme_operator_sets():
@@ -82,24 +81,24 @@ def test_arms7_group_layout():
 def test_arms18_round_trips_every_operator():
     rng = random.Random(0)
     for arm, op in enumerate(ALL_OPERATORS):
-        assert operator_for_arm(arm, "arms18", rng) == op
+        assert _draw(ARM_SCHEMES["arms18"][arm], rng) == op
 
 
 def test_only_group_arms_draw_from_the_rng():
     # the one-member multi_line arm still draws, so P0's arms7 stream holds
     rng, reference = random.Random(5), random.Random(5)
     for arm in range(3):
-        assert operator_for_arm(arm, "arms7", rng) == COARSE_OPERATORS[arm]
-        assert operator_for_arm(arm, "arms18", rng) == ALL_OPERATORS[arm]
+        assert _draw(ARM_SCHEMES["arms7"][arm], rng) == COARSE_OPERATORS[arm]
+        assert _draw(ARM_SCHEMES["arms18"][arm], rng) == ALL_OPERATORS[arm]
     assert rng.getstate() == reference.getstate()
-    assert operator_for_arm(6, "arms7", rng) == "stmt_swap"
+    assert _draw(ARM_SCHEMES["arms7"][6], rng) == "stmt_swap"
     reference.randrange(1)
     assert rng.getstate() == reference.getstate()
 
 
 def test_group_arm_draws_uniformly_within_group():
     rng = random.Random(42)
-    draws = [operator_for_arm(3, "arms7", rng) for _ in range(8000)]
+    draws = [_draw(ARM_SCHEMES["arms7"][3], rng) for _ in range(8000)]
     members = ("func_call_swap", "expr_replace", "expr_add", "expr_remove")
     assert set(draws) == set(members)
     for op in members:
@@ -108,15 +107,12 @@ def test_group_arm_draws_uniformly_within_group():
 
 def test_template_operator_unavailable_under_arms3():
     assert "guard_insert" not in scheme_operators("arms3")
-    with pytest.raises(ConfigError):
-        operator_for_arm(3, "arms3", random.Random(0))
 
 
 # ------------------------------------------------------------------ config
 
 def test_search_config_rejects_bad_values():
-    for kwargs in ({"population_size": 1}, {"generations": -1},
-                   {"crossover_rate": 1.5}):
+    for kwargs in ({"population_size": 1}, {"generations": -1}):
         with pytest.raises(ConfigError):
             SearchConfig(seed=1, **kwargs)
 
@@ -169,13 +165,15 @@ def test_patches_revalidate_on_a_fresh_interpreter(bugs):
         assert out.variants_evaluated_at_patch <= out.total_evaluations
 
 
-def test_crossover_heavy_patch_program_is_its_replayed_edit_list(bugs):
+def test_crossover_heavy_patch_program_is_its_replayed_edit_list(
+        bugs, monkeypatch):
     # every pair crosses over, so patches splice lineages; reset-1 seed 9
     # ends in a 12-edit patch with two no-op edits
+    monkeypatch.setattr(engine, "CROSSOVER_RATE", 1.0)
     for name, seed in (("reset-1", 9), ("init-1", 2), ("mid3", 1)):
         bug = bugs[name]
         cfg = SearchConfig(seed=seed, spec=ConfigSpec("uniform", arms="arms18"),
-                           generations=20, crossover_rate=1.0)
+                           generations=20)
         out = run_repair(bug.program, bug.repair_suite, cfg,
                          step_budget=BUDGET)
         assert out.patched, name
@@ -212,8 +210,8 @@ def test_memoized_duplicates_do_not_recount(bugs, monkeypatch):
         return fixed_edit
 
     monkeypatch.setattr(engine, "mint_edit", same_edit_every_time)
-    cfg = SearchConfig(seed=2, population_size=8, generations=5,
-                       crossover_rate=0.0)
+    monkeypatch.setattr(engine, "CROSSOVER_RATE", 0.0)
+    cfg = SearchConfig(seed=2, population_size=8, generations=5)
     out = run_repair(bug.program, bug.repair_suite, cfg,
                      step_budget=BUDGET)
     # every individual shares one lineage; without crossover the distinct
@@ -326,9 +324,10 @@ def test_adaptive_selection_covers_scheme_arms(bugs):
 
 # ------------------------------------------------------------ search shape
 
-def test_crossover_free_run_still_patches(bugs):
+def test_crossover_free_run_still_patches(bugs, monkeypatch):
     bug = bugs["dupadd-1"]
-    cfg = SearchConfig(seed=17, crossover_rate=0.0)
+    monkeypatch.setattr(engine, "CROSSOVER_RATE", 0.0)
+    cfg = SearchConfig(seed=17)
     out = run_repair(bug.program, bug.repair_suite, cfg,
                      step_budget=BUDGET)
     assert out.patched

@@ -525,6 +525,18 @@ def test_payload_nested_past_the_parser_limit_is_a_noop():
         assert apply_edit(program, edit) == (program, False), edit.op
 
 
+@pytest.mark.parametrize("literal", ["\u00b2", "9" * 5000],
+                         ids=["superscript-two", "5000-digits"])
+def test_payload_literal_the_lexer_rejects_is_a_noop(literal):
+    program = demo()
+    loop = sid_of(program, "while (i < n) {")
+    body = sid_of(program, "s = s + a[i];")
+    for edit in (Edit("expr_replace", loop, ("cond",), (literal,)),
+                 Edit("expr_add", loop, ("cond",), (literal, "&&", "left")),
+                 Edit("range_check_insert", body, (), (literal, "a"))):
+        assert apply_edit(program, edit) == (program, False), edit.op
+
+
 def test_payload_that_parses_alone_but_nests_too_deep_in_place_is_a_noop():
     program = demo()
     loop = sid_of(program, "while (i < n) {")

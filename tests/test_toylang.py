@@ -10,7 +10,7 @@ from patchbandit.toylang.suite import (SuiteFormatError, TestCase, TestSuite,
                                        parse_suite)
 from patchbandit.toylang.localize import NothingToRepair, localize
 from patchbandit.toylang import syntax
-from patchbandit.toylang.syntax import (BODY_FIELDS, EXPR_FIELDS, STMT_TYPES,
+from patchbandit.toylang.syntax import (BODY_FIELDS, EXPR_FIELDS,
                                         Block, Call, Function, If, Program,
                                         Return, Var, children, height, walk)
 from patchbandit.toylang.syntax import (MAX_NESTING, Num, ParseError,
@@ -112,6 +112,16 @@ def test_parse_errors_carry_line_and_column():
         parse_program("   # nothing here\n")
     with pytest.raises(ParseError, match="unexpected character"):
         parse_program("fn f() { x = 1 @ 2; }")
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("\u00b2", "unexpected character"),         # a digit to str.isdigit
+    ("9" * 5000, "integer literal too long"),   # past int()'s digit limit
+], ids=["superscript-two", "5000-digits"])
+def test_literals_int_cannot_read_are_parse_errors(literal, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_program(f"fn f() {{\n  return {literal};\n}}")
+    assert (err.value.line, err.value.col) == (2, 10)
 
 
 def test_nesting_past_the_limit_is_a_parse_error():
@@ -224,7 +234,9 @@ def test_shape_tables_list_every_field_that_holds_nodes():
     declared = {obj for obj in vars(syntax).values()
                 if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     assert declared - {Function, Program} == set(EXPR_FIELDS)
-    assert set(BODY_FIELDS) == set(STMT_TYPES)
+    # the statement types are the node types that carry an id
+    assert set(BODY_FIELDS) == {t for t in EXPR_FIELDS
+                                if "sid" in t.__dataclass_fields__}
     seen = {}
     for node in _every_node(parse_program(EVERY_SHAPE)):
         fields = _node_fields(node)
