@@ -275,7 +275,7 @@ def tokenize(text: str):
                 j += 1
             try:
                 value = int(text[i:j])
-            except ValueError:  # past the interpreter's digit limit
+            except ValueError:  # past Python's int() digit limit
                 raise ParseError("integer literal too long",
                                  line, start_col) from None
             tokens.append(("int", value, line, start_col))

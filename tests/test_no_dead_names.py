@@ -52,10 +52,10 @@ def unused_names():
         module = path.relative_to(SRC / "patchbandit").with_suffix("")
         qualifier = ".".join(module.parts)
         lines = text.splitlines()
+        others = [t for other, t in sources.items() if other != path]
         for name, start, end in _definitions(ast.parse(text)):
             word = re.compile(rf"\b{re.escape(name)}\b")
             rest = "\n".join(lines[:start - 1] + lines[end:])
-            others = [t for other, t in sources.items() if other != path]
             if not any(word.search(t) for t in [rest] + others):
                 unused.add(f"{qualifier}.{name}")
     return unused
