@@ -9,6 +9,7 @@ spends the whole budget: the fault kind, the return value and the
 coverage must agree, and the projected run may only stop earlier.
 """
 
+import hashlib
 import random
 import sys
 from unittest import mock
@@ -33,15 +34,20 @@ def _unprojected():
                              lambda loop: frozenset())
 
 
-def _outcome(text, args, budget):
-    cp = compile_program(parse_program(text))
+def _run(cp, args, budget):
+    """f's return value, its fault kind, and the context it ran in."""
     ctx = _Ctx(budget, set())
     try:
         value = cp.invoke("f", [list(a) if isinstance(a, tuple) else a
                                 for a in args], ctx)
-        kind = None
+        return value, None, ctx
     except ToyFault as fault:
-        value, kind = None, fault.kind
+        return None, fault.kind, ctx
+
+
+def _outcome(text, args, budget):
+    value, kind, ctx = _run(compile_program(parse_program(text)), args,
+                            budget)
     return value, kind, ctx.steps, sorted(ctx.coverage)
 
 
@@ -241,6 +247,147 @@ fn f() {
     # two assignments, 65 condition checks and 64 bodies take the loop to
     # the snapshot of iteration 65, the first repeat
     assert (steps == -1) == (budget < 2 + 65 + 64)
+
+
+# ------------------------------------------------- the budget boundary
+
+# Each loop shape's (return value, fault kind, sorted coverage) at every
+# budget from 1 to 1,500, hashed.  The digests were recorded with the
+# 64-iteration check that snapshotted from iteration 64 on; a loop that
+# finds its repeat earlier must decide `cycle` or `budget` exactly as that
+# check would at every budget.
+BOUNDARY_SHAPES = {
+    "frozen": ("""
+fn f(n) {
+  i = 0;
+  while (i < n) {
+    x = i;
+  }
+  return x;
+}
+""", [3], "1f405edfd9d20c9feb02ecca88c6a0b04d6ae924abdd74d1d881f72250b4bb17"),
+    # the iteration that takes the `if` costs two steps more
+    "period-3": ("""
+fn f() {
+  k = 0;
+  while (1 < 2) {
+    k = k + 1;
+    if (k == 3) {
+      k = 0;
+      t = k;
+    }
+  }
+  return 0;
+}
+""", [], "a60cbabfed457a967979648ba0ae5fd75022f7ace1555a5d23fade9b87937f03"),
+    "transient-100": ("""
+fn f() {
+  i = 0;
+  while (i >= 0) {
+    if (i < 100) {
+      i = i + 1;
+    }
+  }
+  return i;
+}
+""", [], "ed804d04a546ceb4e59999578e42f9330cf5a8cae8fe7432f7e477999c68fec5"),
+    "condition-calls": ("""
+fn g(v) {
+  j = 0;
+  while (j < v) {
+    j = j + 1;
+  }
+  return j;
+}
+fn f(n) {
+  x = 0;
+  while (g(n) > x) {
+    x = 1 - x;
+  }
+  return x;
+}
+""", [4], "922200a16dbc979da387908552eba5921c13e66a47ecae2e8ffca777d76a214a"),
+    "nested": ("""
+fn f(a) {
+  i = 0;
+  s = 0;
+  while (i < len(a)) {
+    j = 0;
+    while (j < len(a)) {
+      s = a[j];
+      j = j + 1;
+    }
+  }
+  return s;
+}
+""", [(1, 2, 3)],
+        "c265bb5133656ecbaf71d29b03bb240e1074b68e01806dee0bce9586592f2057"),
+    "zero-drift": ("""
+fn f() {
+  s = 0;
+  k = 0;
+  while (1) {
+    k = 1 - k;
+    s = s + (2 * k - 1);
+  }
+  return s;
+}
+""", [], "f309a38e900052a163393dbdf8e8269db75b10ef24298c22b9f98237a322c4e9"),
+    "drift": ("""
+fn f() {
+  s = 0;
+  k = 0;
+  while (1) {
+    k = 1 - k;
+    s = s + k;
+  }
+  return s;
+}
+""", [], "a69a76a58cefe821ade998f2a0f6353c983e027e582b5b6988dc47551624c907"),
+    "late-frame": ("""
+fn f() {
+  i = 0;
+  while (1) {
+    if (i < 70) {
+      i = i + 1;
+    } else {
+      late = 7;
+    }
+  }
+  return 0;
+}
+""", [], "b1c1edb2e529d6e4b23ffa2b3f265aa5cb00593e349ec13538ab2847f1fc2784"),
+    "ends": ("""
+fn f(n) {
+  i = 0;
+  s = 0;
+  while (i < n) {
+    i = i + 1;
+    if (i % 3 == 0) {
+      s = s + i;
+    }
+  }
+  return s;
+}
+""", [300], "a9a778f9ada264701f06c1c21d993ff501121a650a7b0ca7a601a0237d967947"),
+}
+
+
+def _sweep(text, args):
+    cp = compile_program(parse_program(text))
+    digest = hashlib.sha256()
+    for budget in range(1, 1501):
+        value, kind, ctx = _run(cp, args, budget)
+        digest.update(repr((value, kind, sorted(ctx.coverage))).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("shape", BOUNDARY_SHAPES)
+def test_every_budget_up_to_1500_gives_the_recorded_outcome(shape):
+    text, args, expected = BOUNDARY_SHAPES[shape]
+    assert _sweep(text, args) == expected
+    with _unprojected():
+        assert _sweep(text, args) == expected
 
 
 # ------------------------------------------- differential, whole programs
