@@ -3,24 +3,29 @@
 Programs are compiled once into nested closures (one per AST node) and then
 run against test cases.  Values are Python ints plus int arrays (lists)
 bound to parameters.  Any misuse (undefined variable, array index out of
-bounds, division or modulus by zero, non-integer operand, unknown callee,
-wrong arity, call depth past the cap, falling off a function without
-returning) raises a runtime fault, which fails the current test.  Call
-depth is the toy program's own: a case whose recursion outgrows Python's
-stack before the cap is rerun with room for the whole cap.
+bounds, division or modulus by zero, non-integer operand, a product longer
+than `MAX_PRODUCT_BITS` bits, unknown callee, wrong arity, call depth past
+the cap, falling off a function without returning) raises a runtime
+fault, which fails the current test.  Call depth is the toy program's
+own: a case whose recursion outgrows Python's stack before the cap is
+rerun with room for the whole cap.
 
 A step is one statement execution; a while loop spends one step per
-condition check.  Exhausting the budget is a fault.  From its 64th
-iteration on, a loop also snapshots its frame at every condition check,
-leaving out its accumulators: names whose every occurrence in the loop
-(condition and body, nested statements included) is a self-update
-`v = v + e`, `v = v - e` or `v = e + v`, where `e` reads no accumulator
-(found when the loop takes its first snapshot).  At the first repeat of
-such a reduced snapshot the loop can never end: it faults `cycle` if the
-accumulators repeat too, and `budget` at once otherwise.  Both are the
-fault the loop would reach without the projection, at any budget.
+condition check.  Exhausting the budget is a fault.  The fault rule for
+loops is: a loop whose snapshot, taken at every condition check from its
+64th iteration on, repeats one taken earlier faults `cycle` there.  A
+snapshot leaves out the loop's accumulators: names whose every occurrence
+in the loop (condition and body, nested statements included) is a
+self-update `v = v + e`, `v = v - e` or `v = e + v`, where `e` reads no
+accumulator (found when the loop takes its first snapshot).  At the first
+repeat of such a reduced snapshot the loop can never end: it faults
+`cycle` if the accumulators repeat too, and `budget` at once otherwise.
+Both are the fault the loop would reach without the projection, at any
+budget.  A loop snapshots from its first iteration, so a loop that
+freezes early stops at its first repeat, and works out there which fault
+the rule would give.
 
-The hot path rests on three exactness arguments:
+The hot path rests on four exactness arguments:
 
 * A loop snapshot is the tuple of the frame's values alone, arrays copied
   to tuples.  Names are never removed from a frame, only added, and a
@@ -33,14 +38,23 @@ The hot path rests on three exactness arguments:
   fault.  An accumulator is read only by its own update, and that read
   faults only if the name is undefined (the frame length shows that) or
   not an int (then the period before the repeat would have faulted,
-  unless it never ran the update).  So once the reduced snapshot repeats, the loop
-  takes the same path forever and each accumulator changes by the same
-  amount every period.  If every amount is zero, the full frame repeats
-  at this iteration, the first at which it can, and the full snapshot
-  faults `cycle` here too.  Otherwise the full frame never repeats and
+  unless it never ran the update).  So once the reduced snapshot repeats,
+  the loop takes the same path forever and each accumulator changes by
+  the same amount every period.  If every amount is zero, the full frame
+  repeats at this iteration, the first at which it can, and the full
+  snapshot repeats here too.  Otherwise the full frame never repeats and
   the loop runs until the budget is gone.  Every statement it would run
   was covered in that period, and the statement that runs out of budget
   is not covered, so coverage matches as well.
+* When iteration j's snapshot first repeats iteration i's, the loop runs
+  the same path, spends the same steps and covers the same statements
+  every p = j - i iterations from i on.  The rule, which looks only from
+  iteration 64 on, first meets a repeat at iteration max(i, 64) + p, and
+  the steps left there follow from the steps left at iterations i to j
+  (`_fault_at_repeat`).  Steps only go down, so if that count is negative
+  the budget runs out on the way there.  Every statement run after j was
+  run between i and j, so faulting at j gives the rule's fault kind and
+  coverage; only the steps left differ, and no report carries them.
 * `Num` with an int literal, `Unary`, `Binary` and `len(...)` can only
   produce an int (or fault), so conditions, `&&`/`||` operands, indexes
   and stored values built from them skip the run-time int check.  `Var`,
@@ -59,13 +73,10 @@ from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
                      Program, Return, Store, Unary, Var, While, BUILTIN_LEN,
                      children, height)
 
-_ARITH_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_CMP_FNS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
-
 DEFAULT_STEP_BUDGET = 100_000
 MAX_CALL_DEPTH = 100
 _CYCLE_CHECK_AFTER = 64
+MAX_PRODUCT_BITS = 65_536
 
 
 class ToyFault(Exception):
@@ -102,6 +113,21 @@ def _trunc_div(a: int, b: int) -> int:
     return q + 1 if q < 0 and q * b != a else q
 
 
+def _mul(a: int, b: int) -> int:
+    """a * b, faulting `overflow` past MAX_PRODUCT_BITS bits: a loop that
+    squares would otherwise double an int's length every iteration."""
+    product = a * b
+    if product.bit_length() > MAX_PRODUCT_BITS:
+        raise ToyFault("overflow",
+                       f"product longer than {MAX_PRODUCT_BITS} bits")
+    return product
+
+
+_ARITH_FNS = {"+": operator.add, "-": operator.sub, "*": _mul}
+_CMP_FNS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
 def _state_key(env: dict) -> tuple:
     return tuple([tuple(v) if type(v) is list else v for v in env.values()])
 
@@ -116,6 +142,31 @@ def _split_state(env: dict, accumulators: frozenset) -> tuple:
         (totals if name in accumulators else key).append(
             tuple(v) if type(v) is list else v)
     return tuple(key), tuple(totals)
+
+
+def _fault_at_repeat(seen: dict, key: tuple, left: list,
+                     steps: int) -> ToyFault:
+    """The fault the check from iteration `_CYCLE_CHECK_AFTER` on raises,
+    now that this iteration's snapshot `key` repeats an earlier one and no
+    accumulator has changed.  `seen` holds one snapshot per iteration in
+    order, left[k] is the steps left after iteration k's condition for k
+    up to `_CYCLE_CHECK_AFTER`, and `steps` is this iteration's.
+
+    The loop repeats every p = j - i iterations from iteration i, the
+    first with this snapshot, spending the same steps each period.  If i is
+    past the check's start, the check sees this repeat itself.  Otherwise
+    it first sees one at J = _CYCLE_CHECK_AFTER + p, with
+    left[i + r] - q * (left[i] - steps) steps left, where J - i = q * p + r
+    and so i + r <= _CYCLE_CHECK_AFTER.  It faults `cycle` there if that
+    is not negative; otherwise the budget runs out on the way.
+    """
+    i = list(seen).index(key) + 1
+    if i < _CYCLE_CHECK_AFTER:
+        period = len(seen) + 1 - i
+        q, r = divmod(_CYCLE_CHECK_AFTER + period - i, period)
+        if left[i + r] - q * (left[i] - steps) < 0:
+            return ToyFault("budget", "step budget exhausted")
+    return ToyFault("cycle", "loop state repeats; the loop cannot terminate")
 
 
 class CompiledProgram:
@@ -475,8 +526,8 @@ def _compile_stmt(stmt, cp: CompiledProgram):
         accumulators = None     # found at the first snapshot, if any
         def while_(env, ctx):
             nonlocal accumulators
-            iters = 0
-            seen = None
+            seen = {}       # snapshot -> accumulator totals, in order
+            left = [None]   # left[k]: steps left after iteration k (k <= 64)
             while True:
                 steps = ctx.steps - 1
                 ctx.steps = steps
@@ -486,23 +537,20 @@ def _compile_stmt(stmt, cp: CompiledProgram):
                     ctx.coverage.add(sid)
                 if not cond(env, ctx):
                     return
-                iters += 1
-                if iters >= _CYCLE_CHECK_AFTER:
-                    if seen is None:
-                        seen = {}
-                        if accumulators is None:
-                            accumulators = _accumulators(stmt)
-                    if accumulators:
-                        key, totals = _split_state(env, accumulators)
-                    else:
-                        key, totals = _state_key(env), None
-                    size = len(seen)
-                    first = seen.setdefault(key, totals)
-                    if len(seen) == size:
-                        if first == totals:
-                            raise ToyFault("cycle", "loop state repeats; "
-                                           "the loop cannot terminate")
+                if accumulators is None:
+                    accumulators = _accumulators(stmt)
+                if accumulators:
+                    key, totals = _split_state(env, accumulators)
+                else:
+                    key, totals = _state_key(env), None
+                size = len(seen)
+                first = seen.setdefault(key, totals)
+                if len(seen) == size:
+                    if first != totals:
                         raise ToyFault("budget", "step budget exhausted")
+                    raise _fault_at_repeat(seen, key, left, ctx.steps)
+                if size < _CYCLE_CHECK_AFTER:
+                    left.append(ctx.steps)
                 for s in body:
                     s(env, ctx)
         return while_

@@ -130,6 +130,23 @@ def test_gate_fails_on_unreachable_fix(tmp_path, capsys):
     assert "gate: FAIL" in capsys.readouterr().out
 
 
+def test_gate_on_a_bug_whose_mutant_squares_forever_ends(tmp_path, capsys):
+    # deleting `i = i + 1` leaves a loop that squares x until the product
+    # outgrows the interpreter's limit; the first repair test reaches it
+    bugdir = tmp_path / "square-1"
+    bugdir.mkdir()
+    (bugdir / "bug.toy").write_text(
+        "fn f(x) {\n  i = 0;\n  while (i < 2) {\n    x = x * x;\n"
+        "    i = i + 1;\n  }\n  return x;\n}\n")
+    (bugdir / "fixed.toy").write_text(
+        (bugdir / "bug.toy").read_text().replace("i < 2", "i < 1"))
+    (bugdir / "repair.tests").write_text(
+        "t2 | f | 2 | 4\nt0 | f | 0 | 0\nt1 | f | 1 | 1\n")
+    (bugdir / "heldout.tests").write_text("h3 | f | 3 | 9\n")
+    assert main(["gate", "--corpus", str(tmp_path)]) == EXIT_OK
+    assert "square-1: PASS" in capsys.readouterr().out
+
+
 def test_gate_on_a_flat_chain_too_deep_to_parse_is_a_corpus_error(tmp_path,
                                                                  capsys):
     bugdir = tmp_path / "chain-1"

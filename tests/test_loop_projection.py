@@ -244,9 +244,9 @@ fn f() {
 """
     _, kind, steps, full_steps = _compare(text, budget=budget)
     assert kind == "budget" and full_steps == -1
-    # two assignments, 65 condition checks and 64 bodies take the loop to
-    # the snapshot of iteration 65, the first repeat
-    assert (steps == -1) == (budget < 2 + 65 + 64)
+    # two assignments, 2 condition checks and 1 body take the loop to the
+    # snapshot of iteration 2, the first repeat
+    assert (steps == -1) == (budget < 2 + 2 + 1)
 
 
 # ------------------------------------------------- the budget boundary
@@ -291,6 +291,20 @@ fn f() {
   return i;
 }
 """, [], "ed804d04a546ceb4e59999578e42f9330cf5a8cae8fe7432f7e477999c68fec5"),
+    # the frame grows at iteration 50, so the cycle runs from 50 to 150
+    # and straddles iteration 64
+    "period-100": ("""
+fn f() {
+  k = 0;
+  while (k >= 0) {
+    k = (k + 1) % 100;
+    if (k == 50) {
+      t = k;
+    }
+  }
+  return k;
+}
+""", [], "93e7be4a562ed56c994e6a569e0d7c9f0986ca794e5f6114e1ef92efbabd9b58"),
     "condition-calls": ("""
 fn g(v) {
   j = 0;
@@ -415,7 +429,7 @@ def _report(program, suite, budget):
 @given(operators=st.lists(st.sampled_from(ALL_OPERATORS), min_size=1,
                           max_size=12),
        seed=st.integers(min_value=0, max_value=2 ** 32),
-       budget=st.integers(min_value=40, max_value=100_000))
+       budget=st.integers(min_value=1, max_value=100_000))
 def test_projection_changes_no_flag_fault_or_coverage(bug, operators, seed,
                                                       budget):
     program = _lineage(bug, operators, random.Random(seed))

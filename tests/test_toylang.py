@@ -1,10 +1,12 @@
 """Parser, printer, and interpreter oracles for the toy language."""
 
 import dataclasses
+import time
 
 import pytest
 
-from patchbandit.toylang.interp import (run_tests, passes_all, ToyFault,
+from patchbandit.toylang.interp import (MAX_PRODUCT_BITS, run_tests,
+                                        passes_all, ToyFault,
                                         compile_program, _Ctx)
 from patchbandit.toylang.suite import (SuiteFormatError, TestCase, TestSuite,
                                        parse_suite)
@@ -365,6 +367,25 @@ def test_runtime_fault_kinds():
     assert fault_kind("fn f() { x = 1; }", "f", []) == "missing-return"
     assert fault_kind("fn f(a) { return a + 1; }", "f", [[1]]) == "type"
     assert fault_kind("fn f() { return f(); }", "f", []) == "depth"
+
+
+@pytest.mark.parametrize("budget", [48, 5000, 100_000])
+def test_a_squaring_loop_faults_overflow_within_a_second(budget):
+    squaring = "fn f(x) { while (1 < 2) { x = x * x; } return 0; }"
+    started = time.perf_counter()
+    assert fault_kind(squaring, "f", [3], budget=budget) == "overflow"
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("product", ["x * y", "x * 2", "(x + 0) * y"],
+                         ids=["var-var", "var-num", "general"])
+def test_a_product_just_under_the_bit_limit_still_computes(product):
+    text = f"fn f(x, y) {{ return {product}; }}"
+    x = 1 << (MAX_PRODUCT_BITS - 2)
+    assert run_entry(text, "f", [x, 2]) == 1 << (MAX_PRODUCT_BITS - 1)
+    assert run_entry(text, "f", [x, 2]).bit_length() == MAX_PRODUCT_BITS
+    assert fault_kind(text, "f", [2 * x, 2]) == "overflow"
+    assert fault_kind(text, "f", [-2 * x, 2]) == "overflow"
 
 
 def test_budget_exhaustion_on_growing_loop():
