@@ -146,19 +146,14 @@ def _split_state(env: dict, accumulators: frozenset) -> tuple:
 
 def _fault_at_repeat(seen: dict, key: tuple, left: list,
                      steps: int) -> ToyFault:
-    """The fault the check from iteration `_CYCLE_CHECK_AFTER` on raises,
-    now that this iteration's snapshot `key` repeats an earlier one and no
-    accumulator has changed.  `seen` holds one snapshot per iteration in
-    order, left[k] is the steps left after iteration k's condition for k
-    up to `_CYCLE_CHECK_AFTER`, and `steps` is this iteration's.
-
-    The loop repeats every p = j - i iterations from iteration i, the
-    first with this snapshot, spending the same steps each period.  If i is
-    past the check's start, the check sees this repeat itself.  Otherwise
-    it first sees one at J = _CYCLE_CHECK_AFTER + p, with
-    left[i + r] - q * (left[i] - steps) steps left, where J - i = q * p + r
-    and so i + r <= _CYCLE_CHECK_AFTER.  It faults `cycle` there if that
-    is not negative; otherwise the budget runs out on the way.
+    """The fault the loop rule gives, now that this iteration's snapshot
+    `key` repeats iteration i's and no accumulator has changed: `seen`
+    holds one snapshot per iteration in order, left[k] the steps left
+    after iteration k (k <= 64) and `steps` this iteration's.  From i the
+    loop repeats every p = j - i iterations for the same steps.  If i >= 64
+    the rule sees this repeat itself; otherwise it first meets one at
+    J = 64 + p, with left[i + r] - q * (left[i] - steps) steps left, where
+    J - i = q * p + r and so i + r <= 64.
     """
     i = list(seen).index(key) + 1
     if i < _CYCLE_CHECK_AFTER:
