@@ -381,9 +381,8 @@ def test_a_squaring_loop_faults_overflow_within_a_second(budget):
                          ids=["var-var", "var-num", "general"])
 def test_a_product_just_under_the_bit_limit_still_computes(product):
     text = f"fn f(x, y) {{ return {product}; }}"
-    x = 1 << (MAX_PRODUCT_BITS - 2)
+    x = 1 << (MAX_PRODUCT_BITS - 2)     # x * 2 is MAX_PRODUCT_BITS long
     assert run_entry(text, "f", [x, 2]) == 1 << (MAX_PRODUCT_BITS - 1)
-    assert run_entry(text, "f", [x, 2]).bit_length() == MAX_PRODUCT_BITS
     assert fault_kind(text, "f", [2 * x, 2]) == "overflow"
     assert fault_kind(text, "f", [-2 * x, 2]) == "overflow"
 
