@@ -205,8 +205,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                               plan.population_size, plan.generations,
                               plan.step_budget))
 
-    jobs = worker_count()
-    if jobs > 1 and len(tasks) > 1:
+    # the pool starts all its workers at once, so start no idle ones
+    jobs = min(worker_count(), len(tasks))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_attempt, tasks, chunksize=4))
     else:

@@ -7,6 +7,7 @@ import pytest
 
 from patchbandit.aos import ConfigError
 from patchbandit.corpus import load_corpus, load_patch
+from patchbandit import experiment
 from patchbandit.engine import derive_seed
 from patchbandit.experiment import (CSV_COLUMNS, ConfigSpec, ExperimentPlan,
                                     PlanFormatError, QualityScore,
@@ -259,6 +260,37 @@ def test_worker_pool_does_not_change_the_bytes(small_report, monkeypatch):
     monkeypatch.setenv("REPAIR_JOBS", "1")
     serial = run_experiment(plan)
     assert parallel.to_json() == serial.to_json()
+
+
+@pytest.mark.parametrize("jobs, attempts, workers", [("500", 1, [2]),
+                                                     ("2", 3, [2]),
+                                                     ("500", 3, [6])])
+def test_the_pool_starts_no_more_workers_than_cells(monkeypatch, jobs,
+                                                    attempts, workers):
+    started = []
+
+    class RecordingPool:
+        """Records max_workers and runs the cells in this process, so that
+        no worker process is ever started."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("REPAIR_JOBS", jobs)
+    plan = dataclasses.replace(SMALL_PLAN, bug_names=("reset-1",),
+                               attempts=attempts, generations=1)
+    run_experiment(plan)     # two configs, so 2 * attempts cells
+    assert started == workers
 
 
 def test_worker_count_honors_the_env(monkeypatch):
