@@ -3,10 +3,9 @@
 from .interp import (DEFAULT_STEP_BUDGET, FitnessReport, ToyFault,
                      compile_program, passes_all, run_tests)
 from .localize import LocalizeResult, NothingToRepair, localize
-from .mutate import (ALL_OPERATORS, COARSE_OPERATORS, Edit, GROUP_OF,
+from .mutate import (ALL_OPERATORS, COARSE_OPERATORS, Edit,
                      InapplicableOperator, OPERATOR_GROUPS, apply_edit,
-                     apply_edits, enumerate_edits, mint_edit,
-                     payload_fits)
+                     apply_edits, enumerate_edits, mint_edit, payload_fits)
 from .suite import SuiteFormatError, TestCase, TestSuite, parse_suite
 from .syntax import (ParseError, Program, parse_expression, parse_program,
                      print_expr, print_program, print_statement,
@@ -14,7 +13,7 @@ from .syntax import (ParseError, Program, parse_expression, parse_program,
 
 __all__ = [
     "ALL_OPERATORS", "COARSE_OPERATORS", "DEFAULT_STEP_BUDGET", "Edit",
-    "FitnessReport", "GROUP_OF", "InapplicableOperator", "LocalizeResult",
+    "FitnessReport", "InapplicableOperator", "LocalizeResult",
     "NothingToRepair", "OPERATOR_GROUPS", "ParseError", "Program",
     "SuiteFormatError", "TestCase", "TestSuite", "ToyFault", "apply_edit",
     "apply_edits", "compile_program", "enumerate_edits", "localize",

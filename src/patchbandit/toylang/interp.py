@@ -1,14 +1,17 @@
 """Tree-walking interpreter with a per-test step budget.
 
 Programs are compiled once into nested closures (one per AST node) and then
-run against test cases.  Values are Python ints plus int arrays (lists)
-bound to parameters.  Any misuse (undefined variable, array index out of
-bounds, division or modulus by zero, non-integer operand, a product longer
-than `MAX_PRODUCT_BITS` bits, unknown callee, wrong arity, call depth past
-the cap, falling off a function without returning) raises a runtime
-fault, which fails the current test.  Call depth is the toy program's
-own: a case whose recursion outgrows Python's stack before the cap is
-rerun with room for the whole cap.
+run against test cases.  Values are ints in the signed 64-bit range
+(`syntax.INT_MIN` to `INT_MAX`, in place of a cap on products alone) plus
+int arrays (lists) bound to parameters.  Literals and test values are
+checked where they are read and results in `_ARITH_FNS`, so every value
+stays in range.  Any misuse (undefined variable, array index out of
+bounds, division or modulus by zero, non-integer operand, a result outside
+the range, unknown callee, wrong arity, call depth past the cap, falling
+off a function without returning) raises a runtime fault, which fails the
+current test.  Call depth is the toy program's own: a case whose
+recursion outgrows Python's stack before the cap is rerun with room for
+the whole cap.
 
 A step is one statement execution; a while loop spends one step per
 condition check.  Exhausting the budget is a fault.  The fault rule for
@@ -19,11 +22,12 @@ in the loop (condition and body, nested statements included) is a
 self-update `v = v + e`, `v = v - e` or `v = e + v`, where `e` reads no
 accumulator (found when the loop takes its first snapshot).  At the first
 repeat of such a reduced snapshot the loop can never end: it faults
-`cycle` if the accumulators repeat too, and `budget` at once otherwise.
-Both are the fault the loop would reach without the projection, at any
-budget.  A loop snapshots from its first iteration, so a loop that
-freezes early stops at its first repeat, and works out there which fault
-the rule would give.
+`cycle` if the accumulators repeat too, and otherwise `budget`, or
+`overflow` if an accumulator leaves the range before the budget is gone
+(`_skip_periods`).  Each is the fault the loop would reach without the
+projection, at any budget.  A loop snapshots from its first iteration,
+so a loop that freezes early stops at its first repeat, and works out
+there which fault the rule would give.
 
 The hot path rests on four exactness arguments:
 
@@ -43,9 +47,13 @@ The hot path rests on four exactness arguments:
   the same amount every period.  If every amount is zero, the full frame
   repeats at this iteration, the first at which it can, and the full
   snapshot repeats here too.  Otherwise the full frame never repeats and
-  the loop runs until the budget is gone.  Every statement it would run
-  was covered in that period, and the statement that runs out of budget
-  is not covered, so coverage matches as well.
+  the loop runs until the budget is gone or an accumulator leaves the
+  range.  An accumulator moves by the same amount each period at each
+  point of the period, so it leaves the range within the budget only if
+  it is out of range at some point of the last two periods the budget
+  allows, or after the last update of the periods before them.  So the
+  loop skips those periods and runs the last two.  Every statement it
+  would run was covered in that period, so coverage matches as well.
 * When iteration j's snapshot first repeats iteration i's, the loop runs
   the same path, spends the same steps and covers the same statements
   every p = j - i iterations from i on.  The rule, which looks only from
@@ -71,12 +79,11 @@ from dataclasses import dataclass
 
 from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
                      Program, Return, Store, Unary, Var, While, BUILTIN_LEN,
-                     children, height)
+                     INT_MAX, INT_MIN, children, height)
 
 DEFAULT_STEP_BUDGET = 100_000
 MAX_CALL_DEPTH = 100
 _CYCLE_CHECK_AFTER = 64
-MAX_PRODUCT_BITS = 65_536
 
 
 class ToyFault(Exception):
@@ -97,10 +104,10 @@ class _ReturnSignal(Exception):
 class _Ctx:
     __slots__ = ("steps", "coverage", "depth")
 
-    def __init__(self, steps: int, coverage):
+    def __init__(self, steps: int, coverage, depth: int = 0):
         self.steps = steps
         self.coverage = coverage
-        self.depth = 0
+        self.depth = depth
 
 
 def _undefined(name: str) -> ToyFault:
@@ -108,22 +115,42 @@ def _undefined(name: str) -> ToyFault:
                     f"variable {name!r} read before assignment")
 
 
-def _trunc_div(a: int, b: int) -> int:
+def _not_an_array(name: str, value) -> ToyFault:
+    """The fault of using `name` as an array; value is env.get(name)."""
+    if value is None:
+        return ToyFault("undefined-variable", f"array {name!r} is not defined")
+    return ToyFault("type", f"{name!r} is not an array")
+
+
+# `/` rounds toward zero, and `%` is the remainder with the sign of a
+def _div(a: int, b: int) -> int:
+    if b == 0:
+        raise ToyFault("div-zero", "division by zero")
     q = a // b
     return q + 1 if q < 0 and q * b != a else q
 
 
-def _mul(a: int, b: int) -> int:
-    """a * b, faulting `overflow` past MAX_PRODUCT_BITS bits: a loop that
-    squares would otherwise double an int's length every iteration."""
-    product = a * b
-    if product.bit_length() > MAX_PRODUCT_BITS:
-        raise ToyFault("overflow",
-                       f"product longer than {MAX_PRODUCT_BITS} bits")
-    return product
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise ToyFault("div-zero", "modulus by zero")
+    return a - _div(a, b) * b
 
 
-_ARITH_FNS = {"+": operator.add, "-": operator.sub, "*": _mul}
+def _checked(fn):
+    """fn, faulting `overflow` when its result leaves the int range."""
+    low, high = INT_MIN, INT_MAX
+    def checked(a: int, b: int) -> int:
+        v = fn(a, b)
+        if low <= v <= high:
+            return v
+        raise ToyFault("overflow", "result outside the signed 64-bit range")
+    return checked
+
+
+# every arithmetic operator, on ints the caller has checked
+_ARITH_FNS = {"+": _checked(operator.add), "-": _checked(operator.sub),
+              "*": _checked(operator.mul), "/": _checked(_div),
+              "%": _checked(_mod)}
 _CMP_FNS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
@@ -144,24 +171,33 @@ def _split_state(env: dict, accumulators: frozenset) -> tuple:
     return tuple(key), tuple(totals)
 
 
-def _fault_at_repeat(seen: dict, key: tuple, left: list,
-                     steps: int) -> ToyFault:
-    """The fault the loop rule gives, now that this iteration's snapshot
-    `key` repeats iteration i's and no accumulator has changed: `seen`
-    holds one snapshot per iteration in order, left[k] the steps left
-    after iteration k (k <= 64) and `steps` this iteration's.  From i the
-    loop repeats every p = j - i iterations for the same steps.  If i >= 64
-    the rule sees this repeat itself; otherwise it first meets one at
-    J = 64 + p, with left[i + r] - q * (left[i] - steps) steps left, where
-    J - i = q * p + r and so i + r <= 64.
+def _fault_at_repeat(i: int, j: int, left: list, steps: int) -> ToyFault:
+    """The fault the loop rule gives, now that iteration j's snapshot
+    repeats iteration i's and no accumulator has changed: left[k] holds
+    the steps left after iteration k (k <= 64) and `steps` iteration j's.
+    From i the loop repeats every p = j - i iterations for the same steps.
+    If i >= 64 the rule sees this repeat itself; otherwise it first meets
+    one at J = 64 + p, with left[i + r] - q * (left[i] - steps) steps
+    left, where J - i = q * p + r and so i + r <= 64.
     """
-    i = list(seen).index(key) + 1
     if i < _CYCLE_CHECK_AFTER:
-        period = len(seen) + 1 - i
+        period = j - i
         q, r = divmod(_CYCLE_CHECK_AFTER + period - i, period)
         if left[i + r] - q * (left[i] - steps) < 0:
             return ToyFault("budget", "step budget exhausted")
     return ToyFault("cycle", "loop state repeats; the loop cannot terminate")
+
+
+def _skip_periods(env: dict, ctx: _Ctx, accumulators: frozenset,
+                  was: tuple, now: tuple, period: int) -> _Ctx:
+    """Move changed accumulators (`was` and `now`, in frame order) on by
+    all but the last two periods the budget allows, and return a context
+    for the rest of the loop, which covers nothing new."""
+    skip = max(ctx.steps // period - 1, 0)
+    for name, a, b in zip([n for n in env if n in accumulators], was, now):
+        if a != b:
+            env[name] = _ARITH_FNS["+"](b, skip * (b - a))
+    return _Ctx(ctx.steps - skip * period, None, ctx.depth)
 
 
 class CompiledProgram:
@@ -248,13 +284,9 @@ def _compile_expr(expr, cp: CompiledProgram):
             return _compile_index_by_var(name, expr.index.name)
         idx = _compile_int(expr.index, cp, "array index")
         def index_read(env, ctx):
-            try:
-                arr = env[name]
-            except KeyError:
-                raise ToyFault("undefined-variable",
-                               f"array {name!r} is not defined")
+            arr = env.get(name)
             if type(arr) is not list:
-                raise ToyFault("type", f"{name!r} is not an array")
+                raise _not_an_array(name, arr)
             i = idx(env, ctx)
             if 0 <= i < len(arr):
                 return arr[i]
@@ -263,7 +295,8 @@ def _compile_expr(expr, cp: CompiledProgram):
         return index_read
     if t is Unary:
         operand = _compile_int(expr.operand, cp, "operand of -")
-        return lambda env, ctx: -operand(env, ctx)
+        sub = _ARITH_FNS["-"]
+        return lambda env, ctx: sub(0, operand(env, ctx))
     if t is Binary:
         return _compile_binary(expr, cp)
     if t is Call:
@@ -275,13 +308,9 @@ def _compile_index_by_var(name: str, idx_name: str):
     """`name[idx_name]`, both read straight from env, faulting in the
     general path's order."""
     def index_by_var(env, ctx):
-        try:
-            arr = env[name]
-        except KeyError:
-            raise ToyFault("undefined-variable",
-                           f"array {name!r} is not defined")
+        arr = env.get(name)
         if type(arr) is not list:
-            raise ToyFault("type", f"{name!r} is not an array")
+            raise _not_an_array(name, arr)
         try:
             i = env[idx_name]
         except KeyError:
@@ -380,51 +409,29 @@ def _compile_binary(expr: Binary, cp: CompiledProgram):
             return 1 if right(env, ctx) else 0
         return or_
 
-    if op in _ARITH_FNS or op in _CMP_FNS:
-        leaf = _compile_leaf_binary(expr)
-        if leaf is not None:
-            return leaf
+    leaf = _compile_leaf_binary(expr)
+    if leaf is not None:
+        return leaf
     left = _compile_expr(expr.left, cp)
     right = _compile_expr(expr.right, cp)
-    if op in _ARITH_FNS:
-        fn = _ARITH_FNS[op]
-        def arith(env, ctx):
-            a = left(env, ctx)
-            b = right(env, ctx)
-            if type(a) is not int or type(b) is not int:
-                raise ToyFault("type", f"operands of {op} must be integers")
-            return fn(a, b)
-        return arith
+    message = f"operands of {op} must be integers"
     if op in _CMP_FNS:
         fn = _CMP_FNS[op]
         def cmp(env, ctx):
             a = left(env, ctx)
             b = right(env, ctx)
             if type(a) is not int or type(b) is not int:
-                raise ToyFault("type", f"operands of {op} must be integers")
+                raise ToyFault("type", message)
             return 1 if fn(a, b) else 0
         return cmp
-    if op == "/":
-        def div(env, ctx):
-            a = left(env, ctx)
-            b = right(env, ctx)
-            if type(a) is not int or type(b) is not int:
-                raise ToyFault("type", "operands of / must be integers")
-            if b == 0:
-                raise ToyFault("div-zero", "division by zero")
-            return _trunc_div(a, b)
-        return div
-    if op == "%":
-        def mod(env, ctx):
-            a = left(env, ctx)
-            b = right(env, ctx)
-            if type(a) is not int or type(b) is not int:
-                raise ToyFault("type", "operands of % must be integers")
-            if b == 0:
-                raise ToyFault("div-zero", "modulus by zero")
-            return a - _trunc_div(a, b) * b
-        return mod
-    raise TypeError(f"unknown binary operator {op!r}")
+    fn = _ARITH_FNS[op]
+    def arith(env, ctx):
+        a = left(env, ctx)
+        b = right(env, ctx)
+        if type(a) is not int or type(b) is not int:
+            raise ToyFault("type", message)
+        return fn(a, b)
+    return arith
 
 
 def _compile_call(expr: Call, cp: CompiledProgram):
@@ -477,13 +484,9 @@ def _compile_stmt(stmt, cp: CompiledProgram):
                 raise ToyFault("budget", "step budget exhausted")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
-            try:
-                arr = env[name]
-            except KeyError:
-                raise ToyFault("undefined-variable",
-                               f"array {name!r} is not defined")
+            arr = env.get(name)
             if type(arr) is not list:
-                raise ToyFault("type", f"{name!r} is not an array")
+                raise _not_an_array(name, arr)
             i = idx(env, ctx)
             if not 0 <= i < len(arr):
                 raise ToyFault("index",
@@ -541,10 +544,16 @@ def _compile_stmt(stmt, cp: CompiledProgram):
                 size = len(seen)
                 first = seen.setdefault(key, totals)
                 if len(seen) == size:
-                    if first != totals:
-                        raise ToyFault("budget", "step budget exhausted")
-                    raise _fault_at_repeat(seen, key, left, ctx.steps)
-                if size < _CYCLE_CHECK_AFTER:
+                    i = list(seen).index(key) + 1
+                    if first == totals:
+                        raise _fault_at_repeat(i, size + 1, left, ctx.steps)
+                    # the steps are kept for iterations up to 64 only; for
+                    # a later i, start afresh and skip at the next repeat
+                    if i < len(left):
+                        ctx = _skip_periods(env, ctx, accumulators, first,
+                                            totals, left[i] - ctx.steps)
+                    seen, left = {}, [None]
+                elif size < _CYCLE_CHECK_AFTER:
                     left.append(ctx.steps)
                 for s in body:
                     s(env, ctx)

@@ -32,11 +32,11 @@ positional constructor with one field replaced.
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .syntax import (BODY_FIELDS, CMP_OPS, EXPR_FIELDS, MAX_NESTING, Assign,
-                     Binary, Call, Function, If, Index, Num, ParseError,
-                     Program, Return, Store, Unary, Var, While, height,
-                     parse_expression, print_expr, program_statements, walk,
-                     walk_statements)
+from .syntax import (BODY_FIELDS, CMP_OPS, EXPR_FIELDS, INT_MAX, MAX_NESTING,
+                     Assign, Binary, Call, Function, If, Index, Num,
+                     ParseError, Program, Return, Store, Unary, Var, While,
+                     height, parse_expression, print_expr, program_statements,
+                     walk, walk_statements)
 
 COARSE_OPERATORS = ("stmt_append", "stmt_delete", "stmt_replace")
 
@@ -51,9 +51,6 @@ OPERATOR_GROUPS = {
 }
 
 ALL_OPERATORS = tuple(op for ops in OPERATOR_GROUPS.values() for op in ops)
-
-GROUP_OF = {op: group for group, ops in OPERATOR_GROUPS.items()
-            for op in ops}
 
 _NEGATED = {"<": ">=", ">=": "<", "<=": ">", ">": "<=", "==": "!=", "!=": "=="}
 
@@ -508,6 +505,8 @@ def _perturb_const(program, node, payload):
     if not isinstance(node, Num):
         return None
     value = node.value + payload[0]
+    if abs(value) > INT_MAX:    # its literal would not parse back
+        return None
     # negative literals print as unary minus, so store them that way
     return Unary(Num(-value)) if value < 0 else Num(value)
 

@@ -5,6 +5,8 @@ One test per line, four pipe-separated fields:
     name | entry | arg, arg, ... | expected
 
 Arguments are integers or bracketed integer arrays (`[3, 1, 2]`, `[]`).
+An integer is an optional '-' and then the digits 0-9, and lies in the
+signed 64-bit range [-2^63, 2^63), as does the expected value.
 The argument field may be empty for nullary functions.  Blank lines and
 lines starting with '#' are skipped.
 """
@@ -12,6 +14,8 @@ lines starting with '#' are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .syntax import read_int
 
 
 class SuiteFormatError(ValueError):
@@ -66,10 +70,9 @@ def _split_args(text: str, source: str, lineno: int) -> list[str]:
 
 def _parse_int(text: str, source: str, lineno: int) -> int:
     try:
-        return int(text.strip())
-    except ValueError:
-        raise SuiteFormatError(f"not an integer: {text.strip()!r}",
-                               source, lineno)
+        return read_int(text.strip())
+    except ValueError as err:
+        raise SuiteFormatError(str(err), source, lineno) from None
 
 
 def _parse_arg(text: str, source: str, lineno: int):

@@ -33,6 +33,9 @@ MUL_OPS = ("*", "/", "%")
 MAX_NESTING = 64
 _TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
+# the signed 64-bit range of every toy int (literal, test value, result)
+INT_MIN, INT_MAX = -2 ** 63, 2 ** 63 - 1
+
 
 class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
@@ -237,6 +240,20 @@ def same_shape(a, b) -> bool:
     return a == b
 
 
+def read_int(text: str) -> int:
+    """The int that text, an optional '-' and the digits 0-9, spells;
+    ValueError if it is not that or lies outside [INT_MIN, INT_MAX]."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    # 20 digits are past the range already, and int() reads at most 4,300
+    value = int(digits.lstrip("0")[:20] or "0")
+    value = -value if text.startswith("-") else value
+    if not INT_MIN <= value <= INT_MAX:
+        raise ValueError("integer outside the signed 64-bit range")
+    return value
+
+
 # ---------------------------------------------------------------- lexer
 
 
@@ -274,9 +291,9 @@ def tokenize(text: str):
             while j < n and "0" <= text[j] <= "9":
                 j += 1
             try:
-                value = int(text[i:j])
-            except ValueError:  # past Python's int() digit limit
-                raise ParseError("integer literal too long",
+                value = read_int(text[i:j])
+            except ValueError:
+                raise ParseError("integer literal out of range",
                                  line, start_col) from None
             tokens.append(("int", value, line, start_col))
             col += j - i

@@ -132,7 +132,7 @@ def test_gate_fails_on_unreachable_fix(tmp_path, capsys):
 
 def test_gate_on_a_bug_whose_mutant_squares_forever_ends(tmp_path, capsys):
     # deleting `i = i + 1` leaves a loop that squares x until the product
-    # outgrows the interpreter's limit; the first repair test reaches it
+    # leaves the int range; the first repair test reaches it
     bugdir = tmp_path / "square-1"
     bugdir.mkdir()
     (bugdir / "bug.toy").write_text(
@@ -171,6 +171,23 @@ def test_gate_on_a_literal_the_lexer_rejects_is_a_corpus_error(tmp_path,
     assert main(["gate", "--corpus", str(tmp_path)]) == EXIT_CORPUS
     err = capsys.readouterr().err
     assert err.startswith("corpus error: literal-1: parse error at 1:26")
+
+
+@pytest.mark.parametrize("value", ["9223372036854775808",
+                                   "[-9223372036854775809]", "1_000", "+5",
+                                   "\u0663"],
+                         ids=["2^63", "element-below", "underscore", "plus",
+                              "arabic-indic-three"])
+def test_gate_on_a_suite_value_the_grammar_rejects_is_a_corpus_error(
+        tmp_path, capsys, value):
+    bugdir = tmp_path / "suite-1"
+    shutil.copytree(DEFAULT_CORPUS_DIR / "mid3", bugdir)
+    (bugdir / "repair.tests").write_text(f"t | mid | 1, 2, 3 | 2\n"
+                                         f"u | mid | {value}, 2, 3 | 2\n")
+    assert main(["gate", "--corpus", str(tmp_path)]) == EXIT_CORPUS
+    err = capsys.readouterr().err
+    assert err.startswith("corpus error: suite-1: ")
+    assert "repair.tests:2: " in err
 
 
 def test_quality_on_a_payload_the_lexer_rejects_scores_the_bug(tmp_path,

@@ -3,10 +3,11 @@
 A loop leaves its accumulators (names only ever updated as `v = v + e`,
 `v = v - e` or `v = e + v`) out of its snapshot and decides at the first
 repeat of the rest: `cycle` when the accumulators repeat too, `budget`
-otherwise.  Every case here is checked against the same interpreter with
-no accumulators, which snapshots the whole frame and, on a runaway loop,
-spends the whole budget: the fault kind, the return value and the
-coverage must agree, and the projected run may only stop earlier.
+otherwise, unless an accumulator would leave the int range (`overflow`)
+before the budget is gone.  Every case here is checked against the same
+interpreter with no accumulators, which snapshots the whole frame and, on
+a runaway loop, spends the whole budget: the fault kind, the return value
+and the coverage must agree, and the projected run may only stop earlier.
 """
 
 import hashlib
@@ -103,6 +104,69 @@ fn f(a) {{
     assert full_steps == -1 and steps > 100_000 - 200
 
 
+@pytest.mark.parametrize("update, delta", [("s = s + d;", 2 ** 62),
+                                           ("s = s - d;", 2 ** 62),
+                                           ("s = d + s;", 2 ** 40),
+                                           ("s = s + d;", 1)])
+def test_a_drifting_accumulator_overflows_if_it_leaves_the_range_in_budget(
+        update, delta):
+    text = f"""
+fn f(d) {{
+  s = 0;
+  while (1) {{
+    {update}
+  }}
+}}
+"""
+    # 2^40 per iteration leaves the range after 2^23 iterations, past the
+    # budget; 2^62 after two
+    _, kind, steps, _ = _compare(text, [delta])
+    assert kind == ("overflow" if delta == 2 ** 62 else "budget")
+    assert steps > 100_000 - 200
+
+
+def test_an_accumulator_that_only_swings_out_of_range_inside_a_period():
+    # s is 0 at every snapshot of the first period and grows by one per
+    # period, but s + d leaves the range once s reaches 1001
+    text = """
+fn f(d) {
+  s = 0;
+  while (1) {
+    s = s + d;
+    s = s - d;
+    s = s + 1;
+  }
+}
+"""
+    kinds = {budget: _compare(text, [2 ** 63 - 1002], budget)[1]
+             for budget in range(3995, 4015)}
+    assert set(kinds.values()) == {"budget", "overflow"}
+    flip = min(b for b, kind in kinds.items() if kind == "overflow")
+    assert all((kind == "overflow") == (budget >= flip)
+               for budget, kind in kinds.items())
+
+
+def test_a_drift_that_starts_after_iteration_64():
+    # the rest of the frame settles at iteration 100, where the snapshot
+    # repeats for the first time; s leaves the range after 1,000 updates
+    text = """
+fn f(d) {
+  s = 0;
+  i = 0;
+  while (1) {
+    if (i < 100) {
+      i = i + 1;
+    }
+    s = s + d;
+  }
+}
+"""
+    kinds = [_compare(text, [2 ** 63 // 1000], budget)[1]
+             for budget in range(3095, 3115)]
+    assert kinds == ["budget"] * 10 + ["overflow"] * 10
+    assert _compare(text, [2 ** 63 // 1000])[1] == "overflow"
+
+
 def test_a_repeat_with_two_accumulators_is_a_cycle_only_if_both_repeat():
     loop = """
 fn f(d) {{
@@ -126,7 +190,7 @@ fn f(d) {{
     ("if (g(s) == 1) { i = 3; }", None),       # a call argument
     ("if (s == 300) { return s; }", None),     # a return
     ("t = t + s;", "budget"),                  # another accumulator's delta
-    ("s = s + s;", "budget"),                  # its own delta
+    ("s = s + s;", "overflow"),                # its own delta
     ("while (s < 0) { }", "budget"),           # a nested loop's condition
     ("s = 7;", "cycle"),                       # another assignment
 ])

@@ -7,7 +7,7 @@ import pytest
 from patchbandit.corpus import load_corpus
 from patchbandit.toylang.localize import localize
 from patchbandit.toylang.mutate import (ALL_OPERATORS, COARSE_OPERATORS,
-                                        Edit, GROUP_OF, InapplicableOperator,
+                                        Edit, InapplicableOperator,
                                         OPERATOR_GROUPS, apply_edit,
                                         apply_edits, enumerate_edits,
                                         mint_edit)
@@ -71,8 +71,8 @@ def test_operator_inventory():
     sizes = {g: len(ops) for g, ops in OPERATOR_GROUPS.items()}
     assert sizes == {"coarse": 3, "func_expr": 4, "checks": 6,
                      "init_cast": 4, "multi_line": 1}
-    assert GROUP_OF["off_by_one"] == "checks"
-    assert GROUP_OF["stmt_swap"] == "multi_line"
+    assert "off_by_one" in OPERATOR_GROUPS["checks"]
+    assert OPERATOR_GROUPS["multi_line"] == ("stmt_swap",)
 
 
 # ----------------------------------------------------------- coarse moves
@@ -214,6 +214,30 @@ def test_const_perturb_below_zero_prints_negative_literal():
     out = apply_ok(program, Edit("const_perturb", target, ("expr",), (-1,)))
     assert "y = -1;" in print_program(out)
     assert same_shape(parse_program(print_program(out)), out)
+
+
+@pytest.mark.parametrize("literal, path, delta", [
+    ("9223372036854775807", ("expr",), 1),
+    ("9223372036854775806", ("expr",), 2),
+    ("-9223372036854775807", ("expr", "operand"), 1),
+    # -2^63 would print as the literal 2^63 under a minus
+    ("0", ("expr",), -2 ** 63),
+])
+def test_const_perturb_past_the_int_range_is_a_no_op(literal, path, delta):
+    program = parse_program(f"fn f() {{ y = {literal}; return y; }}")
+    target = sid_of(program, f"y = {literal};")
+    out, applied = apply_edit(program, Edit("const_perturb", target, path,
+                                            (delta,)))
+    assert (out, applied) == (program, False)
+
+
+def test_const_perturb_to_the_ends_of_the_int_range_prints_back():
+    program = parse_program("fn f() { y = 0; return y; }")
+    target = sid_of(program, "y = 0;")
+    for delta in (2 ** 63 - 1, 1 - 2 ** 63):
+        out = apply_ok(program, Edit("const_perturb", target, ("expr",),
+                                     (delta,)))
+        assert same_shape(parse_program(print_program(out)), out)
 
 
 def test_negate_condition_complements_comparisons():
