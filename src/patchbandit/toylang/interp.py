@@ -51,9 +51,11 @@ The hot path rests on four exactness arguments:
   range.  An accumulator moves by the same amount each period at each
   point of the period, so it leaves the range within the budget only if
   it is out of range at some point of the last two periods the budget
-  allows, or after the last update of the periods before them.  So the
-  loop skips those periods and runs the last two.  Every statement it
-  would run was covered in that period, so coverage matches as well.
+  allows, which hold the last time the loop reaches each point.  So the
+  loop moves the accumulators on by the periods before those (a value
+  that leaves the range there faults `overflow` at once, as it would at
+  the period's last update) and runs the two.  Every statement it would
+  run was covered in that period, so coverage matches as well.
 * When iteration j's snapshot first repeats iteration i's, the loop runs
   the same path, spends the same steps and covers the same statements
   every p = j - i iterations from i on.  The rule, which looks only from
