@@ -167,6 +167,43 @@ fn f(d) {
     assert _compare(text, [2 ** 63 // 1000])[1] == "overflow"
 
 
+_DRIFT_STATEMENTS = (
+    "s = s + d;", "s = s - e;", "s = e + s;", "t = t + (d * 2);",
+    "if (i < {k}) {{ i = i + 1; }}",
+    "if (i < {k}) {{ i = i + 1; }} else {{ s = s + e; }}",
+    "j = 0; while (j < 2) {{ s = s + d; j = j + 1; }}",
+    "s = s + (d - e);", "if (s > 0) {{ q = 1; }}",
+)
+_BIG = [2 ** 63 // n for n in (1, 3, 50, 700, 1500)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=st.lists(st.sampled_from(_DRIFT_STATEMENTS), min_size=1,
+                     max_size=4),
+       k=st.sampled_from([3, 70, 130]),
+       d=st.sampled_from(_BIG + [-b for b in _BIG] + [0, 1]),
+       e=st.sampled_from(_BIG + [-b for b in _BIG] + [0, 1]),
+       budget=st.integers(min_value=1, max_value=6000))
+def test_random_drifting_loops_fault_as_the_unprojected_run(body, k, d, e,
+                                                            budget):
+    # accumulators with deltas up to 2^63, some settling only after
+    # iteration 64 (k = 70, 130)
+    statements = " ".join(stmt.format(k=k) for stmt in body)
+    text = f"""
+fn f(d, e) {{
+  s = 0;
+  t = 0;
+  i = 0;
+  q = 0;
+  while (1) {{
+    {statements}
+  }}
+  return s;
+}}
+"""
+    _compare(text, [d, e], budget)
+
+
 def test_a_repeat_with_two_accumulators_is_a_cycle_only_if_both_repeat():
     loop = """
 fn f(d) {{
