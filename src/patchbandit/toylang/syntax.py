@@ -15,18 +15,23 @@ only builtin is len(a) for array parameters.  A '#' starts a line comment.
 
 Every statement node carries a small integer id (sid) assigned in pre-order
 during parsing; mutation edits address statements through these ids.
+
+`_LEVELS` holds the binary operators' precedence, the one statement of it:
+the parser reads one level of the table at a time, and the printer's
+precedences are derived from it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 KEYWORDS = ("fn", "if", "else", "while", "return")
 BUILTIN_LEN = "len"
 
 CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
-ADD_OPS = ("+", "-")
-MUL_OPS = ("*", "/", "%")
+# the binary operators' precedence levels, loosest first
+_LEVELS = (("||",), ("&&",), CMP_OPS, ("+", "-"), ("*", "/", "%"))
 
 # Deepest nesting of blocks and expressions the parser accepts; deeper
 # input is a ParseError rather than a RecursionError.
@@ -323,10 +328,10 @@ def tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, first_sid: int = 0):
+    def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.sid = first_sid
+        self.sids = itertools.count()
         self.depth = 0
 
     def peek(self):
@@ -340,8 +345,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}",
-                             tok[2], tok[3])
+            self.fail(f"expected {kind!r}, found {tok[1]!r}", tok)
         return tok
 
     def fail(self, msg, tok=None):
@@ -354,10 +358,24 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(_TOO_DEEP)
 
-    def fresh_sid(self) -> int:
-        sid = self.sid
-        self.sid += 1
-        return sid
+    def opened_list(self, item) -> tuple:
+        """'(' and the comma-separated items that item() reads; the caller
+        expects the closing ')'."""
+        self.expect("(")
+        items = []
+        if self.peek()[0] != ")":
+            items.append(item())
+            while self.peek()[0] == ",":
+                self.next()
+                items.append(item())
+        return tuple(items)
+
+    def bracketed(self, opening, closing):
+        """The expression between an opening and a closing bracket."""
+        self.expect(opening)
+        expr = self.expression()
+        self.expect(closing)
+        return expr
 
     # declarations
 
@@ -372,28 +390,19 @@ class _Parser:
             functions.append(fn)
         if not functions:
             self.fail("empty program")
-        return Program(tuple(functions), self.sid)
+        return Program(tuple(functions), next(self.sids))
 
     def function(self) -> Function:
         self.expect("fn")
         name_tok = self.expect("ident")
         name = name_tok[1]
         if name == BUILTIN_LEN:
-            raise ParseError(f"{BUILTIN_LEN!r} is reserved",
-                             name_tok[2], name_tok[3])
-        self.expect("(")
-        params = []
-        if self.peek()[0] != ")":
-            params.append(self.expect("ident")[1])
-            while self.peek()[0] == ",":
-                self.next()
-                params.append(self.expect("ident")[1])
+            self.fail(f"{BUILTIN_LEN!r} is reserved", name_tok)
+        params = self.opened_list(lambda: self.expect("ident")[1])
         if len(set(params)) != len(params):
-            raise ParseError(f"duplicate parameter in {name!r}",
-                             name_tok[2], name_tok[3])
+            self.fail(f"duplicate parameter in {name!r}", name_tok)
         self.expect(")")
-        body = self.block_body()
-        return Function(name, tuple(params), body)
+        return Function(name, params, self.block_body())
 
     # statements
 
@@ -415,13 +424,16 @@ class _Parser:
         return tuple(body)
 
     def statement(self):
-        kind = self.peek()[0]
+        tok = self.peek()
+        kind = tok[0]
+        if kind not in ("if", "while", "return", "{", "ident"):
+            self.fail("expected a statement")
+        sid = next(self.sids)
+        if kind == "{":
+            return Block(sid, self.block_body())
+        self.next()
         if kind == "if":
-            sid = self.fresh_sid()
-            self.next()
-            self.expect("(")
-            cond = self.expression()
-            self.expect(")")
+            cond = self.bracketed("(", ")")
             then = self.block_body()
             orelse = ()
             if self.peek()[0] == "else":
@@ -429,127 +441,67 @@ class _Parser:
                 orelse = self.block_body()
             return If(sid, cond, then, orelse)
         if kind == "while":
-            sid = self.fresh_sid()
-            self.next()
-            self.expect("(")
-            cond = self.expression()
-            self.expect(")")
-            return While(sid, cond, self.block_body())
+            return While(sid, self.bracketed("(", ")"), self.block_body())
         if kind == "return":
-            sid = self.fresh_sid()
-            self.next()
-            expr = self.expression()
-            self.expect(";")
-            return Return(sid, expr)
-        if kind == "{":
-            return Block(self.fresh_sid(), self.block_body())
-        if kind == "ident":
-            sid = self.fresh_sid()
-            name = self.next()[1]
-            if self.peek()[0] == "[":
-                self.next()
-                index = self.expression()
-                self.expect("]")
-                self.expect("=")
-                expr = self.expression()
-                self.expect(";")
-                return Store(sid, name, index, expr)
+            stmt = Return(sid, self.expression())
+        elif self.peek()[0] == "[":
+            index = self.bracketed("[", "]")
             self.expect("=")
-            expr = self.expression()
-            self.expect(";")
-            return Assign(sid, name, expr)
-        self.fail("expected a statement")
-
-    # expressions (precedence climbing)
-
-    def expression(self):
-        return self.or_expr()
-
-    def or_expr(self):
-        left = self.and_expr()
-        while self.peek()[0] == "||":
-            self.next()
-            left = _link("||", left, self.and_expr())
-        return left
-
-    def and_expr(self):
-        left = self.cmp_expr()
-        while self.peek()[0] == "&&":
-            self.next()
-            left = _link("&&", left, self.cmp_expr())
-        return left
-
-    def cmp_expr(self):
-        left = self.add_expr()
-        if self.peek()[0] in CMP_OPS:
-            op = self.next()[0]
-            return Binary(op, left, self.add_expr())
-        return left
-
-    def add_expr(self):
-        left = self.mul_expr()
-        while self.peek()[0] in ADD_OPS:
-            op = self.next()[0]
-            left = _link(op, left, self.mul_expr())
-        return left
-
-    def mul_expr(self):
-        left = self.unary_expr()
-        while self.peek()[0] in MUL_OPS:
-            op = self.next()[0]
-            left = _link(op, left, self.unary_expr())
-        return left
-
-    def unary_expr(self):
-        # every nested expression (operand, parenthesis, argument, index)
-        # passes through here
-        self.descend()
-        if self.peek()[0] == "-":
-            self.next()
-            expr = Unary(self.unary_expr())
+            stmt = Store(sid, tok[1], index, self.expression())
         else:
-            expr = self.atom()
-        self.depth -= 1
-        return expr
+            self.expect("=")
+            stmt = Assign(sid, tok[1], self.expression())
+        self.expect(";")
+        return stmt
+
+    # expressions
+
+    def expression(self, level=0):
+        """An expression whose operators bind at least as tightly as
+        _LEVELS[level]'s: a left-associative chain of them, or past the
+        table's end a unary minus or an atom.  A comparison takes no
+        second comparison."""
+        if level == len(_LEVELS):
+            # every nested expression (operand, parenthesis, argument,
+            # index) passes through here
+            self.descend()
+            if self.peek()[0] == "-":
+                self.next()
+                expr = Unary(self.expression(level))
+            else:
+                expr = self.atom()
+            self.depth -= 1
+            return expr
+        ops = _LEVELS[level]
+        left = self.expression(level + 1)
+        while self.peek()[0] in ops:
+            op = self.next()[0]
+            left = Binary(op, left, self.expression(level + 1))
+            # keep the chain's height as it grows, so that measuring it
+            # later recurses only through the levels descended into
+            height((left,))
+            if ops is CMP_OPS:
+                break
+        return left
 
     def atom(self):
-        tok = self.next()
+        tok = self.peek()
         kind = tok[0]
+        if kind == "(":
+            return self.bracketed("(", ")")
+        self.next()
         if kind == "int":
             return Num(tok[1])
+        if kind != "ident":
+            self.fail(f"expected an expression, found {tok[1]!r}", tok)
+        kind = self.peek()[0]
         if kind == "(":
-            expr = self.expression()
+            args = self.opened_list(self.expression)
             self.expect(")")
-            return expr
-        if kind == "ident":
-            name = tok[1]
-            if self.peek()[0] == "(":
-                self.next()
-                args = []
-                if self.peek()[0] != ")":
-                    args.append(self.expression())
-                    while self.peek()[0] == ",":
-                        self.next()
-                        args.append(self.expression())
-                self.expect(")")
-                return Call(name, tuple(args))
-            if self.peek()[0] == "[":
-                self.next()
-                index = self.expression()
-                self.expect("]")
-                return Index(name, index)
-            return Var(name)
-        raise ParseError(f"expected an expression, found {tok[1]!r}",
-                         tok[2], tok[3])
-
-
-def _link(op, left, right):
-    """One more operator of a left-associative chain.  Its height is kept
-    as the chain grows, so measuring the chain later recurses only through
-    the levels the parser descended into, not one per operator."""
-    node = Binary(op, left, right)
-    height((node,))
-    return node
+            return Call(tok[1], args)
+        if kind == "[":
+            return Index(tok[1], self.bracketed("[", "]"))
+        return Var(tok[1])
 
 
 def parse_program(text: str) -> Program:
@@ -569,9 +521,7 @@ def parse_expression(text: str):
 # -------------------------------------------------------- pretty-printer
 
 
-_PRECEDENCE = {"||": 1, "&&": 2,
-               "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
-               "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+_PRECEDENCE = {op: prec for prec, ops in enumerate(_LEVELS, 1) for op in ops}
 
 
 def print_expr(expr, parent_prec: int = 0) -> str:
@@ -582,7 +532,7 @@ def print_expr(expr, parent_prec: int = 0) -> str:
     if isinstance(expr, Index):
         return f"{expr.name}[{print_expr(expr.index)}]"
     if isinstance(expr, Unary):
-        return f"-{print_expr(expr.operand, 6)}"
+        return f"-{print_expr(expr.operand, len(_LEVELS) + 1)}"
     if isinstance(expr, Call):
         args = ", ".join(print_expr(a) for a in expr.args)
         return f"{expr.name}({args})"
