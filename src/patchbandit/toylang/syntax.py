@@ -345,8 +345,12 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            self.fail(f"expected {kind!r}, found {tok[1]!r}", tok)
+            self.expected(repr(kind), tok)
         return tok
+
+    def expected(self, what, tok):
+        found = "end of input" if tok[0] == "eof" else repr(tok[1])
+        self.fail(f"expected {what}, found {found}", tok)
 
     def fail(self, msg, tok=None):
         tok = tok or self.peek()
@@ -410,7 +414,7 @@ class _Parser:
         self.expect("{")
         self.descend()
         body = []
-        while self.peek()[0] != "}":
+        while self.peek()[0] not in ("}", "eof"):
             start = self.peek()
             stmt = self.statement()
             # depth counts blocks, operands and parentheses but not the
@@ -493,7 +497,7 @@ class _Parser:
         if kind == "int":
             return Num(tok[1])
         if kind != "ident":
-            self.fail(f"expected an expression, found {tok[1]!r}", tok)
+            self.expected("an expression", tok)
         kind = self.peek()[0]
         if kind == "(":
             args = self.opened_list(self.expression)

@@ -90,34 +90,39 @@ MALFORMED = [
     (parse_program, "fn f() { return " + "(" * DEEP + "1" + ")" * DEEP
      + "; }", "1:80: nesting deeper than 64 levels"),
     # input that ends early
-    (parse_program, "fn", "1:3: expected 'ident', found None"),
-    (parse_program, "fn f(a)", "1:8: expected '{', found None"),
-    (parse_program, "fn f(a) {", "1:10: expected a statement"),
-    (parse_program, "fn f() { { x = 1; }", "1:20: expected a statement"),
+    (parse_program, "fn", "1:3: expected 'ident', found end of input"),
+    (parse_program, "fn f(a)", "1:8: expected '{', found end of input"),
+    (parse_program, "fn f(a) {", "1:10: expected '}', found end of input"),
+    (parse_program, "fn f() { { x = 1; }",
+     "1:20: expected '}', found end of input"),
     (parse_program, "fn f(a) {\n  return g(a, b",
-     "2:16: expected ')', found None"),
+     "2:16: expected ')', found end of input"),
     (parse_program, "fn f(a) {\n  return a[1",
-     "2:13: expected ']', found None"),
+     "2:13: expected ']', found end of input"),
     (parse_program, "fn f(a) {\n  return (a + 1",
-     "2:16: expected ')', found None"),
+     "2:16: expected ')', found end of input"),
     (parse_program, "fn f(a) {\n  return a ||",
-     "2:14: expected an expression, found None"),
+     "2:14: expected an expression, found end of input"),
     # bare expressions
-    (parse_expression, "(a", "1:3: expected ')', found None"),
+    (parse_expression, "(a", "1:3: expected ')', found end of input"),
     (parse_expression, "a)", "1:2: trailing input after expression"),
     (parse_expression, "a < b < c", "1:7: trailing input after expression"),
-    (parse_expression, "a ||", "1:5: expected an expression, found None"),
+    (parse_expression, "a ||",
+     "1:5: expected an expression, found end of input"),
     (parse_expression, "a && || b",
      "1:6: expected an expression, found '||'"),
     (parse_expression, "a + * b", "1:5: expected an expression, found '*'"),
     (parse_expression, "f(a,)", "1:5: expected an expression, found ')'"),
     (parse_expression, "f(a b)", "1:5: expected ')', found 'b'"),
-    (parse_expression, "f(", "1:3: expected an expression, found None"),
-    (parse_expression, "a[1", "1:4: expected ']', found None"),
+    (parse_expression, "f(",
+     "1:3: expected an expression, found end of input"),
+    (parse_expression, "a[1", "1:4: expected ']', found end of input"),
     (parse_expression, "a[1)", "1:4: expected ']', found ')'"),
     (parse_expression, "a[]", "1:3: expected an expression, found ']'"),
-    (parse_expression, "-", "1:2: expected an expression, found None"),
-    (parse_expression, "", "1:1: expected an expression, found None"),
+    (parse_expression, "-",
+     "1:2: expected an expression, found end of input"),
+    (parse_expression, "",
+     "1:1: expected an expression, found end of input"),
     (parse_expression, "1 2", "1:3: trailing input after expression"),
     (parse_expression, "(" * DEEP + "1" + ")" * DEEP,
      "1:65: nesting deeper than 64 levels"),
@@ -188,4 +193,4 @@ def test_trees_and_messages_match_their_digest():
     assert sum(line.startswith("parse error") for line in lines) == 666
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == \
-        "dc8930ddb673d842748ffe5fe93d670e75c1270bcf168494e86d028ac70fc1f7"
+        "23dc713afdd68cddaea0019a149efcf72f92e742dbaae21071cbe60a4ec61880"
