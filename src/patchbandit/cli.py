@@ -11,6 +11,7 @@ from .experiment import (ConfigSpec, EXPERIMENT_STEP_BUDGET, ExperimentPlan,
                          PlanFormatError, evaluate_quality, load_plan,
                          parse_bug_names, run_experiment, write_report)
 from .toylang import DEFAULT_STEP_BUDGET
+from .toylang.syntax import read_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -28,12 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text: str) -> int:
+    # a flag reads integers as a test suite does
+    try:
+        return read_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _step_budget(text: str) -> int:
     # run_tests rejects a budget below 1; refuse it before any work starts
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    budget = _integer(text)
     if budget < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {budget}")
     return budget
@@ -54,10 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cadence", choices=CADENCES, default="generation")
     run.add_argument("--arms", default="3",
                      choices=[s.removeprefix("arms") for s in ARM_SCHEMES])
-    run.add_argument("--pop", type=int, default=40)
-    run.add_argument("--gens", type=int, default=10)
-    run.add_argument("--attempts", type=int, default=20)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--pop", type=_integer, default=40)
+    run.add_argument("--gens", type=_integer, default=10)
+    run.add_argument("--attempts", type=_integer, default=20)
+    run.add_argument("--seed", type=_integer, default=0)
     run.add_argument("--corpus", default=None)
     run.add_argument("--out", required=True)
     run.add_argument("--bugs", default=None,

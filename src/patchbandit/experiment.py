@@ -20,6 +20,7 @@ from .engine import (MIN_POPULATION, ConfigSpec, RepairOutcome, SearchConfig,
                      derive_seed, format_value, run_repair)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
                       run_tests)
+from .toylang.syntax import read_int
 
 run_repair_uniform = run_repair  # unused; perfbench/spans.py hooks the name
 
@@ -128,9 +129,9 @@ def worker_count() -> int:
     limit = os.environ.get("REPAIR_JOBS")
     if limit is not None:
         try:
-            jobs = int(limit)
-        except ValueError:
-            raise ConfigError(f"REPAIR_JOBS must be an integer, got {limit!r}")
+            jobs = read_int(limit)
+        except ValueError as err:
+            raise ConfigError(f"REPAIR_JOBS: {err}") from None
         if jobs < 1:
             raise ConfigError("REPAIR_JOBS must be >= 1")
         return jobs
@@ -314,10 +315,10 @@ def parse_plan(text: str) -> ExperimentPlan:
             kwargs["configs"].append(_parse_config_line(value, line_no))
         elif key in int_keys:
             try:
-                number = int(value)
-            except ValueError:
+                number = read_int(value)
+            except ValueError as err:
                 raise PlanFormatError(
-                    f"line {line_no}: {key} needs an integer") from None
+                    f"line {line_no}: {key}: {err}") from None
             low = _PLAN_MINIMUMS.get(int_keys[key])
             if low is not None and number < low:
                 raise PlanFormatError(

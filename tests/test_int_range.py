@@ -3,7 +3,9 @@
 Arithmetic is checked on each compiled path (a variable with a variable,
 a variable with a literal, and the general path), and values that enter
 from outside the program are checked where they are read: literals by
-the lexer, test arguments and expected values by the suite parser.
+the lexer, test arguments and expected values by the suite parser.  The
+harness's own integers (plan keys, command-line flags and REPAIR_JOBS)
+are read the same way, by `syntax.read_int`.
 """
 
 import resource
@@ -11,6 +13,9 @@ import time
 
 import pytest
 
+from patchbandit.aos import ConfigError
+from patchbandit.cli import EXIT_USAGE, build_parser, main
+from patchbandit.experiment import PlanFormatError, parse_plan, worker_count
 from patchbandit.toylang.interp import ToyFault, _Ctx, compile_program
 from patchbandit.toylang.suite import SuiteFormatError, parse_suite
 from patchbandit.toylang.syntax import (INT_MAX, INT_MIN, Num, ParseError,
@@ -174,3 +179,61 @@ def test_a_suite_integer_is_a_minus_and_the_digits_0_to_9(text):
                 f"t | f | 0 | {text}"):
         with pytest.raises(SuiteFormatError, match="not an integer"):
             parse_suite(row, "demo")
+
+
+# int() reads all of these; the harness reads none of them
+NOT_INTEGERS = ["\u0662", "1_0", "+5", "9223372036854775808",
+                "-9223372036854775809"]
+NOT_INTEGER_IDS = ["arabic-indic-two", "underscore", "plus", "past-max",
+                   "past-min"]
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+@pytest.mark.parametrize("key", ["attempts", "pop", "gens", "step_budget",
+                                 "base_seed"])
+def test_a_plan_integer_is_read_as_a_suite_integer(key, text):
+    with pytest.raises(PlanFormatError, match=f"^line 2: {key}: "):
+        parse_plan(f"config = uniform\n{key} = {text}\n")
+
+
+def test_the_plan_seed_takes_each_end_of_the_range():
+    for seed in (INT_MIN, INT_MAX):
+        assert parse_plan(f"config = uniform\nbase_seed = {seed}\n"
+                          ).base_seed == seed
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+@pytest.mark.parametrize("argv", [
+    ["run", "--policy", "uniform", "--pop"],
+    ["run", "--policy", "uniform", "--gens"],
+    ["run", "--policy", "uniform", "--attempts"],
+    ["run", "--policy", "uniform", "--seed"],
+    ["run", "--policy", "uniform", "--step-budget"],
+    ["quality", "--step-budget"],
+    ["gate", "--step-budget"],
+], ids=["run-pop", "run-gens", "run-attempts", "run-seed",
+        "run-step-budget", "quality-step-budget", "gate-step-budget"])
+def test_an_integer_flag_is_read_as_a_suite_integer(argv, text, tmp_path,
+                                                    capsys):
+    # paths that do not exist, so that a flag read wrongly fails fast too
+    where = {"run": ["--out", str(tmp_path / "out")],
+             "quality": ["--patches", str(tmp_path / "patches")]}
+    assert main(argv[:1] + where.get(argv[0], []) + ["--corpus",
+                str(tmp_path / "corpus")] + argv[1:] + [text]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"usage error: argument {argv[-1]}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_seed_flag_takes_each_end_of_the_range():
+    for seed in (INT_MIN, INT_MAX):
+        args = build_parser().parse_args(
+            ["run", "--policy", "uniform", "--out", "x", f"--seed={seed}"])
+        assert args.seed == seed
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_repair_jobs_is_read_as_a_suite_integer(text, monkeypatch):
+    monkeypatch.setenv("REPAIR_JOBS", text)
+    with pytest.raises(ConfigError, match="^REPAIR_JOBS: "):
+        worker_count()
