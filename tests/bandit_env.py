@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .aos import CadenceError, Controller, compute_reward
+from patchbandit.aos import CadenceError, Controller, compute_reward
 
 NOISE_KINDS = ("bernoulli", "jitter")
 

@@ -18,7 +18,6 @@ import pytest
 
 from patchbandit import aos
 from patchbandit.aos import Controller, DEFAULT_ALPHA, compute_reward
-from patchbandit.bandit_env import BanditSpec, run_episode
 from patchbandit.corpus import load_corpus, run_gate
 from patchbandit.engine import derive_seed
 from patchbandit.experiment import (
@@ -28,6 +27,8 @@ from patchbandit.experiment import (
     run_experiment,
 )
 from patchbandit import cli
+
+from bandit_env import BanditSpec, run_episode
 
 
 # ------------------------------------------------- policy math, exact

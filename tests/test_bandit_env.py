@@ -6,7 +6,8 @@ import pytest
 
 from patchbandit.aos import CadenceError, Controller
 from patchbandit.engine import ConfigSpec
-from patchbandit.bandit_env import BanditSpec, run_episode
+
+from bandit_env import BanditSpec, run_episode
 
 
 def test_mean_at_applies_drift_with_clamping():

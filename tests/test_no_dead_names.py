@@ -17,11 +17,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # kept although nothing in src uses them: perfbench wraps
-# experiment.run_repair_uniform by name, tests drive
-# bandit_env.run_episode, and tests print single statements with
-# syntax.print_statement
-ALLOWED = {"experiment.run_repair_uniform", "bandit_env.run_episode",
-           "toylang.syntax.print_statement"}
+# experiment.run_repair_uniform by name, and tests print single statements
+# with syntax.print_statement
+ALLOWED = {"experiment.run_repair_uniform", "toylang.syntax.print_statement"}
 
 
 def _definitions(tree):
