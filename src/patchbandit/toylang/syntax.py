@@ -362,7 +362,7 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(_TOO_DEEP)
 
-    def opened_list(self, item) -> tuple:
+    def comma_list(self, item) -> tuple:
         """'(' and the comma-separated items that item() reads; the caller
         expects the closing ')'."""
         self.expect("(")
@@ -402,7 +402,7 @@ class _Parser:
         name = name_tok[1]
         if name == BUILTIN_LEN:
             self.fail(f"{BUILTIN_LEN!r} is reserved", name_tok)
-        params = self.opened_list(lambda: self.expect("ident")[1])
+        params = self.comma_list(lambda: self.expect("ident")[1])
         if len(set(params)) != len(params):
             self.fail(f"duplicate parameter in {name!r}", name_tok)
         self.expect(")")
@@ -498,12 +498,12 @@ class _Parser:
             return Num(tok[1])
         if kind != "ident":
             self.expected("an expression", tok)
-        kind = self.peek()[0]
-        if kind == "(":
-            args = self.opened_list(self.expression)
+        after = self.peek()[0]
+        if after == "(":
+            args = self.comma_list(self.expression)
             self.expect(")")
             return Call(tok[1], args)
-        if kind == "[":
+        if after == "[":
             return Index(tok[1], self.bracketed("[", "]"))
         return Var(tok[1])
 

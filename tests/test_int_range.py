@@ -203,25 +203,21 @@ def test_the_plan_seed_takes_each_end_of_the_range():
 
 
 @pytest.mark.parametrize("text", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
-@pytest.mark.parametrize("argv", [
-    ["run", "--policy", "uniform", "--pop"],
-    ["run", "--policy", "uniform", "--gens"],
-    ["run", "--policy", "uniform", "--attempts"],
-    ["run", "--policy", "uniform", "--seed"],
-    ["run", "--policy", "uniform", "--step-budget"],
-    ["quality", "--step-budget"],
-    ["gate", "--step-budget"],
-], ids=["run-pop", "run-gens", "run-attempts", "run-seed",
-        "run-step-budget", "quality-step-budget", "gate-step-budget"])
-def test_an_integer_flag_is_read_as_a_suite_integer(argv, text, tmp_path,
-                                                    capsys):
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--pop"), ("run", "--gens"), ("run", "--attempts"),
+    ("run", "--seed"), ("run", "--step-budget"),
+    ("quality", "--step-budget"), ("gate", "--step-budget"),
+])
+def test_an_integer_flag_is_read_as_a_suite_integer(command, flag, text,
+                                                    tmp_path, capsys):
     # paths that do not exist, so that a flag read wrongly fails fast too
-    where = {"run": ["--out", str(tmp_path / "out")],
-             "quality": ["--patches", str(tmp_path / "patches")]}
-    assert main(argv[:1] + where.get(argv[0], []) + ["--corpus",
-                str(tmp_path / "corpus")] + argv[1:] + [text]) == EXIT_USAGE
+    missing = str(tmp_path / "missing")
+    paths = {"run": ["--policy", "uniform", "--out", missing],
+             "quality": ["--patches", missing]}.get(command, [])
+    argv = [command, *paths, "--corpus", missing, flag, text]
+    assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(
-        f"usage error: argument {argv[-1]}: ")
+        f"usage error: argument {flag}: ")
     assert list(tmp_path.iterdir()) == []
 
 
