@@ -93,6 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(text: str) -> Path:
+    # made before any cell runs, so a bad --out loses no results
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise _UsageError(f"not a directory: {out}") from None
+    except OSError as err:
+        raise _UsageError(f"cannot create {out}: {err.strerror}") from None
+    return out
+
+
 def _finish(report, out_dir) -> int:
     write_report(report, out_dir)
     sys.stdout.write(report.to_csv())
@@ -113,11 +125,14 @@ def cmd_run(args) -> int:
                           population_size=args.pop, generations=args.gens,
                           step_budget=args.step_budget,
                           corpus_dir=args.corpus)
-    return _finish(run_experiment(plan), args.out)
+    out = _out_dir(args.out)
+    return _finish(run_experiment(plan), out)
 
 
 def cmd_bench(args) -> int:
-    return _finish(run_experiment(load_plan(args.plan)), args.out)
+    plan = load_plan(args.plan)
+    out = _out_dir(args.out)
+    return _finish(run_experiment(plan), out)
 
 
 def cmd_quality(args) -> int:

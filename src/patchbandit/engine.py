@@ -14,11 +14,16 @@ ConfigSpec is the one selection config, from a plan line or the command
 line to the Controller: it checks every name and fills in every default
 when it is built, and nothing downstream checks them again.
 
-Every variant is an edit list against the original program.  A mutation
-child's program is built from its parent's program by applying the one
-new edit; a crossover child's program is built by replaying its whole
-list from the original.  Both give the same program, because applying a
-list is a left fold of applying one edit.
+Every variant is an edit list against the original program, and every
+program is built one edit at a time by extend(prefix, edit), which calls
+apply_edits on that one edit only when its step memo has no entry for the
+pair.  A mutation child extends its parent's program by its new edit; a
+crossover child folds extend over its list from the original, so each
+prefix it shares with a program built in this or the last generation
+costs nothing.  The memo is exact: applying a list is a left fold of
+applying one edit, apply_edit reads nothing of a program but its value,
+and programs never change.  An entry that goes a whole generation
+unused is dropped, so none outlives two generations.
 """
 
 import random
@@ -211,9 +216,26 @@ def run_repair(program, suite, config: SearchConfig, *,
     memo = {(): (base.fitness, 0)}
     evaluated = 0
 
+    # step memo: (id(prefix), edit) -> (prefix, prefix with the edit
+    # applied).  An entry holds its prefix, so no other program can take
+    # that id while the entry lives.  A hit from the last generation moves
+    # to this one; the rest go at the next generation boundary.
+    steps, last_steps = {}, {}
+
+    def extend(prefix, edit):
+        key = (id(prefix), edit)
+        step = steps.get(key) or last_steps.get(key)
+        if step is None:
+            step = (prefix, apply_edits(prefix, (edit,))[0])
+        steps[key] = step
+        return step[1]
+
     def program_of(variant):
         if variant.program is None:
-            variant.program = apply_edits(program, variant.edits)[0]
+            built = program
+            for edit in variant.edits:
+                built = extend(built, edit)
+            variant.program = built
         return variant.program
 
     def mutate(individual):
@@ -227,11 +249,9 @@ def run_repair(program, suite, config: SearchConfig, *,
         except InapplicableOperator:
             selector.credit(arm, 0.0)
             return individual
-        # apply_edits is a left fold of apply_edit, so one edit on the
-        # parent's program builds what replaying the child's list would
         return Variant(edits=individual.edits + (edit,), born_by=operator,
                        born_arm=arm, parent_fitness=individual.fitness,
-                       program=apply_edits(parent, (edit,))[0])
+                       program=extend(parent, edit))
 
     def evaluate(batch):
         # first full-pass variant ends the search immediately
@@ -272,6 +292,7 @@ def run_repair(program, suite, config: SearchConfig, *,
             break
         if flush:
             selector.flush_generation()
+        steps, last_steps = {}, steps
         parents = [pick_parent(population) for _ in range(pop_size)]
         for left in range(0, pop_size - 1, 2):
             if rng.random() >= CROSSOVER_RATE:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from patchbandit import experiment
+from patchbandit import engine, experiment
 from patchbandit.engine import ConfigSpec
 from patchbandit.experiment import ExperimentPlan, run_experiment
 
@@ -61,3 +61,40 @@ def test_cell_key_reads_a_task_of_run_experiment(spans, monkeypatch):
     assert len(task) == 7
     rebuilt = ConfigSpec(*task[2])
     assert rebuilt == spec and rebuilt.key() == spec.key()
+
+
+def test_a_plan_cell_builds_every_program_through_engine_apply_edits(
+        spans, monkeypatch):
+    # the benchmark's mutate.apply_edits span replaces the name engine
+    # looks up at call time; a program built another way goes unmeasured
+    built, variants = [], []
+    owner, name = spans._owner("patchbandit.engine", "apply_edits")
+    apply_edits = getattr(owner, name)
+
+    def hooked(program, edits):
+        result = apply_edits(program, edits)
+        built.append(result[0])
+        return result
+
+    class Recorded(engine.Variant):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            variants.append(self)
+
+    monkeypatch.setenv("REPAIR_JOBS", "1")
+    monkeypatch.setattr(owner, name, hooked)
+    monkeypatch.setattr(engine, "Variant", Recorded)
+    plan = ExperimentPlan(configs=(ConfigSpec("uniform", arms="18"),),
+                          bug_names=("guard-1",), attempts=1,
+                          population_size=8, generations=6)
+    run_experiment(plan)
+
+    original = variants[0].program
+    from_hook = {id(program) for program in built}
+    crossed = [v for v in variants if v.born_by == engine.BORN_CROSSOVER
+               and v.program is not None and v.edits]
+    assert crossed
+    for variant in variants[1:]:
+        if variant.program is not None:
+            assert (id(variant.program) in from_hook
+                    or variant.program is original)

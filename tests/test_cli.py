@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from patchbandit import cli
 from patchbandit.cli import (EXIT_CORPUS, EXIT_GATE, EXIT_OK, EXIT_USAGE,
                              main)
 from patchbandit.corpus import DEFAULT_CORPUS_DIR
@@ -246,6 +247,25 @@ def test_unknown_bug_names_skip_but_flag_corpus_error(tmp_path, capsys):
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_cannot_be_a_directory_fails_before_any_cell(
+        tmp_path, capsys, monkeypatch, command, below):
+    def no_cells(plan):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_cells)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "sub" if below else taken
+    plan = tmp_path / "demo.plan"
+    plan.write_text("bugs = reset-1\nconfig = uniform arms=3\n")
+    argv = (RUN_ARGS if command == "run" else ["bench", "--plan", str(plan)])
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: not a directory: {out}\n"
+    assert taken.read_text() == "keep\n"
 
 
 def test_malformed_plan_is_a_usage_error(tmp_path, capsys):

@@ -182,6 +182,46 @@ def test_crossover_heavy_patch_program_is_its_replayed_edit_list(
             apply_edits(bug.program, out.patch.edits)[0], name
 
 
+@pytest.mark.parametrize("scheme", ["arms3", "arms7", "arms18"])
+def test_every_variant_program_is_its_replayed_edit_list(bugs, monkeypatch,
+                                                         scheme):
+    # every pair crosses over, so most programs are built by folding the
+    # step memo over a spliced list; each build step is one apply_edits
+    # call with one edit
+    made, calls, spliced = [], [], 0
+
+    class Recorded(Variant):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    def one_step(program, edits):
+        calls.append(len(edits))
+        return apply_edits(program, edits)
+
+    monkeypatch.setattr(engine, "Variant", Recorded)
+    monkeypatch.setattr(engine, "apply_edits", one_step)
+    monkeypatch.setattr(engine, "CROSSOVER_RATE", 1.0)
+    for name in ("guard-1", "worstloss-1", "callswap-1"):
+        bug = bugs[name]
+        for seed in range(3):
+            made.clear()
+            run_repair(bug.program, bug.repair_suite,
+                       SearchConfig(seed=seed, spec=ConfigSpec("uniform",
+                                                               arms=scheme),
+                                    population_size=12, generations=12),
+                       step_budget=BUDGET)
+            for variant in made:
+                if variant.fitness is not None:
+                    assert variant.program is not None, (name, seed)
+                if variant.program is not None:
+                    assert variant.program == apply_edits(
+                        bug.program, variant.edits)[0], (name, seed)
+                    spliced += variant.born_by == engine.BORN_CROSSOVER
+    assert spliced > 500
+    assert set(calls) == {1}
+
+
 def test_correct_program_raises_nothing_to_repair(bugs):
     bug = bugs["mid3"]
     with pytest.raises(NothingToRepair):

@@ -1,5 +1,6 @@
 """Edit minting/application oracles for the mutation operators."""
 
+import dataclasses
 import random
 
 import pytest
@@ -634,4 +635,42 @@ def test_applying_a_list_is_a_left_fold(bug):
             assert second.next_sid == whole.next_sid
             assert head_flags + tail_flags == flags
             noops += flags.count(False)
+    assert noops > 0
+
+
+def _rebuilt(value):
+    """An equal copy that shares no node with value and has no cached
+    height."""
+    if isinstance(value, tuple):
+        return tuple(_rebuilt(item) for item in value)
+    if dataclasses.is_dataclass(value):
+        return type(value)(**{f.name: _rebuilt(getattr(value, f.name))
+                              for f in dataclasses.fields(value)})
+    return value
+
+
+@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+def test_apply_edit_is_a_function_of_the_program_value(bug):
+    # the search reuses one build for every equal (prefix, edit) step,
+    # which is exact only while apply_edit leaves its input as it was and
+    # reads nothing of it but its value
+    weights = localize(bug.program, bug.repair_suite, 5000).weights
+    rng = random.Random(f"pure:{bug.name}")
+    noops = 0
+    for _ in range(FOLD_LISTS_PER_BUG):
+        lineage, _ = _minted_list(bug.program, weights, rng)
+        stranger, _ = _minted_list(bug.program, weights, rng)
+        program = bug.program
+        for edit in lineage + stranger:
+            before, next_sid = repr(program), program.next_sid
+            twin = _rebuilt(program)
+            assert twin == program and twin is not program
+            result, applied = apply_edit(program, edit)
+            assert repr(program) == before
+            assert program.next_sid == next_sid
+            twin_result, twin_applied = apply_edit(twin, edit)
+            assert twin_result == result and twin_applied == applied
+            assert twin_result.next_sid == result.next_sid
+            noops += not applied
+            program = result
     assert noops > 0
