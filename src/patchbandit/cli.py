@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .aos import CADENCES, CREDITS, POLICIES, REWARDS, ConfigError
@@ -50,26 +51,27 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Bandit-guided program repair experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="one selection config over the corpus")
+    # a flag left out is absent, so the ConfigSpec/ExperimentPlan default holds
+    run = sub.add_parser("run", help="one selection config over the corpus",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--policy", required=True,
                      choices=("uniform",) + POLICIES)
-    run.add_argument("--credit", choices=CREDITS, default="avg")
-    run.add_argument("--alpha", type=float, default=None,
+    run.add_argument("--credit", choices=CREDITS)
+    run.add_argument("--alpha", type=float,
                      help="ERWA decay; defaults to the policy's tuned value")
-    run.add_argument("--reward", choices=REWARDS, default="raw")
-    run.add_argument("--cadence", choices=CADENCES, default="generation")
-    run.add_argument("--arms", default="3",
+    run.add_argument("--reward", choices=REWARDS)
+    run.add_argument("--cadence", choices=CADENCES)
+    run.add_argument("--arms",
                      choices=[s.removeprefix("arms") for s in ARM_SCHEMES])
-    run.add_argument("--pop", type=_integer, default=40)
-    run.add_argument("--gens", type=_integer, default=10)
-    run.add_argument("--attempts", type=_integer, default=20)
-    run.add_argument("--seed", type=_integer, default=0)
-    run.add_argument("--corpus", default=None)
+    run.add_argument("--pop", dest="population_size", type=_integer)
+    run.add_argument("--gens", dest="generations", type=_integer)
+    run.add_argument("--attempts", type=_integer)
+    run.add_argument("--seed", dest="base_seed", type=_integer)
+    run.add_argument("--corpus", dest="corpus_dir")
     run.add_argument("--out", required=True)
-    run.add_argument("--bugs", default=None,
+    run.add_argument("--bugs", dest="bug_names",
                      help="comma-separated bug names; default: all")
-    run.add_argument("--step-budget", type=_step_budget,
-                     default=EXPERIMENT_STEP_BUDGET)
+    run.add_argument("--step-budget", type=_step_budget)
     run.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("bench", help="run a plan manifest")
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(text: str) -> Path:
-    # made before any cell runs, so a bad --out loses no results
+    # made and checked before any cell runs, so a bad --out loses no results
     out = Path(text)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -102,6 +104,13 @@ def _out_dir(text: str) -> Path:
         raise _UsageError(f"not a directory: {out}") from None
     except OSError as err:
         raise _UsageError(f"cannot create {out}: {err.strerror}") from None
+    # an entry of the wrong kind would fail write_report after every cell
+    for name, kind, is_kind in (("summary.csv", "file", Path.is_file),
+                                ("detail.json", "file", Path.is_file),
+                                ("patches", "directory", Path.is_dir)):
+        entry = out / name
+        if entry.exists() and not is_kind(entry):
+            raise _UsageError(f"not a {kind}: {entry}")
     return out
 
 
@@ -115,16 +124,18 @@ def _finish(report, out_dir) -> int:
     return EXIT_OK
 
 
+def _given(args, cls) -> dict:
+    """The flags given on the command line that set a field of cls."""
+    return {field.name: getattr(args, field.name) for field in fields(cls)
+            if hasattr(args, field.name)}
+
+
 def cmd_run(args) -> int:
-    spec = ConfigSpec(policy=args.policy, credit=args.credit,
-                      reward=args.reward, cadence=args.cadence,
-                      arms=args.arms, alpha=args.alpha)
-    bug_names = None if args.bugs is None else parse_bug_names(args.bugs)
-    plan = ExperimentPlan(configs=(spec,), bug_names=bug_names,
-                          attempts=args.attempts, base_seed=args.seed,
-                          population_size=args.pop, generations=args.gens,
-                          step_budget=args.step_budget,
-                          corpus_dir=args.corpus)
+    settings = _given(args, ExperimentPlan)
+    if "bug_names" in settings:
+        settings["bug_names"] = parse_bug_names(settings["bug_names"])
+    plan = ExperimentPlan(configs=(ConfigSpec(**_given(args, ConfigSpec)),),
+                          **settings)
     out = _out_dir(args.out)
     return _finish(run_experiment(plan), out)
 

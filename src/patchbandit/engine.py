@@ -12,7 +12,8 @@ into the operator to mint, drawing a group's member uniformly.
 
 ConfigSpec is the one selection config, from a plan line or the command
 line to the Controller: it checks every name and fills in every default
-when it is built, and nothing downstream checks them again.
+when it is built, and nothing downstream checks them again.  run_repair
+takes its other settings as they are: experiment.ExperimentPlan owns them.
 
 Every variant is an edit list against the original program, and every
 program is built one edit at a time by extend(prefix, edit), which calls
@@ -165,20 +166,6 @@ class Variant:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    seed: int
-    spec: ConfigSpec = ConfigSpec("uniform")
-    population_size: int = 40
-    generations: int = 10
-
-    def __post_init__(self):
-        if self.population_size < MIN_POPULATION:
-            raise ConfigError(f"population_size must be >= {MIN_POPULATION}")
-        if self.generations < 0:
-            raise ConfigError("generations must be >= 0")
-
-
-@dataclass(frozen=True)
 class RepairOutcome:
     patched: bool
     patch: Variant | None
@@ -189,10 +176,10 @@ class RepairOutcome:
 
 # ----------------------------------------------------------------- search
 
-def run_repair(program, suite, config: SearchConfig, *,
+def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
+               population_size: int, generations: int,
                step_budget: int = DEFAULT_STEP_BUDGET) -> RepairOutcome:
-    """One repair attempt under config.spec, the baseline or a bandit."""
-    spec = config.spec
+    """One repair attempt under spec, the baseline or a bandit."""
     if spec.is_uniform:
         # one arm per operator: each pick is one randrange on the aos stream
         arms = scheme_operators(spec.arms)
@@ -200,11 +187,10 @@ def run_repair(program, suite, config: SearchConfig, *,
     else:
         arms = ARM_SCHEMES[spec.arms]
         selector = Controller(spec, len(arms))
-    aos_rng = random.Random(derive_seed(config.seed, "aos"))
+    aos_rng = random.Random(derive_seed(seed, "aos"))
     located = localize(program, suite, step_budget=step_budget)
     weights = located.weights
-    rng = random.Random(derive_seed(config.seed, "search"))
-    pop_size = config.population_size
+    rng = random.Random(derive_seed(seed, "search"))
     # the baseline's "-" axes: rewards pass through and nothing is flushed
     reward_type = spec.reward
     flush = spec.cadence == "generation"
@@ -280,21 +266,21 @@ def run_repair(program, suite, config: SearchConfig, *,
 
     def pick_parent(population):
         # binary tournament: strictly fitter wins, ties keep the first drawn
-        first = population[rng.randrange(pop_size)]
-        second = population[rng.randrange(pop_size)]
+        first = population[rng.randrange(population_size)]
+        second = population[rng.randrange(population_size)]
         return second if second.fitness > first.fitness else first
 
-    population = [mutate(base) for _ in range(pop_size)]
+    population = [mutate(base) for _ in range(population_size)]
     winner = None
-    for generation in range(config.generations + 1):
+    for generation in range(generations + 1):
         winner = evaluate(population)
-        if winner is not None or generation == config.generations:
+        if winner is not None or generation == generations:
             break
         if flush:
             selector.flush_generation()
         steps, last_steps = {}, steps
-        parents = [pick_parent(population) for _ in range(pop_size)]
-        for left in range(0, pop_size - 1, 2):
+        parents = [pick_parent(population) for _ in range(population_size)]
+        for left in range(0, population_size - 1, 2):
             if rng.random() >= CROSSOVER_RATE:
                 continue
             first, second = parents[left], parents[left + 1]

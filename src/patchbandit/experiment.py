@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .aos import ConfigError
 from .corpus import DEFAULT_CORPUS_DIR, edits_to_jsonable, load_corpus
-from .engine import (MIN_POPULATION, ConfigSpec, RepairOutcome, SearchConfig,
-                     derive_seed, format_value, run_repair)
+from .engine import (MIN_POPULATION, ConfigSpec, RepairOutcome, derive_seed,
+                     format_value, run_repair)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
                       run_tests)
 from .toylang.syntax import read_int
@@ -100,11 +100,10 @@ def _bugs_for(corpus_dir):
 def _run_attempt(task):
     (corpus_dir, bug_name, axes, seed, pop, gens, budget) = task
     bug = _bugs_for(corpus_dir)[bug_name]
-    config = SearchConfig(seed=seed, spec=ConfigSpec(*axes),
-                          population_size=pop, generations=gens)
     record = {"seed": seed}
     try:
-        outcome = run_repair(bug.program, bug.repair_suite, config,
+        outcome = run_repair(bug.program, bug.repair_suite, ConfigSpec(*axes),
+                             seed=seed, population_size=pop, generations=gens,
                              step_budget=budget)
     except NothingToRepair:
         outcome = RepairOutcome(False, None, None, 0, None)
@@ -196,15 +195,13 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
             else:
                 errors.append((name, f"bug {name!r} not in corpus"))
 
-    tasks = []
-    for spec in plan.configs:
-        axes = astuple(spec)
-        for name in names:
-            for attempt in range(plan.attempts):
-                tasks.append((corpus_dir, name, axes,
-                              plan.seed_for(name, spec, attempt),
-                              plan.population_size, plan.generations,
-                              plan.step_budget))
+    # one (config index, bug, attempt) per cell, in task and result order
+    cells = [(index, name, attempt) for index in range(len(plan.configs))
+             for name in names for attempt in range(plan.attempts)]
+    tasks = [(corpus_dir, name, astuple(plan.configs[index]),
+              plan.seed_for(name, plan.configs[index], attempt),
+              plan.population_size, plan.generations, plan.step_budget)
+             for index, name, attempt in cells]
 
     # the pool starts all its workers at once, so start no idle ones
     jobs = min(worker_count(), len(tasks))
@@ -214,20 +211,12 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     else:
         results = [_run_attempt(task) for task in tasks]
 
-    blocks = []
-    cursor = 0
-    for spec in plan.configs:
-        per_bug = {}
-        for name in names:
-            records = []
-            for attempt in range(plan.attempts):
-                record = dict(results[cursor])
-                record["attempt"] = attempt
-                records.append(record)
-                cursor += 1
-            per_bug[name] = records
-        blocks.append({**asdict(spec), "metrics": compute_metrics(per_bug),
-                       "bugs": per_bug})
+    blocks = [{**asdict(spec), "bugs": {name: [] for name in names}}
+              for spec in plan.configs]
+    for (index, name, attempt), record in zip(cells, results):
+        blocks[index]["bugs"][name].append({**record, "attempt": attempt})
+    for block in blocks:
+        block["metrics"] = compute_metrics(block["bugs"])
 
     detail = {
         "base_seed": plan.base_seed,
@@ -301,6 +290,7 @@ def parse_bug_names(text: str, where: str = "") -> tuple:
 def parse_plan(text: str) -> ExperimentPlan:
     """Plain-text manifest: one key = value per line, # for comments."""
     kwargs = {"configs": []}
+    set_on = {}                         # key -> the line that set it
     int_keys = {"base_seed": "base_seed", "attempts": "attempts",
                 "pop": "population_size", "gens": "generations",
                 "step_budget": "step_budget"}
@@ -313,7 +303,13 @@ def parse_plan(text: str) -> ExperimentPlan:
         key, _, value = (part.strip() for part in line.partition("="))
         if key == "config":
             kwargs["configs"].append(_parse_config_line(value, line_no))
-        elif key in int_keys:
+            continue
+        # every other key sets one plan field, so it may appear once
+        if key in set_on:
+            raise PlanFormatError(f"line {line_no}: {key} is already set "
+                                  f"on line {set_on[key]}")
+        set_on[key] = line_no
+        if key in int_keys:
             try:
                 number = read_int(value)
             except ValueError as err:

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import fields
 
 import pytest
 
@@ -9,7 +10,7 @@ from patchbandit import cli
 from patchbandit.cli import (EXIT_CORPUS, EXIT_GATE, EXIT_OK, EXIT_USAGE,
                              main)
 from patchbandit.corpus import DEFAULT_CORPUS_DIR
-from patchbandit.experiment import CSV_COLUMNS
+from patchbandit.experiment import CSV_COLUMNS, ExperimentPlan, parse_plan
 
 RUN_ARGS = ["run", "--policy", "uniform", "--bugs", "reset-1,dupadd-1",
             "--attempts", "2", "--pop", "12", "--gens", "4", "--seed", "3"]
@@ -266,6 +267,86 @@ def test_out_that_cannot_be_a_directory_fails_before_any_cell(
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: not a directory: {out}\n"
     assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("entry, kind", [
+    ("summary.csv", "file"), ("detail.json", "file"), ("patches", "directory"),
+])
+def test_an_out_entry_of_the_wrong_kind_fails_before_any_cell(
+        tmp_path, capsys, monkeypatch, command, entry, kind):
+    # write_report would fail on it only after every cell had run
+    def no_cells(plan):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_cells)
+    out = tmp_path / "out"
+    out.mkdir()
+    in_the_way = out / entry
+    if kind == "file":
+        in_the_way.mkdir()
+    else:
+        in_the_way.write_text("keep\n")
+    plan = tmp_path / "demo.plan"
+    plan.write_text("bugs = reset-1\nconfig = uniform arms=3\n")
+    argv = (RUN_ARGS if command == "run" else ["bench", "--plan", str(plan)])
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"usage error: not a {kind}: {in_the_way}\n"
+
+
+def test_a_rerun_into_the_same_out_overwrites_its_entries(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(RUN_ARGS + ["--out", out]) == EXIT_OK
+    first = (tmp_path / "out" / "detail.json").read_bytes()
+    assert main(RUN_ARGS + ["--out", out]) == EXIT_OK
+    assert (tmp_path / "out" / "detail.json").read_bytes() == first
+
+
+class _Captured(Exception):
+    pass
+
+
+def _plan_of_run(flags, monkeypatch, tmp_path):
+    """The plan `repair run` would hand to run_experiment."""
+    def capture(plan):
+        raise _Captured(plan)
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Captured) as caught:
+        main(["run", *flags, "--out", str(tmp_path / "out")])
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("policy", ["uniform", "ucb"])
+def test_run_without_settings_is_the_plan_without_them(policy, monkeypatch,
+                                                        tmp_path):
+    # repair run states no default of its own: the plan's are the run's
+    assert _plan_of_run(["--policy", policy], monkeypatch, tmp_path) == \
+        parse_plan(f"config = {policy}\n")
+
+
+def test_run_with_every_setting_is_the_plan_with_every_key(monkeypatch,
+                                                            tmp_path):
+    flags = ["--policy", "ucb", "--credit", "erwa", "--alpha", "0.3",
+             "--reward", "relative", "--cadence", "mutation", "--arms", "18",
+             "--pop", "12", "--gens", "4", "--attempts", "3", "--seed", "9",
+             "--corpus", "elsewhere", "--bugs", "reset-1,mid3",
+             "--step-budget", "900"]
+    plan = _plan_of_run(flags, monkeypatch, tmp_path)
+    assert plan == parse_plan(
+        "base_seed = 9\nattempts = 3\npop = 12\ngens = 4\n"
+        "step_budget = 900\ncorpus = elsewhere\nbugs = reset-1, mid3\n"
+        "config = ucb credit=erwa alpha=0.3 reward=relative "
+        "cadence=mutation arms=18\n")
+    # no flag was dropped on the way: every setting moved off its default
+    default = parse_plan("config = ucb\n")
+    for name in (field.name for field in fields(ExperimentPlan)):
+        assert getattr(plan, name) != getattr(default, name), name
+    for name in (field.name for field in fields(plan.configs[0])):
+        if name != "policy":
+            assert getattr(plan.configs[0], name) != \
+                getattr(default.configs[0], name), name
 
 
 def test_malformed_plan_is_a_usage_error(tmp_path, capsys):

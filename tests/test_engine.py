@@ -9,8 +9,8 @@ import patchbandit.engine as engine
 from patchbandit.aos import ConfigError, Controller
 from patchbandit.corpus import load_corpus
 from patchbandit.engine import (ARM_SCHEMES, ConfigSpec, RepairOutcome,
-                                SearchConfig, Variant, _draw, derive_seed,
-                                fnv1a_64, run_repair, scheme_operators)
+                                Variant, _draw, derive_seed, fnv1a_64,
+                                run_repair, scheme_operators)
 from patchbandit.toylang import (ALL_OPERATORS, COARSE_OPERATORS, Edit,
                                  InapplicableOperator, NothingToRepair,
                                  OPERATOR_GROUPS, apply_edits, run_tests)
@@ -21,6 +21,14 @@ BUDGET = 5000
 @pytest.fixture(scope="module")
 def bugs():
     return {bug.name: bug for bug in load_corpus()}
+
+
+def repair(bug, seed, spec=ConfigSpec("uniform"), population_size=40,
+           generations=10):
+    """One attempt on the bug's repair suite at the experiment budget."""
+    return run_repair(bug.program, bug.repair_suite, spec, seed=seed,
+                      population_size=population_size,
+                      generations=generations, step_budget=BUDGET)
 
 
 # ------------------------------------------------------------ seed hashing
@@ -109,23 +117,12 @@ def test_template_operator_unavailable_under_arms3():
     assert "guard_insert" not in scheme_operators("arms3")
 
 
-# ------------------------------------------------------------------ config
-
-def test_search_config_rejects_bad_values():
-    for kwargs in ({"population_size": 1}, {"generations": -1}):
-        with pytest.raises(ConfigError):
-            SearchConfig(seed=1, **kwargs)
-
-
 # ------------------------------------------------------------- determinism
 
 def test_uniform_repair_is_deterministic(bugs):
     bug = bugs["mid3"]
-    cfg = SearchConfig(seed=7)
-    first = run_repair(bug.program, bug.repair_suite, cfg,
-                       step_budget=BUDGET)
-    second = run_repair(bug.program, bug.repair_suite, cfg,
-                        step_budget=BUDGET)
+    first = repair(bug, seed=7)
+    second = repair(bug, seed=7)
     assert first.patched and second.patched
     assert first.patch.edits == second.patch.edits
     assert first.variants_evaluated_at_patch == second.variants_evaluated_at_patch
@@ -134,18 +131,15 @@ def test_uniform_repair_is_deterministic(bugs):
 
 def test_adaptive_repair_is_deterministic(bugs):
     bug = bugs["span-1"]
-    cfg = SearchConfig(seed=3, spec=ConfigSpec(policy="ucb", credit="erwa",
-                                               cadence="mutation"))
-    first = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
-    second = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
+    spec = ConfigSpec(policy="ucb", credit="erwa", cadence="mutation")
+    first = repair(bug, seed=3, spec=spec)
+    second = repair(bug, seed=3, spec=spec)
     assert first == second
 
 
 def test_different_seeds_diverge(bugs):
     bug = bugs["mid3"]
-    outcomes = {run_repair(bug.program, bug.repair_suite,
-                           SearchConfig(seed=s), step_budget=BUDGET
-                           ).variants_evaluated_at_patch
+    outcomes = {repair(bug, seed=s).variants_evaluated_at_patch
                 for s in range(6)}
     assert len(outcomes) > 1
 
@@ -155,8 +149,7 @@ def test_different_seeds_diverge(bugs):
 def test_patches_revalidate_on_a_fresh_interpreter(bugs):
     for name in ("mid3", "span-1", "dupadd-1", "reset-1"):
         bug = bugs[name]
-        out = run_repair(bug.program, bug.repair_suite,
-                         SearchConfig(seed=11), step_budget=BUDGET)
+        out = repair(bug, seed=11)
         assert out.patched, name
         patched, _ = apply_edits(bug.program, out.patch.edits)
         assert run_tests(patched, bug.repair_suite).fitness == 1.0, name
@@ -172,10 +165,8 @@ def test_crossover_heavy_patch_program_is_its_replayed_edit_list(
     monkeypatch.setattr(engine, "CROSSOVER_RATE", 1.0)
     for name, seed in (("reset-1", 9), ("init-1", 2), ("mid3", 1)):
         bug = bugs[name]
-        cfg = SearchConfig(seed=seed, spec=ConfigSpec("uniform", arms="arms18"),
-                           generations=20)
-        out = run_repair(bug.program, bug.repair_suite, cfg,
-                         step_budget=BUDGET)
+        out = repair(bug, seed=seed, spec=ConfigSpec("uniform", arms="arms18"),
+                     generations=20)
         assert out.patched, name
         assert len(out.patch.edits) > 1, name
         assert out.patch.program == \
@@ -206,11 +197,8 @@ def test_every_variant_program_is_its_replayed_edit_list(bugs, monkeypatch,
         bug = bugs[name]
         for seed in range(3):
             made.clear()
-            run_repair(bug.program, bug.repair_suite,
-                       SearchConfig(seed=seed, spec=ConfigSpec("uniform",
-                                                               arms=scheme),
-                                    population_size=12, generations=12),
-                       step_budget=BUDGET)
+            repair(bug, seed=seed, spec=ConfigSpec("uniform", arms=scheme),
+                   population_size=12, generations=12)
             for variant in made:
                 if variant.fitness is not None:
                     assert variant.program is not None, (name, seed)
@@ -225,16 +213,15 @@ def test_every_variant_program_is_its_replayed_edit_list(bugs, monkeypatch,
 def test_correct_program_raises_nothing_to_repair(bugs):
     bug = bugs["mid3"]
     with pytest.raises(NothingToRepair):
-        run_repair(bug.fixed, bug.repair_suite, SearchConfig(seed=1))
+        run_repair(bug.fixed, bug.repair_suite, ConfigSpec("uniform"),
+                   seed=1, population_size=40, generations=10)
 
 
 # ------------------------------------------------------- evaluation budget
 
 def test_evaluation_bound_holds(bugs):
     bug = bugs["guard-1"]          # no coarse fix exists: runs to exhaustion
-    cfg = SearchConfig(seed=5, population_size=10, generations=4)
-    out = run_repair(bug.program, bug.repair_suite, cfg,
-                     step_budget=BUDGET)
+    out = repair(bug, seed=5, population_size=10, generations=4)
     assert not out.patched
     assert out.total_evaluations <= 10 * (4 + 1) + 10
 
@@ -251,12 +238,11 @@ def test_memoized_duplicates_do_not_recount(bugs, monkeypatch):
 
     monkeypatch.setattr(engine, "mint_edit", same_edit_every_time)
     monkeypatch.setattr(engine, "CROSSOVER_RATE", 0.0)
-    cfg = SearchConfig(seed=2, population_size=8, generations=5)
-    out = run_repair(bug.program, bug.repair_suite, cfg,
-                     step_budget=BUDGET)
+    gens = 5
+    out = repair(bug, seed=2, population_size=8, generations=gens)
     # every individual shares one lineage; without crossover the distinct
     # edit lists are exactly the repeat counts 1..generations+1
-    assert out.total_evaluations == cfg.generations + 1
+    assert out.total_evaluations == gens + 1
 
 
 def test_first_evaluation_claims_the_variant_index(bugs, monkeypatch):
@@ -271,9 +257,7 @@ def test_first_evaluation_claims_the_variant_index(bugs, monkeypatch):
     assert len(fixing) == 1
 
     monkeypatch.setattr(engine, "mint_edit", lambda *a: fixing[0])
-    out = run_repair(bug.program, bug.repair_suite,
-                     SearchConfig(seed=9, population_size=6,
-                                  generations=2), step_budget=BUDGET)
+    out = repair(bug, seed=9, population_size=6, generations=2)
     # forty identical winners collapse to a single evaluation
     assert out.patched
     assert out.total_evaluations == 1
@@ -299,10 +283,8 @@ def test_one_credit_event_per_mutation_slot(bugs, monkeypatch, cadence):
     monkeypatch.setattr(engine, "Controller", _SpyController)
     bug = bugs["guard-1"]
     pop, gens = 8, 4
-    cfg = SearchConfig(seed=13, population_size=pop, generations=gens,
-                       spec=ConfigSpec(policy="pm", credit="avg",
-                                       cadence=cadence))
-    out = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
+    out = repair(bug, seed=13, population_size=pop, generations=gens,
+                 spec=ConfigSpec(policy="pm", credit="avg", cadence=cadence))
     assert not out.patched
     total_plays = sum(arm["plays"] for arm in out.aos_snapshot)
     assert total_plays == pop * (gens + 1)
@@ -320,10 +302,9 @@ def test_snapshot_reflects_all_credits(bugs, monkeypatch):
 
     monkeypatch.setattr(engine, "Controller", Recorder)
     bug = bugs["guard-1"]
-    cfg = SearchConfig(seed=4, population_size=6, generations=3,
-                       spec=ConfigSpec(policy="egreedy", credit="erwa",
-                                       reward="relative"))
-    out = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
+    out = repair(bug, seed=4, population_size=6, generations=3,
+                 spec=ConfigSpec(policy="egreedy", credit="erwa",
+                                 reward="relative"))
     events = spies[0].events
     assert len(events) == 6 * 4
     assert sum(arm["plays"] for arm in out.aos_snapshot) == len(events)
@@ -341,9 +322,7 @@ def test_uniform_baseline_draws_each_coarse_operator_evenly(bugs, monkeypatch):
 
     monkeypatch.setattr(engine, "mint_edit", refuse)
     bug = bugs["mid3"]
-    cfg = SearchConfig(seed=123, population_size=100, generations=99)
-    out = run_repair(bug.program, bug.repair_suite, cfg,
-                     step_budget=BUDGET)
+    out = repair(bug, seed=123, population_size=100, generations=99)
     assert not out.patched and out.total_evaluations == 0
     n = len(seen)
     assert n == 100 * 100
@@ -354,9 +333,8 @@ def test_uniform_baseline_draws_each_coarse_operator_evenly(bugs, monkeypatch):
 
 def test_adaptive_selection_covers_scheme_arms(bugs):
     bug = bugs["sched-1"]
-    cfg = SearchConfig(seed=21,
-                       spec=ConfigSpec(policy="pm", credit="avg", arms="arms7"))
-    out = run_repair(bug.program, bug.repair_suite, cfg, step_budget=BUDGET)
+    out = repair(bug, seed=21,
+                 spec=ConfigSpec(policy="pm", credit="avg", arms="arms7"))
     assert len(out.aos_snapshot) == 7
     played = [arm["plays"] for arm in out.aos_snapshot]
     assert sum(played) > 0
@@ -367,25 +345,20 @@ def test_adaptive_selection_covers_scheme_arms(bugs):
 def test_crossover_free_run_still_patches(bugs, monkeypatch):
     bug = bugs["dupadd-1"]
     monkeypatch.setattr(engine, "CROSSOVER_RATE", 0.0)
-    cfg = SearchConfig(seed=17)
-    out = run_repair(bug.program, bug.repair_suite, cfg,
-                     step_budget=BUDGET)
+    out = repair(bug, seed=17)
     assert out.patched
 
 
 def test_outcome_shape_for_unpatched_run(bugs):
     bug = bugs["guard-1"]
-    out = run_repair(bug.program, bug.repair_suite,
-                     SearchConfig(seed=1, population_size=4,
-                                  generations=2), step_budget=BUDGET)
+    out = repair(bug, seed=1, population_size=4, generations=2)
     assert out == RepairOutcome(False, None, None, out.total_evaluations, None)
     assert out.total_evaluations > 0
 
 
 def test_patch_variants_record_their_operator(bugs):
     bug = bugs["reset-1"]
-    out = run_repair(bug.program, bug.repair_suite,
-                     SearchConfig(seed=29), step_budget=BUDGET)
+    out = repair(bug, seed=29)
     assert out.patched
     assert out.patch.born_by in COARSE_OPERATORS + ("crossover",)
     assert isinstance(out.patch, Variant)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from patchbandit.experiment import (CSV_COLUMNS, ConfigSpec, ExperimentPlan,
                                     load_plan, parse_plan, run_experiment,
                                     worker_count, write_report)
 from patchbandit.toylang import apply_edits, run_tests
+
+EXAMPLE_PLAN = Path(__file__).resolve().parent.parent / "docs" / "example.plan"
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +96,16 @@ def test_cell_seeds_are_reproducible_and_distinct():
 def test_plan_validation():
     with pytest.raises(PlanFormatError):
         ExperimentPlan(configs=())
-    with pytest.raises(PlanFormatError):
-        ExperimentPlan(configs=(ConfigSpec("uniform"),), attempts=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("attempts", 0), ("population_size", 1), ("generations", -1),
+    ("step_budget", 0),
+])
+def test_plan_rejects_a_setting_below_its_minimum(name, value):
+    # the only check of these settings: run_repair takes them as they are
+    with pytest.raises(PlanFormatError, match=f"^{name} must be >= "):
+        ExperimentPlan(configs=(ConfigSpec("uniform"),), **{name: value})
 
 
 # ----------------------------------------------------------------- quality
@@ -338,6 +349,28 @@ def test_plan_manifest_round_trip():
 def test_malformed_plan_lines_raise(line):
     with pytest.raises(PlanFormatError):
         parse_plan(f"config = uniform\n{line}\n")
+
+
+@pytest.mark.parametrize("key, first, second", [
+    ("base_seed", "1", "2"), ("attempts", "1", "2"), ("pop", "10", "20"),
+    ("gens", "1", "2"), ("step_budget", "100", "200"),
+    ("corpus", "here", "there"), ("bugs", "reset-1", "mid3"),
+])
+def test_a_plan_key_other_than_config_may_appear_once(key, first, second):
+    # a second line would otherwise replace the first without a word
+    text = f"config = pm\n{key} = {first}\n\n# again\n{key} = {second}\n"
+    with pytest.raises(PlanFormatError,
+                       match=f"^line 5: {key} is already set on line 2$"):
+        parse_plan(text)
+
+
+def test_the_example_plan_parses_to_its_documented_matrix():
+    bandits = tuple(ConfigSpec(policy, credit=credit)
+                    for policy in ("pm", "ap", "egreedy", "ucb")
+                    for credit in ("avg", "erwa"))
+    assert load_plan(EXAMPLE_PLAN) == ExperimentPlan(
+        configs=(ConfigSpec("uniform"),) + bandits, base_seed=42,
+        attempts=20, population_size=40, generations=10, step_budget=5000)
 
 
 def test_plan_needs_a_config():

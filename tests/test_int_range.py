@@ -225,7 +225,7 @@ def test_the_seed_flag_takes_each_end_of_the_range():
     for seed in (INT_MIN, INT_MAX):
         args = build_parser().parse_args(
             ["run", "--policy", "uniform", "--out", "x", f"--seed={seed}"])
-        assert args.seed == seed
+        assert args.base_seed == seed
 
 
 @pytest.mark.parametrize("text", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
