@@ -9,27 +9,32 @@ from patchbandit.corpus import (Bug, CorpusError, DEFAULT_CORPUS_DIR,
                                 edits_to_jsonable, load_bug, load_corpus,
                                 load_patch, run_gate)
 from patchbandit.experiment import ExperimentReport, write_report
-from patchbandit.toylang import (COARSE_OPERATORS, Edit, apply_edits,
+from patchbandit.toylang import (COARSE_OPERATORS, Edit, apply_edit,
+                                 apply_edits, compile_program,
+                                 enumerate_edits, localize, passes_all,
                                  run_tests)
 
 EXPECTED_BUGS = ["callswap-1", "dupadd-1", "guard-1", "init-1", "mid3",
                  "negbal-1", "offbyone-1", "reset-1", "sched-1", "span-1",
                  "swap-1", "worstloss-1"]
 
-# single-edit repair-suite fixes found by brute force, frozen by design
-FIXING_OPERATORS = {
-    "mid3": {"stmt_append", "stmt_replace"},
-    "span-1": {"stmt_append"},
-    "dupadd-1": {"stmt_delete"},
-    "reset-1": {"stmt_delete"},
-    "negbal-1": {"stmt_append", "stmt_delete", "stmt_replace", "stmt_swap"},
-    "worstloss-1": {"stmt_append"},
-    "sched-1": {"stmt_append", "stmt_replace", "expr_add"},
-    "offbyone-1": {"stmt_append", "off_by_one", "const_perturb"},
-    "guard-1": {"guard_insert"},
-    "init-1": {"var_init_insert"},
-    "swap-1": {"stmt_swap", "off_by_one"},
-    "callswap-1": {"func_call_swap"},
+# the gate's whole output per bug, frozen by design: the operators with a
+# single-edit repair-suite fix in discovery order, the number of such
+# fixes, and the number of single edits enumerated
+GATE_TABLE = {
+    "callswap-1": (("func_call_swap",), 1, 35),
+    "dupadd-1": (("stmt_delete",), 2, 166),
+    "guard-1": (("guard_insert",), 1, 28),
+    "init-1": (("var_init_insert",), 1, 211),
+    "mid3": (("stmt_append", "stmt_replace"), 2, 243),
+    "negbal-1": (("stmt_append", "stmt_delete", "stmt_replace",
+                  "stmt_swap"), 10, 160),
+    "offbyone-1": (("stmt_append", "off_by_one", "const_perturb"), 4, 129),
+    "reset-1": (("stmt_delete",), 1, 162),
+    "sched-1": (("stmt_append", "stmt_replace", "expr_add"), 4, 107),
+    "span-1": (("stmt_append",), 1, 433),
+    "swap-1": (("off_by_one", "stmt_swap"), 3, 117),
+    "worstloss-1": (("stmt_append",), 1, 427),
 }
 
 
@@ -53,9 +58,26 @@ def test_every_bug_passes_the_gate(gate):
     assert gate.ok
 
 
-def test_fixing_operator_sets_match_design(gate):
-    found = {r.name: set(r.fixing_operators) for r in gate.results}
-    assert found == FIXING_OPERATORS
+def test_gate_table_matches_design(gate):
+    found = {r.name: (r.fixing_operators, r.single_edit_fixes,
+                      r.edits_examined) for r in gate.results}
+    assert found == GATE_TABLE
+
+
+def test_passes_all_verdict_does_not_depend_on_case_order(corpus):
+    # the repair suite in file order and with the cases the buggy program
+    # fails moved to the front give every single-edit variant one verdict
+    for bug in corpus:
+        located = localize(bug.program, bug.repair_suite)
+        cases = bug.repair_suite.cases
+        failing_first = [case for ok in (False, True)
+                         for case, flag in zip(cases, located.report.flags)
+                         if flag == ok]
+        assert sorted(failing_first, key=cases.index) == list(cases)
+        for edit in enumerate_edits(bug.program, located.weights):
+            variant = compile_program(apply_edit(bug.program, edit)[0])
+            assert passes_all(variant, cases) == \
+                passes_all(variant, failing_first), (bug.name, edit)
 
 
 def test_eight_bugs_are_coarse_patchable(gate):
