@@ -181,15 +181,21 @@ def check_bug(bug: Bug, step_budget: int = DEFAULT_STEP_BUDGET) \
     except NothingToRepair:
         errors.append("buggy program fails no repair test")
     else:
-        if True not in located.report.flags:
+        flags = located.report.flags
+        if True not in flags:
             errors.append("buggy program passes no repair test")
+        # most variants that fail, fail a test the buggy program fails, so
+        # those run first and passes_all stops there; the verdict is the same
+        failing_first = [case for ok in (False, True)
+                         for case, flag in zip(bug.repair_suite, flags)
+                         if flag == ok]
         for edit in enumerate_edits(bug.program, located.weights):
             examined += 1
             variant, applied = apply_edit(bug.program, edit)
             if not applied:
                 errors.append(f"enumerated edit failed to apply: {edit}")
                 continue
-            if passes_all(variant, bug.repair_suite, step_budget):
+            if passes_all(variant, failing_first, step_budget):
                 fix_count += 1
                 if edit.op not in fixing:
                     fixing.append(edit.op)

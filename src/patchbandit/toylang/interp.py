@@ -698,7 +698,10 @@ def run_tests(program, suite, step_budget: int = DEFAULT_STEP_BUDGET,
 
 
 def passes_all(program, suite, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
-    """Short-circuit check that every test passes (first failure stops)."""
+    """Short-circuit check that every test passes (first failure stops).
+
+    Each case runs on a fresh context with copied arguments, so the verdict
+    does not depend on the order of the cases, only the work done does."""
     cp = program if isinstance(program, CompiledProgram) \
         else compile_program(program)
     cases = list(suite)

@@ -9,6 +9,7 @@ from patchbandit.corpus import (Bug, CorpusError, DEFAULT_CORPUS_DIR,
                                 edits_to_jsonable, load_bug, load_corpus,
                                 load_patch, run_gate)
 from patchbandit.experiment import ExperimentReport, write_report
+from patchbandit.toylang import interp
 from patchbandit.toylang import (COARSE_OPERATORS, Edit, apply_edit,
                                  apply_edits, compile_program,
                                  enumerate_edits, localize, passes_all,
@@ -78,6 +79,22 @@ def test_passes_all_verdict_does_not_depend_on_case_order(corpus):
             variant = compile_program(apply_edit(bug.program, edit)[0])
             assert passes_all(variant, cases) == \
                 passes_all(variant, failing_first), (bug.name, edit)
+
+
+def test_gate_runs_each_failing_variant_to_its_first_failing_test(
+        monkeypatch):
+    # an exact count of the test cases the gate runs: failing-first order
+    # stops most failing variants at their first case (4,669 in file order)
+    calls = []
+    run_case = interp._run_case
+
+    def counted(*args):
+        calls.append(None)
+        return run_case(*args)
+
+    monkeypatch.setattr(interp, "_run_case", counted)
+    assert run_gate(load_corpus()).ok
+    assert len(calls) == 2741
 
 
 def test_eight_bugs_are_coarse_patchable(gate):
