@@ -111,6 +111,10 @@ def _out_dir(text: str) -> Path:
         entry = out / name
         if entry.exists() and not is_kind(entry):
             raise _UsageError(f"not a {kind}: {entry}")
+    # so would a patch file's name taken by anything but a regular file
+    for entry in sorted((out / "patches").glob("*.patch")):
+        if not entry.is_file():
+            raise _UsageError(f"not a file: {entry}")
     return out
 
 

@@ -231,22 +231,32 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
 
 def write_report(report: ExperimentReport, out_dir) -> None:
-    """summary.csv, detail.json, and one patch file per successful attempt."""
+    """summary.csv, detail.json, and one patch file per successful attempt.
+
+    A regular `*.patch` file in `patches/` that this report does not write
+    is removed: it is an earlier run's, and `repair quality` would score it.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text(report.to_csv())
     (out / "detail.json").write_text(report.to_json())
     patches = out / "patches"
+    written = {}
     for index, block in enumerate(report.detail["configs"]):
         for bug_name, records in sorted(block["bugs"].items()):
             for record in records:
-                if not record["patched"]:
-                    continue
-                patches.mkdir(exist_ok=True)
-                name = f"c{index:02d}-{bug_name}-a{record['attempt']:02d}.patch"
-                payload = {"bug": bug_name, "edits": record["edits"]}
-                (patches / name).write_text(
-                    json.dumps(payload, sort_keys=True, indent=2) + "\n")
+                if record["patched"]:
+                    name = (f"c{index:02d}-{bug_name}-"
+                            f"a{record['attempt']:02d}.patch")
+                    written[name] = {"bug": bug_name, "edits": record["edits"]}
+    for stale in patches.glob("*.patch"):
+        if stale.name not in written and stale.is_file():
+            stale.unlink()
+    if written:
+        patches.mkdir(exist_ok=True)
+    for name, payload in written.items():
+        (patches / name).write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # ------------------------------------------------------------ plan parsing
@@ -326,12 +336,7 @@ def parse_plan(text: str) -> ExperimentPlan:
             kwargs["bug_names"] = parse_bug_names(value, f"line {line_no}: ")
         else:
             raise PlanFormatError(f"line {line_no}: unknown key {key!r}")
-    try:
-        return ExperimentPlan(configs=tuple(kwargs.pop("configs")), **kwargs)
-    except PlanFormatError:
-        raise
-    except (ConfigError, TypeError) as err:
-        raise PlanFormatError(str(err)) from err
+    return ExperimentPlan(configs=tuple(kwargs.pop("configs")), **kwargs)
 
 
 def load_plan(path) -> ExperimentPlan:

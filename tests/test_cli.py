@@ -272,6 +272,7 @@ def test_out_that_cannot_be_a_directory_fails_before_any_cell(
 @pytest.mark.parametrize("command", ["run", "bench"])
 @pytest.mark.parametrize("entry, kind", [
     ("summary.csv", "file"), ("detail.json", "file"), ("patches", "directory"),
+    ("patches/c00-dupadd-1-a00.patch", "file"),
 ])
 def test_an_out_entry_of_the_wrong_kind_fails_before_any_cell(
         tmp_path, capsys, monkeypatch, command, entry, kind):
@@ -284,7 +285,7 @@ def test_an_out_entry_of_the_wrong_kind_fails_before_any_cell(
     out.mkdir()
     in_the_way = out / entry
     if kind == "file":
-        in_the_way.mkdir()
+        in_the_way.mkdir(parents=True)
     else:
         in_the_way.write_text("keep\n")
     plan = tmp_path / "demo.plan"
@@ -301,6 +302,27 @@ def test_a_rerun_into_the_same_out_overwrites_its_entries(tmp_path):
     first = (tmp_path / "out" / "detail.json").read_bytes()
     assert main(RUN_ARGS + ["--out", out]) == EXIT_OK
     assert (tmp_path / "out" / "detail.json").read_bytes() == first
+
+
+def test_a_rerun_into_the_same_out_keeps_only_its_own_patches(tmp_path,
+                                                              capsys):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    one_attempt = RUN_ARGS + ["--attempts", "1"]
+    assert main(RUN_ARGS + ["--out", str(out)]) == EXIT_OK
+    (out / "patches" / "notes.txt").write_text("keep\n")
+    first = sorted(p.name for p in (out / "patches").glob("*.patch"))
+    assert main(one_attempt + ["--out", str(out)]) == EXIT_OK
+    assert main(one_attempt + ["--out", str(fresh)]) == EXIT_OK
+    kept = sorted(p.name for p in (out / "patches").glob("*.patch"))
+    assert kept == sorted(p.name for p in (fresh / "patches").glob("*.patch"))
+    assert len(kept) < len(first)
+    for name in kept:
+        assert (out / "patches" / name).read_bytes() == \
+            (fresh / "patches" / name).read_bytes()
+    assert (out / "patches" / "notes.txt").read_text() == "keep\n"
+    capsys.readouterr()
+    assert main(["quality", "--patches", str(out / "patches")]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == len(kept) + 1
 
 
 class _Captured(Exception):
