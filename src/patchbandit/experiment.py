@@ -231,32 +231,29 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
 
 
 def write_report(report: ExperimentReport, out_dir) -> None:
-    """summary.csv, detail.json, and one patch file per successful attempt.
-
-    A regular `*.patch` file in `patches/` that this report does not write
-    is removed: it is an earlier run's, and `repair quality` would score it.
-    """
+    """summary.csv, detail.json, and one patch file per successful attempt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text(report.to_csv())
     (out / "detail.json").write_text(report.to_json())
     patches = out / "patches"
-    written = {}
+    written = set()
     for index, block in enumerate(report.detail["configs"]):
         for bug_name, records in sorted(block["bugs"].items()):
             for record in records:
-                if record["patched"]:
-                    name = (f"c{index:02d}-{bug_name}-"
-                            f"a{record['attempt']:02d}.patch")
-                    written[name] = {"bug": bug_name, "edits": record["edits"]}
+                if not record["patched"]:
+                    continue
+                patches.mkdir(exist_ok=True)
+                name = f"c{index:02d}-{bug_name}-a{record['attempt']:02d}.patch"
+                written.add(name)
+                payload = {"bug": bug_name, "edits": record["edits"]}
+                (patches / name).write_text(
+                    json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # an earlier run's patch left here is not this report's, yet
+    # `repair quality` would score it
     for stale in patches.glob("*.patch"):
         if stale.name not in written and stale.is_file():
             stale.unlink()
-    if written:
-        patches.mkdir(exist_ok=True)
-    for name, payload in written.items():
-        (patches / name).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # ------------------------------------------------------------ plan parsing
