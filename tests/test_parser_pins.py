@@ -4,7 +4,9 @@ A table of malformed programs and expressions pins each error's message,
 line and column, one entry or more per production.  One sha256 pins the
 `repr` of the tree (statement ids and `next_sid` included) and its printed
 text for every corpus program and for a few thousand seeded random
-expressions, some of them malformed on purpose.
+expressions, some of them malformed on purpose.  Another pins the lexer's
+tokens or error for a few thousand seeded random texts, blanks, comments
+and characters it refuses included.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import pytest
 
 from patchbandit.toylang.syntax import (ParseError, parse_expression,
                                         parse_program, print_expr,
-                                        print_program)
+                                        print_program, tokenize)
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "patchbandit" \
     / "corpus"
@@ -84,6 +86,13 @@ MALFORMED = [
      "1:20: unexpected character '@'"),
     (parse_program, "fn f(a) { return 99999999999999999999; }",
      "1:18: integer literal out of range"),
+    (parse_expression, "٢", "1:1: unexpected character '٢'"),
+    (parse_expression, "a + ²", "1:5: unexpected character '²'"),
+    (parse_expression, "a\x0c", "1:2: unexpected character '\\x0c'"),
+    (parse_expression, "\x00", "1:1: unexpected character '\\x00'"),
+    (parse_expression, "a\t\r)", "1:4: trailing input after expression"),
+    (parse_program, "fn f(a) {\n\t) }", "2:2: expected a statement"),
+    (parse_expression, "_a é x٢", "1:4: trailing input after expression"),
     # nesting
     (parse_program, "fn f() {" + "{" * DEEP + "}" * DEEP + " return 1; }",
      "1:73: nesting deeper than 64 levels"),
@@ -93,6 +102,8 @@ MALFORMED = [
     (parse_program, "fn", "1:3: expected 'ident', found end of input"),
     (parse_program, "fn f(a)", "1:8: expected '{', found end of input"),
     (parse_program, "fn f(a) {", "1:10: expected '}', found end of input"),
+    (parse_program, "fn f(a) { return a; # c",   # at the '#'
+     "1:21: expected '}', found end of input"),
     (parse_program, "fn f() { { x = 1; }",
      "1:20: expected '}', found end of input"),
     (parse_program, "fn f(a) {\n  return g(a, b",
@@ -140,6 +151,65 @@ def test_malformed_input_names_its_message_line_and_column(parse, text,
         parse(text)
     assert str(err.value) == f"parse error at {message}"
     assert f"{err.value.line}:{err.value.col}" == message.split(": ")[0]
+
+
+LEXED = [
+    # a word starts with a letter or '_' and goes on with letters and digits
+    ("fn _f(_a, é, x٢)",
+     [("fn", "fn", 1, 1), ("ident", "_f", 1, 4), ("(", "(", 1, 6),
+      ("ident", "_a", 1, 7), (",", ",", 1, 9), ("ident", "é", 1, 11),
+      (",", ",", 1, 12), ("ident", "x٢", 1, 14), (")", ")", 1, 16),
+      ("eof", None, 1, 17)]),
+    # tabs and carriage returns are one column each; a comment ends a line
+    ("x\t<=\r9 # c <= 1\n  _ ||# d",
+     [("ident", "x", 1, 1), ("<=", "<=", 1, 3), ("int", 9, 1, 6),
+      ("ident", "_", 2, 3), ("||", "||", 2, 5), ("eof", None, 2, 7)]),
+    # an integer is ASCII digits only, and a word may follow it at once
+    ("007ab", [("int", 7, 1, 1), ("ident", "ab", 1, 4), ("eof", None, 1, 6)]),
+    ("a  \n", [("ident", "a", 1, 1), ("eof", None, 2, 1)]),
+    ("a  ", [("ident", "a", 1, 1), ("eof", None, 1, 4)]),
+]
+
+
+@pytest.mark.parametrize("text, tokens", LEXED,
+                         ids=[repr(text) for text, _ in LEXED])
+def test_the_lexer_names_each_tokens_kind_value_line_and_column(text,
+                                                                 tokens):
+    assert tokenize(text) == tokens
+
+
+# the pieces random lexer input is made of: every token kind, blanks,
+# comments, and what the lexer refuses: an integer past the range and
+# characters, some of them word characters
+_PIECES = ("fn", "if", "else", "while", "return", "len", "x", "_a", "é",
+           "x٢", "n_1", "0", "42", "9223372036854775807", "||", "&&", "<",
+           "<=", ">", ">=", "==", "!=", "=", "+", "-", "*", "/", "%", "(",
+           ")", "{", "}", "[", "]", ",", ";", " ", " ", "\t", "\r", "\n",
+           "\n", "# c", "#")
+_REFUSED = ("99999999999999999999", "٢", "²", "\x0c", "\x00", "@", "!", "&",
+            "|", "\u0301")
+
+
+def _random_text(rng):
+    pieces = []
+    for _ in range(rng.randrange(25)):
+        table = _REFUSED if rng.random() < 0.01 else _PIECES
+        pieces.append(rng.choice(table))
+    return "".join(pieces)
+
+
+def test_tokens_and_lexer_messages_match_their_digest():
+    lines = []
+    rng = random.Random(17)
+    for _ in range(4000):
+        try:
+            lines.append(repr(tokenize(_random_text(rng))))
+        except ParseError as err:
+            lines.append(f"{err} {err.line}:{err.col}")
+    assert sum(line.startswith("parse error") for line in lines) == 374
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == \
+        "0e003352a1e2db177e43e42d67d86998df116d344a644717aa9afad1ed3b0699"
 
 
 _LEAVES = ("0", "7", "x", "y", "n_1", "9223372036854775807")
