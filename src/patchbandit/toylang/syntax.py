@@ -18,12 +18,18 @@ during parsing; mutation edits address statements through these ids.
 
 `_LEVELS` holds the binary operators' precedence, the one statement of it:
 the parser reads one level of the table at a time, and the printer's
-precedences are derived from it.
+precedences and the lexer's symbols are derived from it.  The lexer's
+tokens are those symbols (the operators of `_LEVELS` and the punctuation
+`=(){}[],;`), integers of the digits 0-9, the keywords, and identifiers:
+a letter or '_' and then letters, digits and '_', Unicode ones included.
+Spaces, tabs and carriage returns between tokens are skipped, and each is
+one column.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 KEYWORDS = ("fn", "if", "else", "while", "return")
@@ -262,64 +268,38 @@ def read_int(text: str) -> int:
 # ---------------------------------------------------------------- lexer
 
 
-_TWO_CHAR = ("<=", ">=", "==", "!=", "&&", "||")
-_ONE_CHAR = "+-*/%<>=(){}[],;"
+# the lexer's symbols, longest first so that `<=` is one token, not two
+_SYMBOLS = sorted({op for level in _LEVELS for op in level} | set("=(){}[],;"),
+                  key=lambda symbol: (-len(symbol), symbol))
+# one token after blanks, or the end of a line's code: its end or a '#';
+# `word` also takes any single character nothing before it did
+_TOKEN = re.compile(r"[ \t\r]*(?:(?P<int>[0-9]+)|(?P<symbol>"
+                    + "|".join(map(re.escape, _SYMBOLS))
+                    + r")|(?P<end>#|$)|(?P<word>\w+|.))")
 
 
 def tokenize(text: str):
     tokens = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append((two, two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            try:
-                value = read_int(text[i:j])
-            except ValueError:
-                raise ParseError("integer literal out of range",
-                                 line, start_col) from None
-            tokens.append(("int", value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append((kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append((ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    for line, source in enumerate(text.split("\n"), 1):
+        for match in _TOKEN.finditer(source):
+            kind = match.lastgroup
+            value, col = match[kind], match.start(kind) + 1
+            if kind == "end":
+                break
+            if kind == "int":
+                try:
+                    value = read_int(value)
+                except ValueError:
+                    raise ParseError("integer literal out of range",
+                                     line, col) from None
+            elif kind == "symbol":
+                kind = value
+            elif value[0].isalpha() or value[0] == "_":
+                kind = value if value in KEYWORDS else "ident"
+            else:
+                raise ParseError(f"unexpected character {value[0]!r}",
+                                 line, col)
+            tokens.append((kind, value, line, col))
     tokens.append(("eof", None, line, col))
     return tokens
 

@@ -1,8 +1,10 @@
-"""The grammar, the parser and the interpreter name the same operators.
+"""The grammar, the lexer, the parser and the interpreter name the same
+operators.
 
-`syntax._LEVELS` is the one statement of the binary operators' precedence.
-These tests tie the grammar's precedence productions and the evaluator's
-operator tables to it.
+`syntax._LEVELS` is the one statement of the binary operators' precedence,
+and the lexer's symbols are derived from it.  These tests tie the
+grammar's precedence productions and the evaluator's operator tables to
+it, and the grammar's terminals to the lexer's tokens.
 """
 
 import re
@@ -16,13 +18,24 @@ GRAMMAR = Path(__file__).resolve().parent.parent / "docs" / "grammar.ebnf"
 LEVEL_PRODUCTIONS = ("or-expr", "and-expr", "cmp-op", "add-expr", "mul-expr")
 
 
+# the productions of one class of characters, and the kind of token each
+# of their terminals is on its own
+CHARACTER_CLASSES = {"digit": "int", "id-start": "ident"}
+
+
+def _productions() -> dict:
+    """The grammar's productions, comments left out, by name."""
+    text = re.sub(r"\(\*.*?\*\)", "", GRAMMAR.read_text(encoding="utf-8"),
+                  flags=re.DOTALL)
+    rules = dict(re.findall(r'^([a-z-]+)\s+=((?:"[^"]*"|[^";])*);', text,
+                            re.MULTILINE))
+    assert list(rules) == re.findall(r"^([a-z-]+)\s+=", text, re.MULTILINE)
+    return rules
+
+
 def _quoted(production: str) -> tuple:
     """The quoted terminals of one production of the grammar."""
-    text = GRAMMAR.read_text(encoding="utf-8")
-    rule = re.search(rf"^{re.escape(production)}\s+=(.*?);", text,
-                     re.MULTILINE | re.DOTALL)
-    assert rule, production
-    return tuple(re.findall(r'"([^"]+)"', rule.group(1)))
+    return tuple(re.findall(r'"([^"]+)"', _productions()[production]))
 
 
 def test_the_grammars_precedence_productions_are_the_parsers_levels():
@@ -38,3 +51,17 @@ def test_the_interpreter_evaluates_exactly_the_parsers_operators():
 def test_the_lexer_reads_each_operator_as_one_token():
     for op in syntax._PRECEDENCE:
         assert [tok[0] for tok in syntax.tokenize(op)] == [op, "eof"]
+
+
+def test_each_terminal_of_the_grammar_is_one_token_of_its_own_kind():
+    for name in _productions():
+        for terminal in _quoted(name):
+            kind = CHARACTER_CLASSES.get(name, terminal)
+            assert [tok[0] for tok in syntax.tokenize(terminal)] \
+                == [kind, "eof"], (name, terminal)
+
+
+def test_the_grammar_quotes_every_symbol_and_keyword_the_lexer_knows():
+    quoted = {terminal for name in _productions()
+              for terminal in _quoted(name)}
+    assert set(syntax._SYMBOLS) | set(syntax.KEYWORDS) <= quoted
