@@ -104,12 +104,13 @@ def _out_dir(text: str) -> Path:
         raise _UsageError(f"not a directory: {out}") from None
     except OSError as err:
         raise _UsageError(f"cannot create {out}: {err.strerror}") from None
-    # an entry of the wrong kind would fail write_report after every cell
+    # an entry of the wrong kind would fail write_report after every cell;
+    # a link to nothing is an entry too, though exists() calls it absent
     for name, kind, is_kind in (("summary.csv", "file", Path.is_file),
                                 ("detail.json", "file", Path.is_file),
                                 ("patches", "directory", Path.is_dir)):
         entry = out / name
-        if entry.exists() and not is_kind(entry):
+        if (entry.exists() or entry.is_symlink()) and not is_kind(entry):
             raise _UsageError(f"not a {kind}: {entry}")
     # so would a patch file's name taken by anything but a regular file
     for entry in sorted((out / "patches").glob("*.patch")):

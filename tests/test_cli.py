@@ -269,13 +269,19 @@ def test_out_that_cannot_be_a_directory_fails_before_any_cell(
     assert taken.read_text() == "keep\n"
 
 
-@pytest.mark.parametrize("command", ["run", "bench"])
-@pytest.mark.parametrize("entry, kind", [
+_OUT_ENTRIES = [
     ("summary.csv", "file"), ("detail.json", "file"), ("patches", "directory"),
     ("patches/c00-dupadd-1-a00.patch", "file"),
-])
+]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("entry, kind, dangling", [
+    pytest.param(entry, kind, dangling,
+                 id=f"{entry}-{kind}" + "-dangling" * dangling)
+    for dangling in (False, True) for entry, kind in _OUT_ENTRIES])
 def test_an_out_entry_of_the_wrong_kind_fails_before_any_cell(
-        tmp_path, capsys, monkeypatch, command, entry, kind):
+        tmp_path, capsys, monkeypatch, command, entry, kind, dangling):
     # write_report would fail on it only after every cell had run
     def no_cells(plan):
         raise AssertionError("a cell ran")
@@ -284,8 +290,11 @@ def test_an_out_entry_of_the_wrong_kind_fails_before_any_cell(
     out = tmp_path / "out"
     out.mkdir()
     in_the_way = out / entry
-    if kind == "file":
-        in_the_way.mkdir(parents=True)
+    in_the_way.parent.mkdir(exist_ok=True)
+    if dangling:    # a link to nothing, which Path.exists() calls absent
+        in_the_way.symlink_to(tmp_path / "missing")
+    elif kind == "file":
+        in_the_way.mkdir()
     else:
         in_the_way.write_text("keep\n")
     plan = tmp_path / "demo.plan"
