@@ -268,16 +268,20 @@ def _parse_config_line(value: str, line_no: int) -> ConfigSpec:
             raise PlanFormatError(
                 f"line {line_no}: expected key=value, got {token!r}")
         key, _, raw = token.partition("=")
-        if key == "alpha":
-            try:
-                kwargs["alpha"] = float(raw)
-            except ValueError:
-                raise PlanFormatError(f"line {line_no}: alpha needs a number, "
-                                      f"got {raw!r}") from None
-        elif key in ("credit", "reward", "cadence", "arms"):
-            kwargs[key] = raw
-        else:
+        if key not in ("credit", "reward", "cadence", "arms", "alpha"):
             raise PlanFormatError(f"line {line_no}: unknown config key {key!r}")
+        if key in kwargs:
+            # a second value would replace the first without a word
+            raise PlanFormatError(
+                f"line {line_no}: config key {key!r} is given twice")
+        if key != "alpha":
+            kwargs[key] = raw
+            continue
+        try:
+            kwargs["alpha"] = float(raw)
+        except ValueError:
+            raise PlanFormatError(f"line {line_no}: alpha needs a number, "
+                                  f"got {raw!r}") from None
     try:
         return ConfigSpec(**kwargs)
     except ConfigError as err:

@@ -428,6 +428,19 @@ def test_repeated_bug_in_a_plan_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_key_given_twice_is_a_usage_error(tmp_path, capsys):
+    plan = tmp_path / "twice.plan"
+    plan.write_text("config = pm credit=avg credit=erwa alpha=0.3 alpha=0.9\n"
+                    "bugs = guard-1\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--plan", str(plan), "--out", str(out)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "line 1: config key 'credit' is given twice" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bugs", [",", " , ,", ""])
 def test_empty_bug_list_in_run_is_a_usage_error(tmp_path, capsys, bugs):
     out = tmp_path / "out"

@@ -364,6 +364,20 @@ def test_a_plan_key_other_than_config_may_appear_once(key, first, second):
         parse_plan(text)
 
 
+@pytest.mark.parametrize("key, first, second", [
+    ("credit", "avg", "erwa"), ("reward", "raw", "relative"),
+    ("cadence", "generation", "mutation"), ("arms", "3", "18"),
+    ("alpha", "0.3", "0.9"),
+])
+def test_a_config_key_may_appear_once_in_its_line(key, first, second):
+    # a second key=value would otherwise replace the first without a word
+    text = (f"config = uniform\nbugs = guard-1\n"
+            f"config = pm credit=erwa {key}={first} {key}={second}\n")
+    with pytest.raises(PlanFormatError,
+                       match=f"^line 3: config key '{key}' is given twice$"):
+        parse_plan(text)
+
+
 def test_the_example_plan_parses_to_its_documented_matrix():
     bandits = tuple(ConfigSpec(policy, credit=credit)
                     for policy in ("pm", "ap", "egreedy", "ucb")
