@@ -1,8 +1,12 @@
 """Adaptive operator selection: credit assignment and selection policies.
 
-A Controller keeps per-arm statistics (quality, play count, selection
-probability) and updates them from scalar rewards.  Four selection policies
-are supported:
+A selector answers the four calls the search makes on it: select_arm(rng)
+picks a mutation's arm, credit(arm, fitness, parent_fitness) reports the
+child, flush_generation() ends a generation and snapshot() reports the
+arms.  UniformSelector, the baseline, learns nothing.  A Controller keeps
+per-arm statistics (quality, play count, selection probability) and
+updates them from the rewards it makes of each credited fitness.  Four
+selection policies are supported:
 
 * ``pm``       probability matching over a floor p_min
 * ``ap``       pursuit of the current best arm toward a ceiling p_max
@@ -12,10 +16,11 @@ are supported:
 and two credit assigners: ``avg`` (arithmetic mean of all rewards seen) and
 ``erwa`` (exponential recency-weighted average, Q += alpha * (r - Q)).
 
-Rewards arrive either immediately (``mutation`` cadence) or buffered and
-applied as a batch (``generation`` cadence, via flush_generation).
+Rewards are the ``raw`` fitness or that ``relative`` to the parent's, and
+apply either at once (``mutation`` cadence; flush_generation does nothing)
+or as a batch at flush_generation (``generation`` cadence).
 
-A Controller reads its policy, credit, cadence and alpha from an
+A Controller reads its policy, credit, reward, cadence and alpha from an
 engine.ConfigSpec, which checks every name when it is built.  The rest is
 fixed: p_min = 1 / (2N) and p_max = 1 - (N - 1) p_min for N arms, and the
 module constants BETA, EPSILON and EXPLORE (E).
@@ -45,10 +50,6 @@ class ConfigError(ValueError):
     """A selection or search configuration field is out of range or unknown."""
 
 
-class CadenceError(RuntimeError):
-    """A cadence-specific operation was called under the other cadence."""
-
-
 def compute_reward(raw_fitness: float, parent_fitness: float | None,
                    reward_type: str) -> float:
     """Scalar reward for one credit event.
@@ -76,8 +77,9 @@ class Controller:
     """Per-arm statistics plus one selection policy.
 
     select_arm never mutates state; plays advance when rewards are credited.
-    Under generation cadence credits accumulate in a pending buffer and take
-    effect, in arrival order, at flush_generation.
+    Under generation cadence rewards accumulate in a pending buffer and take
+    effect, in arrival order, at flush_generation; under mutation cadence
+    they take effect at once and flush_generation does nothing.
     """
 
     def __init__(self, config, n_arms: int):
@@ -95,18 +97,6 @@ class Controller:
 
     # ------------------------------------------------------------ state
 
-    @property
-    def qualities(self) -> list[float]:
-        return [a.quality for a in self.arms]
-
-    @property
-    def plays(self) -> list[int]:
-        return [a.plays for a in self.arms]
-
-    @property
-    def probabilities(self) -> list[float]:
-        return [a.probability for a in self.arms]
-
     def snapshot(self) -> tuple:
         return tuple({"arm": i, "quality": a.quality, "plays": a.plays,
                       "probability": a.probability}
@@ -114,10 +104,11 @@ class Controller:
 
     # ----------------------------------------------------------- credit
 
-    def credit(self, arm: int, reward: float) -> None:
+    def credit(self, arm: int, fitness: float,
+               parent_fitness: float | None = None) -> None:
         if not 0 <= arm < self.n_arms:
             raise IndexError(f"arm {arm} out of range 0..{self.n_arms - 1}")
-        reward = max(0.0, reward)
+        reward = compute_reward(fitness, parent_fitness, self.config.reward)
         if self.config.cadence == "generation":
             self._pending.append((arm, reward))
             return
@@ -126,8 +117,7 @@ class Controller:
 
     def flush_generation(self) -> None:
         if self.config.cadence != "generation":
-            raise CadenceError("flush_generation is only valid under "
-                               "generation cadence")
+            return                  # mutation cadence applied each credit
         for arm, reward in self._pending:
             self._apply(arm, reward)
         self._pending.clear()
@@ -226,7 +216,7 @@ DEFAULT_ALPHA = {name: policy.alpha for name, policy in _POLICIES.items()}
 
 
 class UniformSelector:
-    """The baseline: answers a Controller's calls and learns nothing."""
+    """The baseline: answers a Controller's four calls and learns nothing."""
 
     def __init__(self, n_arms: int):
         self.n_arms = n_arms
@@ -234,7 +224,11 @@ class UniformSelector:
     def select_arm(self, rng) -> int:
         return rng.randrange(self.n_arms)
 
-    def credit(self, arm: int, reward: float) -> None:
+    def credit(self, arm: int, fitness: float,
+               parent_fitness: float | None = None) -> None:
+        pass
+
+    def flush_generation(self) -> None:
         pass
 
     def snapshot(self) -> None:

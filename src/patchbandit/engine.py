@@ -4,11 +4,12 @@ One repair attempt is a classic generational GP search over edit lists:
 binary tournament selection, one-point crossover on the lists (each pair
 of parents crosses over with probability CROSSOVER_RATE), then exactly
 one fresh mutation per individual per generation.  run_repair is the
-only entry: a selector picks the arm of every mint and is credited with
-the child's reward, an aos.Controller over the scheme's arms or, for the
-uniform baseline, an aos.UniformSelector over the scheme's operators.
-An arm is one operator or a group of them; _draw turns the picked arm
-into the operator to mint, drawing a group's member uniformly.
+only entry: a selector, an aos.Controller over the scheme's arms or, for
+the uniform baseline, an aos.UniformSelector over the scheme's operators,
+picks the arm of every mint, is credited with the child's fitness and its
+parent's, and is flushed at the end of every generation, with no branch
+on which.  An arm is one operator or a group of them; _draw turns the
+picked arm into the operator to mint, drawing a group's member uniformly.
 
 ConfigSpec is the one selection config, from a plan line or the command
 line to the Controller: it checks every name and fills in every default
@@ -31,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 
 from .aos import (CADENCES, CREDITS, DEFAULT_ALPHA, POLICIES, REWARDS,
-                  ConfigError, Controller, UniformSelector, compute_reward)
+                  ConfigError, Controller, UniformSelector)
 from .toylang import (ALL_OPERATORS, COARSE_OPERATORS, DEFAULT_STEP_BUDGET,
                       InapplicableOperator, OPERATOR_GROUPS, apply_edits,
                       localize, mint_edit, run_tests)
@@ -55,9 +56,6 @@ MIN_POPULATION = 2
 # chance that a pair of selected parents is replaced by its two crossover
 # children
 CROSSOVER_RATE = 0.5
-
-BORN_INITIAL = "initial"
-BORN_CROSSOVER = "crossover"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -157,7 +155,6 @@ class Variant:
     """One point in the search: an edit list plus its evaluation record."""
 
     edits: tuple
-    born_by: str                        # operator id, crossover, or initial
     born_arm: int | None = None         # arm to credit; None credits nothing
     parent_fitness: float | None = None
     fitness: float | None = None
@@ -191,12 +188,8 @@ def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
     located = localize(program, suite, step_budget=step_budget)
     weights = located.weights
     rng = random.Random(derive_seed(seed, "search"))
-    # the baseline's "-" axes: rewards pass through and nothing is flushed
-    reward_type = spec.reward
-    flush = spec.cadence == "generation"
 
-    base = Variant(edits=(), born_by=BORN_INITIAL,
-                   fitness=located.report.fitness, variant_index=0,
+    base = Variant(edits=(), fitness=located.report.fitness, variant_index=0,
                    program=program)
     # the original's fitness comes from the localize run, not an evaluation
     memo = {(): (base.fitness, 0)}
@@ -225,7 +218,7 @@ def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
         return variant.program
 
     def mutate(individual):
-        # inapplicable operator: the arm wasted the slot, reward 0, and the
+        # inapplicable operator: the arm wasted the slot, fitness 0, and the
         # individual carries forward unchanged
         arm = selector.select_arm(aos_rng)
         operator = _draw(arms[arm], aos_rng)
@@ -235,8 +228,8 @@ def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
         except InapplicableOperator:
             selector.credit(arm, 0.0)
             return individual
-        return Variant(edits=individual.edits + (edit,), born_by=operator,
-                       born_arm=arm, parent_fitness=individual.fitness,
+        return Variant(edits=individual.edits + (edit,), born_arm=arm,
+                       parent_fitness=individual.fitness,
                        program=extend(parent, edit))
 
     def evaluate(batch):
@@ -256,10 +249,8 @@ def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
             else:
                 variant.fitness, variant.variant_index = known
             if variant.born_arm is not None:
-                selector.credit(variant.born_arm,
-                                compute_reward(variant.fitness,
-                                               variant.parent_fitness,
-                                               reward_type))
+                selector.credit(variant.born_arm, variant.fitness,
+                                variant.parent_fitness)
             if variant.fitness == 1.0:
                 return variant
         return None
@@ -276,8 +267,7 @@ def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
         winner = evaluate(population)
         if winner is not None or generation == generations:
             break
-        if flush:
-            selector.flush_generation()
+        selector.flush_generation()
         steps, last_steps = {}, steps
         parents = [pick_parent(population) for _ in range(population_size)]
         for left in range(0, population_size - 1, 2):
@@ -287,15 +277,12 @@ def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
             cut_f = rng.randrange(len(first.edits) + 1)
             cut_s = rng.randrange(len(second.edits) + 1)
             parents[left] = Variant(
-                edits=first.edits[:cut_f] + second.edits[cut_s:],
-                born_by=BORN_CROSSOVER)
+                edits=first.edits[:cut_f] + second.edits[cut_s:])
             parents[left + 1] = Variant(
-                edits=second.edits[:cut_s] + first.edits[cut_f:],
-                born_by=BORN_CROSSOVER)
+                edits=second.edits[:cut_s] + first.edits[cut_f:])
         population = [mutate(individual) for individual in parents]
 
-    if flush:
-        selector.flush_generation()
+    selector.flush_generation()
     if winner is not None:
         return RepairOutcome(True, winner, winner.variant_index,
                              evaluated, selector.snapshot())

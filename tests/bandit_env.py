@@ -4,15 +4,30 @@ Arm means live in [0, 1].  Rewards are either Bernoulli draws or the mean
 plus bounded uniform jitter.  Non-stationary instances move the means by a
 per-step additive drift (clamped to [0, 1]) or reverse the arm order at a
 fixed step, which swaps the identity of the best arm abruptly.
+
+qualities, plays and probabilities read one column of a Controller's arm
+statistics, in arm order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from patchbandit.aos import CadenceError, Controller, compute_reward
+from patchbandit.aos import Controller
 
 NOISE_KINDS = ("bernoulli", "jitter")
+
+
+def qualities(controller: Controller) -> list[float]:
+    return [arm.quality for arm in controller.arms]
+
+
+def plays(controller: Controller) -> list[int]:
+    return [arm.plays for arm in controller.arms]
+
+
+def probabilities(controller: Controller) -> list[float]:
+    return [arm.probability for arm in controller.arms]
 
 
 def _clamp01(x: float) -> float:
@@ -72,13 +87,14 @@ def run_episode(spec: BanditSpec, controller: Controller, steps: int,
                 rng) -> EpisodeResult:
     """Select, pull, credit once per step.  Credits must apply per pull."""
     if controller.config.cadence != "mutation":
-        raise CadenceError("episodes credit per pull; use mutation cadence")
+        raise ValueError("episodes credit per pull; use mutation cadence")
     out = EpisodeResult()
     for step in range(steps):
         arm = controller.select_arm(rng)
         raw = spec.pull(arm, step, rng)
-        controller.credit(arm, compute_reward(raw, None, controller.config.reward))
+        controller.credit(arm, raw)
         out.selections.append(arm)
         out.rewards.append(raw)
-        out.greedy_arms.append(controller.qualities.index(max(controller.qualities)))
+        quality = qualities(controller)
+        out.greedy_arms.append(quality.index(max(quality)))
     return out

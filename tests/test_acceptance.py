@@ -28,7 +28,7 @@ from patchbandit.experiment import (
 )
 from patchbandit import cli
 
-from bandit_env import BanditSpec, run_episode
+from bandit_env import BanditSpec, probabilities, qualities, run_episode
 
 
 # ------------------------------------------------- policy math, exact
@@ -41,7 +41,7 @@ def test_policy_update_equations_match_closed_forms():
     pm = Controller(ConfigSpec(policy="pm", credit="avg", cadence="mutation"), 3)
     for arm in range(3):
         pm.credit(arm, 0.5)
-    for p in pm.probabilities:
+    for p in probabilities(pm):
         assert abs(p - 1 / 3) <= 1e-9
 
     # recency-weighted update from the optimistic start:
@@ -49,15 +49,15 @@ def test_policy_update_equations_match_closed_forms():
     er = Controller(
         ConfigSpec(policy="pm", credit="erwa", alpha=0.8, cadence="mutation"), 2)
     er.credit(0, 0.0)
-    assert abs(er.qualities[0] - 0.2) <= 1e-9
+    assert abs(qualities(er)[0] - 0.2) <= 1e-9
 
     # pursuit: the unique winner takes one beta-step toward the ceiling,
     # N=3 from uniform: P_1 = 1/3 + 0.8 * (2/3 - 1/3) = 0.6, losers 0.2
     ap = Controller(ConfigSpec(policy="ap", credit="avg", cadence="mutation"), 3)
     ap.credit(1, 2.0)
-    assert abs(ap.probabilities[1] - 0.6) <= 1e-9
-    assert abs(ap.probabilities[0] - 0.2) <= 1e-9
-    assert abs(ap.probabilities[2] - 0.2) <= 1e-9
+    assert abs(probabilities(ap)[1] - 0.6) <= 1e-9
+    assert abs(probabilities(ap)[0] - 0.2) <= 1e-9
+    assert abs(probabilities(ap)[2] - 0.2) <= 1e-9
 
     # relative reward divides by the parent, raw fallback without one
     assert abs(compute_reward(0.75, 0.5, "relative") - 1.5) <= 1e-9
@@ -87,7 +87,7 @@ def test_selection_distributions_stay_normalized_and_bounded():
         for _ in range(rng.randint(1, 12)):
             c.credit(rng.randrange(n),
                      rng.random() * rng.choice((0.0, 0.5, 1.0, 2.0)))
-        probs = c.probabilities
+        probs = probabilities(c)
         assert abs(sum(probs) - 1.0) <= 1e-9
         assert min(probs) >= c.p_min - 1e-12
 
@@ -98,7 +98,7 @@ def test_selection_distributions_stay_normalized_and_bounded():
             ConfigSpec(policy="ap", credit="avg", cadence="mutation"), n)
         for _ in range(rng.randint(1, 12)):
             c.credit(rng.randrange(n), rng.random() * 2.0)
-        probs = c.probabilities
+        probs = probabilities(c)
         assert abs(sum(probs) - 1.0) <= 1e-9
         assert min(probs) >= c.p_min - 1e-12
         assert max(probs) <= c.p_max + 1e-12
@@ -107,11 +107,11 @@ def test_selection_distributions_stay_normalized_and_bounded():
         # credit; one 50.0 makes `best` the strict argmax (other means <= 2)
         best = rng.randrange(n)
         c.credit(best, 50.0)
-        gap = abs(c.probabilities[best] - c.p_max)
+        gap = abs(probabilities(c)[best] - c.p_max)
         for _ in range(5):
             c.credit(best, 50.0)
         shrink = (1 - aos.BETA) ** 5
-        assert abs(c.probabilities[best] - c.p_max) <= shrink * gap + 1e-9
+        assert abs(probabilities(c)[best] - c.p_max) <= shrink * gap + 1e-9
 
     assert time.perf_counter() - t0 < 10.0
 
@@ -128,7 +128,7 @@ def test_policies_converge_to_best_arm_within_thresholds():
         c = Controller(
             ConfigSpec(policy="ap", credit="avg", cadence="mutation"), 2)
         run_episode(BanditSpec([0.1, 0.9]), c, 500, rng)
-        assert abs(c.probabilities[1] - c.p_max) <= 1e-3
+        assert abs(probabilities(c)[1] - c.p_max) <= 1e-3
 
     # epsilon-greedy settles on the best of five arms: expected pull rate
     # 1 - eps + eps/5, asserted with a 0.05 margin over the last half

@@ -5,6 +5,7 @@ closed forms, or manual replays) rather than read back from the module under
 test.
 """
 
+import inspect
 import math
 import random
 
@@ -12,13 +13,14 @@ import pytest
 
 import patchbandit.aos as aos
 from patchbandit.aos import (
-    CadenceError,
     ConfigError,
     Controller,
     UniformSelector,
     compute_reward,
 )
 from patchbandit.engine import ConfigSpec
+
+from bandit_env import plays, probabilities, qualities
 
 
 def make(policy, n_arms, **kw):
@@ -69,9 +71,9 @@ def test_controller_needs_a_bandit_policy():
 
 def test_initial_state_is_optimistic_and_uniform():
     c = make("pm", 4)
-    assert c.qualities == [1.0, 1.0, 1.0, 1.0]
-    assert c.plays == [0, 0, 0, 0]
-    assert c.probabilities == [0.25, 0.25, 0.25, 0.25]
+    assert qualities(c) == [1.0, 1.0, 1.0, 1.0]
+    assert plays(c) == [0, 0, 0, 0]
+    assert probabilities(c) == [0.25, 0.25, 0.25, 0.25]
 
 
 # ---------------------------------------------------------------- rewards
@@ -105,9 +107,9 @@ def test_average_quality_is_arithmetic_mean():
     rewards = [0.25, 0.5, 1.0, 0.0]
     for r in rewards:
         c.credit(0, r)
-    assert c.qualities[0] == pytest.approx(sum(rewards) / len(rewards), abs=1e-12)
-    assert c.qualities[1] == 1.0  # untouched arm keeps optimistic start
-    assert c.plays == [4, 0]
+    assert qualities(c)[0] == pytest.approx(sum(rewards) / len(rewards), abs=1e-12)
+    assert qualities(c)[1] == 1.0  # untouched arm keeps optimistic start
+    assert plays(c) == [4, 0]
 
 
 def test_erwa_quality_matches_closed_form():
@@ -118,20 +120,20 @@ def test_erwa_quality_matches_closed_form():
     for r in rewards:
         c.credit(0, r)
         q = q + alpha * (r - q)
-    assert c.qualities[0] == pytest.approx(q, abs=1e-9)
+    assert qualities(c)[0] == pytest.approx(q, abs=1e-9)
 
 
 def test_generation_cadence_buffers_until_flush():
     c = make("pm", 3, credit="avg", cadence="generation")
     c.credit(0, 1.0)
     c.credit(1, 0.5)
-    assert c.qualities == [1.0, 1.0, 1.0]
-    assert c.plays == [0, 0, 0]
-    assert c.probabilities == pytest.approx([1 / 3] * 3)
+    assert qualities(c) == [1.0, 1.0, 1.0]
+    assert plays(c) == [0, 0, 0]
+    assert probabilities(c) == pytest.approx([1 / 3] * 3)
     c.flush_generation()
-    assert c.qualities[0] == 1.0  # mean([1.0])
-    assert c.qualities[1] == 0.5
-    assert c.plays == [1, 1, 0]
+    assert qualities(c)[0] == 1.0  # mean([1.0])
+    assert qualities(c)[1] == 0.5
+    assert plays(c) == [1, 1, 0]
 
 
 def test_flush_equals_manual_replay():
@@ -145,18 +147,38 @@ def test_flush_equals_manual_replay():
     for arm, r in seq:
         replay.credit(arm, r)
 
-    assert batched.qualities == pytest.approx(replay.qualities, abs=1e-12)
-    assert batched.probabilities == pytest.approx(replay.probabilities, abs=1e-12)
-    assert batched.plays == replay.plays
+    assert qualities(batched) == pytest.approx(qualities(replay), abs=1e-12)
+    assert probabilities(batched) == pytest.approx(probabilities(replay), abs=1e-12)
+    assert plays(batched) == plays(replay)
 
 
-def test_mutation_cadence_applies_immediately_and_rejects_flush():
-    c = make("pm", 2, credit="avg", cadence="mutation")
+@pytest.mark.parametrize("policy", ["pm", "ap"])
+def test_mutation_cadence_applies_immediately_and_ignores_flush(policy):
+    # the search flushes every selector at each generation boundary; under
+    # mutation cadence that changes nothing, not even ap's pursuit step
+    c = make(policy, 2, credit="avg", cadence="mutation")
     c.credit(0, 0.0)
-    assert c.qualities[0] == 0.0
-    assert c.probabilities[0] != 0.5  # recomputed on the spot
-    with pytest.raises(CadenceError):
-        c.flush_generation()
+    assert qualities(c)[0] == 0.0
+    assert probabilities(c)[0] != 0.5  # recomputed on the spot
+    before = c.snapshot()
+    c.flush_generation()
+    c.flush_generation()
+    assert c.snapshot() == before
+
+
+def test_relative_credit_divides_by_the_parent_fitness():
+    c = make("pm", 2, credit="avg", reward="relative", cadence="mutation")
+    c.credit(0, 0.8, 0.5)
+    assert qualities(c)[0] == pytest.approx(1.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("reward", ["raw", "relative"])
+def test_a_credit_without_parent_is_the_clamped_fitness(reward):
+    c = make("pm", 3, credit="avg", reward=reward, cadence="mutation")
+    c.credit(0, 0.7)
+    c.credit(1, -0.25)
+    c.credit(2, 0.7, 0.0)  # a parent that scored zero counts as none
+    assert qualities(c) == [0.7, 0.0, 0.7]
 
 
 def test_credit_rejects_unknown_arm():
@@ -172,7 +194,7 @@ def test_plays_increment_on_credit_not_select():
     rng = random.Random(7)
     for _ in range(10):
         c.select_arm(rng)
-    assert c.plays == [0, 0, 0]
+    assert plays(c) == [0, 0, 0]
 
 
 # --------------------------------------------------- probability matching
@@ -187,10 +209,10 @@ def test_pm_probabilities_match_hand_fractions():
     c.credit(1, 0.5)
     c.credit(2, 0.5)
     c.flush_generation()
-    assert c.probabilities[0] == pytest.approx(5 / 12, abs=1e-12)
-    assert c.probabilities[1] == pytest.approx(7 / 24, abs=1e-12)
-    assert c.probabilities[2] == pytest.approx(7 / 24, abs=1e-12)
-    assert sum(c.probabilities) == pytest.approx(1.0, abs=1e-9)
+    assert probabilities(c)[0] == pytest.approx(5 / 12, abs=1e-12)
+    assert probabilities(c)[1] == pytest.approx(7 / 24, abs=1e-12)
+    assert probabilities(c)[2] == pytest.approx(7 / 24, abs=1e-12)
+    assert sum(probabilities(c)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pm_zero_mass_falls_back_to_uniform():
@@ -198,7 +220,7 @@ def test_pm_zero_mass_falls_back_to_uniform():
     for arm in range(4):
         c.credit(arm, 0.0)
     c.flush_generation()
-    assert c.probabilities == pytest.approx([0.25] * 4, abs=1e-12)
+    assert probabilities(c) == pytest.approx([0.25] * 4, abs=1e-12)
 
 
 # -------------------------------------------------------- adaptive pursuit
@@ -211,16 +233,16 @@ def test_ap_single_step_pursues_the_max_arm():
     #   P_0 = P_2 = 1/3 + 0.8 * (1/6 - 1/3) = 0.2
     c = make("ap", 3, credit="avg", cadence="mutation")
     c.credit(1, 2.0)
-    assert c.probabilities[1] == pytest.approx(0.6, abs=1e-12)
-    assert c.probabilities[0] == pytest.approx(0.2, abs=1e-12)
-    assert c.probabilities[2] == pytest.approx(0.2, abs=1e-12)
+    assert probabilities(c)[1] == pytest.approx(0.6, abs=1e-12)
+    assert probabilities(c)[0] == pytest.approx(0.2, abs=1e-12)
+    assert probabilities(c)[2] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_ap_tie_pursues_lowest_index():
     c = make("ap", 3, credit="avg", cadence="mutation")
     c.credit(2, 1.0)  # qualities all 1.0: tie -> arm 0 pursued
-    assert c.probabilities[0] > c.probabilities[1]
-    assert c.probabilities[1] == c.probabilities[2]
+    assert probabilities(c)[0] > probabilities(c)[1]
+    assert probabilities(c)[1] == probabilities(c)[2]
 
 
 def test_ap_converges_geometrically_to_ceiling():
@@ -229,9 +251,9 @@ def test_ap_converges_geometrically_to_ceiling():
         c.credit(0, 1.0)
         c.credit(1, 0.0)
     # gap shrinks by (1 - beta) per recompute: far below 1e-3 after 100
-    assert abs(c.probabilities[0] - c.p_max) < 1e-3
-    assert abs(c.probabilities[1] - c.p_min) < 1e-3
-    assert sum(c.probabilities) == pytest.approx(1.0, abs=1e-9)
+    assert abs(probabilities(c)[0] - c.p_max) < 1e-3
+    assert abs(probabilities(c)[1] - c.p_min) < 1e-3
+    assert sum(probabilities(c)) == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------------------------ selection
@@ -256,7 +278,7 @@ def test_pm_selection_is_cumulative_sum_inversion():
     twin = random.Random(42)
     for _ in range(200):
         arm = c.select_arm(rng)
-        assert arm == manual_cumsum_pick(c.probabilities, twin.random())
+        assert arm == manual_cumsum_pick(probabilities(c), twin.random())
 
 
 def test_egreedy_exploits_argmax_and_explores_uniformly():
@@ -319,7 +341,7 @@ def test_snapshot_exposes_quality_plays_probability():
     assert snap[0]["arm"] == 0
     assert snap[0]["quality"] == 0.5
     assert snap[0]["plays"] == 1
-    assert snap[0]["probability"] == pytest.approx(c.probabilities[0])
+    assert snap[0]["probability"] == pytest.approx(probabilities(c)[0])
     assert set(snap[1]) == {"arm", "quality", "plays", "probability"}
 
 
@@ -328,7 +350,15 @@ def test_uniform_selector_is_one_randrange_per_pick_and_learns_nothing():
     selector = UniformSelector(5)
     rng, reference = random.Random(3), random.Random(3)
     for arm in range(5):
-        selector.credit(arm, 1.0)
+        selector.credit(arm, 1.0, 0.5)
+        selector.flush_generation()
         assert selector.select_arm(rng) == reference.randrange(5)
     assert rng.getstate() == reference.getstate()
     assert selector.snapshot() is None
+
+
+def test_both_selectors_answer_the_same_four_calls():
+    # the search makes these calls on every selector, with no branch
+    for name in ("select_arm", "credit", "flush_generation", "snapshot"):
+        assert inspect.signature(getattr(UniformSelector, name)).parameters \
+            == inspect.signature(getattr(Controller, name)).parameters, name

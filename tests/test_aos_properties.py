@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from patchbandit.aos import Controller
 from patchbandit.engine import ConfigSpec
 
+from bandit_env import plays, probabilities, qualities
+
 rewards_st = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3),
               st.floats(min_value=0.0, max_value=2.0,
@@ -31,8 +33,8 @@ def run_sequence(policy, credit, seq, cadence="mutation", flush_every=7):
 @given(rewards_st, st.sampled_from(["pm", "ap"]), st.sampled_from(["avg", "erwa"]))
 def test_probability_table_sums_to_one_with_floor(seq, policy, credit):
     c = run_sequence(policy, credit, seq)
-    assert abs(sum(c.probabilities) - 1.0) < 1e-9
-    for p in c.probabilities:
+    assert abs(sum(probabilities(c)) - 1.0) < 1e-9
+    for p in probabilities(c):
         assert p >= c.p_min - 1e-12
         assert p <= c.p_max + 1e-12
 
@@ -41,8 +43,8 @@ def test_probability_table_sums_to_one_with_floor(seq, policy, credit):
 @given(rewards_st, st.sampled_from(["pm", "ap"]))
 def test_generation_cadence_ends_at_same_invariants(seq, policy):
     c = run_sequence(policy, "avg", seq, cadence="generation")
-    assert abs(sum(c.probabilities) - 1.0) < 1e-9
-    assert all(p >= c.p_min - 1e-12 for p in c.probabilities)
+    assert abs(sum(probabilities(c)) - 1.0) < 1e-9
+    assert all(p >= c.p_min - 1e-12 for p in probabilities(c))
 
 
 @settings(max_examples=150, deadline=None)
@@ -55,7 +57,7 @@ def test_average_credit_is_brute_force_mean(seq):
     for arm in range(4):
         expect = (math.fsum(per_arm[arm]) / len(per_arm[arm])
                   if per_arm[arm] else 1.0)
-        assert abs(c.qualities[arm] - expect) < 1e-12
+        assert abs(qualities(c)[arm] - expect) < 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,7 +68,7 @@ def test_average_credit_is_bit_identical_to_fsum_of_history(rewards):
     c = Controller(ConfigSpec(policy="pm", credit="avg", cadence="mutation"), 1)
     for n, reward in enumerate(rewards, start=1):
         c.credit(0, reward)
-        assert c.qualities[0] == math.fsum(rewards[:n]) / n
+        assert qualities(c)[0] == math.fsum(rewards[:n]) / n
 
 
 @settings(max_examples=150, deadline=None)
@@ -81,7 +83,7 @@ def test_erwa_credit_matches_closed_form(seq, alpha):
         for a, r in seq:
             if a == arm:
                 q += alpha * (r - q)
-        assert abs(c.qualities[arm] - q) < 1e-9
+        assert abs(qualities(c)[arm] - q) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -91,7 +93,7 @@ def test_pm_probabilities_invariant_under_reward_scaling(seq, scale):
     seq = [(arm, r) for arm, r in seq] + [(a, 0.5) for a in range(4)]
     base = run_sequence("pm", "avg", seq)
     scaled = run_sequence("pm", "avg", [(a, r * scale) for a, r in seq])
-    for p, q in zip(base.probabilities, scaled.probabilities):
+    for p, q in zip(probabilities(base), probabilities(scaled)):
         assert abs(p - q) < 1e-9
 
 
@@ -111,4 +113,4 @@ def test_plays_count_credited_rewards_exactly(seq):
     per_arm = [0, 0, 0, 0]
     for arm, _ in seq:
         per_arm[arm] += 1
-    assert c.plays == per_arm
+    assert plays(c) == per_arm

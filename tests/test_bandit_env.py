@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from patchbandit.aos import CadenceError, Controller
+from patchbandit.aos import Controller
 from patchbandit.engine import ConfigSpec
 
-from bandit_env import BanditSpec, run_episode
+from bandit_env import BanditSpec, plays, probabilities, run_episode
 
 
 def test_mean_at_applies_drift_with_clamping():
@@ -66,7 +66,7 @@ def test_episode_is_deterministic_given_seed():
 def test_episode_requires_per_pull_crediting():
     spec = BanditSpec(arm_means=[0.2, 0.8])
     c = Controller(ConfigSpec(policy="pm", cadence="generation"), 2)
-    with pytest.raises(CadenceError):
+    with pytest.raises(ValueError, match="mutation cadence"):
         run_episode(spec, c, steps=10, rng=random.Random(0))
 
 
@@ -74,7 +74,7 @@ def test_episode_credits_every_step():
     spec = BanditSpec(arm_means=[0.2, 0.8])
     c = Controller(ConfigSpec(policy="egreedy", cadence="mutation"), 2)
     out = run_episode(spec, c, steps=250, rng=random.Random(3))
-    assert sum(c.plays) == 250
+    assert sum(plays(c)) == 250
     assert len(out.selections) == len(out.rewards) == len(out.greedy_arms) == 250
 
 
@@ -82,4 +82,4 @@ def test_pursuit_probability_reaches_ceiling_on_easy_instance():
     spec = BanditSpec(arm_means=[0.1, 0.9])
     c = Controller(ConfigSpec(policy="ap", cadence="mutation"), 2)
     run_episode(spec, c, steps=500, rng=random.Random(23))
-    assert abs(c.probabilities[1] - c.p_max) <= 1e-3
+    assert abs(probabilities(c)[1] - c.p_max) <= 1e-3

@@ -91,7 +91,8 @@ def test_a_plan_cell_builds_every_program_through_engine_apply_edits(
 
     original = variants[0].program
     from_hook = {id(program) for program in built}
-    crossed = [v for v in variants if v.born_by == engine.BORN_CROSSOVER
+    # a crossover child is a variant with edits and no arm to credit
+    crossed = [v for v in variants if v.born_arm is None
                and v.program is not None and v.edits]
     assert crossed
     for variant in variants[1:]:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import patchbandit.engine as engine
-from patchbandit.aos import ConfigError, Controller
+from patchbandit.aos import ConfigError, Controller, UniformSelector
 from patchbandit.corpus import load_corpus
 from patchbandit.engine import (ARM_SCHEMES, ConfigSpec, RepairOutcome,
                                 Variant, _draw, derive_seed, fnv1a_64,
@@ -205,7 +205,10 @@ def test_every_variant_program_is_its_replayed_edit_list(bugs, monkeypatch,
                 if variant.program is not None:
                     assert variant.program == apply_edits(
                         bug.program, variant.edits)[0], (name, seed)
-                    spliced += variant.born_by == engine.BORN_CROSSOVER
+                    # a crossover child is the one variant with no arm
+                    # but the original
+                    spliced += variant.born_arm is None \
+                        and variant is not made[0]
     assert spliced > 500
     assert set(calls) == {1}
 
@@ -271,9 +274,9 @@ class _SpyController(Controller):
         super().__init__(*args, **kwargs)
         self.events = []
 
-    def credit(self, arm, reward):
-        self.events.append((arm, reward))
-        super().credit(arm, reward)
+    def credit(self, arm, fitness, parent_fitness=None):
+        self.events.append((arm, fitness))
+        super().credit(arm, fitness, parent_fitness)
 
 
 @pytest.mark.parametrize("cadence", ["generation", "mutation"])
@@ -308,7 +311,33 @@ def test_snapshot_reflects_all_credits(bugs, monkeypatch):
     events = spies[0].events
     assert len(events) == 6 * 4
     assert sum(arm["plays"] for arm in out.aos_snapshot) == len(events)
-    assert all(reward >= 0.0 for _, reward in events)
+    assert all(fitness >= 0.0 for _, fitness in events)
+
+
+@pytest.mark.parametrize("spec", [
+    ConfigSpec("uniform"), ConfigSpec("pm", cadence="generation"),
+    ConfigSpec("ap", cadence="mutation"),
+], ids=["uniform", "generation", "mutation"])
+def test_the_loop_flushes_every_selector_per_generation_and_at_the_end(
+        bugs, monkeypatch, spec):
+    # the search makes the same calls whatever the selector or its cadence
+    flushes = []
+
+    def counting(selector_class):
+        class Counted(selector_class):
+            def flush_generation(self):
+                flushes.append(selector_class)
+                super().flush_generation()
+        return Counted
+
+    monkeypatch.setattr(engine, "Controller", counting(Controller))
+    monkeypatch.setattr(engine, "UniformSelector", counting(UniformSelector))
+    gens = 4
+    out = repair(bugs["guard-1"], seed=13, spec=spec, population_size=8,
+                 generations=gens)
+    assert not out.patched
+    selector = UniformSelector if spec.is_uniform else Controller
+    assert flushes == [selector] * (gens + 1)
 
 
 # -------------------------------------------------- uniform draw frequency
@@ -356,10 +385,11 @@ def test_outcome_shape_for_unpatched_run(bugs):
     assert out.total_evaluations > 0
 
 
-def test_patch_variants_record_their_operator(bugs):
+def test_patch_variants_record_their_arm(bugs):
     bug = bugs["reset-1"]
     out = repair(bug, seed=29)
     assert out.patched
-    assert out.patch.born_by in COARSE_OPERATORS + ("crossover",)
+    # a crossover child carries no arm
+    assert out.patch.born_arm in (None,) + tuple(range(len(COARSE_OPERATORS)))
     assert isinstance(out.patch, Variant)
     assert all(isinstance(e, Edit) for e in out.patch.edits)
