@@ -141,7 +141,6 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    plan: ExperimentPlan
     detail: dict          # full JSON-ready structure
     errors: tuple         # (bug_name, message) pairs
 
@@ -227,7 +226,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
         "errors": [{"bug": name, "message": msg} for name, msg in errors],
         "configs": blocks,
     }
-    return ExperimentReport(plan=plan, detail=detail, errors=tuple(errors))
+    return ExperimentReport(detail=detail, errors=tuple(errors))
 
 
 def write_report(report: ExperimentReport, out_dir) -> None:

@@ -680,8 +680,7 @@ def run_tests(program, suite, step_budget: int = DEFAULT_STEP_BUDGET,
     """
     if step_budget <= 0:
         raise ValueError("step_budget must be positive")
-    cp = program if isinstance(program, CompiledProgram) \
-        else compile_program(program)
+    cp = compile_program(program)
     cases = list(suite)
     if any(case.entry not in cp.functions for case in cases):
         return FitnessReport([False] * len(cases), 0.0,
@@ -702,8 +701,7 @@ def passes_all(program, suite, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
 
     Each case runs on a fresh context with copied arguments, so the verdict
     does not depend on the order of the cases, only the work done does."""
-    cp = program if isinstance(program, CompiledProgram) \
-        else compile_program(program)
+    cp = compile_program(program)
     cases = list(suite)
     if any(case.entry not in cp.functions for case in cases):
         return False

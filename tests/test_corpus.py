@@ -11,9 +11,8 @@ from patchbandit.corpus import (Bug, CorpusError, DEFAULT_CORPUS_DIR,
 from patchbandit.experiment import ExperimentReport, write_report
 from patchbandit.toylang import interp
 from patchbandit.toylang import (COARSE_OPERATORS, Edit, apply_edit,
-                                 apply_edits, compile_program,
-                                 enumerate_edits, localize, passes_all,
-                                 run_tests)
+                                 apply_edits, enumerate_edits, localize,
+                                 passes_all, run_tests)
 
 EXPECTED_BUGS = ["callswap-1", "dupadd-1", "guard-1", "init-1", "mid3",
                  "negbal-1", "offbyone-1", "reset-1", "sched-1", "span-1",
@@ -76,7 +75,7 @@ def test_passes_all_verdict_does_not_depend_on_case_order(corpus):
                          if flag == ok]
         assert sorted(failing_first, key=cases.index) == list(cases)
         for edit in enumerate_edits(bug.program, located.weights):
-            variant = compile_program(apply_edit(bug.program, edit)[0])
+            variant = apply_edit(bug.program, edit)[0]
             assert passes_all(variant, cases) == \
                 passes_all(variant, failing_first), (bug.name, edit)
 
@@ -156,7 +155,7 @@ def test_patch_files_round_trip(tmp_path):
              "metrics": metrics,
              "bugs": {"demo": [{"patched": True, "attempt": 0,
                                 "edits": edits_to_jsonable(edits)}]}}
-    write_report(ExperimentReport(None, {"configs": [block]}, ()), tmp_path)
+    write_report(ExperimentReport({"configs": [block]}, ()), tmp_path)
     name, back = load_patch(tmp_path / "patches" / "c00-demo-a00.patch")
     assert name == "demo" and back == edits
     assert edits_from_jsonable(edits_to_jsonable(edits)) == edits

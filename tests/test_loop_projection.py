@@ -566,17 +566,18 @@ def test_deep_toy_recursion_is_a_depth_fault(nesting):
     assert sys.getrecursionlimit() == limit
 
     # the same under a caller whose stack is nearly full
-    cp = compile_program(_deep(nesting))
+    program = _deep(nesting)
 
     def nested(levels):
         if levels:
             return nested(levels - 1)
-        return run_tests(cp, suite, coverage=True)
+        return run_tests(program, suite, coverage=True)
 
-    deep_report = nested(limit - _stack_depth() - 60)
+    # run_tests compiles the program first, about a frame per if level
+    deep_report = nested(limit - _stack_depth() - 60 - 2 * nesting)
     assert (deep_report.faults, deep_report.coverage) == \
            (report.faults, report.coverage)
-    assert not passes_all(cp, suite)
+    assert not passes_all(program, suite)
     assert sys.getrecursionlimit() == limit
 
 
