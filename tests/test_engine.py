@@ -205,8 +205,8 @@ def test_every_variant_program_is_its_replayed_edit_list(bugs, monkeypatch,
                 if variant.program is not None:
                     assert variant.program == apply_edits(
                         bug.program, variant.edits)[0], (name, seed)
-                    # a crossover child is the one variant with no arm
-                    # but the original
+                    # every variant with no arm but the original is a
+                    # crossover child
                     spliced += variant.born_arm is None \
                         and variant is not made[0]
     assert spliced > 500
