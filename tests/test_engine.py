@@ -6,7 +6,8 @@ import random
 import pytest
 
 import patchbandit.engine as engine
-from patchbandit.aos import ConfigError, Controller, UniformSelector
+from patchbandit.aos import (ConfigError, Controller, UniformSelector,
+                            compute_reward)
 from patchbandit.corpus import load_corpus
 from patchbandit.engine import (ARM_SCHEMES, ConfigSpec, RepairOutcome,
                                 Variant, _draw, derive_seed, fnv1a_64,
@@ -275,7 +276,8 @@ class _SpyController(Controller):
         self.events = []
 
     def credit(self, arm, fitness, parent_fitness=None):
-        self.events.append((arm, fitness))
+        reward = compute_reward(fitness, parent_fitness, self.config.reward)
+        self.events.append((arm, reward))
         super().credit(arm, fitness, parent_fitness)
 
 
@@ -311,7 +313,7 @@ def test_snapshot_reflects_all_credits(bugs, monkeypatch):
     events = spies[0].events
     assert len(events) == 6 * 4
     assert sum(arm["plays"] for arm in out.aos_snapshot) == len(events)
-    assert all(fitness >= 0.0 for _, fitness in events)
+    assert all(reward >= 0.0 for _, reward in events)
 
 
 @pytest.mark.parametrize("spec", [

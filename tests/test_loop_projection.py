@@ -558,25 +558,37 @@ def _stack_depth():
 
 
 @pytest.mark.parametrize("nesting", [0, 10, 40])
-def test_deep_toy_recursion_is_a_depth_fault(nesting):
+def test_deep_toy_recursion_is_a_depth_fault(nesting, monkeypatch):
     suite = parse_suite("t | f | 0 | 0\n")
     limit = sys.getrecursionlimit()
     report = run_tests(_deep(nesting), suite, coverage=True)
     assert report.faults == ["depth"]
     assert sys.getrecursionlimit() == limit
 
-    # the same under a caller whose stack is nearly full
+    # the same under a caller whose stack is nearly full; the program is
+    # compiled up front, so only the toy recursion runs on that stack
     program = _deep(nesting)
+    cp = compile_program(program)
+    monkeypatch.setattr(interp, "compile_program", lambda p: cp)
+    runs = []
+    run_once = interp._run_case_once
+
+    def counted(*args):
+        # one more frame under every run, so the retry has less room
+        runs.append(args[1].name)
+        return run_once(*args)
+
+    monkeypatch.setattr(interp, "_run_case_once", counted)
 
     def nested(levels):
         if levels:
             return nested(levels - 1)
         return run_tests(program, suite, coverage=True)
 
-    # run_tests compiles the program first, about a frame per if level
-    deep_report = nested(limit - _stack_depth() - 60 - 2 * nesting)
+    deep_report = nested(limit - _stack_depth() - 60)
     assert (deep_report.faults, deep_report.coverage) == \
            (report.faults, report.coverage)
+    assert runs == ["t", "t"]       # outgrew the stack, then was retried
     assert not passes_all(program, suite)
     assert sys.getrecursionlimit() == limit
 
