@@ -122,11 +122,10 @@ def _out_dir(text: str) -> Path:
 def _finish(report, out_dir) -> int:
     write_report(report, out_dir)
     sys.stdout.write(report.to_csv())
-    if report.errors:
-        for name, message in report.errors:
-            print(f"corpus error: {message}", file=sys.stderr)
-        return EXIT_CORPUS
-    return EXIT_OK
+    errors = report.detail["errors"]
+    for error in errors:
+        print(f"corpus error: {error['message']}", file=sys.stderr)
+    return EXIT_CORPUS if errors else EXIT_OK
 
 
 def _given(args, cls) -> dict:
@@ -168,9 +167,9 @@ def cmd_quality(args) -> int:
             raise CorpusError(f"{path.name}: unknown bug {bug_name!r}")
         quality = evaluate_quality(edits, bugs[bug_name],
                                    step_budget=args.step_budget)
-        print(f"{path.name} {bug_name} {quality.t_pass}/{quality.t_total} "
-              f"{quality.score:.6g}")
-        scores.append(quality.score)
+        print(f"{path.name} {bug_name} {quality['t_pass']}/"
+              f"{quality['t_total']} {quality['score']:.6g}")
+        scores.append(quality["score"])
     kept = [s for s in scores if s > 0.0]
     if kept:
         print(f"aggregate quality over {len(kept)} patches "
@@ -182,8 +181,8 @@ def cmd_quality(args) -> int:
 
 def cmd_gate(args) -> int:
     corpus_dir = args.corpus or DEFAULT_CORPUS_DIR
-    report = run_gate(load_corpus(corpus_dir), step_budget=args.step_budget)
-    for result in report.results:
+    results = run_gate(load_corpus(corpus_dir), step_budget=args.step_budget)
+    for result in results:
         if result.ok:
             ops = ",".join(sorted(set(result.fixing_operators)))
             print(f"{result.name}: PASS ({result.single_edit_fixes} "
@@ -192,9 +191,9 @@ def cmd_gate(args) -> int:
             print(f"{result.name}: FAIL")
             for error in result.errors:
                 print(f"  {error}")
-    verdict = "PASS" if report.ok else "FAIL"
-    print(f"gate: {verdict} ({len(report.results)} bugs)")
-    return EXIT_OK if report.ok else EXIT_GATE
+    ok = all(result.ok for result in results)
+    print(f"gate: {'PASS' if ok else 'FAIL'} ({len(results)} bugs)")
+    return EXIT_OK if ok else EXIT_GATE
 
 
 def main(argv=None) -> int:

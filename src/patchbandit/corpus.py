@@ -147,15 +147,6 @@ class BugGateResult:
         return not self.errors
 
 
-@dataclass(frozen=True)
-class GateReport:
-    results: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-
 def check_bug(bug: Bug, step_budget: int = DEFAULT_STEP_BUDGET) \
         -> BugGateResult:
     errors = []
@@ -206,5 +197,6 @@ def check_bug(bug: Bug, step_budget: int = DEFAULT_STEP_BUDGET) \
                          fix_count, examined)
 
 
-def run_gate(bugs, step_budget: int = DEFAULT_STEP_BUDGET) -> GateReport:
-    return GateReport(tuple(check_bug(bug, step_budget) for bug in bugs))
+def run_gate(bugs, step_budget: int = DEFAULT_STEP_BUDGET) -> tuple:
+    """One BugGateResult per bug, in the order given."""
+    return tuple(check_bug(bug, step_budget) for bug in bugs)

@@ -68,21 +68,13 @@ class ExperimentPlan:
         return derive_seed(self.base_seed, bug_name, config.key(), attempt)
 
 
-@dataclass(frozen=True)
-class QualityScore:
-    t_pass: int
-    t_total: int
-
-    @property
-    def score(self) -> float:
-        return self.t_pass / self.t_total
-
-
 def evaluate_quality(edits, bug, step_budget: int = DEFAULT_STEP_BUDGET):
-    """Held-out pass fraction of the patched program."""
+    """Held-out pass fraction of the patched program, as the attempt record
+    stores it: {"t_pass", "t_total", "score"}."""
     patched, _ = apply_edits(bug.program, edits)
     report = run_tests(patched, bug.heldout_suite, step_budget=step_budget)
-    return QualityScore(report.flags.count(True), len(report.flags))
+    t_pass, t_total = report.flags.count(True), len(report.flags)
+    return {"t_pass": t_pass, "t_total": t_total, "score": t_pass / t_total}
 
 
 # ------------------------------------------------------------ attempt pool
@@ -115,11 +107,8 @@ def _run_attempt(task):
         edits=None, quality=None, aos_snapshot=outcome.aos_snapshot)
     if outcome.patched:
         record["edits"] = edits_to_jsonable(outcome.patch.edits)
-        quality = evaluate_quality(outcome.patch.edits, bug,
-                                   step_budget=budget)
-        record["quality"] = {"t_pass": quality.t_pass,
-                             "t_total": quality.t_total,
-                             "score": quality.score}
+        record["quality"] = evaluate_quality(outcome.patch.edits, bug,
+                                             step_budget=budget)
     return record
 
 
@@ -142,7 +131,6 @@ def worker_count() -> int:
 @dataclass(frozen=True)
 class ExperimentReport:
     detail: dict          # full JSON-ready structure
-    errors: tuple         # (bug_name, message) pairs
 
     def to_json(self) -> str:
         return json.dumps(self.detail, sort_keys=True, indent=2) + "\n"
@@ -226,7 +214,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
         "errors": [{"bug": name, "message": msg} for name, msg in errors],
         "configs": blocks,
     }
-    return ExperimentReport(detail=detail, errors=tuple(errors))
+    return ExperimentReport(detail=detail)
 
 
 def write_report(report: ExperimentReport, out_dir) -> None:

@@ -9,9 +9,9 @@ stays in range.  Any misuse (undefined variable, array index out of
 bounds, division or modulus by zero, non-integer operand, a result outside
 the range, unknown callee, wrong arity, call depth past the cap, falling
 off a function without returning) raises a runtime fault, which fails the
-current test.  Call depth is the toy program's own: a case whose
-recursion outgrows Python's stack before the cap is rerun with room for
-the whole cap.
+current test.  Call depth is the toy program's own: a run whose
+recursion, or whose compiling, outgrows Python's stack before the cap is
+rerun whole, compiling included, with room for the whole cap.
 
 A step is one statement execution; a while loop spends one step per
 condition check.  Exhausting the budget is a fault.  The fault rule for
@@ -202,25 +202,11 @@ def _skip_periods(env: dict, ctx: _Ctx, accumulators: frozenset,
     return _Ctx(ctx.steps - skip * period, None, ctx.depth)
 
 
-class CompiledProgram:
-    def __init__(self, program: Program):
-        self.program = program
-        # a call looks its callee up when it runs, so one pass compiles all
-        self.functions: dict[str, _CompiledFn] = {
-            fn.name: _CompiledFn(fn, self) for fn in program.functions}
-
-    def invoke(self, name: str, args: list, ctx: _Ctx):
-        cfn = self.functions.get(name)
-        if cfn is None:
-            raise ToyFault("unknown-function", f"no function {name!r}")
-        return cfn.invoke(args, ctx)
-
-
 class _CompiledFn:
-    def __init__(self, fn: Function, cp: CompiledProgram):
+    def __init__(self, fn: Function, functions: dict):
         self.fn = fn
         self.params = fn.params
-        self.body = tuple(_compile_stmt(s, cp) for s in fn.body)
+        self.body = tuple(_compile_stmt(s, functions) for s in fn.body)
 
     def invoke(self, args: list, ctx: _Ctx):
         if len(args) != len(self.params):
@@ -253,9 +239,9 @@ def _yields_int(expr) -> bool:
     return t is Unary or t is Binary or (t is Call and expr.name == BUILTIN_LEN)
 
 
-def _compile_int(expr, cp: CompiledProgram, what: str):
+def _compile_int(expr, functions: dict, what: str):
     """Compile expr into a closure that returns an int or faults `type`."""
-    fn = _compile_expr(expr, cp)
+    fn = _compile_expr(expr, functions)
     if _yields_int(expr):
         return fn
     message = f"{what} must be an integer"
@@ -267,7 +253,7 @@ def _compile_int(expr, cp: CompiledProgram, what: str):
     return checked
 
 
-def _compile_expr(expr, cp: CompiledProgram):
+def _compile_expr(expr, functions: dict):
     t = type(expr)
     if t is Num:
         v = expr.value
@@ -284,7 +270,7 @@ def _compile_expr(expr, cp: CompiledProgram):
         name = expr.name
         if type(expr.index) is Var:
             return _compile_index_by_var(name, expr.index.name)
-        idx = _compile_int(expr.index, cp, "array index")
+        idx = _compile_int(expr.index, functions, "array index")
         def index_read(env, ctx):
             arr = env.get(name)
             if type(arr) is not list:
@@ -296,13 +282,13 @@ def _compile_expr(expr, cp: CompiledProgram):
                            f"{name}[{i}] out of bounds (length {len(arr)})")
         return index_read
     if t is Unary:
-        operand = _compile_int(expr.operand, cp, "operand of -")
+        operand = _compile_int(expr.operand, functions, "operand of -")
         sub = _ARITH_FNS["-"]
         return lambda env, ctx: sub(0, operand(env, ctx))
     if t is Binary:
-        return _compile_binary(expr, cp)
+        return _compile_binary(expr, functions)
     if t is Call:
-        return _compile_call(expr, cp)
+        return _compile_call(expr, functions)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -394,11 +380,11 @@ def _compile_leaf_binary(expr: Binary):
     return None
 
 
-def _compile_binary(expr: Binary, cp: CompiledProgram):
+def _compile_binary(expr: Binary, functions: dict):
     op = expr.op
     if op == "&&" or op == "||":
-        left = _compile_int(expr.left, cp, f"operand of {op}")
-        right = _compile_int(expr.right, cp, f"operand of {op}")
+        left = _compile_int(expr.left, functions, f"operand of {op}")
+        right = _compile_int(expr.right, functions, f"operand of {op}")
         if op == "&&":
             def and_(env, ctx):
                 if not left(env, ctx):
@@ -414,8 +400,8 @@ def _compile_binary(expr: Binary, cp: CompiledProgram):
     leaf = _compile_leaf_binary(expr)
     if leaf is not None:
         return leaf
-    left = _compile_expr(expr.left, cp)
-    right = _compile_expr(expr.right, cp)
+    left = _compile_expr(expr.left, functions)
+    right = _compile_expr(expr.right, functions)
     message = f"operands of {op} must be integers"
     if op in _CMP_FNS:
         fn = _CMP_FNS[op]
@@ -436,9 +422,9 @@ def _compile_binary(expr: Binary, cp: CompiledProgram):
     return arith
 
 
-def _compile_call(expr: Call, cp: CompiledProgram):
+def _compile_call(expr: Call, functions: dict):
     name = expr.name
-    arg_fns = tuple(_compile_expr(a, cp) for a in expr.args)
+    arg_fns = tuple(_compile_expr(a, functions) for a in expr.args)
     if name == BUILTIN_LEN:
         def len_call(env, ctx):
             if len(arg_fns) != 1:
@@ -450,7 +436,7 @@ def _compile_call(expr: Call, cp: CompiledProgram):
         return len_call
 
     def call(env, ctx):
-        cfn = cp.functions.get(name)
+        cfn = functions.get(name)
         if cfn is None:
             raise ToyFault("unknown-function", f"no function {name!r}")
         return cfn.invoke([fn(env, ctx) for fn in arg_fns], ctx)
@@ -460,12 +446,12 @@ def _compile_call(expr: Call, cp: CompiledProgram):
 # ------------------------------------------------------- statement compile
 
 
-def _compile_stmt(stmt, cp: CompiledProgram):
+def _compile_stmt(stmt, functions: dict):
     t = type(stmt)
     sid = stmt.sid
     if t is Assign:
         name = stmt.name
-        value = _compile_expr(stmt.expr, cp)
+        value = _compile_expr(stmt.expr, functions)
         def assign(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -477,8 +463,8 @@ def _compile_stmt(stmt, cp: CompiledProgram):
         return assign
     if t is Store:
         name = stmt.name
-        idx = _compile_int(stmt.index, cp, "array index")
-        value = _compile_int(stmt.expr, cp, "stored value")
+        idx = _compile_int(stmt.index, functions, "array index")
+        value = _compile_int(stmt.expr, functions, "stored value")
         def store(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -496,7 +482,7 @@ def _compile_stmt(stmt, cp: CompiledProgram):
             arr[i] = value(env, ctx)
         return store
     if t is Return:
-        value = _compile_expr(stmt.expr, cp)
+        value = _compile_expr(stmt.expr, functions)
         def ret(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -507,9 +493,9 @@ def _compile_stmt(stmt, cp: CompiledProgram):
             raise _ReturnSignal(value(env, ctx))
         return ret
     if t is If:
-        cond = _compile_int(stmt.cond, cp, "condition")
-        then = tuple(_compile_stmt(s, cp) for s in stmt.then)
-        orelse = tuple(_compile_stmt(s, cp) for s in stmt.orelse)
+        cond = _compile_int(stmt.cond, functions, "condition")
+        then = tuple(_compile_stmt(s, functions) for s in stmt.then)
+        orelse = tuple(_compile_stmt(s, functions) for s in stmt.orelse)
         def if_(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -521,8 +507,8 @@ def _compile_stmt(stmt, cp: CompiledProgram):
                 s(env, ctx)
         return if_
     if t is While:
-        cond = _compile_int(stmt.cond, cp, "condition")
-        body = tuple(_compile_stmt(s, cp) for s in stmt.body)
+        cond = _compile_int(stmt.cond, functions, "condition")
+        body = tuple(_compile_stmt(s, functions) for s in stmt.body)
         accumulators = None     # found at the first snapshot, if any
         def while_(env, ctx):
             nonlocal accumulators
@@ -561,7 +547,7 @@ def _compile_stmt(stmt, cp: CompiledProgram):
                     s(env, ctx)
         return while_
     if t is Block:
-        body = tuple(_compile_stmt(s, cp) for s in stmt.body)
+        body = tuple(_compile_stmt(s, functions) for s in stmt.body)
         def block(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -617,8 +603,13 @@ def _accumulators(loop: While) -> frozenset:
 # --------------------------------------------------------------- running
 
 
-def compile_program(program: Program) -> CompiledProgram:
-    return CompiledProgram(program)
+def compile_program(program: Program) -> dict:
+    """The program's functions, compiled, by name.  A call looks its callee
+    up in this dict when it runs, so one pass compiles them all."""
+    functions = {}
+    for fn in program.functions:
+        functions[fn.name] = _CompiledFn(fn, functions)
+    return functions
 
 
 @dataclass
@@ -633,39 +624,42 @@ class FitnessReport:
         return all(self.flags)
 
 
-def _stack_room(cp: CompiledProgram) -> int:
+def _stack_room(program: Program) -> int:
     """Python frames enough for MAX_CALL_DEPTH nested toy calls and the one
     that faults: per call, its `invoke` and at most three frames per level
     (a statement's or an expression's closure, plus an int check or a
-    call's argument list), with headroom for raising a fault.  Measuring
-    the height takes at most one frame per level, fewer than compiling the
-    program took."""
-    levels = height([s for fn in cp.program.functions for s in fn.body])
+    call's argument list), with headroom for raising a fault.  Compiling
+    takes fewer: at most three frames per level, once.  Measuring the
+    height takes at most one frame per level, and none below a statement
+    measured before (the parser measures every statement it reads)."""
+    levels = height([s for fn in program.functions for s in fn.body])
     return (MAX_CALL_DEPTH + 1) * (3 * levels + 2) + 100
 
 
-def _run_case(cp: CompiledProgram, case, step_budget: int, want_cov: bool):
+def _with_stack_room(run, program: Program, *args):
+    """run(program, *args), which compiles and runs the program.  If
+    Python's stack runs out first (deep toy recursion, or compiling a
+    deeply nested program, on top of whatever the caller's stack already
+    holds), the whole run is rerun once with room for the whole toy depth,
+    so that the toy semantics decide the outcome.  Each case runs on a
+    fresh context with copied arguments, so the rerun is exact."""
     try:
-        return _run_case_once(cp, case, step_budget, want_cov)
+        return run(program, *args)
     except RecursionError:
-        # The toy recursion outgrew Python's stack before MAX_CALL_DEPTH.
-        # Rerun the case with room for the whole toy depth on top of
-        # whatever the caller's stack already holds, so that the toy
-        # semantics decide the outcome; deterministic, so exact.
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + _stack_room(cp))
+        sys.setrecursionlimit(limit + _stack_room(program))
         try:
-            return _run_case_once(cp, case, step_budget, want_cov)
+            return run(program, *args)
         finally:
             sys.setrecursionlimit(limit)
 
 
-def _run_case_once(cp: CompiledProgram, case, step_budget: int,
-                   want_cov: bool):
+def _run_case(functions: dict, case, step_budget: int, want_cov: bool):
+    # the caller has checked that the entry function exists
     ctx = _Ctx(step_budget, set() if want_cov else None)
     args = [list(a) if type(a) in (list, tuple) else a for a in case.args]
     try:
-        result = cp.invoke(case.entry, args, ctx)
+        result = functions[case.entry].invoke(args, ctx)
         return result == case.expected, None, ctx.coverage
     except ToyFault as fault:
         return False, fault.kind, ctx.coverage
@@ -680,15 +674,19 @@ def run_tests(program, suite, step_budget: int = DEFAULT_STEP_BUDGET,
     """
     if step_budget <= 0:
         raise ValueError("step_budget must be positive")
-    cp = compile_program(program)
-    cases = list(suite)
-    if any(case.entry not in cp.functions for case in cases):
+    return _with_stack_room(_run_tests, program, list(suite), step_budget,
+                            coverage)
+
+
+def _run_tests(program, cases: list, step_budget: int, coverage: bool):
+    functions = compile_program(program)
+    if any(case.entry not in functions for case in cases):
         return FitnessReport([False] * len(cases), 0.0,
                              ["missing-entry"] * len(cases),
                              [set() for _ in cases] if coverage else None)
     flags, faults, covs = [], [], []
     for case in cases:
-        ok, fault, cov = _run_case(cp, case, step_budget, coverage)
+        ok, fault, cov = _run_case(functions, case, step_budget, coverage)
         flags.append(ok)
         faults.append(fault)
         covs.append(cov)
@@ -701,12 +699,15 @@ def passes_all(program, suite, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
 
     Each case runs on a fresh context with copied arguments, so the verdict
     does not depend on the order of the cases, only the work done does."""
-    cp = compile_program(program)
-    cases = list(suite)
-    if any(case.entry not in cp.functions for case in cases):
+    return _with_stack_room(_passes_all, program, list(suite), step_budget)
+
+
+def _passes_all(program, cases: list, step_budget: int) -> bool:
+    functions = compile_program(program)
+    if any(case.entry not in functions for case in cases):
         return False
     for case in cases:
-        ok, _, _ = _run_case(cp, case, step_budget, False)
+        ok, _, _ = _run_case(functions, case, step_budget, False)
         if not ok:
             return False
     return True

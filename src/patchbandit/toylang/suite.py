@@ -7,8 +7,9 @@ One test per line, four pipe-separated fields:
 Arguments are integers or bracketed integer arrays (`[3, 1, 2]`, `[]`).
 An integer is an optional '-' and then the digits 0-9, and lies in the
 signed 64-bit range [-2^63, 2^63), as does the expected value.
-The argument field may be empty for nullary functions.  Blank lines and
-lines starting with '#' are skipped.
+The argument field may be empty for nullary functions, but an argument
+between commas may not.  Blank lines and lines starting with '#' are
+skipped.
 """
 
 from __future__ import annotations
@@ -33,19 +34,6 @@ class TestCase:
     entry: str
     args: tuple     # ints and tuples of ints
     expected: int
-
-
-@dataclass(frozen=True)
-class TestSuite:
-    __test__ = False
-
-    cases: tuple
-
-    def __iter__(self):
-        return iter(self.cases)
-
-    def __len__(self):
-        return len(self.cases)
 
 
 def _split_args(text: str, source: str, lineno: int) -> list[str]:
@@ -87,7 +75,8 @@ def _parse_arg(text: str, source: str, lineno: int):
     return _parse_int(text, source, lineno)
 
 
-def parse_suite(text: str, source: str = "<string>") -> TestSuite:
+def parse_suite(text: str, source: str = "<string>") -> tuple:
+    """The suite's test cases, in file order."""
     cases = []
     names = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -106,11 +95,10 @@ def parse_suite(text: str, source: str = "<string>") -> TestSuite:
             raise SuiteFormatError(f"duplicate test name {name!r}",
                                    source, lineno)
         names.add(name)
-        args = tuple(_parse_arg(p, source, lineno)
-                     for p in _split_args(arg_text, source, lineno)
-                     if p.strip()) if arg_text else ()
+        parts = _split_args(arg_text, source, lineno) if arg_text else ()
+        args = tuple(_parse_arg(p, source, lineno) for p in parts)
         cases.append(TestCase(name, entry,
                               args, _parse_int(expected_text, source, lineno)))
     if not cases:
         raise SuiteFormatError("no test cases", source, 0)
-    return TestSuite(tuple(cases))
+    return tuple(cases)

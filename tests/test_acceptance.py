@@ -10,12 +10,17 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import patchbandit
 from patchbandit import aos
 from patchbandit.aos import Controller, DEFAULT_ALPHA, compute_reward
 from patchbandit.corpus import load_corpus, run_gate
@@ -185,11 +190,11 @@ def test_recency_weighted_credit_tracks_drift_where_average_lags():
 def test_corpus_gate_proves_single_edit_reachability():
     t0 = time.perf_counter()
     bugs = load_corpus()
-    report = run_gate(bugs)
-    assert len(report.results) == 12
-    bad = [(r.name, r.errors) for r in report.results if not r.ok]
-    assert report.ok, bad
-    for r in report.results:
+    results = run_gate(bugs)
+    assert len(results) == 12
+    bad = [(r.name, r.errors) for r in results if not r.ok]
+    assert not bad
+    for r in results:
         assert r.single_edit_fixes >= 1
     assert time.perf_counter() - t0 < 120.0
 
@@ -214,7 +219,7 @@ def repair_matrix():
 def test_bandit_configs_patch_at_least_as_many_bugs_as_uniform(repair_matrix):
     report, elapsed = repair_matrix
     assert elapsed < 900.0
-    assert not report.errors
+    assert not report.detail["errors"]
 
     blocks = report.detail["configs"]
     assert blocks[0]["policy"] == "uniform"
@@ -226,18 +231,20 @@ def test_bandit_configs_patch_at_least_as_many_bugs_as_uniform(repair_matrix):
         assert block["metrics"]["bugs_patched"] >= baseline - 1, label
 
 
+SMALL_PLAN = (
+    "base_seed = 7\n"
+    "attempts = 3\n"
+    "pop = 12\n"
+    "gens = 4\n"
+    "bugs = reset-1, dupadd-1\n"
+    "config = uniform arms=3\n"
+    "config = egreedy credit=erwa arms=3\n")
+
+
 def test_benchmark_reruns_are_byte_identical_and_columns_recompute(
         repair_matrix, tmp_path):
-    plan_text = (
-        "base_seed = 7\n"
-        "attempts = 3\n"
-        "pop = 12\n"
-        "gens = 4\n"
-        "bugs = reset-1, dupadd-1\n"
-        "config = uniform arms=3\n"
-        "config = egreedy credit=erwa arms=3\n")
     plan_path = tmp_path / "small.plan"
-    plan_path.write_text(plan_text)
+    plan_path.write_text(SMALL_PLAN)
 
     outputs = []
     for label in ("one", "two"):
@@ -280,6 +287,31 @@ def test_benchmark_reruns_are_byte_identical_and_columns_recompute(
             assert int(row[10]) == counts[(len(counts) - 1) // 2]
         else:
             assert row[9] == "-" and row[10] == "-"
+
+
+def test_bench_bytes_do_not_depend_on_the_process_or_worker_count(tmp_path):
+    # two fresh interpreters, serial and with a pool, under different hash
+    # seeds: stdout and every file written must match byte for byte
+    plan_path = tmp_path / "small.plan"
+    plan_path.write_text(SMALL_PLAN)
+    paths = [str(Path(patchbandit.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    runs = []
+    for hash_seed, jobs in (("0", "1"), ("12345", "2")):
+        out = tmp_path / f"jobs{jobs}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "REPAIR_JOBS": jobs,
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-m", "patchbandit.cli", "bench",
+             "--plan", str(plan_path), "--out", str(out)],
+            env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        written = {path.relative_to(out).as_posix(): path.read_bytes()
+                   for path in sorted(out.rglob("*")) if path.is_file()}
+        runs.append((done.stdout, written))
+    assert runs[0] == runs[1]
+    assert {"summary.csv", "detail.json"} < set(runs[0][1])
+    assert any(name.startswith("patches/") for name in runs[0][1])
 
 
 def test_overfitting_patches_surface_through_heldout_quality(repair_matrix):

@@ -53,14 +53,13 @@ def test_corpus_ships_twelve_bugs(corpus):
 
 
 def test_every_bug_passes_the_gate(gate):
-    for result in gate.results:
+    for result in gate:
         assert result.ok, (result.name, result.errors)
-    assert gate.ok
 
 
 def test_gate_table_matches_design(gate):
     found = {r.name: (r.fixing_operators, r.single_edit_fixes,
-                      r.edits_examined) for r in gate.results}
+                      r.edits_examined) for r in gate}
     assert found == GATE_TABLE
 
 
@@ -69,7 +68,7 @@ def test_passes_all_verdict_does_not_depend_on_case_order(corpus):
     # fails moved to the front give every single-edit variant one verdict
     for bug in corpus:
         located = localize(bug.program, bug.repair_suite)
-        cases = bug.repair_suite.cases
+        cases = bug.repair_suite
         failing_first = [case for ok in (False, True)
                          for case, flag in zip(cases, located.report.flags)
                          if flag == ok]
@@ -92,19 +91,19 @@ def test_gate_runs_each_failing_variant_to_its_first_failing_test(
         return run_case(*args)
 
     monkeypatch.setattr(interp, "_run_case", counted)
-    assert run_gate(load_corpus()).ok
+    assert all(result.ok for result in run_gate(load_corpus()))
     assert len(calls) == 2741
 
 
 def test_eight_bugs_are_coarse_patchable(gate):
-    coarse = {r.name for r in gate.results
+    coarse = {r.name for r in gate
               if set(r.fixing_operators) & set(COARSE_OPERATORS)}
     assert coarse == {"mid3", "span-1", "dupadd-1", "reset-1", "negbal-1",
                       "worstloss-1", "sched-1", "offbyone-1"}
 
 
 def test_at_least_three_bugs_need_coarse_edits(gate):
-    coarse_only = {r.name for r in gate.results
+    coarse_only = {r.name for r in gate
                    if set(r.fixing_operators) <= set(COARSE_OPERATORS)
                    and r.fixing_operators}
     assert coarse_only == {"mid3", "span-1", "dupadd-1", "reset-1",
@@ -112,7 +111,7 @@ def test_at_least_three_bugs_need_coarse_edits(gate):
 
 
 def test_template_groups_all_have_unique_signal(gate):
-    only = {r.name: set(r.fixing_operators) for r in gate.results}
+    only = {r.name: set(r.fixing_operators) for r in gate}
     assert only["guard-1"] == {"guard_insert"}          # bounds and checks
     assert only["init-1"] == {"var_init_insert"}        # initialization
     assert only["callswap-1"] == {"func_call_swap"}     # calls/expressions
@@ -155,7 +154,7 @@ def test_patch_files_round_trip(tmp_path):
              "metrics": metrics,
              "bugs": {"demo": [{"patched": True, "attempt": 0,
                                 "edits": edits_to_jsonable(edits)}]}}
-    write_report(ExperimentReport({"configs": [block]}, ()), tmp_path)
+    write_report(ExperimentReport({"configs": [block]}), tmp_path)
     name, back = load_patch(tmp_path / "patches" / "c00-demo-a00.patch")
     assert name == "demo" and back == edits
     assert edits_from_jsonable(edits_to_jsonable(edits)) == edits

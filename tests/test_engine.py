@@ -270,42 +270,45 @@ def test_first_evaluation_claims_the_variant_index(bugs, monkeypatch):
 
 # -------------------------------------------------------- credit discipline
 
-class _SpyController(Controller):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.events = []
+@pytest.fixture
+def spies(monkeypatch):
+    """The Controllers the search makes, each recording (arm, reward) for
+    every credit it takes."""
+    made = []
 
-    def credit(self, arm, fitness, parent_fitness=None):
-        reward = compute_reward(fitness, parent_fitness, self.config.reward)
-        self.events.append((arm, reward))
-        super().credit(arm, fitness, parent_fitness)
+    class Spy(Controller):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.events = []
+            made.append(self)
+
+        def credit(self, arm, fitness, parent_fitness=None):
+            reward = compute_reward(fitness, parent_fitness,
+                                    self.config.reward)
+            self.events.append((arm, reward))
+            super().credit(arm, fitness, parent_fitness)
+
+    monkeypatch.setattr(engine, "Controller", Spy)
+    return made
 
 
 @pytest.mark.parametrize("cadence", ["generation", "mutation"])
-def test_one_credit_event_per_mutation_slot(bugs, monkeypatch, cadence):
+def test_one_credit_event_per_mutation_slot(bugs, spies, cadence):
     # unpatchable under arms3, so the loop runs all generations: every
     # mutation slot ends in exactly one credit (reward or inapplicable 0)
-    monkeypatch.setattr(engine, "Controller", _SpyController)
     bug = bugs["guard-1"]
     pop, gens = 8, 4
     out = repair(bug, seed=13, population_size=pop, generations=gens,
                  spec=ConfigSpec(policy="pm", credit="avg", cadence=cadence))
     assert not out.patched
-    total_plays = sum(arm["plays"] for arm in out.aos_snapshot)
-    assert total_plays == pop * (gens + 1)
-    assert all(reward >= 0.0 for _, reward in
-               [(a["arm"], 0.0) for a in out.aos_snapshot])
+    (spy,) = spies
+    assert len(spy.events) == pop * (gens + 1)
+    assert sum(arm["plays"] for arm in out.aos_snapshot) == len(spy.events)
+    # a raw reward is the variant's fitness
+    assert all(0.0 <= reward <= 1.0 for _, reward in spy.events)
 
 
-def test_snapshot_reflects_all_credits(bugs, monkeypatch):
-    spies = []
-
-    class Recorder(_SpyController):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            spies.append(self)
-
-    monkeypatch.setattr(engine, "Controller", Recorder)
+def test_snapshot_reflects_all_credits(bugs, spies):
     bug = bugs["guard-1"]
     out = repair(bug, seed=4, population_size=6, generations=3,
                  spec=ConfigSpec(policy="egreedy", credit="erwa",

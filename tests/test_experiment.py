@@ -11,8 +11,8 @@ from patchbandit.corpus import load_corpus, load_patch
 from patchbandit import experiment
 from patchbandit.engine import derive_seed
 from patchbandit.experiment import (CSV_COLUMNS, ConfigSpec, ExperimentPlan,
-                                    PlanFormatError, QualityScore,
-                                    compute_metrics, evaluate_quality,
+                                    PlanFormatError, compute_metrics,
+                                    evaluate_quality,
                                     load_plan, parse_plan, run_experiment,
                                     worker_count, write_report)
 from patchbandit.toylang import apply_edits, run_tests
@@ -114,10 +114,10 @@ def test_reference_fix_scores_full_quality(bugs):
     # empty edit list on the fixed program = the developer patch
     for bug in bugs.values():
         shifted = dataclasses.replace(bug, program=bug.fixed)
-        score = evaluate_quality((), shifted)
-        assert score == QualityScore(t_pass=score.t_total,
-                                     t_total=score.t_total)
-        assert score.score == 1.0
+        quality = evaluate_quality((), shifted)
+        t_total = len(bug.heldout_suite)
+        assert quality == {"t_pass": t_total, "t_total": t_total,
+                           "score": 1.0}
 
 
 def test_overfit_patch_scores_below_full_quality(bugs):
@@ -125,9 +125,10 @@ def test_overfit_patch_scores_below_full_quality(bugs):
     _, edits = load_patch(bug.path / "overfit.patch")
     assert run_tests(apply_edits(bug.program, edits)[0],
                      bug.repair_suite).fitness == 1.0
-    score = evaluate_quality(edits, bug)
-    assert score.score < 1.0
-    assert score.t_pass == score.t_total - 1
+    t_total = len(bug.heldout_suite)
+    assert evaluate_quality(edits, bug) == {
+        "t_pass": t_total - 1, "t_total": t_total,
+        "score": (t_total - 1) / t_total}
 
 
 # ----------------------------------------------------------------- metrics
@@ -230,7 +231,8 @@ def test_unknown_bug_is_recorded_and_skipped():
     plan = dataclasses.replace(SMALL_PLAN, bug_names=("reset-1", "ghost-9"),
                                attempts=1)
     report = run_experiment(plan)
-    assert report.errors == (("ghost-9", "bug 'ghost-9' not in corpus"),)
+    assert report.detail["errors"] == [
+        {"bug": "ghost-9", "message": "bug 'ghost-9' not in corpus"}]
     assert set(report.detail["configs"][0]["bugs"]) == {"reset-1"}
 
 

@@ -79,7 +79,7 @@ def test_flags_faults_and_coverage_match_the_recorded_digest():
 def _fault(text, args=(), budget=100_000):
     cp = compile_program(parse_program(text))
     with pytest.raises(ToyFault) as err:
-        cp.invoke("f", [list(a) if isinstance(a, tuple) else a
+        cp["f"].invoke([list(a) if isinstance(a, tuple) else a
                         for a in args], _Ctx(budget, None))
     return err.value.kind
 

@@ -39,7 +39,7 @@ def _run(cp, args, budget):
     """f's return value, its fault kind, and the context it ran in."""
     ctx = _Ctx(budget, set())
     try:
-        value = cp.invoke("f", [list(a) if isinstance(a, tuple) else a
+        value = cp["f"].invoke([list(a) if isinstance(a, tuple) else a
                                 for a in args], ctx)
         return value, None, ctx
     except ToyFault as fault:
@@ -571,14 +571,14 @@ def test_deep_toy_recursion_is_a_depth_fault(nesting, monkeypatch):
     cp = compile_program(program)
     monkeypatch.setattr(interp, "compile_program", lambda p: cp)
     runs = []
-    run_once = interp._run_case_once
+    run_case = interp._run_case
 
     def counted(*args):
         # one more frame under every run, so the retry has less room
         runs.append(args[1].name)
-        return run_once(*args)
+        return run_case(*args)
 
-    monkeypatch.setattr(interp, "_run_case_once", counted)
+    monkeypatch.setattr(interp, "_run_case", counted)
 
     def nested(levels):
         if levels:
@@ -590,6 +590,24 @@ def test_deep_toy_recursion_is_a_depth_fault(nesting, monkeypatch):
            (report.faults, report.coverage)
     assert runs == ["t", "t"]       # outgrew the stack, then was retried
     assert not passes_all(program, suite)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_compiling_on_a_nearly_full_stack_is_rerun_with_room():
+    # compiling forty nested ifs takes more than the 60 frames left, so the
+    # whole run is rerun, compiling included
+    suite = parse_suite("t | f | 0 | 0\n")
+    program = _deep(40)
+    limit = sys.getrecursionlimit()
+
+    def nested(levels, run):
+        if levels:
+            return nested(levels - 1, run)
+        return run(program, suite)
+
+    report = nested(limit - _stack_depth() - 60, run_tests)
+    assert report.faults == ["depth"]
+    assert not nested(limit - _stack_depth() - 60, passes_all)
     assert sys.getrecursionlimit() == limit
 
 

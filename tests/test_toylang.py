@@ -7,8 +7,7 @@ import pytest
 
 from patchbandit.toylang.interp import (run_tests, passes_all, ToyFault,
                                         compile_program, _Ctx)
-from patchbandit.toylang.suite import (SuiteFormatError, TestCase, TestSuite,
-                                       parse_suite)
+from patchbandit.toylang.suite import SuiteFormatError, TestCase, parse_suite
 from patchbandit.toylang.localize import NothingToRepair, localize
 from patchbandit.toylang import syntax
 from patchbandit.toylang.syntax import (BODY_FIELDS, EXPR_FIELDS,
@@ -60,7 +59,7 @@ fn total(a, n) {
 def run_entry(text, entry, args, budget=100_000):
     cp = compile_program(parse_program(text))
     ctx = _Ctx(budget, None)
-    return cp.invoke(entry, [list(a) if isinstance(a, (list, tuple)) else a
+    return cp[entry].invoke([list(a) if isinstance(a, (list, tuple)) else a
                              for a in args], ctx)
 
 
@@ -401,7 +400,7 @@ def test_steps_count_statement_executions():
 
 
 def suite_of(*rows):
-    return TestSuite(tuple(TestCase(*row) for row in rows))
+    return tuple(TestCase(*row) for row in rows)
 
 
 def test_fitness_is_exact_fraction():
@@ -498,6 +497,14 @@ def test_manifest_errors_name_the_line():
         parse_suite("t | f | 1 | 0\nt | f | 2 | 0", "demo")
     with pytest.raises(SuiteFormatError, match="no test cases"):
         parse_suite("# only comments\n", "demo")
+
+
+@pytest.mark.parametrize("row", ["t | f | 1,,2 | 3", "t | f | , | 0",
+                                 "t | f | 1, | 0"])
+def test_an_empty_argument_between_commas_is_an_error(row):
+    # as an empty array element is: `[1,,2]` fails the same way
+    with pytest.raises(SuiteFormatError, match=r"^demo:1: not an integer: ''$"):
+        parse_suite(row, "demo")
 
 
 # ---------------------------------------------------------- localization
