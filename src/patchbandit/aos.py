@@ -29,7 +29,9 @@ module constants BETA, EPSILON and EXPLORE (E).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 CREDITS = ("avg", "erwa")
@@ -84,10 +86,6 @@ class Controller:
 
     def __init__(self, config, n_arms: int):
         # config: an engine.ConfigSpec, validated and normalised on its own
-        if n_arms < 1:
-            raise ConfigError(f"n_arms must be >= 1, got {n_arms}")
-        if config.policy not in _POLICIES:
-            raise ConfigError(f"{config.policy!r} is not a bandit policy")
         self.config = config
         self.n_arms = n_arms
         self.p_min = 1.0 / (2 * n_arms)
@@ -149,13 +147,9 @@ class Controller:
         return best
 
     def _select_by_probability(self, rng) -> int:
-        u = rng.random()
-        acc = 0.0
-        for i, a in enumerate(self.arms):
-            acc += a.probability
-            if u < acc:
-                return i
-        return self.n_arms - 1
+        # the first arm whose running sum exceeds the draw; the last if none
+        sums = list(accumulate(a.probability for a in self.arms))
+        return min(bisect_right(sums, rng.random()), self.n_arms - 1)
 
     def _select_egreedy(self, rng) -> int:
         if rng.random() < EPSILON:

@@ -1,12 +1,13 @@
 """Command line front end: repair run | bench | quality | gate."""
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .aos import CADENCES, CREDITS, POLICIES, REWARDS, ConfigError
-from .corpus import CorpusError, DEFAULT_CORPUS_DIR, load_corpus, load_patch, run_gate
+from .corpus import CorpusError, load_corpus, load_patch, run_gate
 from .engine import ARM_SCHEMES
 from .experiment import (ConfigSpec, EXPERIMENT_STEP_BUDGET, ExperimentPlan,
                          PlanFormatError, evaluate_quality, load_plan,
@@ -151,8 +152,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    corpus_dir = args.corpus or DEFAULT_CORPUS_DIR
-    bugs = {bug.name: bug for bug in load_corpus(corpus_dir)}
+    bugs = {bug.name: bug for bug in load_corpus(args.corpus)}
     patch_dir = Path(args.patches)
     if not patch_dir.is_dir():
         raise _UsageError(f"not a directory: {patch_dir}")
@@ -173,15 +173,14 @@ def cmd_quality(args) -> int:
     kept = [s for s in scores if s > 0.0]
     if kept:
         print(f"aggregate quality over {len(kept)} patches "
-              f"(zero-pass excluded): {sum(kept) / len(kept):.6g}")
+              f"(zero-pass excluded): {math.fsum(kept) / len(kept):.6g}")
     else:
         print("aggregate quality: no patch passed any held-out test")
     return EXIT_OK
 
 
 def cmd_gate(args) -> int:
-    corpus_dir = args.corpus or DEFAULT_CORPUS_DIR
-    results = run_gate(load_corpus(corpus_dir), step_budget=args.step_budget)
+    results = run_gate(load_corpus(args.corpus), step_budget=args.step_budget)
     for result in results:
         if result.ok:
             ops = ",".join(sorted(set(result.fixing_operators)))

@@ -34,7 +34,6 @@ class CorpusError(Exception):
 @dataclass(frozen=True)
 class Bug:
     name: str
-    path: Path
     program: object        # buggy Program
     fixed: object          # reference Program
     repair_suite: object
@@ -59,12 +58,12 @@ def load_bug(path) -> Bug:
                            for name in ("repair.tests", "heldout.tests"))
     except (ParseError, SuiteFormatError) as err:
         raise CorpusError(f"{path.name}: {err}") from err
-    return Bug(path.name, path, program, fixed, repair, heldout)
+    return Bug(path.name, program, fixed, repair, heldout)
 
 
 def load_corpus(path=None):
     """Load every bug under the corpus directory, sorted by name."""
-    root = Path(path) if path is not None else DEFAULT_CORPUS_DIR
+    root = Path(path) if path else DEFAULT_CORPUS_DIR
     if not root.is_dir():
         raise CorpusError(f"corpus directory not found: {root}")
     bugs = tuple(load_bug(sub) for sub in sorted(root.iterdir())

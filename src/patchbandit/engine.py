@@ -166,7 +166,6 @@ class Variant:
 class RepairOutcome:
     patched: bool
     patch: Variant | None
-    variants_evaluated_at_patch: int | None
     total_evaluations: int
     aos_snapshot: tuple | None          # None for the uniform baseline
 
@@ -283,7 +282,5 @@ def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
         population = [mutate(individual) for individual in parents]
 
     selector.flush_generation()
-    if winner is not None:
-        return RepairOutcome(True, winner, winner.variant_index,
-                             evaluated, selector.snapshot())
-    return RepairOutcome(False, None, None, evaluated, selector.snapshot())
+    return RepairOutcome(winner is not None, winner, evaluated,
+                         selector.snapshot())

@@ -9,6 +9,7 @@ are byte-identical regardless of worker count.
 import csv
 import io
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
@@ -98,14 +99,14 @@ def _run_attempt(task):
                              seed=seed, population_size=pop, generations=gens,
                              step_budget=budget)
     except NothingToRepair:
-        outcome = RepairOutcome(False, None, None, 0, None)
+        outcome = RepairOutcome(False, None, 0, None)
         record["error"] = "nothing to repair"
     record.update(
-        patched=outcome.patched,
-        variants_evaluated_at_patch=outcome.variants_evaluated_at_patch,
+        patched=outcome.patched, variants_evaluated_at_patch=None,
         total_evaluations=outcome.total_evaluations,
         edits=None, quality=None, aos_snapshot=outcome.aos_snapshot)
     if outcome.patched:
+        record["variants_evaluated_at_patch"] = outcome.patch.variant_index
         record["edits"] = edits_to_jsonable(outcome.patch.edits)
         record["quality"] = evaluate_quality(outcome.patch.edits, bug,
                                              step_budget=budget)
@@ -155,7 +156,7 @@ def compute_metrics(per_bug_attempts: dict) -> dict:
     micro = len(successes) / total if total else 0.0
     per_bug = [sum(r["patched"] for r in records) / len(records)
                for records in per_bug_attempts.values() if records]
-    macro = sum(per_bug) / len(per_bug) if per_bug else 0.0
+    macro = math.fsum(per_bug) / len(per_bug) if per_bug else 0.0
     patched_bugs = sum(1 for records in per_bug_attempts.values()
                        if any(r["patched"] for r in records))
     counts = sorted(r["variants_evaluated_at_patch"] for r in successes)

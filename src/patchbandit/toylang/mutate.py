@@ -12,10 +12,11 @@ Statement donors travel by id and are looked up in whatever program
 the edit is applied to; expression donors travel as printed text and are
 re-parsed on application. Application is total: an edit whose target,
 donor, or path no longer resolves, whose payload does not have the shape
-its operator mints, or whose result would nest deeper than the parser
-accepts (syntax.MAX_NESTING, measured with syntax.height) leaves the
-program unchanged and reports a no-op, so edit lists can be replayed in
-any lineage.
+its operator mints or names a side, step or return value it never mints,
+or whose result would nest deeper than the parser accepts
+(syntax.MAX_NESTING, measured with syntax.height) leaves the program
+unchanged and reports a no-op, so edit lists can be replayed in any
+lineage.
 
 Each operator is one record in `_OPERATORS`: where it can act, how it
 rewrites the owner function's body, and its payload's item types.  Two
@@ -29,7 +30,9 @@ syntax.EXPR_FIELDS and syntax.BODY_FIELDS, and rebuilds a node through its
 positional constructor with one field replaced.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .syntax import (BODY_FIELDS, CMP_OPS, EXPR_FIELDS, INT_MAX, MAX_NESTING,
@@ -60,7 +63,6 @@ class InapplicableOperator(Exception):
 
     def __init__(self, operator: str):
         super().__init__(f"no valid site for operator {operator!r}")
-        self.operator = operator
 
 
 @dataclass(frozen=True)
@@ -292,25 +294,20 @@ def mint_edit(operator, program, weights, rng) -> Edit:
             candidates.append((stmt.sid, weights[stmt.sid], options))
     if not candidates:
         raise InapplicableOperator(operator)
-    total = sum(w for _, w, _ in candidates)
-    pick = rng.random() * total
-    acc = 0.0
-    chosen = candidates[-1]
-    for cand in candidates:
-        acc += cand[1]
-        if pick < acc:
-            chosen = cand
-            break
-    sid, _, options = chosen
+    # the first target whose running weight sum exceeds the scaled draw;
+    # the last if none does
+    sums = list(accumulate(w for _, w, _ in candidates))
+    pick = bisect_right(sums, rng.random() * sums[-1])
+    sid, _, options = candidates[min(pick, len(candidates) - 1)]
     path, payload = options[rng.randrange(len(options))]
     return Edit(operator, sid, path, payload)
 
 
-def enumerate_edits(program, weights, operators=ALL_OPERATORS):
+def enumerate_edits(program, weights):
     """Every mintable edit over weighted targets, in deterministic order."""
     statements = [(fn, stmt) for fn, stmt in program_statements(program)
                   if weights.get(stmt.sid, 0.0) > 0.0]
-    for operator in operators:
+    for operator in ALL_OPERATORS:
         for fn, stmt in statements:
             for path, payload in _OPERATORS[operator].sites(program, fn, stmt):
                 yield Edit(operator, stmt.sid, path, payload)
@@ -485,7 +482,8 @@ def _replace_expr(program, node, payload):
 def _add_operand(program, node, payload):
     text, op, side = payload
     donor = _parse_payload_expr(text)
-    if donor is None or op not in ("&&", "||"):
+    if donor is None or op not in ("&&", "||") \
+            or side not in ("left", "right"):
         return None
     return Binary(op, donor, node) if side == "left" \
         else Binary(op, node, donor)
@@ -494,11 +492,12 @@ def _add_operand(program, node, payload):
 def _remove_operand(program, node, payload):
     if not isinstance(node, Binary) or node.op not in ("&&", "||"):
         return None
-    return node.left if payload[0] == "left" else node.right
+    return {"left": node.left, "right": node.right}.get(payload[0])
 
 
 def _off_by_one(program, node, payload):
-    return Binary("+" if payload[0] > 0 else "-", node, Num(1))
+    op = {1: "+", -1: "-"}.get(payload[0])
+    return None if op is None else Binary(op, node, Num(1))
 
 
 def _perturb_const(program, node, payload):

@@ -22,8 +22,6 @@ from .syntax import read_int
 class SuiteFormatError(ValueError):
     def __init__(self, msg: str, source: str, line: int):
         super().__init__(f"{source}:{line}: {msg}")
-        self.source = source
-        self.line = line
 
 
 @dataclass(frozen=True)

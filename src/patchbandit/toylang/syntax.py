@@ -51,8 +51,6 @@ INT_MIN, INT_MAX = -2 ** 63, 2 ** 63 - 1
 class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"parse error at {line}:{col}: {msg}")
-        self.line = line
-        self.col = col
 
 
 # ------------------------------------------------------------------ AST

@@ -59,14 +59,6 @@ def test_config_validation_names_offending_field():
         Controller(ConfigSpec(policy="pm", cadence="hourly"), 3)
     with pytest.raises(ConfigError, match="reward"):
         Controller(ConfigSpec(policy="pm", reward="ranked"), 3)
-    with pytest.raises(ConfigError, match="n_arms"):
-        Controller(ConfigSpec(policy="pm"), 0)
-
-
-def test_controller_needs_a_bandit_policy():
-    # the uniform baseline is aos.UniformSelector, never a Controller
-    with pytest.raises(ConfigError, match="not a bandit policy"):
-        Controller(ConfigSpec("uniform"), 3)
 
 
 def test_initial_state_is_optimistic_and_uniform():

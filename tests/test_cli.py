@@ -107,6 +107,15 @@ def test_quality_rejects_non_int_target_or_path(tmp_path, capsys, target,
     assert capsys.readouterr().err.startswith("corpus error:")
 
 
+def test_an_empty_corpus_flag_means_the_packaged_corpus(tmp_path, capsys):
+    patch_dir = tmp_path / "patches"
+    patch_dir.mkdir()
+    (patch_dir / "x.patch").write_text('{"bug": "mid3", "edits": []}\n')
+    assert main(["quality", "--patches", str(patch_dir),
+                 "--corpus", ""]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("x.patch mid3 ")
+
+
 def test_quality_on_empty_directory(tmp_path, capsys):
     patch_dir = tmp_path / "patches"
     patch_dir.mkdir()

@@ -133,7 +133,7 @@ def test_reference_fixes_are_perfect(corpus):
 
 def test_overfit_patch_discriminates_suites():
     bug = load_bug(DEFAULT_CORPUS_DIR / "offbyone-1")
-    name, edits = load_patch(bug.path / "overfit.patch")
+    name, edits = load_patch(DEFAULT_CORPUS_DIR / bug.name / "overfit.patch")
     assert name == "offbyone-1"
     variant, flags = apply_edits(bug.program, edits)
     assert all(flags)

@@ -126,7 +126,7 @@ def test_uniform_repair_is_deterministic(bugs):
     second = repair(bug, seed=7)
     assert first.patched and second.patched
     assert first.patch.edits == second.patch.edits
-    assert first.variants_evaluated_at_patch == second.variants_evaluated_at_patch
+    assert first.patch.variant_index == second.patch.variant_index
     assert first.total_evaluations == second.total_evaluations
 
 
@@ -140,8 +140,7 @@ def test_adaptive_repair_is_deterministic(bugs):
 
 def test_different_seeds_diverge(bugs):
     bug = bugs["mid3"]
-    outcomes = {repair(bug, seed=s).variants_evaluated_at_patch
-                for s in range(6)}
+    outcomes = {repair(bug, seed=s).patch.variant_index for s in range(6)}
     assert len(outcomes) > 1
 
 
@@ -155,8 +154,7 @@ def test_patches_revalidate_on_a_fresh_interpreter(bugs):
         patched, _ = apply_edits(bug.program, out.patch.edits)
         assert run_tests(patched, bug.repair_suite).fitness == 1.0, name
         assert out.patch.fitness == 1.0
-        assert out.variants_evaluated_at_patch == out.patch.variant_index
-        assert out.variants_evaluated_at_patch <= out.total_evaluations
+        assert out.patch.variant_index <= out.total_evaluations
 
 
 def test_crossover_heavy_patch_program_is_its_replayed_edit_list(
@@ -265,7 +263,7 @@ def test_first_evaluation_claims_the_variant_index(bugs, monkeypatch):
     # forty identical winners collapse to a single evaluation
     assert out.patched
     assert out.total_evaluations == 1
-    assert out.variants_evaluated_at_patch == 1
+    assert out.patch.variant_index == 1
 
 
 # -------------------------------------------------------- credit discipline
@@ -386,7 +384,7 @@ def test_crossover_free_run_still_patches(bugs, monkeypatch):
 def test_outcome_shape_for_unpatched_run(bugs):
     bug = bugs["guard-1"]
     out = repair(bug, seed=1, population_size=4, generations=2)
-    assert out == RepairOutcome(False, None, None, out.total_evaluations, None)
+    assert out == RepairOutcome(False, None, out.total_evaluations, None)
     assert out.total_evaluations > 0
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from patchbandit.aos import ConfigError
-from patchbandit.corpus import load_corpus, load_patch
+from patchbandit.corpus import DEFAULT_CORPUS_DIR, load_corpus, load_patch
 from patchbandit import experiment
 from patchbandit.engine import derive_seed
 from patchbandit.experiment import (CSV_COLUMNS, ConfigSpec, ExperimentPlan,
@@ -122,7 +122,7 @@ def test_reference_fix_scores_full_quality(bugs):
 
 def test_overfit_patch_scores_below_full_quality(bugs):
     bug = bugs["offbyone-1"]
-    _, edits = load_patch(bug.path / "overfit.patch")
+    _, edits = load_patch(DEFAULT_CORPUS_DIR / bug.name / "overfit.patch")
     assert run_tests(apply_edits(bug.program, edits)[0],
                      bug.repair_suite).fitness == 1.0
     t_total = len(bug.heldout_suite)

@@ -171,8 +171,8 @@ def test_clamps_insert_before_target():
 def test_off_by_one_rewrites_exactly_one_index():
     program = parse_program("fn f(a, i) { return a[i]; }")
     target = sid_of(program, "return a[i];")
-    sites = [e for e in enumerate_edits(program, all_weights(program),
-                                        operators=("off_by_one",))]
+    sites = [e for e in enumerate_edits(program, all_weights(program))
+             if e.op == "off_by_one"]
     assert len(sites) == 2   # one index site, two deltas
     plus = apply_ok(program, Edit("off_by_one", target, ("expr", "index"),
                                   (1,)))
@@ -342,7 +342,7 @@ def test_stmt_replace_takes_donors_across_nesting_levels():
 def test_stmt_swap_is_offered_exactly_where_it_applies(bug):
     for program in (bug.program, bug.fixed):
         offered = {edit.target for edit in enumerate_edits(
-            program, all_weights(program), ("stmt_swap",))}
+            program, all_weights(program)) if edit.op == "stmt_swap"}
         for _, stmt in program_statements(program):
             _, applied = apply_edit(program, Edit("stmt_swap", stmt.sid))
             assert applied == (stmt.sid in offered), print_statement(stmt)
@@ -363,9 +363,8 @@ def test_expr_replace_uses_sibling_conditions():
     program = demo()
     target = sid_of(program, "if (s > 10 && n > 0) {")
     options = {e.payload[0] for e in
-               enumerate_edits(program, all_weights(program),
-                               operators=("expr_replace",))
-               if e.target == target}
+               enumerate_edits(program, all_weights(program))
+               if e.op == "expr_replace" and e.target == target}
     assert options == {"i < n", "s > 10", "n > 0"}
     out = apply_ok(program, Edit("expr_replace", target, ("cond",),
                                  ("i < n",)))
@@ -394,6 +393,24 @@ def test_expr_remove_keeps_one_operand():
     _, applied = apply_edit(program, Edit("expr_remove", plain, ("cond",),
                                           ("left",)))
     assert not applied
+
+
+@pytest.mark.parametrize("op, text, path, payload", [
+    ("off_by_one", "s = s + a[i];", ("expr", "right", "index"), (5,)),
+    ("off_by_one", "s = s + a[i];", ("expr", "right", "index"), (0,)),
+    ("expr_add", "if (s > 10 && n > 0) {", ("cond",),
+     ("n > 0", "&&", "middle")),
+    ("expr_remove", "if (s > 10 && n > 0) {", ("cond",), ("middle",)),
+], ids=["off_by_one+5", "off_by_one+0", "expr_add-middle",
+        "expr_remove-middle"])
+def test_a_payload_value_the_operator_never_mints_is_a_no_op(op, text, path,
+                                                             payload):
+    # off_by_one mints deltas 1 and -1, expr_add and expr_remove the sides
+    # "left" and "right"; a patch file may hold any value of those types,
+    # and it must not apply as some other edit
+    program = demo()
+    edit = Edit(op, sid_of(program, text), path, payload)
+    assert apply_edit(program, edit) == (program, False)
 
 
 # ---------------------------------------------------------------- minting

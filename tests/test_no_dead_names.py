@@ -7,11 +7,12 @@ definition, so a recursive call is no use, and a mention in another
 module's docstring or comment is.  A package's `__init__.py` only
 re-exports names, for tests among others, so a mention there is no use.
 
-A class member (a method, property, class attribute or dataclass field)
-counts as used when src reads it outside its own definition: as an
-attribute load of that name (`x.name`, on any object) or as a string equal
-to the name, for `getattr`.  Setting a member, in a constructor call or an
-assignment, is not a use.
+A class member (a method, property, class attribute, dataclass field or
+attribute that a method sets on `self`) counts as used when src reads it
+outside its own definition, which for an attribute set on `self` is each
+assignment to it: as an attribute load of that name (`x.name`, on any
+object) or as a string equal to the name, for `getattr`.  Setting a
+member, in a constructor call or an assignment, is not a use.
 """
 
 import ast
@@ -34,6 +35,13 @@ ALLOWED_MEMBERS = {"toylang.interp.FitnessReport.faults",
                    "corpus.BugGateResult.edits_examined"}
 
 
+def _targets(node):
+    """The targets of an assignment statement; none for any other node."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, ast.AnnAssign) else []
+
+
 def _definitions(tree):
     """(name, first line, last line) of each module-level function, class
     and assigned name; dunder names such as __all__ are left out."""
@@ -42,9 +50,7 @@ def _definitions(tree):
                              ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            names = [name.id for target in targets
+            names = [name.id for target in _targets(node)
                      for name in ast.walk(target)
                      if isinstance(name, ast.Name)]
         else:
@@ -56,20 +62,31 @@ def _definitions(tree):
                 yield name, start, node.end_lineno
 
 
+def _self_attributes(method):
+    """(name, first line, last line) of each assignment in the method to
+    an attribute of `self`."""
+    for node in ast.walk(method):
+        for target in _targets(node):
+            if isinstance(target, ast.Attribute) \
+                    and isinstance(target.value, ast.Name) \
+                    and target.value.id == "self":
+                yield target.attr, node.lineno, node.end_lineno
+
+
 def _members(tree):
     """(class, name, first line, last line) of each method, property,
-    class attribute and dataclass field of every class; dunder names are
-    left out."""
+    class attribute and dataclass field of every class, dunder names left
+    out, and of each assignment a method makes to an attribute of `self`."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 names = [node.name]
+                for name, start, end in _self_attributes(node):
+                    yield cls.name, name, start, end
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                names = [target.id for target in targets
+                names = [target.id for target in _targets(node)
                          if isinstance(target, ast.Name)]
             else:
                 continue

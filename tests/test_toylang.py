@@ -121,7 +121,7 @@ def test_parse_errors_carry_line_and_column():
 def test_literals_int_cannot_read_are_parse_errors(literal, message):
     with pytest.raises(ParseError, match=message) as err:
         parse_program(f"fn f() {{\n  return {literal};\n}}")
-    assert (err.value.line, err.value.col) == (2, 10)
+    assert str(err.value).startswith("parse error at 2:10: ")
 
 
 def test_nesting_past_the_limit_is_a_parse_error():
