@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .aos import ConfigError
-from .corpus import DEFAULT_CORPUS_DIR, edits_to_jsonable, load_corpus
+from .corpus import edits_to_jsonable, load_corpus
 from .engine import (MIN_POPULATION, ConfigSpec, RepairOutcome, derive_seed,
                      format_value, run_repair)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
@@ -84,10 +84,10 @@ _BUG_CACHE = {}
 
 
 def _bugs_for(corpus_dir):
-    key = str(corpus_dir)
-    if key not in _BUG_CACHE:
-        _BUG_CACHE[key] = {bug.name: bug for bug in load_corpus(corpus_dir)}
-    return _BUG_CACHE[key]
+    if corpus_dir not in _BUG_CACHE:
+        _BUG_CACHE[corpus_dir] = {bug.name: bug
+                                  for bug in load_corpus(corpus_dir)}
+    return _BUG_CACHE[corpus_dir]
 
 
 def _run_attempt(task):
@@ -170,12 +170,11 @@ def compute_metrics(per_bug_attempts: dict) -> dict:
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    corpus_dir = str(plan.corpus_dir or DEFAULT_CORPUS_DIR)
     errors = []
     if plan.bug_names is None:
-        names = sorted(_bugs_for(corpus_dir))
+        names = sorted(_bugs_for(plan.corpus_dir))
     else:
-        available = _bugs_for(corpus_dir)
+        available = _bugs_for(plan.corpus_dir)
         names = []
         for name in plan.bug_names:
             if name in available:
@@ -186,7 +185,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     # one (config index, bug, attempt) per cell, in task and result order
     cells = [(index, name, attempt) for index in range(len(plan.configs))
              for name in names for attempt in range(plan.attempts)]
-    tasks = [(corpus_dir, name, astuple(plan.configs[index]),
+    tasks = [(plan.corpus_dir, name, astuple(plan.configs[index]),
               plan.seed_for(name, plan.configs[index], attempt),
               plan.population_size, plan.generations, plan.step_budget)
              for index, name, attempt in cells]

@@ -19,7 +19,13 @@ unchanged and reports a no-op, so edit lists can be replayed in any
 lineage.
 
 Each operator is one record in `_OPERATORS`: where it can act, how it
-rewrites the owner function's body, and its payload's item types.  Two
+rewrites the owner function's body, its payload's item types and,
+optionally, a test for a site that lists none.  A mint runs the site
+test, or the site builder where an operator has none, on each weighted
+statement, then lists the options of the one target it draws: the three
+coarse moves and default_return_insert test a target in constant time,
+and a function's statements and condition pool are listed once, not once
+per target.  Two
 adapters build most of the rewrites: `_at_path` finds the expression at
 the edit's path, hands it to a small expression rewrite and grafts what
 that returns in its place (the seven expression operators), and
@@ -39,7 +45,7 @@ from .syntax import (BODY_FIELDS, CMP_OPS, EXPR_FIELDS, INT_MAX, MAX_NESTING,
                      Assign, Binary, Call, Function, If, Index, Num,
                      ParseError, Program, Return, Store, Unary, Var, While,
                      height, parse_expression, print_expr, program_statements,
-                     walk, walk_statements)
+                     walk)
 
 COARSE_OPERATORS = ("stmt_append", "stmt_delete", "stmt_replace")
 
@@ -127,11 +133,8 @@ def _chain(stmt, path):
 
 
 def _dedup(seq):
-    out = []
-    for item in seq:
-        if item not in out:
-            out.append(item)
-    return out
+    """The items of seq, each at its first place."""
+    return list(dict.fromkeys(seq))
 
 
 # Store and Index both access an array: `name[index]`
@@ -152,13 +155,21 @@ def _condition_parts(expr):
         yield from _condition_parts(expr.right)
 
 
+# the function _condition_pool last listed, and its pool: a mint or an
+# enumeration asks for one function's pool at each of its targets in turn
+_last_pool = [None, ()]
+
+
 def _condition_pool(fn: Function):
     """Printed texts of every branch/loop condition and their operands."""
-    texts = []
-    for s in walk_statements(fn.body):
-        if isinstance(s, (If, While)):
-            texts.extend(print_expr(part) for part in _condition_parts(s.cond))
-    return _dedup(texts)
+    if _last_pool[0] is not fn:
+        texts = []
+        for s in fn.statements():
+            if isinstance(s, (If, While)):
+                texts.extend(print_expr(part)
+                             for part in _condition_parts(s.cond))
+        _last_pool[:] = fn, _dedup(texts)
+    return _last_pool[1]
 
 
 # ------------------------------------------------------------ site minting
@@ -169,7 +180,7 @@ def _condition_pool(fn: Function):
 
 
 def _sites_stmt_append(program, fn, stmt):
-    return [((), (donor.sid,)) for donor in walk_statements(fn.body)]
+    return [((), (donor.sid,)) for donor in fn.statements()]
 
 
 def _sites_stmt_delete(program, fn, stmt):
@@ -177,15 +188,15 @@ def _sites_stmt_delete(program, fn, stmt):
 
 
 def _sites_stmt_replace(program, fn, stmt):
-    return [((), (donor.sid,)) for donor in walk_statements(fn.body)
+    return [((), (donor.sid,)) for donor in fn.statements()
             if donor.sid != stmt.sid]
 
 
 def _sites_func_call_swap(program, fn, stmt):
-    arity = {f.name: len(f.params) for f in program.functions}
     options = []
     for path, node in iter_own_expressions(stmt):
-        if isinstance(node, Call) and node.name in arity:
+        if isinstance(node, Call) \
+                and program.function(node.name) is not None:
             for f in program.functions:
                 if f.name != node.name and len(f.params) == len(node.args):
                     options.append((path, (f.name,)))
@@ -280,27 +291,44 @@ def _sites_stmt_swap(program, fn, stmt):
     return []
 
 
+# Site tests, for _Operator.has_site: (program, owner function, target) ->
+# whether the operator's builder lists an option there, answered without
+# listing the options.
+
+
+def _always(program, fn, stmt):
+    return True
+
+
+def _another_statement(program, fn, stmt):
+    return any(donor.sid != stmt.sid for donor in fn.statements())
+
+
 def mint_edit(operator, program, weights, rng) -> Edit:
-    """Draw an Edit: target weight-proportional, site uniform within it."""
+    """Draw an Edit: target weight-proportional, site uniform within it.
+    Each weighted statement is tested for a site, and only the drawn
+    target's options are listed."""
     if operator not in _OPERATORS:
         raise KeyError(f"unknown operator {operator!r}")
     sites = _OPERATORS[operator].sites
-    candidates = []
+    has_site = _OPERATORS[operator].has_site or sites
+    candidates, target_weights = [], []
     for fn, stmt in program_statements(program):
-        if weights.get(stmt.sid, 0.0) <= 0.0:
+        weight = weights.get(stmt.sid, 0.0)
+        if weight <= 0.0 or not has_site(program, fn, stmt):
             continue
-        options = sites(program, fn, stmt)
-        if options:
-            candidates.append((stmt.sid, weights[stmt.sid], options))
+        candidates.append((fn, stmt))
+        target_weights.append(weight)
     if not candidates:
         raise InapplicableOperator(operator)
     # the first target whose running weight sum exceeds the scaled draw;
     # the last if none does
-    sums = list(accumulate(w for _, w, _ in candidates))
+    sums = list(accumulate(target_weights))
     pick = bisect_right(sums, rng.random() * sums[-1])
-    sid, _, options = candidates[min(pick, len(candidates) - 1)]
+    fn, stmt = candidates[min(pick, len(candidates) - 1)]
+    options = sites(program, fn, stmt)
     path, payload = options[rng.randrange(len(options))]
-    return Edit(operator, sid, path, payload)
+    return Edit(operator, stmt.sid, path, payload)
 
 
 def enumerate_edits(program, weights):
@@ -599,15 +627,19 @@ class _Operator(NamedTuple):
     # ints, names and printed expressions are strings.  A float or bool
     # literal, for one, would print but not parse back.
     payload: tuple
+    # (program, owner function, target) -> true exactly where sites lists
+    # an option, found without the list; None: sites' own list is the test
+    has_site: Callable = None
 
 
 _OPERATORS = {
     "stmt_append": _Operator(_sites_stmt_append,
-                             _in_place(_tf_stmt_append), (int,)),
+                             _in_place(_tf_stmt_append), (int,), _always),
     "stmt_delete": _Operator(_sites_stmt_delete,
-                             _in_place(_tf_stmt_delete), ()),
+                             _in_place(_tf_stmt_delete), (), _always),
     "stmt_replace": _Operator(_sites_stmt_replace,
-                              _in_place(_tf_stmt_replace), (int,)),
+                              _in_place(_tf_stmt_replace), (int,),
+                              _another_statement),
     "func_call_swap": _Operator(_sites_func_call_swap,
                                 _in_place(_at_path(_swap_callee)), (str,)),
     "expr_replace": _Operator(_sites_expr_replace,
@@ -637,7 +669,8 @@ _OPERATORS = {
     "negate_condition": _Operator(_sites_negate_condition,
                                   _in_place(_at_path(_negate)), ()),
     "default_return_insert": _Operator(_sites_default_return_insert,
-                                       _edit_default_return_insert, (int,)),
+                                       _edit_default_return_insert, (int,),
+                                       _always),
     "stmt_swap": _Operator(_sites_stmt_swap, _edit_stmt_swap, ()),
 }
 

@@ -208,6 +208,16 @@ class Function:
     params: tuple
     body: tuple
 
+    # the tuple `statements` lists, kept on the node as a node's _height is
+    _statements = None
+
+    def statements(self) -> tuple:
+        """Every statement of the body, pre-order, nested ones included."""
+        if self._statements is None:
+            object.__setattr__(self, "_statements",
+                               tuple(walk_statements(self.body)))
+        return self._statements
+
 
 @dataclass(frozen=True)
 class Program:
@@ -232,7 +242,7 @@ def walk_statements(body):
 def program_statements(program: Program):
     """Yield (owner function, statement) for every statement, pre-order."""
     for fn in program.functions:
-        for stmt in walk_statements(fn.body):
+        for stmt in fn.statements():
             yield fn, stmt
 
 

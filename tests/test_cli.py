@@ -48,6 +48,29 @@ def test_bench_matches_equivalent_run(tmp_path):
            (tmp_path / "run" / "detail.json").read_bytes()
 
 
+def _output_bytes(out):
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def test_every_way_to_ask_for_the_packaged_corpus_gives_the_same_bytes(
+        tmp_path):
+    text = ("base_seed = 3\nattempts = 2\npop = 12\ngens = 4\n"
+            "bugs = reset-1, dupadd-1\nconfig = uniform arms=3\n")
+    for name, corpus_line in (("unset", ""),
+                              ("named", f"corpus = {DEFAULT_CORPUS_DIR}\n")):
+        plan = tmp_path / f"{name}.plan"
+        plan.write_text(text + corpus_line)
+        assert main(["bench", "--plan", str(plan),
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+    assert main(RUN_ARGS + ["--corpus", "",
+                            "--out", str(tmp_path / "empty")]) == EXIT_OK
+    unset = _output_bytes(tmp_path / "unset")
+    assert "detail.json" in unset and "summary.csv" in unset
+    assert _output_bytes(tmp_path / "named") == unset
+    assert _output_bytes(tmp_path / "empty") == unset
+
+
 def test_quality_scores_saved_patches(tmp_path, capsys):
     assert main(RUN_ARGS + ["--out", str(tmp_path / "out")]) == EXIT_OK
     capsys.readouterr()

@@ -9,9 +9,9 @@ from patchbandit.corpus import load_corpus
 from patchbandit.toylang.localize import localize
 from patchbandit.toylang.mutate import (ALL_OPERATORS, COARSE_OPERATORS,
                                         Edit, InapplicableOperator,
-                                        OPERATOR_GROUPS, apply_edit,
-                                        apply_edits, enumerate_edits,
-                                        mint_edit)
+                                        OPERATOR_GROUPS, _OPERATORS,
+                                        apply_edit, apply_edits,
+                                        enumerate_edits, mint_edit)
 from patchbandit.toylang.interp import run_tests
 from patchbandit.toylang.syntax import (MAX_NESTING, parse_expression,
                                         parse_program, print_program,
@@ -473,6 +473,46 @@ def test_zero_weight_statements_are_never_targeted():
     rng = random.Random(7)
     for _ in range(50):
         assert mint_edit("stmt_delete", program, weights, rng).target == target
+
+
+def _assert_site_tests_agree(program):
+    # an operator without a site test takes its builder's list as the test
+    tested = [(op, record) for op, record in _OPERATORS.items()
+              if record.has_site is not None]
+    assert sorted(op for op, _ in tested) == [
+        "default_return_insert", "stmt_append", "stmt_delete", "stmt_replace"]
+    for fn, stmt in program_statements(program):
+        for op, record in tested:
+            assert record.has_site(program, fn, stmt) \
+                == bool(record.sites(program, fn, stmt)), (op, stmt)
+
+
+def test_each_site_test_agrees_with_its_builder():
+    programs = [demo()]
+    for index, bug in enumerate(load_corpus()):
+        program, rng = bug.program, random.Random(index)
+        for _ in range(8):
+            programs.append(program)
+            try:
+                edit = mint_edit(rng.choice(ALL_OPERATORS), program,
+                                 all_weights(program), rng)
+            except InapplicableOperator:
+                continue
+            program, _ = apply_edit(program, edit)
+    for program in programs:
+        _assert_site_tests_agree(program)
+
+
+def test_a_lone_statement_has_no_donor_to_replace_it():
+    # the other function's statement is no donor: donors share the target's
+    # function
+    program = parse_program("fn g() { return 1; }\nfn f(x) { return x; }")
+    _assert_site_tests_agree(program)
+    fn = program.function("f")
+    assert not _OPERATORS["stmt_replace"].has_site(program, fn, fn.body[0])
+    with pytest.raises(InapplicableOperator):
+        mint_edit("stmt_replace", program, {fn.body[0].sid: 1.0},
+                  random.Random(0))
 
 
 # ------------------------------------------------------------- the sweep

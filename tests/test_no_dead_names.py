@@ -12,7 +12,13 @@ attribute that a method sets on `self`) counts as used when src reads it
 outside its own definition, which for an attribute set on `self` is each
 assignment to it: as an attribute load of that name (`x.name`, on any
 object) or as a string equal to the name, for `getattr`.  Setting a
-member, in a constructor call or an assignment, is not a use.
+member, in a constructor call, an assignment or
+`object.__setattr__(obj, "name", value)`, is not a use.
+
+A frozen node caches a value on itself through `object.__setattr__`.  A
+cache set on `self` is a member of the method's class; one set on another
+object must be declared as a class attribute of its module, as
+`syntax._Node._height` is, so that it is a member too.
 """
 
 import ast
@@ -62,15 +68,42 @@ def _definitions(tree):
                 yield name, start, node.end_lineno
 
 
+def _is_self(node):
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _cached_name(node):
+    """The name argument, a string constant node, of node if node is a
+    call `object.__setattr__(obj, "name", value)`; else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "__setattr__" \
+            and isinstance(node.func.value, ast.Name) \
+            and node.func.value.id == "object" and len(node.args) == 3 \
+            and isinstance(node.args[1], ast.Constant) \
+            and isinstance(node.args[1].value, str):
+        return node.args[1]
+    return None
+
+
+def _caches(tree):
+    """(object, name, first line, last line) of each attribute cached
+    with `object.__setattr__`."""
+    for node in ast.walk(tree):
+        name = _cached_name(node)
+        if name is not None:
+            yield node.args[0], name.value, node.lineno, node.end_lineno
+
+
 def _self_attributes(method):
     """(name, first line, last line) of each assignment in the method to
-    an attribute of `self`."""
+    an attribute of `self`, and of each attribute it caches on `self`."""
     for node in ast.walk(method):
         for target in _targets(node):
-            if isinstance(target, ast.Attribute) \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
+            if isinstance(target, ast.Attribute) and _is_self(target.value):
                 yield target.attr, node.lineno, node.end_lineno
+    for obj, name, start, end in _caches(method):
+        if _is_self(obj):
+            yield name, start, end
 
 
 def _members(tree):
@@ -98,11 +131,15 @@ def _members(tree):
 
 
 def _reads(tree):
-    """(name, line) of each attribute load and each string constant."""
+    """(name, line) of each attribute load and each string constant but
+    the names `object.__setattr__` sets."""
+    cached = {id(name) for name in map(_cached_name, ast.walk(tree))
+              if name is not None}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.end_lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in cached:
             yield node.value, node.end_lineno
 
 
@@ -147,6 +184,17 @@ def unread_members():
                        for read, line in found):
                 unread.add(f"{_qualifier(path)}.{cls}.{name}")
     return unread
+
+
+def test_every_cached_attribute_is_a_class_member():
+    undeclared = []
+    for path, text in _sources().items():
+        tree = ast.parse(text)
+        members = {name for _, name, _, _ in _members(tree)}
+        undeclared += [f"{_qualifier(path)}:{start} {name}"
+                       for _, name, start, _ in _caches(tree)
+                       if name not in members]
+    assert undeclared == []
 
 
 def test_every_module_level_name_is_used_in_src(unused_names):
