@@ -39,6 +39,14 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _path(text: str) -> str:
+    # an empty path would name the working directory, or for --corpus the
+    # packaged corpus, without a word
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _step_budget(text: str) -> int:
     # run_tests rejects a budget below 1; refuse it before any work starts
     budget = _integer(text)
@@ -68,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gens", dest="generations", type=_integer)
     run.add_argument("--attempts", type=_integer)
     run.add_argument("--seed", dest="base_seed", type=_integer)
-    run.add_argument("--corpus", dest="corpus_dir")
-    run.add_argument("--out", required=True)
+    run.add_argument("--corpus", dest="corpus_dir", type=_path)
+    run.add_argument("--out", required=True, type=_path)
     run.add_argument("--bugs", dest="bug_names",
                      help="comma-separated bug names; default: all")
     run.add_argument("--step-budget", type=_step_budget)
@@ -77,19 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a plan manifest")
     bench.add_argument("--plan", required=True)
-    bench.add_argument("--out", required=True)
+    bench.add_argument("--out", required=True, type=_path)
     bench.set_defaults(func=cmd_bench)
 
     quality = sub.add_parser("quality",
                              help="held-out scores for saved patches")
-    quality.add_argument("--patches", required=True)
-    quality.add_argument("--corpus", default=None)
+    quality.add_argument("--patches", required=True, type=_path)
+    quality.add_argument("--corpus", default=None, type=_path)
     quality.add_argument("--step-budget", type=_step_budget,
                          default=EXPERIMENT_STEP_BUDGET)
     quality.set_defaults(func=cmd_quality)
 
     gate = sub.add_parser("gate", help="corpus reachability oracle")
-    gate.add_argument("--corpus", default=None)
+    gate.add_argument("--corpus", default=None, type=_path)
     gate.add_argument("--step-budget", type=_step_budget,
                       default=DEFAULT_STEP_BUDGET)
     gate.set_defaults(func=cmd_gate)

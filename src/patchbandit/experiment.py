@@ -140,10 +140,11 @@ class ExperimentReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
+        # the config axes, then the metrics, in column order
+        axes = len(fields(ConfigSpec))
         for block in self.detail["configs"]:
-            # the six config axes, then the five metrics, in column order
-            row = [block[name] for name in CSV_COLUMNS[:6]]
-            row += [block["metrics"][name] for name in CSV_COLUMNS[6:]]
+            row = [block[name] for name in CSV_COLUMNS[:axes]]
+            row += [block["metrics"][name] for name in CSV_COLUMNS[axes:]]
             writer.writerow(format_value(value) for value in row)
         return out.getvalue()
 
@@ -245,6 +246,10 @@ def write_report(report: ExperimentReport, out_dir) -> None:
 
 # ------------------------------------------------------------ plan parsing
 
+# the keys a config line may set after its policy
+_CONFIG_KEYS = {field.name for field in fields(ConfigSpec)} - {"policy"}
+
+
 def _parse_config_line(value: str, line_no: int) -> ConfigSpec:
     tokens = value.split()
     if not tokens:
@@ -255,7 +260,7 @@ def _parse_config_line(value: str, line_no: int) -> ConfigSpec:
             raise PlanFormatError(
                 f"line {line_no}: expected key=value, got {token!r}")
         key, _, raw = token.partition("=")
-        if key not in ("credit", "reward", "cadence", "arms", "alpha"):
+        if key not in _CONFIG_KEYS:
             raise PlanFormatError(f"line {line_no}: unknown config key {key!r}")
         if key in kwargs:
             # a second value would replace the first without a word
@@ -319,6 +324,8 @@ def parse_plan(text: str) -> ExperimentPlan:
                     f"line {line_no}: {key} must be >= {low}")
             kwargs[int_keys[key]] = number
         elif key == "corpus":
+            if not value:   # it would name the packaged corpus
+                raise PlanFormatError(f"line {line_no}: empty corpus")
             kwargs["corpus_dir"] = value
         elif key == "bugs":
             kwargs["bug_names"] = parse_bug_names(value, f"line {line_no}: ")

@@ -18,22 +18,20 @@ or whose result would nest deeper than the parser accepts
 unchanged and reports a no-op, so edit lists can be replayed in any
 lineage.
 
-Each operator is one record in `_OPERATORS`: where it can act, how it
-rewrites the owner function's body, its payload's item types and,
-optionally, a test for a site that lists none.  A mint runs the site
-test, or the site builder where an operator has none, on each weighted
-statement, then lists the options of the one target it draws: the three
-coarse moves and default_return_insert test a target in constant time,
-and a function's statements and condition pool are listed once, not once
-per target.  Two
-adapters build most of the rewrites: `_at_path` finds the expression at
-the edit's path, hands it to a small expression rewrite and grafts what
-that returns in its place (the seven expression operators), and
-`_guarded` wraps the target in an `if` on a condition built from the
-payload (the three guard operators).  The code here knows no node type's
-children: it finds, walks and rebuilds statements and expressions through
-syntax.EXPR_FIELDS and syntax.BODY_FIELDS, and rebuilds a node through its
-positional constructor with one field replaced.
+Each operator is one record in `_OPERATORS`: where it can act (a site
+builder that yields its options on a target), how it rewrites the owner
+function's body, and its payload's item types.  A mint asks each
+weighted statement's builder for its first option, then lists the
+options of the one target it draws; a function's statements and
+condition pool are listed once, not once per target.  Two adapters build
+most of the rewrites: `_at_path` finds the expression at the edit's
+path, hands it to a small expression rewrite and grafts what that
+returns in its place (the seven expression operators), and `_guarded`
+wraps the target in an `if` on a condition built from the payload (the
+three guard operators).  The code here knows no node type's children: it
+finds, walks and rebuilds statements and expressions through
+syntax.EXPR_FIELDS and syntax.BODY_FIELDS, and rebuilds a node through
+its positional constructor with one field replaced.
 """
 
 from bisect import bisect_right
@@ -133,8 +131,12 @@ def _chain(stmt, path):
 
 
 def _dedup(seq):
-    """The items of seq, each at its first place."""
-    return list(dict.fromkeys(seq))
+    """The items of seq, each at its first place, yielded as they come."""
+    seen = set()
+    for item in seq:
+        if item not in seen:
+            seen.add(item)
+            yield item
 
 
 # Store and Index both access an array: `name[index]`
@@ -163,81 +165,77 @@ _last_pool = [None, ()]
 def _condition_pool(fn: Function):
     """Printed texts of every branch/loop condition and their operands."""
     if _last_pool[0] is not fn:
-        texts = []
-        for s in fn.statements():
-            if isinstance(s, (If, While)):
-                texts.extend(print_expr(part)
-                             for part in _condition_parts(s.cond))
-        _last_pool[:] = fn, _dedup(texts)
+        texts = (print_expr(part) for s in fn.statements()
+                 if isinstance(s, (If, While))
+                 for part in _condition_parts(s.cond))
+        _last_pool[:] = fn, tuple(_dedup(texts))
     return _last_pool[1]
 
 
 # ------------------------------------------------------------ site minting
 #
-# Each builder returns the (path, payload) options the operator admits on
-# one target statement, in deterministic program order. An empty list
-# means the operator cannot act there.
+# Each builder yields the (path, payload) options the operator admits on
+# one target statement, in deterministic program order: a tuple where the
+# set is fixed, otherwise lazily, so that asking for the first option
+# tests the target for a site.  No option means the operator cannot act
+# there.
 
 
 def _sites_stmt_append(program, fn, stmt):
-    return [((), (donor.sid,)) for donor in fn.statements()]
+    return (((), (donor.sid,)) for donor in fn.statements())
 
 
 def _sites_stmt_delete(program, fn, stmt):
-    return [((), ())]
+    return (((), ()),)
 
 
 def _sites_stmt_replace(program, fn, stmt):
-    return [((), (donor.sid,)) for donor in fn.statements()
-            if donor.sid != stmt.sid]
+    return (((), (donor.sid,)) for donor in fn.statements()
+            if donor.sid != stmt.sid)
 
 
 def _sites_func_call_swap(program, fn, stmt):
-    options = []
     for path, node in iter_own_expressions(stmt):
         if isinstance(node, Call) \
                 and program.function(node.name) is not None:
             for f in program.functions:
                 if f.name != node.name and len(f.params) == len(node.args):
-                    options.append((path, (f.name,)))
-    return options
+                    yield path, (f.name,)
 
 
 def _sites_expr_replace(program, fn, stmt):
     if not isinstance(stmt, (If, While)):
-        return []
+        return ()
     own = print_expr(stmt.cond)
-    return [(("cond",), (text,)) for text in _condition_pool(fn)
-            if text != own]
+    return ((("cond",), (text,)) for text in _condition_pool(fn)
+            if text != own)
 
 
 def _sites_expr_add(program, fn, stmt):
-    if not isinstance(stmt, (If, While)):
-        return []
-    own = print_expr(stmt.cond)
-    return [(("cond",), (text, op, side))
-            for text in _condition_pool(fn) if text != own
+    # each condition that could replace the target's, joined to it instead
+    return ((path, (text, op, side))
+            for path, (text,) in _sites_expr_replace(program, fn, stmt)
             for op in ("&&", "||")
-            for side in ("left", "right")]
+            for side in ("left", "right"))
 
 
 def _sites_expr_remove(program, fn, stmt):
     if isinstance(stmt, (If, While)) and isinstance(stmt.cond, Binary) \
             and stmt.cond.op in ("&&", "||"):
-        return [(("cond",), ("left",)), (("cond",), ("right",))]
-    return []
+        return (("cond",), ("left",)), (("cond",), ("right",))
+    return ()
 
 
 def _sites_var_names(program, fn, stmt):
     names = (node.name for node in walk(stmt) if type(node) in (Assign, Var))
-    return [((), (name,)) for name in _dedup(names)]
+    return (((), (name,)) for name in _dedup(names))
 
 
 def _sites_range_check_insert(program, fn, stmt):
     # (index expression text, array name) for every array access
     pairs = ((print_expr(node.index), node.name) for node in walk(stmt)
              if type(node) in _ARRAY_ACCESS)
-    return [((), pair) for pair in _dedup(pairs)]
+    return (((), pair) for pair in _dedup(pairs))
 
 
 def _sites_size_check_insert(program, fn, stmt):
@@ -247,15 +245,15 @@ def _sites_size_check_insert(program, fn, stmt):
             names.append(node.name)
         elif type(node) is Call and node.name == "len":
             names.extend(arg.name for arg in node.args if type(arg) is Var)
-    return [((), (name,)) for name in _dedup(names)]
+    return (((), (name,)) for name in _dedup(names))
 
 
 def _sites_lower_bound_clamp(program, fn, stmt):
-    return [((), (var,)) for var, _ in _subtree_index_vars(stmt)]
+    return (((), (var,)) for var, _ in _subtree_index_vars(stmt))
 
 
 def _sites_upper_bound_clamp(program, fn, stmt):
-    return [((), pair) for pair in _subtree_index_vars(stmt)]
+    return (((), pair) for pair in _subtree_index_vars(stmt))
 
 
 def _sites_off_by_one(program, fn, stmt):
@@ -266,59 +264,47 @@ def _sites_off_by_one(program, fn, stmt):
     if isinstance(stmt, While) and isinstance(stmt.cond, Binary) \
             and stmt.cond.op in CMP_OPS:
         paths.extend((("cond", "left"), ("cond", "right")))
-    return [(path, (delta,)) for path in paths for delta in (1, -1)]
+    return ((path, (delta,)) for path in paths for delta in (1, -1))
 
 
 def _sites_const_perturb(program, fn, stmt):
-    return [(path, (delta,)) for path, node in iter_own_expressions(stmt)
-            if isinstance(node, Num) for delta in (1, -1)]
+    return ((path, (delta,)) for path, node in iter_own_expressions(stmt)
+            if isinstance(node, Num) for delta in (1, -1))
 
 
 def _sites_negate_condition(program, fn, stmt):
     if isinstance(stmt, (If, While)):
-        return [(("cond",), ())]
-    return []
+        return ((("cond",), ()),)
+    return ()
 
 
 def _sites_default_return_insert(program, fn, stmt):
-    return [((), (value,)) for value in (0, 1)]
+    return ((), (0,)), ((), (1,))
 
 
 def _sites_stmt_swap(program, fn, stmt):
     trail = _trail(fn.body, stmt.sid)
     if trail[-1] < len(_holder(fn.body, trail)) - 1:
-        return [((), ())]
-    return []
-
-
-# Site tests, for _Operator.has_site: (program, owner function, target) ->
-# whether the operator's builder lists an option there, answered without
-# listing the options.
-
-
-def _always(program, fn, stmt):
-    return True
-
-
-def _another_statement(program, fn, stmt):
-    return any(donor.sid != stmt.sid for donor in fn.statements())
+        return (((), ()),)
+    return ()
 
 
 def mint_edit(operator, program, weights, rng) -> Edit:
     """Draw an Edit: target weight-proportional, site uniform within it.
-    Each weighted statement is tested for a site, and only the drawn
-    target's options are listed."""
+    Each weighted statement's builder is asked for its first option, and
+    only the drawn target's options are listed."""
     if operator not in _OPERATORS:
         raise KeyError(f"unknown operator {operator!r}")
     sites = _OPERATORS[operator].sites
-    has_site = _OPERATORS[operator].has_site or sites
     candidates, target_weights = [], []
     for fn, stmt in program_statements(program):
         weight = weights.get(stmt.sid, 0.0)
-        if weight <= 0.0 or not has_site(program, fn, stmt):
+        if weight <= 0.0:
             continue
-        candidates.append((fn, stmt))
-        target_weights.append(weight)
+        for _ in sites(program, fn, stmt):
+            candidates.append((fn, stmt))
+            target_weights.append(weight)
+            break
     if not candidates:
         raise InapplicableOperator(operator)
     # the first target whose running weight sum exceeds the scaled draw;
@@ -326,7 +312,7 @@ def mint_edit(operator, program, weights, rng) -> Edit:
     sums = list(accumulate(target_weights))
     pick = bisect_right(sums, rng.random() * sums[-1])
     fn, stmt = candidates[min(pick, len(candidates) - 1)]
-    options = sites(program, fn, stmt)
+    options = list(sites(program, fn, stmt))
     path, payload = options[rng.randrange(len(options))]
     return Edit(operator, stmt.sid, path, payload)
 
@@ -618,7 +604,8 @@ def _edit_default_return_insert(program, fn, trail, edit, ctr):
 
 
 class _Operator(NamedTuple):
-    # (program, owner function, target) -> the (path, payload) options
+    # (program, owner function, target) -> an iterable of the (path,
+    # payload) options; a mint asks it for the first to test the target
     sites: Callable
     # (program, owner function, trail to the target, edit, id counter) ->
     # the function's new body, or None to veto the edit
@@ -627,19 +614,15 @@ class _Operator(NamedTuple):
     # ints, names and printed expressions are strings.  A float or bool
     # literal, for one, would print but not parse back.
     payload: tuple
-    # (program, owner function, target) -> true exactly where sites lists
-    # an option, found without the list; None: sites' own list is the test
-    has_site: Callable = None
 
 
 _OPERATORS = {
     "stmt_append": _Operator(_sites_stmt_append,
-                             _in_place(_tf_stmt_append), (int,), _always),
+                             _in_place(_tf_stmt_append), (int,)),
     "stmt_delete": _Operator(_sites_stmt_delete,
-                             _in_place(_tf_stmt_delete), (), _always),
+                             _in_place(_tf_stmt_delete), ()),
     "stmt_replace": _Operator(_sites_stmt_replace,
-                              _in_place(_tf_stmt_replace), (int,),
-                              _another_statement),
+                              _in_place(_tf_stmt_replace), (int,)),
     "func_call_swap": _Operator(_sites_func_call_swap,
                                 _in_place(_at_path(_swap_callee)), (str,)),
     "expr_replace": _Operator(_sites_expr_replace,
@@ -669,8 +652,7 @@ _OPERATORS = {
     "negate_condition": _Operator(_sites_negate_condition,
                                   _in_place(_at_path(_negate)), ()),
     "default_return_insert": _Operator(_sites_default_return_insert,
-                                       _edit_default_return_insert, (int,),
-                                       _always),
+                                       _edit_default_return_insert, (int,)),
     "stmt_swap": _Operator(_sites_stmt_swap, _edit_stmt_swap, ()),
 }
 

@@ -3,6 +3,7 @@
 import json
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,10 @@ from patchbandit.cli import (EXIT_CORPUS, EXIT_GATE, EXIT_OK, EXIT_USAGE,
                              main)
 from patchbandit.corpus import DEFAULT_CORPUS_DIR
 from patchbandit.experiment import CSV_COLUMNS, ExperimentPlan, parse_plan
+
+# a directory and a plan that exist wherever the tests run from
+TESTS_DIR = Path(__file__).resolve().parent
+EXAMPLE_PLAN = TESTS_DIR.parent / "docs" / "example.plan"
 
 RUN_ARGS = ["run", "--policy", "uniform", "--bugs", "reset-1,dupadd-1",
             "--attempts", "2", "--pop", "12", "--gens", "4", "--seed", "3"]
@@ -63,12 +68,9 @@ def test_every_way_to_ask_for_the_packaged_corpus_gives_the_same_bytes(
         plan.write_text(text + corpus_line)
         assert main(["bench", "--plan", str(plan),
                      "--out", str(tmp_path / name)]) == EXIT_OK
-    assert main(RUN_ARGS + ["--corpus", "",
-                            "--out", str(tmp_path / "empty")]) == EXIT_OK
     unset = _output_bytes(tmp_path / "unset")
     assert "detail.json" in unset and "summary.csv" in unset
     assert _output_bytes(tmp_path / "named") == unset
-    assert _output_bytes(tmp_path / "empty") == unset
 
 
 def test_quality_scores_saved_patches(tmp_path, capsys):
@@ -128,15 +130,6 @@ def test_quality_rejects_non_int_target_or_path(tmp_path, capsys, target,
         f'"target": {target}, "path": {path}, "payload": []}}]}}\n')
     assert main(["quality", "--patches", str(patch_dir)]) == EXIT_CORPUS
     assert capsys.readouterr().err.startswith("corpus error:")
-
-
-def test_an_empty_corpus_flag_means_the_packaged_corpus(tmp_path, capsys):
-    patch_dir = tmp_path / "patches"
-    patch_dir.mkdir()
-    (patch_dir / "x.patch").write_text('{"bug": "mid3", "edits": []}\n')
-    assert main(["quality", "--patches", str(patch_dir),
-                 "--corpus", ""]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("x.patch mid3 ")
 
 
 def test_quality_on_empty_directory(tmp_path, capsys):
@@ -276,8 +269,19 @@ def test_unknown_bug_names_skip_but_flag_corpus_error(tmp_path, capsys):
     ["run", "--policy", "pm", "--out", "x", "--arms", "5"],
     ["bench", "--out", "x"],
     ["frobnicate"],
+    # an empty path would name the working directory or the packaged corpus
+    ["run", "--policy", "uniform", "--corpus", "", "--out", "x"],
+    ["run", "--policy", "uniform", "--out", ""],
+    ["bench", "--plan", str(EXAMPLE_PLAN), "--out", ""],
+    ["quality", "--patches", ""],
+    ["quality", "--patches", str(TESTS_DIR), "--corpus", ""],
+    ["gate", "--corpus", ""],
 ])
-def test_usage_errors_exit_one(argv, capsys):
+def test_usage_errors_exit_one(argv, capsys, monkeypatch):
+    def no_cells(plan):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_cells)
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err
 
@@ -424,6 +428,7 @@ def test_malformed_plan_is_a_usage_error(tmp_path, capsys):
     ("config = pm credit=erwa alpha=abc", "line 2: alpha needs a number"),
     ("step_budget = 0", "line 2: step_budget must be >= 1"),
     ("pop = 1", "line 2: pop must be >= 2"),
+    ("corpus =", "line 2: empty corpus"),
 ])
 def test_bad_plan_values_are_usage_errors_before_any_cell(tmp_path, capsys,
                                                           line, message):

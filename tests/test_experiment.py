@@ -346,7 +346,7 @@ def test_plan_manifest_round_trip():
 @pytest.mark.parametrize("line", [
     "nonsense", "mystery = 4", "config = warp arms=3",
     "config = pm arms=5", "config = pm tempo=fast",
-    "attempts = soon", "config =",
+    "attempts = soon", "config =", "corpus =",
 ])
 def test_malformed_plan_lines_raise(line):
     with pytest.raises(PlanFormatError):

@@ -76,6 +76,12 @@ def test_operator_inventory():
     assert OPERATOR_GROUPS["multi_line"] == ("stmt_swap",)
 
 
+def test_every_operator_has_one_record_in_group_order():
+    # a record outside every group no arm scheme reaches; a group name
+    # without a record would fail only when it is minted or enumerated
+    assert list(_OPERATORS) == list(ALL_OPERATORS)
+
+
 # ----------------------------------------------------------- coarse moves
 
 
@@ -475,41 +481,13 @@ def test_zero_weight_statements_are_never_targeted():
         assert mint_edit("stmt_delete", program, weights, rng).target == target
 
 
-def _assert_site_tests_agree(program):
-    # an operator without a site test takes its builder's list as the test
-    tested = [(op, record) for op, record in _OPERATORS.items()
-              if record.has_site is not None]
-    assert sorted(op for op, _ in tested) == [
-        "default_return_insert", "stmt_append", "stmt_delete", "stmt_replace"]
-    for fn, stmt in program_statements(program):
-        for op, record in tested:
-            assert record.has_site(program, fn, stmt) \
-                == bool(record.sites(program, fn, stmt)), (op, stmt)
-
-
-def test_each_site_test_agrees_with_its_builder():
-    programs = [demo()]
-    for index, bug in enumerate(load_corpus()):
-        program, rng = bug.program, random.Random(index)
-        for _ in range(8):
-            programs.append(program)
-            try:
-                edit = mint_edit(rng.choice(ALL_OPERATORS), program,
-                                 all_weights(program), rng)
-            except InapplicableOperator:
-                continue
-            program, _ = apply_edit(program, edit)
-    for program in programs:
-        _assert_site_tests_agree(program)
-
-
 def test_a_lone_statement_has_no_donor_to_replace_it():
     # the other function's statement is no donor: donors share the target's
     # function
     program = parse_program("fn g() { return 1; }\nfn f(x) { return x; }")
-    _assert_site_tests_agree(program)
     fn = program.function("f")
-    assert not _OPERATORS["stmt_replace"].has_site(program, fn, fn.body[0])
+    sites = _OPERATORS["stmt_replace"].sites
+    assert list(sites(program, fn, fn.body[0])) == []
     with pytest.raises(InapplicableOperator):
         mint_edit("stmt_replace", program, {fn.body[0].sid: 1.0},
                   random.Random(0))
