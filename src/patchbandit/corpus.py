@@ -62,8 +62,11 @@ def load_bug(path) -> Bug:
 
 
 def load_corpus(path=None):
-    """Load every bug under the corpus directory, sorted by name."""
-    root = Path(path) if path else DEFAULT_CORPUS_DIR
+    """Load every bug under the corpus directory, sorted by name; None
+    names the packaged corpus."""
+    if path == "":      # Path("") would name the working directory
+        raise CorpusError("empty corpus path")
+    root = DEFAULT_CORPUS_DIR if path is None else Path(path)
     if not root.is_dir():
         raise CorpusError(f"corpus directory not found: {root}")
     bugs = tuple(load_bug(sub) for sub in sorted(root.iterdir())

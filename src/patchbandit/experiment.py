@@ -63,6 +63,8 @@ class ExperimentPlan:
         for name, low in _PLAN_MINIMUMS.items():
             if getattr(self, name) < low:
                 raise PlanFormatError(f"{name} must be >= {low}")
+        if self.corpus_dir == "":
+            raise PlanFormatError("corpus_dir must not be empty")
 
     def seed_for(self, bug_name: str, config: ConfigSpec,
                  attempt: int) -> int:
@@ -324,7 +326,7 @@ def parse_plan(text: str) -> ExperimentPlan:
                     f"line {line_no}: {key} must be >= {low}")
             kwargs[int_keys[key]] = number
         elif key == "corpus":
-            if not value:   # it would name the packaged corpus
+            if not value:   # refused here too, to name the line
                 raise PlanFormatError(f"line {line_no}: empty corpus")
             kwargs["corpus_dir"] = value
         elif key == "bugs":

@@ -10,32 +10,35 @@ An Edit freezes everything needed to replay a mutation: operator name,
 target statement id, an optional expression path, and a payload.
 Statement donors travel by id and are looked up in whatever program
 the edit is applied to; expression donors travel as printed text and are
-re-parsed on application. Application is total: an edit whose target,
-donor, or path no longer resolves, whose payload does not have the shape
-its operator mints or names a side, step or return value it never mints,
-or whose result would nest deeper than the parser accepts
-(syntax.MAX_NESTING, measured with syntax.height) leaves the program
-unchanged and reports a no-op, so edit lists can be replayed in any
-lineage.
+parsed once per text, into a node that every edit carrying the text
+shares (expression nodes never change). Application is total: an edit
+whose target, donor, or path no longer resolves, whose payload does not
+have the shape its operator mints or names a side, step or return value
+it never mints, or whose result would nest deeper than the parser
+accepts (syntax.MAX_NESTING, measured with syntax.height) leaves the
+program unchanged and reports a no-op, so edit lists can be replayed in
+any lineage.
 
 Each operator is one record in `_OPERATORS`: where it can act (a site
 builder that yields its options on a target), how it rewrites the owner
 function's body, and its payload's item types.  A mint asks each
 weighted statement's builder for its first option, then lists the
-options of the one target it draws; a function's statements and
-condition pool are listed once, not once per target.  Two adapters build
-most of the rewrites: `_at_path` finds the expression at the edit's
-path, hands it to a small expression rewrite and grafts what that
-returns in its place (the seven expression operators), and `_guarded`
-wraps the target in an `if` on a condition built from the payload (the
-three guard operators).  The code here knows no node type's children: it
-finds, walks and rebuilds statements and expressions through
-syntax.EXPR_FIELDS and syntax.BODY_FIELDS, and rebuilds a node through
-its positional constructor with one field replaced.
+options of the one target it draws; a function's statements, its
+condition pool and its statements that have a next sibling are listed
+once, not once per target.  Two adapters build most of the rewrites:
+`_at_path` finds the expression at the edit's path, hands it to a small
+expression rewrite and grafts what that returns in its place (the seven
+expression operators), and `_guarded` wraps the target in an `if` on a
+condition built from the payload (the three guard operators).  The code
+here knows no node type's children: it finds, walks and rebuilds
+statements and expressions through syntax.EXPR_FIELDS and
+syntax.BODY_FIELDS, and rebuilds a node through its positional
+constructor with one field replaced.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
@@ -69,8 +72,7 @@ class InapplicableOperator(Exception):
         super().__init__(f"no valid site for operator {operator!r}")
 
 
-@dataclass(frozen=True)
-class Edit:
+class Edit(NamedTuple):
     op: str
     target: int
     path: tuple = ()
@@ -157,19 +159,35 @@ def _condition_parts(expr):
         yield from _condition_parts(expr.right)
 
 
-# the function _condition_pool last listed, and its pool: a mint or an
-# enumeration asks for one function's pool at each of its targets in turn
-_last_pool = [None, ()]
+def _for_last_function(build):
+    """build(fn), kept for the last function it was asked about: a mint or
+    an enumeration asks about one function at each of its targets in turn,
+    so each function's answer is worked out once."""
+    last = [None, None]
+
+    def memo(fn: Function):
+        if last[0] is not fn:
+            last[:] = fn, build(fn)
+        return last[1]
+    return memo
 
 
-def _condition_pool(fn: Function):
+@_for_last_function
+def _condition_pool(fn):
     """Printed texts of every branch/loop condition and their operands."""
-    if _last_pool[0] is not fn:
-        texts = (print_expr(part) for s in fn.statements()
-                 if isinstance(s, (If, While))
-                 for part in _condition_parts(s.cond))
-        _last_pool[:] = fn, tuple(_dedup(texts))
-    return _last_pool[1]
+    texts = (print_expr(part) for s in fn.statements()
+             if isinstance(s, (If, While))
+             for part in _condition_parts(s.cond))
+    return tuple(_dedup(texts))
+
+
+@_for_last_function
+def _followed(fn):
+    """Ids of the statements that another statement follows in their
+    statement list: the function body or a statement's body field."""
+    holders = [fn.body] + [getattr(s, field) for s in fn.statements()
+                           for field in BODY_FIELDS[type(s)]]
+    return frozenset(s.sid for holder in holders for s in holder[:-1])
 
 
 # ------------------------------------------------------------ site minting
@@ -238,14 +256,17 @@ def _sites_range_check_insert(program, fn, stmt):
     return (((), pair) for pair in _dedup(pairs))
 
 
-def _sites_size_check_insert(program, fn, stmt):
-    names = []
+def _sized_arrays(stmt):
+    """Names of the arrays stmt indexes or passes to len, as it walks."""
     for node in walk(stmt):
         if type(node) in _ARRAY_ACCESS:
-            names.append(node.name)
+            yield node.name
         elif type(node) is Call and node.name == "len":
-            names.extend(arg.name for arg in node.args if type(arg) is Var)
-    return (((), (name,)) for name in _dedup(names))
+            yield from (arg.name for arg in node.args if type(arg) is Var)
+
+
+def _sites_size_check_insert(program, fn, stmt):
+    return (((), (name,)) for name in _dedup(_sized_arrays(stmt)))
 
 
 def _sites_lower_bound_clamp(program, fn, stmt):
@@ -283,10 +304,7 @@ def _sites_default_return_insert(program, fn, stmt):
 
 
 def _sites_stmt_swap(program, fn, stmt):
-    trail = _trail(fn.body, stmt.sid)
-    if trail[-1] < len(_holder(fn.body, trail)) - 1:
-        return (((), ()),)
-    return ()
+    return (((), ()),) if stmt.sid in _followed(fn) else ()
 
 
 def mint_edit(operator, program, weights, rng) -> Edit:
@@ -297,14 +315,15 @@ def mint_edit(operator, program, weights, rng) -> Edit:
         raise KeyError(f"unknown operator {operator!r}")
     sites = _OPERATORS[operator].sites
     candidates, target_weights = [], []
-    for fn, stmt in program_statements(program):
-        weight = weights.get(stmt.sid, 0.0)
-        if weight <= 0.0:
-            continue
-        for _ in sites(program, fn, stmt):
-            candidates.append((fn, stmt))
-            target_weights.append(weight)
-            break
+    for fn in program.functions:
+        for stmt in fn.statements():
+            weight = weights.get(stmt.sid, 0.0)
+            if weight <= 0.0:
+                continue
+            for _ in sites(program, fn, stmt):
+                candidates.append((fn, stmt))
+                target_weights.append(weight)
+                break
     if not candidates:
         raise InapplicableOperator(operator)
     # the first target whose running weight sum exceeds the scaled draw;
@@ -367,13 +386,6 @@ def _locate(program, sid):
     return None, None
 
 
-def _holder(body, trail):
-    """The statement list that the trail's last index points into."""
-    for k in range(1, len(trail), 2):
-        body = getattr(body[trail[k - 1]], trail[k])
-    return body
-
-
 def _rebuild(body, trail, edit_holder, k=0):
     """Copy body, rebuilding only the statements along trail[k:]; the list
     the trail ends in becomes edit_holder(holder, index).  None from
@@ -395,7 +407,11 @@ def _statement(program, sid):
                  if stmt.sid == sid), None)
 
 
+# a search carries few distinct payload texts, each in many edits
+@lru_cache(maxsize=1024)
 def _parse_payload_expr(text):
+    """The expression text parses to, one node shared by every caller, as
+    expression nodes never change; None if it does not parse."""
     try:
         return parse_expression(text)
     except ParseError:

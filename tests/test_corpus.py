@@ -157,6 +157,8 @@ def test_patch_files_round_trip(tmp_path):
     write_report(ExperimentReport({"configs": [block]}), tmp_path)
     name, back = load_patch(tmp_path / "patches" / "c00-demo-a00.patch")
     assert name == "demo" and back == edits
+    # an Edit equals the plain tuple of its items, so check the type too
+    assert all(type(edit) is Edit for edit in back)
     assert edits_from_jsonable(edits_to_jsonable(edits)) == edits
 
 
@@ -204,6 +206,9 @@ def test_missing_files_raise_corpus_error(tmp_path):
         load_bug(bugdir)
     with pytest.raises(CorpusError, match="not found"):
         load_corpus(tmp_path / "nowhere")
+    # Path("") is the working directory; only None names the packaged corpus
+    with pytest.raises(CorpusError, match="empty corpus path"):
+        load_corpus("")
 
 
 def test_parse_errors_are_wrapped(tmp_path):

@@ -96,6 +96,9 @@ def test_cell_seeds_are_reproducible_and_distinct():
 def test_plan_validation():
     with pytest.raises(PlanFormatError):
         ExperimentPlan(configs=())
+    # an empty path names no corpus; only None means the packaged one
+    with pytest.raises(PlanFormatError, match="corpus_dir must not be empty"):
+        ExperimentPlan(configs=(ConfigSpec("uniform"),), corpus_dir="")
 
 
 @pytest.mark.parametrize("name, value", [

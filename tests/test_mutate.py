@@ -1,6 +1,7 @@
 """Edit minting/application oracles for the mutation operators."""
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -10,8 +11,9 @@ from patchbandit.toylang.localize import localize
 from patchbandit.toylang.mutate import (ALL_OPERATORS, COARSE_OPERATORS,
                                         Edit, InapplicableOperator,
                                         OPERATOR_GROUPS, _OPERATORS,
-                                        apply_edit, apply_edits,
-                                        enumerate_edits, mint_edit)
+                                        _parse_payload_expr, apply_edit,
+                                        apply_edits, enumerate_edits,
+                                        mint_edit)
 from patchbandit.toylang.interp import run_tests
 from patchbandit.toylang.syntax import (MAX_NESTING, parse_expression,
                                         parse_program, print_program,
@@ -597,6 +599,64 @@ def test_payload_literal_the_lexer_rejects_is_a_noop(literal):
         assert apply_edit(program, edit) == (program, False), edit.op
 
 
+def test_a_payload_text_that_does_not_parse_is_a_noop_every_time():
+    # the payload memo keeps a failed parse too, and a second application
+    # must veto the edit as the first did
+    program = demo()
+    loop = sid_of(program, "while (i < n) {")
+    body = sid_of(program, "s = s + a[i];")
+    for edit in (Edit("expr_replace", loop, ("cond",), ("i <",)),
+                 Edit("expr_add", loop, ("cond",), ("n > 0 &&", "&&", "left")),
+                 Edit("range_check_insert", body, (), ("a[", "a"))):
+        for _ in range(2):
+            assert apply_edit(program, edit) == (program, False), edit.op
+
+
+def test_a_payload_applies_alike_from_a_warm_and_a_cleared_memo():
+    program = demo()
+    loop = sid_of(program, "while (i < n) {")
+    body = sid_of(program, "s = s + a[i];")
+    edits = (Edit("expr_replace", loop, ("cond",), ("s > 10",)),
+             Edit("expr_add", loop, ("cond",), ("n > 0", "||", "right")),
+             Edit("range_check_insert", body, (), ("i", "a")))
+    _parse_payload_expr.cache_clear()
+    cold = [apply_ok(program, edit) for edit in edits]
+    assert _parse_payload_expr.cache_info().currsize == 3
+    warm = [apply_ok(program, edit) for edit in edits]
+    assert _parse_payload_expr.cache_info().hits >= 3
+    assert warm == cold
+
+
+def test_the_payload_memo_is_bounded():
+    # it holds each text and its node for the life of the process
+    maxsize = _parse_payload_expr.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 256
+
+
+def test_equal_edits_hash_equal_and_different_edits_differ():
+    edit = Edit("off_by_one", 3, ("expr", "index"), (1,))
+    twin = Edit("off_by_one", 3, ("expr", "index"), (1,))
+    assert edit == twin and hash(edit) == hash(twin)
+    assert Edit("stmt_delete", 3) == Edit("stmt_delete", 3, (), ())
+    for other in (Edit("const_perturb", 3, ("expr", "index"), (1,)),
+                  Edit("off_by_one", 4, ("expr", "index"), (1,)),
+                  Edit("off_by_one", 3, ("index",), (1,)),
+                  Edit("off_by_one", 3, ("expr", "index"), (-1,))):
+        assert other != edit
+
+
+def test_an_edit_prints_and_pickles_as_it_did():
+    # the mint pins and patch error messages print edits; the pool pickles
+    # them
+    edit = Edit("expr_add", 7, ("cond",), ("n > 0", "&&", "left"))
+    assert repr(edit) == ("Edit(op='expr_add', target=7, path=('cond',), "
+                          "payload=('n > 0', '&&', 'left'))")
+    assert repr(Edit("stmt_delete", 2)) \
+        == "Edit(op='stmt_delete', target=2, path=(), payload=())"
+    back = pickle.loads(pickle.dumps(edit))
+    assert back == edit and type(back) is Edit
+
+
 def test_payload_that_parses_alone_but_nests_too_deep_in_place_is_a_noop():
     program = demo()
     loop = sid_of(program, "while (i < n) {")
@@ -674,10 +734,12 @@ def test_applying_a_list_is_a_left_fold(bug):
 
 
 def _rebuilt(value):
-    """An equal copy that shares no node with value and has no cached
-    height."""
+    """An equal copy of the same type that shares no node with value and
+    has no cached height."""
     if isinstance(value, tuple):
-        return tuple(_rebuilt(item) for item in value)
+        items = tuple(_rebuilt(item) for item in value)
+        # an Edit is a named tuple, equal to the plain tuple of its items
+        return items if type(value) is tuple else type(value)(*items)
     if dataclasses.is_dataclass(value):
         return type(value)(**{f.name: _rebuilt(getattr(value, f.name))
                               for f in dataclasses.fields(value)})
@@ -688,7 +750,7 @@ def _rebuilt(value):
 def test_apply_edit_is_a_function_of_the_program_value(bug):
     # the search reuses one build for every equal (prefix, edit) step,
     # which is exact only while apply_edit leaves its input as it was and
-    # reads nothing of it but its value
+    # reads nothing of it or of the edit but their values
     weights = localize(bug.program, bug.repair_suite, 5000).weights
     rng = random.Random(f"pure:{bug.name}")
     noops = 0
@@ -703,7 +765,9 @@ def test_apply_edit_is_a_function_of_the_program_value(bug):
             result, applied = apply_edit(program, edit)
             assert repr(program) == before
             assert program.next_sid == next_sid
-            twin_result, twin_applied = apply_edit(twin, edit)
+            twin_edit = _rebuilt(edit)
+            assert type(twin_edit) is Edit and twin_edit == edit
+            twin_result, twin_applied = apply_edit(twin, twin_edit)
             assert twin_result == result and twin_applied == applied
             assert twin_result.next_sid == result.next_sid
             noops += not applied

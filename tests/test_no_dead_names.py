@@ -19,6 +19,11 @@ A frozen node caches a value on itself through `object.__setattr__`.  A
 cache set on `self` is a member of the method's class; one set on another
 object must be declared as a class attribute of its module, as
 `syntax._Node._height` is, so that it is a member too.
+
+A name that a module-level import binds must be read in that module, as
+a plain name (`name` or `name.attr`); an `__init__.py` imports names to
+re-export them, and `from __future__ import annotations` binds a feature,
+so neither counts.
 """
 
 import ast
@@ -143,6 +148,22 @@ def _reads(tree):
             yield node.value, node.end_lineno
 
 
+def _imported_names(tree):
+    """(name, line) of each name a module-level import binds, the features
+    of `from __future__` left out."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds a
+                yield alias.asname or alias.name.partition(".")[0], \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
 def _sources():
     return {path: path.read_text(encoding="utf-8")
             for path in sorted(SRC.rglob("*.py"))}
@@ -195,6 +216,21 @@ def test_every_cached_attribute_is_a_class_member():
                        for _, name, start, _ in _caches(tree)
                        if name not in members]
     assert undeclared == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = []
+    for path, text in _sources().items():
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(text)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        unread += [f"{_qualifier(path)}:{line} {name}"
+                   for name, line in _imported_names(tree)
+                   if name not in loaded]
+    assert unread == []
 
 
 def test_every_module_level_name_is_used_in_src(unused_names):
