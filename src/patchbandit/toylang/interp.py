@@ -605,10 +605,21 @@ def _accumulators(loop: While) -> frozenset:
 
 def compile_program(program: Program) -> dict:
     """The program's functions, compiled, by name.  A call looks its callee
-    up in this dict when it runs, so one pass compiles them all."""
+    up in this dict when it runs, so one pass compiles them all.
+
+    A function that calls refers back to the dict that holds it, which is
+    a reference cycle.  The run that compiles a dict (`_run_tests`,
+    `_passes_all`) empties it when it ends, so the dict and its functions
+    are freed by reference counting alone, and plan cells can run without
+    the cyclic garbage collector.  A compile that raises empties its dict
+    too; a caller that keeps the dict must drop it the same way."""
     functions = {}
-    for fn in program.functions:
-        functions[fn.name] = _CompiledFn(fn, functions)
+    try:
+        for fn in program.functions:
+            functions[fn.name] = _CompiledFn(fn, functions)
+    except BaseException:
+        functions.clear()
+        raise
     return functions
 
 
@@ -679,17 +690,24 @@ def run_tests(program, suite, step_budget: int = DEFAULT_STEP_BUDGET,
 
 
 def _run_tests(program, cases: list, step_budget: int, coverage: bool):
+    """Compile the program and run the cases.  The compiled functions
+    refer back to their dict, so the dict is emptied on the way out, a
+    fault or a `RecursionError` included: the run leaves no reference
+    cycle for the cyclic garbage collector (see `compile_program`)."""
     functions = compile_program(program)
-    if any(case.entry not in functions for case in cases):
-        return FitnessReport([False] * len(cases), 0.0,
-                             ["missing-entry"] * len(cases),
-                             [set() for _ in cases] if coverage else None)
-    flags, faults, covs = [], [], []
-    for case in cases:
-        ok, fault, cov = _run_case(functions, case, step_budget, coverage)
-        flags.append(ok)
-        faults.append(fault)
-        covs.append(cov)
+    try:
+        if any(case.entry not in functions for case in cases):
+            return FitnessReport([False] * len(cases), 0.0,
+                                 ["missing-entry"] * len(cases),
+                                 [set() for _ in cases] if coverage else None)
+        flags, faults, covs = [], [], []
+        for case in cases:
+            ok, fault, cov = _run_case(functions, case, step_budget, coverage)
+            flags.append(ok)
+            faults.append(fault)
+            covs.append(cov)
+    finally:
+        functions.clear()
     fitness = sum(flags) / len(flags) if flags else 0.0
     return FitnessReport(flags, fitness, faults, covs if coverage else None)
 
@@ -704,10 +722,13 @@ def passes_all(program, suite, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
 
 def _passes_all(program, cases: list, step_budget: int) -> bool:
     functions = compile_program(program)
-    if any(case.entry not in functions for case in cases):
-        return False
-    for case in cases:
-        ok, _, _ = _run_case(functions, case, step_budget, False)
-        if not ok:
+    try:    # emptied on the way out, as in `_run_tests`
+        if any(case.entry not in functions for case in cases):
             return False
-    return True
+        for case in cases:
+            ok, _, _ = _run_case(functions, case, step_budget, False)
+            if not ok:
+                return False
+        return True
+    finally:
+        functions.clear()

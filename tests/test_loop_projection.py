@@ -569,7 +569,9 @@ def test_deep_toy_recursion_is_a_depth_fault(nesting, monkeypatch):
     # compiled up front, so only the toy recursion runs on that stack
     program = _deep(nesting)
     cp = compile_program(program)
-    monkeypatch.setattr(interp, "compile_program", lambda p: cp)
+    # each run empties the table it compiled, so hand out a fresh copy;
+    # the copy's functions still call through cp
+    monkeypatch.setattr(interp, "compile_program", lambda p: dict(cp))
     runs = []
     run_case = interp._run_case
 
