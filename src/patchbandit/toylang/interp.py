@@ -612,7 +612,8 @@ def compile_program(program: Program) -> dict:
     `_passes_all`) empties it when it ends, so the dict and its functions
     are freed by reference counting alone, and plan cells can run without
     the cyclic garbage collector.  A compile that raises empties its dict
-    too; a caller that keeps the dict must drop it the same way."""
+    too.  Any other caller that compiles a program with calls leaves the
+    cycle to the collector unless it empties the dict itself."""
     functions = {}
     try:
         for fn in program.functions:
