@@ -396,6 +396,29 @@ def test_steps_count_statement_executions():
     assert fault_kind(text, "f", [], budget=2) == "budget"
 
 
+# counting loops that never repeat a snapshot: `f(n)` takes 2n + 3 steps
+# (an assignment, n + 1 checks, n increments and the return), one more
+# with the second assignment
+COUNT = "fn f(n) { i = 0; while (i < n) { i = i + 1; } return i; }"
+COUNT_PLUS_ONE = COUNT.replace("i = 0;", "j = 0; i = 0;")
+
+
+@pytest.mark.parametrize("text, n, steps, passes", [
+    (COUNT_PLUS_ONE, 49_998, 100_000, True),
+    (COUNT, 49_999, 100_001, False),
+], ids=["100000-steps", "100001-steps"])
+def test_the_default_step_budget_is_100000_steps(text, n, steps, passes):
+    program, suite = parse_program(text), [TestCase("t", "f", (n,), n)]
+    # the loop needs exactly `steps` steps
+    assert run_tests(program, suite, step_budget=steps).flags == [True]
+    assert run_tests(program, suite, step_budget=steps - 1).faults == \
+        ["budget"]
+    report = run_tests(program, suite)
+    assert report.flags == [passes]
+    assert report.faults == [None if passes else "budget"]
+    assert passes_all(program, suite) is passes
+
+
 # ----------------------------------------------------------- run_tests
 
 
