@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
@@ -67,12 +66,14 @@ def compute_reward(raw_fitness: float, parent_fitness: float | None,
     return raw_fitness
 
 
-@dataclass
 class ArmStats:
-    quality: float = 1.0          # optimistic start
-    plays: int = 0                # rewards credited, not selections
-    probability: float = 0.0
-    reward_sum: int = 0           # exact, in units of 2**-1074 (_UNITS)
+    __slots__ = ("quality", "plays", "probability", "reward_sum")
+
+    def __init__(self, probability: float):
+        self.quality = 1.0          # optimistic start
+        self.plays = 0              # rewards credited, not selections
+        self.probability = probability
+        self.reward_sum = 0         # exact, in units of 2**-1074 (_UNITS)
 
 
 class Controller:
@@ -90,7 +91,7 @@ class Controller:
         self.n_arms = n_arms
         self.p_min = 1.0 / (2 * n_arms)
         self.p_max = 1.0 - (n_arms - 1) * self.p_min
-        self.arms = [ArmStats(probability=1.0 / n_arms) for _ in range(n_arms)]
+        self.arms = [ArmStats(1.0 / n_arms) for _ in range(n_arms)]
         self._pending: list[tuple[int, float]] = []
 
     # ------------------------------------------------------------ state

@@ -3,7 +3,6 @@
 import argparse
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .aos import CADENCES, CREDITS, POLICIES, REWARDS, ConfigError
@@ -139,8 +138,8 @@ def _finish(report, out_dir) -> int:
 
 def _given(args, cls) -> dict:
     """The flags given on the command line that set a field of cls."""
-    return {field.name: getattr(args, field.name) for field in fields(cls)
-            if hasattr(args, field.name)}
+    return {name: getattr(args, name) for name in cls._fields
+            if hasattr(args, name)}
 
 
 def cmd_run(args) -> int:

@@ -13,8 +13,8 @@ variant that passes the whole repair suite.
 """
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .toylang import (ALL_OPERATORS, Edit, NothingToRepair, ParseError,
                       SuiteFormatError, enumerate_edits, apply_edit,
@@ -31,8 +31,7 @@ class CorpusError(Exception):
     """A bug directory is missing, malformed, or unparseable."""
 
 
-@dataclass(frozen=True)
-class Bug:
+class Bug(NamedTuple):
     name: str
     program: object        # buggy Program
     fixed: object          # reference Program
@@ -136,8 +135,7 @@ def load_patch(path):
 # ------------------------------------------------------------------ gate
 
 
-@dataclass(frozen=True)
-class BugGateResult:
+class BugGateResult(NamedTuple):
     name: str
     errors: tuple
     fixing_operators: tuple   # operators with >= 1 full-pass single edit

@@ -29,7 +29,8 @@ unused is dropped, so none outlives two generations.
 """
 
 import random
-from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .aos import (CADENCES, CREDITS, DEFAULT_ALPHA, POLICIES, REWARDS,
                   ConfigError, Controller, UniformSelector)
@@ -101,15 +102,19 @@ def format_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ConfigSpec:
-    """One row of the selection-config matrix, checked and normalised here.
+class CheckedRecord(tuple):
+    """Base of a named tuple whose `__new__` checks and normalises its
+    values.  The named tuple's own `_make`, which its `_replace` builds
+    through, would skip that `__new__`; this one calls it."""
 
-    The uniform baseline blanks the bandit axes to "-".  avg credit has no
-    learning rate; erwa fills in the policy's default.  ``arms`` may name a
-    scheme by its arm count ("7") and is kept as the scheme ("arms7").
-    """
+    __slots__ = ()
 
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+
+class _ConfigFields(NamedTuple):
     policy: str                      # "uniform" or a bandit policy
     credit: str = "avg"
     reward: str = "raw"
@@ -117,28 +122,38 @@ class ConfigSpec:
     arms: str = "arms3"
     alpha: float | None = None
 
-    def __post_init__(self):
-        scheme = self.arms if self.arms in ARM_SCHEMES else f"arms{self.arms}"
-        if scheme not in ARM_SCHEMES:
-            raise ConfigError(f"unknown arm scheme {self.arms!r}")
-        object.__setattr__(self, "arms", scheme)
-        if self.is_uniform:
+
+class ConfigSpec(CheckedRecord, _ConfigFields):
+    """One row of the selection-config matrix, checked and normalised here.
+
+    The uniform baseline blanks the bandit axes to "-".  avg credit has no
+    learning rate; erwa fills in the policy's default.  ``arms`` may name a
+    scheme by its arm count ("7") and is kept as the scheme ("arms7").
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        given = super().__new__(cls, *args, **kwargs)
+        arms = given.arms if given.arms in ARM_SCHEMES else f"arms{given.arms}"
+        if arms not in ARM_SCHEMES:
+            raise ConfigError(f"unknown arm scheme {given.arms!r}")
+        if given.is_uniform:
             # the baseline has no bandit state; blank the unused axes
-            for name in ("credit", "reward", "cadence"):
-                object.__setattr__(self, name, "-")
-            object.__setattr__(self, "alpha", None)
-            return
+            return super().__new__(cls, given.policy, "-", "-", "-", arms,
+                                   None)
         for name, known in (("policy", POLICIES), ("credit", CREDITS),
                             ("reward", REWARDS), ("cadence", CADENCES)):
-            if getattr(self, name) not in known:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+            if getattr(given, name) not in known:
+                raise ConfigError(f"unknown {name} {getattr(given, name)!r}")
         alpha = None
-        if self.credit == "erwa":
-            alpha = (DEFAULT_ALPHA[self.policy] if self.alpha is None
-                     else self.alpha)
+        if given.credit == "erwa":
+            alpha = (DEFAULT_ALPHA[given.policy] if given.alpha is None
+                     else given.alpha)
             if not 0.0 < alpha <= 1.0:
                 raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        return super().__new__(cls, given.policy, given.credit, given.reward,
+                               given.cadence, arms, alpha)
 
     @property
     def is_uniform(self) -> bool:
@@ -150,20 +165,34 @@ class ConfigSpec:
                          self.arms, format_value(self.alpha)))
 
 
-@dataclass
+# what Variant equality compares: every field but the program
+_RECORD = attrgetter("edits", "born_arm", "parent_fitness", "fitness",
+                     "variant_index")
+
+
 class Variant:
-    """One point in the search: an edit list plus its evaluation record."""
+    """One point in the search: an edit list plus its evaluation record.
+    Two variants are equal when all but their built programs are."""
 
-    edits: tuple
-    born_arm: int | None = None         # arm to credit; None credits nothing
-    parent_fitness: float | None = None
-    fitness: float | None = None
-    variant_index: int | None = None
-    program: object = field(default=None, repr=False, compare=False)
+    __slots__ = ("edits", "born_arm", "parent_fitness", "fitness",
+                 "variant_index", "program")
+
+    def __init__(self, edits, born_arm=None, parent_fitness=None,
+                 fitness=None, variant_index=None, program=None):
+        self.edits = edits
+        self.born_arm = born_arm    # arm to credit; None credits nothing
+        self.parent_fitness = parent_fitness
+        self.fitness = fitness
+        self.variant_index = variant_index
+        self.program = program      # built on first use when None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _RECORD(self) == _RECORD(other)
 
 
-@dataclass(frozen=True)
-class RepairOutcome:
+class RepairOutcome(NamedTuple):
     patched: bool
     patch: Variant | None
     total_evaluations: int

@@ -20,14 +20,13 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .aos import ConfigError
 from .corpus import edits_to_jsonable, load_corpus
-from .engine import (MIN_POPULATION, ConfigSpec, RepairOutcome, derive_seed,
-                     format_value, run_repair)
+from .engine import (MIN_POPULATION, CheckedRecord, ConfigSpec, RepairOutcome,
+                     derive_seed, format_value, run_repair)
 from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
                       run_tests)
 from .toylang.syntax import read_int
@@ -40,7 +39,7 @@ run_repair_uniform = run_repair  # unused; perfbench/spans.py hooks the name
 EXPERIMENT_STEP_BUDGET = 5000
 
 # the six config axes, then the five metrics
-CSV_COLUMNS = tuple(field.name for field in fields(ConfigSpec)) + (
+CSV_COLUMNS = ConfigSpec._fields + (
     "success_rate_micro", "success_rate_macro", "bugs_patched",
     "avg_variant", "median_variant")
 
@@ -53,8 +52,7 @@ class PlanFormatError(ValueError):
     """A plan manifest line could not be parsed."""
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
+class _PlanFields(NamedTuple):
     configs: tuple
     bug_names: tuple | None = None      # None: the whole corpus
     attempts: int = 20
@@ -64,16 +62,24 @@ class ExperimentPlan:
     step_budget: int = EXPERIMENT_STEP_BUDGET
     corpus_dir: str | None = None       # None: the packaged corpus
 
-    def __post_init__(self):
-        if not self.configs:
+
+class ExperimentPlan(CheckedRecord, _PlanFields):
+    """A plan's settings, checked here before any cell runs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        plan = super().__new__(cls, *args, **kwargs)
+        if not plan.configs:
             raise PlanFormatError("a plan needs at least one config")
-        if self.bug_names == ():
+        if plan.bug_names == ():
             raise PlanFormatError("a plan needs at least one bug")
         for name, low in _PLAN_MINIMUMS.items():
-            if getattr(self, name) < low:
+            if getattr(plan, name) < low:
                 raise PlanFormatError(f"{name} must be >= {low}")
-        if self.corpus_dir == "":
+        if plan.corpus_dir == "":
             raise PlanFormatError("corpus_dir must not be empty")
+        return plan
 
     def seed_for(self, bug_name: str, config: ConfigSpec,
                  attempt: int) -> int:
@@ -153,9 +159,11 @@ def worker_count() -> int:
 
 # -------------------------------------------------------------- experiment
 
-@dataclass(frozen=True)
 class ExperimentReport:
-    detail: dict          # full JSON-ready structure
+    __slots__ = ("detail",)
+
+    def __init__(self, detail: dict):
+        self.detail = detail    # full JSON-ready structure
 
     def to_json(self) -> str:
         return json.dumps(self.detail, sort_keys=True, indent=2) + "\n"
@@ -165,7 +173,7 @@ class ExperimentReport:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         # the config axes, then the metrics, in column order
-        axes = len(fields(ConfigSpec))
+        axes = len(ConfigSpec._fields)
         for block in self.detail["configs"]:
             row = [block[name] for name in CSV_COLUMNS[:axes]]
             row += [block["metrics"][name] for name in CSV_COLUMNS[axes:]]
@@ -210,7 +218,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     # one (config index, bug, attempt) per cell, in task and result order
     cells = [(index, name, attempt) for index in range(len(plan.configs))
              for name in names for attempt in range(plan.attempts)]
-    tasks = [(plan.corpus_dir, name, astuple(plan.configs[index]),
+    tasks = [(plan.corpus_dir, name, tuple(plan.configs[index]),
               plan.seed_for(name, plan.configs[index], attempt),
               plan.population_size, plan.generations, plan.step_budget)
              for index, name, attempt in cells]
@@ -218,12 +226,14 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     # the pool starts all its workers at once, so start no idle ones
     jobs = min(worker_count(), len(tasks))
     if jobs > 1:
+        # imported here, so that a serial run never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_attempt, tasks, chunksize=4))
     else:
         results = [_run_attempt(task) for task in tasks]
 
-    blocks = [{**asdict(spec), "bugs": {name: [] for name in names}}
+    blocks = [{**spec._asdict(), "bugs": {name: [] for name in names}}
               for spec in plan.configs]
     for (index, name, attempt), record in zip(cells, results):
         blocks[index]["bugs"][name].append({**record, "attempt": attempt})
@@ -271,7 +281,7 @@ def write_report(report: ExperimentReport, out_dir) -> None:
 # ------------------------------------------------------------ plan parsing
 
 # the keys a config line may set after its policy
-_CONFIG_KEYS = {field.name for field in fields(ConfigSpec)} - {"policy"}
+_CONFIG_KEYS = set(ConfigSpec._fields) - {"policy"}
 
 
 def _parse_config_line(value: str, line_no: int) -> ConfigSpec:

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
                      Program, Return, Store, Unary, Var, While, BUILTIN_LEN,
@@ -624,8 +624,7 @@ def compile_program(program: Program) -> dict:
     return functions
 
 
-@dataclass
-class FitnessReport:
+class FitnessReport(NamedTuple):
     flags: list          # pass/fail per test, in suite order
     fitness: float       # passed / total, exactly
     faults: list         # fault kind per failed test, None when passed

@@ -13,7 +13,7 @@ statements never touched by a failing run are unreachable for repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .interp import DEFAULT_STEP_BUDGET, FitnessReport, run_tests
 from .syntax import Program, program_statements
@@ -26,8 +26,7 @@ class NothingToRepair(Exception):
     """Every test already passes on the program under repair."""
 
 
-@dataclass
-class LocalizeResult:
+class LocalizeResult(NamedTuple):
     weights: dict          # statement id -> weight
     report: FitnessReport  # the coverage run on the buggy program
 

@@ -37,7 +37,6 @@ constructor with one field replaced.
 """
 
 from bisect import bisect_right
-from dataclasses import fields
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple
@@ -86,14 +85,11 @@ class Edit(NamedTuple):
 # (negative counts from the end, as in a tuple).
 
 
-_FIELDS = {t: tuple(f.name for f in fields(t)) for t in EXPR_FIELDS}
-
-
 def _with(node, name, value):
     """node rebuilt through its positional constructor with one field
-    replaced; cheaper than dataclasses.replace."""
+    replaced."""
     return type(node)(*[value if field == name else getattr(node, field)
-                        for field in _FIELDS[type(node)]])
+                        for field in node._fields])
 
 
 def iter_own_expressions(node, path=()):

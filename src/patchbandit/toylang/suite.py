@@ -14,7 +14,7 @@ skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import read_int
 
@@ -24,8 +24,7 @@ class SuiteFormatError(ValueError):
         super().__init__(f"{source}:{line}: {msg}")
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(NamedTuple):
     __test__ = False    # not a pytest class, despite the name
 
     name: str

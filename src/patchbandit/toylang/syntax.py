@@ -13,8 +13,11 @@ bare blocks.  Expressions: integer literals, variables, array reads, unary
 minus, binary arithmetic / comparison / logical operators, and calls.  The
 only builtin is len(a) for array parameters.  A '#' starts a line comment.
 
-Every statement node carries a small integer id (sid) assigned in pre-order
-during parsing; mutation edits address statements through these ids.
+Nodes are slotted values (`_Node`): each type's constructor takes its
+fields positionally, in the order its `_fields` tuple lists them, and
+equality, hashing and repr read those fields alone.  Every statement node
+carries a small integer id (sid) assigned in pre-order during parsing;
+mutation edits address statements through these ids.
 
 `_LEVELS` holds the binary operators' precedence, the one statement of it:
 the parser reads one level of the table at a time, and the printer's
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 KEYWORDS = ("fn", "if", "else", "while", "return")
 BUILTIN_LEN = "len"
@@ -57,90 +59,158 @@ class ParseError(ValueError):
 
 
 class _Node:
-    """Base of the node types."""
+    """Base of the node types.  A node is a value: its constructor sets
+    the fields that `_fields` lists, in order, and nothing changes them
+    after (a guard on setting would make every build slow again).  So a
+    node equals only a node of its own type whose fields are equal in
+    order, and it hashes as the tuple of its fields.  A slot that
+    `_fields` leaves out is a cache: equality, hash and repr ignore it."""
 
-    # A node never changes, so `height` works its height out once, from
-    # its children's, and keeps it on the node (frozen dataclasses take it
-    # through object.__setattr__; it is no field, so equality ignores it)
-    _height = None
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
+# A node never changes, so `height` works its height out once, from its
+# children's, and keeps it in the node's `_height` slot; a constructor
+# leaves None there.  A leaf's height is a class attribute.
+
+
 class Num(_Node):
-    value: int
+    __slots__ = _fields = ("value",)
     _height = 1     # nothing inside it
 
+    def __init__(self, value):
+        self.value = value
 
-@dataclass(frozen=True)
+
 class Var(_Node):
-    name: str
+    __slots__ = _fields = ("name",)
     _height = 1
 
+    def __init__(self, name):
+        self.name = name
 
-@dataclass(frozen=True)
+
 class Index(_Node):
-    name: str
-    index: object
+    _fields = ("name", "index")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, name, index):
+        self.name = name
+        self.index = index
+        self._height = None
 
 
-@dataclass(frozen=True)
 class Unary(_Node):
-    operand: object  # unary minus is the only prefix operator
+    _fields = ("operand",)  # unary minus is the only prefix operator
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, operand):
+        self.operand = operand
+        self._height = None
 
 
-@dataclass(frozen=True)
 class Binary(_Node):
-    op: str
-    left: object
-    right: object
+    _fields = ("op", "left", "right")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, op, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
+        self._height = None
 
 
-@dataclass(frozen=True)
 class Call(_Node):
-    name: str
-    args: tuple
+    _fields = ("name", "args")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, name, args):
+        self.name = name
+        self.args = args
+        self._height = None
 
 
-@dataclass(frozen=True)
 class Assign(_Node):
-    sid: int
-    name: str
-    expr: object
+    _fields = ("sid", "name", "expr")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, sid, name, expr):
+        self.sid = sid
+        self.name = name
+        self.expr = expr
+        self._height = None
 
 
-@dataclass(frozen=True)
 class Store(_Node):
-    sid: int
-    name: str
-    index: object
-    expr: object
+    _fields = ("sid", "name", "index", "expr")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, sid, name, index, expr):
+        self.sid = sid
+        self.name = name
+        self.index = index
+        self.expr = expr
+        self._height = None
 
 
-@dataclass(frozen=True)
 class If(_Node):
-    sid: int
-    cond: object
-    then: tuple
-    orelse: tuple  # empty tuple when there is no else branch
+    _fields = ("sid", "cond", "then", "orelse")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, sid, cond, then, orelse):
+        self.sid = sid
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse    # empty tuple when there is no else branch
+        self._height = None
 
 
-@dataclass(frozen=True)
 class While(_Node):
-    sid: int
-    cond: object
-    body: tuple
+    _fields = ("sid", "cond", "body")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, sid, cond, body):
+        self.sid = sid
+        self.cond = cond
+        self.body = body
+        self._height = None
 
 
-@dataclass(frozen=True)
 class Return(_Node):
-    sid: int
-    expr: object
+    _fields = ("sid", "expr")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, sid, expr):
+        self.sid = sid
+        self.expr = expr
+        self._height = None
 
 
-@dataclass(frozen=True)
 class Block(_Node):
-    sid: int
-    body: tuple
+    _fields = ("sid", "body")
+    __slots__ = _fields + ("_height",)
+
+    def __init__(self, sid, body):
+        self.sid = sid
+        self.body = body
+        self._height = None
 
 
 # The shape of the tree: which fields of each node type hold nodes, in
@@ -196,33 +266,36 @@ def height(nodes) -> int:
             levels = 1 + height(children(node))
             if levels == 1 and BODY_FIELDS.get(type(node)):
                 levels = 2      # `{ }`
-            object.__setattr__(node, "_height", levels)
+            node._height = levels
         if levels > most:
             most = levels
     return most
 
 
-@dataclass(frozen=True)
-class Function:
-    name: str
-    params: tuple
-    body: tuple
+class Function(_Node):
+    _fields = ("name", "params", "body")
+    # the tuple `statements` lists, kept on the node as a node's height is
+    __slots__ = _fields + ("_statements",)
 
-    # the tuple `statements` lists, kept on the node as a node's _height is
-    _statements = None
+    def __init__(self, name, params, body):
+        self.name = name
+        self.params = params
+        self.body = body
+        self._statements = None
 
     def statements(self) -> tuple:
         """Every statement of the body, pre-order, nested ones included."""
         if self._statements is None:
-            object.__setattr__(self, "_statements",
-                               tuple(walk_statements(self.body)))
+            self._statements = tuple(walk_statements(self.body))
         return self._statements
 
 
-@dataclass(frozen=True)
-class Program:
-    functions: tuple  # of Function, in source order
-    next_sid: int     # first id free for mutation-inserted statements
+class Program(_Node):
+    __slots__ = _fields = ("functions", "next_sid")
+
+    def __init__(self, functions, next_sid):
+        self.functions = functions  # of Function, in source order
+        self.next_sid = next_sid    # first id free for inserted statements
 
     def function(self, name: str) -> Function | None:
         for fn in self.functions:
@@ -252,10 +325,9 @@ def same_shape(a, b) -> bool:
         return False
     if isinstance(a, (tuple, list)):
         return len(a) == len(b) and all(same_shape(x, y) for x, y in zip(a, b))
-    if isinstance(a, tuple(EXPR_FIELDS) + (Function, Program)):
+    if isinstance(a, _Node):
         return all(same_shape(getattr(a, name), getattr(b, name))
-                   for name in a.__dataclass_fields__
-                   if name not in ("sid", "next_sid"))
+                   for name in a._fields if name not in ("sid", "next_sid"))
     return a == b
 
 

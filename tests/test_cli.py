@@ -2,7 +2,6 @@
 
 import json
 import shutil
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -408,9 +407,9 @@ def test_run_with_every_setting_is_the_plan_with_every_key(monkeypatch,
         "cadence=mutation arms=18\n")
     # no flag was dropped on the way: every setting moved off its default
     default = parse_plan("config = ucb\n")
-    for name in (field.name for field in fields(ExperimentPlan)):
+    for name in ExperimentPlan._fields:
         assert getattr(plan, name) != getattr(default, name), name
-    for name in (field.name for field in fields(plan.configs[0])):
+    for name in plan.configs[0]._fields:
         if name != "policy":
             assert getattr(plan.configs[0], name) != \
                 getattr(default.configs[0], name), name

@@ -1,7 +1,5 @@
 """Corpus integrity and single-edit reachability checks."""
 
-import dataclasses
-
 import pytest
 
 from patchbandit.corpus import (Bug, CorpusError, DEFAULT_CORPUS_DIR,
@@ -239,7 +237,7 @@ def test_gate_flags_unfixable_bug(tmp_path):
 
 def test_gate_flags_a_bug_that_fails_no_repair_test(corpus):
     bug = next(bug for bug in corpus if bug.name == "mid3")
-    result = check_bug(dataclasses.replace(bug, program=bug.fixed))
+    result = check_bug(bug._replace(program=bug.fixed))
     assert result.errors == ("buggy program fails no repair test",)
     assert result.edits_examined == 0
 

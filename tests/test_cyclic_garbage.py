@@ -3,7 +3,6 @@ cyclic garbage, so reference counting alone frees what they allocate."""
 
 import gc
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -26,7 +25,7 @@ fn odd(n) { if (n == 0) { return 0; } return even(n - 1); }
 
 
 def _task(bug_name, spec):
-    return (None, bug_name, astuple(spec), 7, 6, 3,
+    return (None, bug_name, tuple(spec), 7, 6, 3,
             experiment.EXPERIMENT_STEP_BUDGET)
 
 

@@ -1,6 +1,6 @@
 """Experiment plans, seed derivation, metrics, and report determinism."""
 
-import dataclasses
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -111,12 +111,35 @@ def test_plan_rejects_a_setting_below_its_minimum(name, value):
         ExperimentPlan(configs=(ConfigSpec("uniform"),), **{name: value})
 
 
+@pytest.mark.parametrize("build", [
+    lambda plan, changes: plan._replace(**changes),
+    lambda plan, changes: plan._make({**plan._asdict(), **changes}.values()),
+], ids=["_replace", "_make"])
+def test_a_changed_copy_of_a_plan_or_config_is_checked(build):
+    # a named tuple's own _replace and _make skip its __new__
+    with pytest.raises(PlanFormatError, match="^attempts must be >= 1"):
+        build(SMALL_PLAN, {"attempts": 0})
+    with pytest.raises(PlanFormatError, match="at least one config"):
+        build(SMALL_PLAN, {"configs": ()})
+    spec = ConfigSpec("pm", credit="erwa")
+    with pytest.raises(ConfigError, match="alpha must be in"):
+        build(spec, {"alpha": 1.5})
+    with pytest.raises(ConfigError, match="unknown credit"):
+        build(spec, {"credit": "mean"})
+    # and normalised as the constructor normalises
+    assert build(spec, {"arms": "7"}).arms == "arms7"
+    assert build(spec, {"policy": "uniform"}) == ConfigSpec("uniform")
+    copy = build(SMALL_PLAN, {"attempts": 5})
+    assert type(copy) is ExperimentPlan and copy.attempts == 5
+    assert copy == SMALL_PLAN._replace(attempts=5)
+
+
 # ----------------------------------------------------------------- quality
 
 def test_reference_fix_scores_full_quality(bugs):
     # empty edit list on the fixed program = the developer patch
     for bug in bugs.values():
-        shifted = dataclasses.replace(bug, program=bug.fixed)
+        shifted = bug._replace(program=bug.fixed)
         quality = evaluate_quality((), shifted)
         t_total = len(bug.heldout_suite)
         assert quality == {"t_pass": t_total, "t_total": t_total,
@@ -231,7 +254,7 @@ def test_successful_attempts_carry_quality_scores(small_report):
 
 
 def test_unknown_bug_is_recorded_and_skipped():
-    plan = dataclasses.replace(SMALL_PLAN, bug_names=("reset-1", "ghost-9"),
+    plan = SMALL_PLAN._replace(bug_names=("reset-1", "ghost-9"),
                                attempts=1)
     report = run_experiment(plan)
     assert report.detail["errors"] == [
@@ -247,7 +270,7 @@ def test_a_bug_with_nothing_to_repair_is_an_error_record(tmp_path):
     (bugdir / "fixed.toy").write_text(program)
     (bugdir / "repair.tests").write_text("t0 | f | 0 | 0\nt2 | f | 2 | 2\n")
     (bugdir / "heldout.tests").write_text("h1 | f | 1 | 1\n")
-    plan = dataclasses.replace(SMALL_PLAN, bug_names=None, attempts=1,
+    plan = SMALL_PLAN._replace(bug_names=None, attempts=1,
                                corpus_dir=str(tmp_path))
     report = run_experiment(plan)
     for block in report.detail["configs"]:
@@ -271,7 +294,7 @@ def test_written_patches_reapply_and_revalidate(tmp_path, bugs, small_report):
 
 def test_worker_pool_does_not_change_the_bytes(small_report, monkeypatch):
     monkeypatch.setenv("REPAIR_JOBS", "2")
-    plan = dataclasses.replace(SMALL_PLAN, bug_names=("reset-1",), attempts=4)
+    plan = SMALL_PLAN._replace(bug_names=("reset-1",), attempts=4)
     parallel = run_experiment(plan)
     monkeypatch.setenv("REPAIR_JOBS", "1")
     serial = run_experiment(plan)
@@ -301,9 +324,11 @@ def test_the_pool_starts_no_more_workers_than_cells(monkeypatch, jobs,
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    # the pool is imported from here when a run needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setenv("REPAIR_JOBS", jobs)
-    plan = dataclasses.replace(SMALL_PLAN, bug_names=("reset-1",),
+    plan = SMALL_PLAN._replace(bug_names=("reset-1",),
                                attempts=attempts, generations=1)
     run_experiment(plan)     # two configs, so 2 * attempts cells
     assert started == workers

@@ -1,6 +1,5 @@
 """Edit minting/application oracles for the mutation operators."""
 
-import dataclasses
 import pickle
 import random
 
@@ -15,7 +14,7 @@ from patchbandit.toylang.mutate import (ALL_OPERATORS, COARSE_OPERATORS,
                                         apply_edits, enumerate_edits,
                                         mint_edit)
 from patchbandit.toylang.interp import run_tests
-from patchbandit.toylang.syntax import (MAX_NESTING, parse_expression,
+from patchbandit.toylang.syntax import (MAX_NESTING, _Node, parse_expression,
                                         parse_program, print_program,
                                         print_statement, program_statements,
                                         same_shape, walk_statements)
@@ -740,9 +739,9 @@ def _rebuilt(value):
         items = tuple(_rebuilt(item) for item in value)
         # an Edit is a named tuple, equal to the plain tuple of its items
         return items if type(value) is tuple else type(value)(*items)
-    if dataclasses.is_dataclass(value):
-        return type(value)(**{f.name: _rebuilt(getattr(value, f.name))
-                              for f in dataclasses.fields(value)})
+    if isinstance(value, _Node):
+        return type(value)(*[_rebuilt(getattr(value, name))
+                             for name in value._fields])
     return value
 
 

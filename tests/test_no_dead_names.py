@@ -7,18 +7,17 @@ definition, so a recursive call is no use, and a mention in another
 module's docstring or comment is.  A package's `__init__.py` only
 re-exports names, for tests among others, so a mention there is no use.
 
-A class member (a method, property, class attribute, dataclass field or
-attribute that a method sets on `self`) counts as used when src reads it
-outside its own definition, which for an attribute set on `self` is each
-assignment to it: as an attribute load of that name (`x.name`, on any
-object) or as a string equal to the name, for `getattr`.  Setting a
-member, in a constructor call, an assignment or
-`object.__setattr__(obj, "name", value)`, is not a use.
+A class member (a method, property, class attribute, named tuple field,
+name a `__slots__` assignment spells out as a string, or attribute that a
+method sets on `self`) counts as used when src reads it outside its own
+definition, which for an attribute set on `self` is each assignment to
+it: as an attribute load of that name (`x.name`, on any object) or as a
+string equal to the name, for `getattr`.  Setting a member, in a
+constructor call or an assignment, is not a use.
 
-A frozen node caches a value on itself through `object.__setattr__`.  A
-cache set on `self` is a member of the method's class; one set on another
-object must be declared as a class attribute of its module, as
-`syntax._Node._height` is, so that it is a member too.
+An attribute that src stores on an object other than `self`, as `height`
+stores a node's `_height` and the search a variant's fitness, must be a
+member of a class of the same module, so that it is checked too.
 
 A name that a module-level import binds must be read in that module, as
 a plain name (`name` or `name.attr`); an `__init__.py` imports names to
@@ -41,9 +40,12 @@ ALLOWED = {"experiment.run_repair_uniform", "toylang.syntax.print_statement"}
 
 # kept although nothing in src reads them: perfbench/spans.py reads
 # FitnessReport.faults (_report_info) and BugGateResult.edits_examined
-# (_gate_info), so a traced run fails without them
+# (_gate_info), so a traced run fails without them; a named tuple's own
+# `_replace` calls CheckedRecord._make, so that a changed copy of a plan or
+# a config is checked
 ALLOWED_MEMBERS = {"toylang.interp.FitnessReport.faults",
-                   "corpus.BugGateResult.edits_examined"}
+                   "corpus.BugGateResult.edits_examined",
+                   "engine.CheckedRecord._make"}
 
 
 def _targets(node):
@@ -77,44 +79,40 @@ def _is_self(node):
     return isinstance(node, ast.Name) and node.id == "self"
 
 
-def _cached_name(node):
-    """The name argument, a string constant node, of node if node is a
-    call `object.__setattr__(obj, "name", value)`; else None."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-            and node.func.attr == "__setattr__" \
-            and isinstance(node.func.value, ast.Name) \
-            and node.func.value.id == "object" and len(node.args) == 3 \
-            and isinstance(node.args[1], ast.Constant) \
-            and isinstance(node.args[1].value, str):
-        return node.args[1]
-    return None
-
-
-def _caches(tree):
-    """(object, name, first line, last line) of each attribute cached
-    with `object.__setattr__`."""
+def _stores(tree):
+    """(name, line) of each attribute stored on an object other than
+    `self`, by an assignment of any kind."""
     for node in ast.walk(tree):
-        name = _cached_name(node)
-        if name is not None:
-            yield node.args[0], name.value, node.lineno, node.end_lineno
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and not _is_self(node.value):
+            yield node.attr, node.lineno
 
 
 def _self_attributes(method):
     """(name, first line, last line) of each assignment in the method to
-    an attribute of `self`, and of each attribute it caches on `self`."""
+    an attribute of `self`."""
     for node in ast.walk(method):
         for target in _targets(node):
             if isinstance(target, ast.Attribute) and _is_self(target.value):
                 yield target.attr, node.lineno, node.end_lineno
-    for obj, name, start, end in _caches(method):
-        if _is_self(obj):
-            yield name, start, end
+
+
+def _slots(node):
+    """The string constants in the value of a `__slots__` assignment;
+    none for any other statement."""
+    if not any(isinstance(target, ast.Name) and target.id == "__slots__"
+               for target in _targets(node)):
+        return []
+    return [constant.value for constant in ast.walk(node.value)
+            if isinstance(constant, ast.Constant)
+            and isinstance(constant.value, str)]
 
 
 def _members(tree):
     """(class, name, first line, last line) of each method, property,
-    class attribute and dataclass field of every class, dunder names left
-    out, and of each assignment a method makes to an attribute of `self`."""
+    class attribute, named tuple field and slot of every class, dunder
+    names left out, and of each assignment a method makes to an attribute
+    of `self`."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -125,7 +123,7 @@ def _members(tree):
                     yield cls.name, name, start, end
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 names = [target.id for target in _targets(node)
-                         if isinstance(target, ast.Name)]
+                         if isinstance(target, ast.Name)] + _slots(node)
             else:
                 continue
             start = min([node.lineno] + [d.lineno for d in
@@ -136,15 +134,11 @@ def _members(tree):
 
 
 def _reads(tree):
-    """(name, line) of each attribute load and each string constant but
-    the names `object.__setattr__` sets."""
-    cached = {id(name) for name in map(_cached_name, ast.walk(tree))
-              if name is not None}
+    """(name, line) of each attribute load and each string constant."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.end_lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and id(node) not in cached:
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value, node.end_lineno
 
 
@@ -207,13 +201,13 @@ def unread_members():
     return unread
 
 
-def test_every_cached_attribute_is_a_class_member():
+def test_every_attribute_stored_on_another_object_is_a_class_member():
     undeclared = []
     for path, text in _sources().items():
         tree = ast.parse(text)
         members = {name for _, name, _, _ in _members(tree)}
-        undeclared += [f"{_qualifier(path)}:{start} {name}"
-                       for _, name, start, _ in _caches(tree)
+        undeclared += [f"{_qualifier(path)}:{line} {name}"
+                       for name, line in _stores(tree)
                        if name not in members]
     assert undeclared == []
 

@@ -1,6 +1,5 @@
 """Parser, printer, and interpreter oracles for the toy language."""
 
-import dataclasses
 import time
 
 import pytest
@@ -214,29 +213,28 @@ def _items(value):
 
 
 def _node_fields(node):
-    """The dataclass fields of node that hold a node or a tuple of them."""
-    return [f.name for f in dataclasses.fields(node)
-            if _items(getattr(node, f.name))
-            and all(map(_is_node, _items(getattr(node, f.name))))]
+    """The fields of node that hold a node or a tuple of them."""
+    return [name for name in node._fields
+            if _items(getattr(node, name))
+            and all(map(_is_node, _items(getattr(node, name))))]
 
 
 def _every_node(value):
-    """Every node inside value, found through its dataclass fields alone."""
+    """Every node inside value, found through its fields alone."""
     for item in _items(value):
         if _is_node(item):
             yield item
-        if dataclasses.is_dataclass(item):
-            for f in dataclasses.fields(item):
-                yield from _every_node(getattr(item, f.name))
+        if isinstance(item, syntax._Node):
+            for name in item._fields:
+                yield from _every_node(getattr(item, name))
 
 
 def test_shape_tables_list_every_field_that_holds_nodes():
     declared = {obj for obj in vars(syntax).values()
-                if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
-    assert declared - {Function, Program} == set(EXPR_FIELDS)
+                if isinstance(obj, type) and issubclass(obj, syntax._Node)}
+    assert declared - {syntax._Node, Function, Program} == set(EXPR_FIELDS)
     # the statement types are the node types that carry an id
-    assert set(BODY_FIELDS) == {t for t in EXPR_FIELDS
-                                if "sid" in t.__dataclass_fields__}
+    assert set(BODY_FIELDS) == {t for t in EXPR_FIELDS if "sid" in t._fields}
     seen = {}
     for node in _every_node(parse_program(EVERY_SHAPE)):
         fields = _node_fields(node)
