@@ -396,3 +396,20 @@ def test_patch_variants_record_their_arm(bugs):
     assert out.patch.born_arm in (None,) + tuple(range(len(COARSE_OPERATORS)))
     assert isinstance(out.patch, Variant)
     assert all(isinstance(e, Edit) for e in out.patch.edits)
+
+
+def test_variants_compare_by_all_but_their_program(bugs):
+    edits = (Edit("stmt_delete", 0),)
+    same = {"born_arm": 1, "parent_fitness": 0.5, "fitness": 0.75,
+            "variant_index": 3}
+    first = Variant(edits, program=bugs["mid3"].program, **same)
+    assert first == Variant(edits, program=bugs["mid3"].fixed, **same)
+    assert first == Variant(edits, **same)
+    assert first != Variant((), **same)
+    for name, other in (("born_arm", 2), ("parent_fitness", 0.25),
+                        ("fitness", 1.0), ("variant_index", 4)):
+        assert first != Variant(edits, **{**same, name: other})
+    assert first != (edits, 1, 0.5, 0.75, 3)
+    # a variant changes as the search evaluates it, so it has no hash
+    with pytest.raises(TypeError):
+        hash(first)
