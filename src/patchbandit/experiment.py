@@ -8,9 +8,10 @@ are byte-identical regardless of worker count.
 Cells run with the cyclic garbage collector off, serially and in pool
 workers alike.  A search keeps two generations of program trees alive,
 and every full collection would rescan them to find almost nothing: a
-cell makes no reference cycles, because the interpreter empties each
-compiled function table when its run ends (`interp.compile_program`).
-So reference counting alone frees what a cell allocates, and
+cell makes no reference cycles, because compiled code refers neither to
+its syntax node nor to a table of functions (a call looks its callee up
+in the run's context; see `interp`).  So reference counting alone frees
+what a cell allocates, and
 `tests/test_cyclic_garbage.py` checks that for every corpus bug.
 """
 

@@ -1,9 +1,11 @@
 """Tree-walking interpreter with a per-test step budget.
 
-Programs are compiled once into nested closures (one per AST node) and then
-run against test cases.  Values are ints in the signed 64-bit range
-(`syntax.INT_MIN` to `INT_MAX`, in place of a cap on products alone) plus
-int arrays (lists) bound to parameters.  Literals and test values are
+Each AST node is compiled once into a closure, which the node keeps
+(`syntax.compiled`), and programs are run against test cases.  Values are
+ints in the signed 64-bit range (`syntax.INT_MIN` to `INT_MAX`, in place of
+a cap on products alone) plus int arrays (lists) bound to parameters, and
+never None: so a statement's code returns None, or the value of the
+`return` it ran, which its function returns.  Literals and test values are
 checked where they are read and results in `_ARITH_FNS`, so every value
 stays in range.  Any misuse (undefined variable, array index out of
 bounds, division or modulus by zero, non-integer operand, a result outside
@@ -20,7 +22,7 @@ loops is: a loop whose snapshot, taken at every condition check from its
 snapshot leaves out the loop's accumulators: names whose every occurrence
 in the loop (condition and body, nested statements included) is a
 self-update `v = v + e`, `v = v - e` or `v = e + v`, where `e` reads no
-accumulator (found when the loop takes its first snapshot).  At the first
+accumulator (found when the loop is compiled).  At the first
 repeat of such a reduced snapshot the loop can never end: it faults
 `cycle` if the accumulators repeat too, and otherwise `budget`, or
 `overflow` if an accumulator leaves the range before the budget is gone
@@ -29,7 +31,16 @@ projection, at any budget.  A loop snapshots from its first iteration,
 so a loop that freezes early stops at its first repeat, and works out
 there which fault the rule would give.
 
-The hot path rests on four exactness arguments:
+The hot path rests on five exactness arguments:
+
+* The code a node keeps is the code every program that holds the node
+  would compile for it.  A node never changes, and its code is made from
+  its own subtree alone: its fields and its children's code.  A call
+  looks its callee up by name in the run's context (`_Ctx.functions`)
+  when it runs, so no code refers to a program's table of functions.  A
+  loop's accumulators come from its names (`syntax.loop_names`), which
+  are a union over its subtree; combining the unions of the statements
+  directly inside it gives what a walk of the whole subtree gives.
 
 * A loop snapshot is the tuple of the frame's values alone, arrays copied
   to tuples.  Names are never removed from a frame, only added, and a
@@ -81,7 +92,7 @@ from typing import NamedTuple
 
 from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
                      Program, Return, Store, Unary, Var, While, BUILTIN_LEN,
-                     INT_MAX, INT_MIN, children, height)
+                     INT_MAX, INT_MIN, compiled, height, loop_names)
 
 DEFAULT_STEP_BUDGET = 100_000
 MAX_CALL_DEPTH = 100
@@ -96,19 +107,18 @@ class ToyFault(Exception):
         self.kind = kind
 
 
-class _ReturnSignal(Exception):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
 class _Ctx:
-    __slots__ = ("steps", "coverage", "depth")
+    """One case's run: the steps left, the ids of the statements it ran
+    (None when coverage is off), the program's compiled functions by name,
+    which a call looks its callee up in, and the toy call depth.  A fault
+    ends the case, and its context with it, so a call that faults leaves
+    the depth as it is."""
+    __slots__ = ("steps", "coverage", "functions", "depth")
 
-    def __init__(self, steps: int, coverage, depth: int = 0):
+    def __init__(self, steps: int, coverage, functions: dict, depth: int = 0):
         self.steps = steps
         self.coverage = coverage
+        self.functions = functions
         self.depth = depth
 
 
@@ -199,33 +209,36 @@ def _skip_periods(env: dict, ctx: _Ctx, accumulators: frozenset,
     for name, a, b in zip([n for n in env if n in accumulators], was, now):
         if a != b:
             env[name] = _ARITH_FNS["+"](b, skip * (b - a))
-    return _Ctx(ctx.steps - skip * period, None, ctx.depth)
+    return _Ctx(ctx.steps - skip * period, None, ctx.functions,
+                ctx.depth)
 
 
 class _CompiledFn:
-    def __init__(self, fn: Function, functions: dict):
-        self.fn = fn
+    """A function's code.  It keeps the function's name and not its node,
+    so that the code a node keeps refers to nothing that refers back."""
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, fn: Function):
+        self.name = fn.name
         self.params = fn.params
-        self.body = tuple(_compile_stmt(s, functions) for s in fn.body)
+        self.body = _compile_body(fn.body)
 
     def invoke(self, args: list, ctx: _Ctx):
         if len(args) != len(self.params):
             raise ToyFault("arity",
-                           f"{self.fn.name} expects {len(self.params)} "
+                           f"{self.name} expects {len(self.params)} "
                            f"arguments, got {len(args)}")
-        ctx.depth += 1
-        if ctx.depth > MAX_CALL_DEPTH:
+        depth = ctx.depth + 1
+        if depth > MAX_CALL_DEPTH:
             raise ToyFault("depth", "call depth limit exceeded")
+        ctx.depth = depth
         env = dict(zip(self.params, args))
-        try:
-            for stmt in self.body:
-                stmt(env, ctx)
-            raise ToyFault("missing-return",
-                           f"{self.fn.name} fell off the end")
-        except _ReturnSignal as sig:
-            return sig.value
-        finally:
-            ctx.depth -= 1
+        for stmt in self.body:
+            value = stmt(env, ctx)
+            if value is not None:
+                ctx.depth = depth - 1
+                return value
+        raise ToyFault("missing-return", f"{self.name} fell off the end")
 
 
 # ------------------------------------------------------ expression compile
@@ -239,9 +252,9 @@ def _yields_int(expr) -> bool:
     return t is Unary or t is Binary or (t is Call and expr.name == BUILTIN_LEN)
 
 
-def _compile_int(expr, functions: dict, what: str):
+def _compile_int(expr, what: str):
     """Compile expr into a closure that returns an int or faults `type`."""
-    fn = _compile_expr(expr, functions)
+    fn = _compile_expr(expr)
     if _yields_int(expr):
         return fn
     message = f"{what} must be an integer"
@@ -253,7 +266,8 @@ def _compile_int(expr, functions: dict, what: str):
     return checked
 
 
-def _compile_expr(expr, functions: dict):
+def _compile_expr(expr):
+    """expr's code; a leaf's is made anew, any other node's is kept on it."""
     t = type(expr)
     if t is Num:
         v = expr.value
@@ -267,29 +281,37 @@ def _compile_expr(expr, functions: dict):
                 raise _undefined(name)
         return var_read
     if t is Index:
-        name = expr.name
-        if type(expr.index) is Var:
-            return _compile_index_by_var(name, expr.index.name)
-        idx = _compile_int(expr.index, functions, "array index")
-        def index_read(env, ctx):
-            arr = env.get(name)
-            if type(arr) is not list:
-                raise _not_an_array(name, arr)
-            i = idx(env, ctx)
-            if 0 <= i < len(arr):
-                return arr[i]
-            raise ToyFault("index",
-                           f"{name}[{i}] out of bounds (length {len(arr)})")
-        return index_read
+        return compiled(expr, _compile_index)
     if t is Unary:
-        operand = _compile_int(expr.operand, functions, "operand of -")
-        sub = _ARITH_FNS["-"]
-        return lambda env, ctx: sub(0, operand(env, ctx))
+        return compiled(expr, _compile_unary)
     if t is Binary:
-        return _compile_binary(expr, functions)
+        return compiled(expr, _compile_binary)
     if t is Call:
-        return _compile_call(expr, functions)
+        return compiled(expr, _compile_call)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _compile_index(expr: Index):
+    name = expr.name
+    if type(expr.index) is Var:
+        return _compile_index_by_var(name, expr.index.name)
+    idx = _compile_int(expr.index, "array index")
+    def index_read(env, ctx):
+        arr = env.get(name)
+        if type(arr) is not list:
+            raise _not_an_array(name, arr)
+        i = idx(env, ctx)
+        if 0 <= i < len(arr):
+            return arr[i]
+        raise ToyFault("index",
+                       f"{name}[{i}] out of bounds (length {len(arr)})")
+    return index_read
+
+
+def _compile_unary(expr: Unary):
+    operand = _compile_int(expr.operand, "operand of -")
+    sub = _ARITH_FNS["-"]
+    return lambda env, ctx: sub(0, operand(env, ctx))
 
 
 def _compile_index_by_var(name: str, idx_name: str):
@@ -380,11 +402,11 @@ def _compile_leaf_binary(expr: Binary):
     return None
 
 
-def _compile_binary(expr: Binary, functions: dict):
+def _compile_binary(expr: Binary):
     op = expr.op
     if op == "&&" or op == "||":
-        left = _compile_int(expr.left, functions, f"operand of {op}")
-        right = _compile_int(expr.right, functions, f"operand of {op}")
+        left = _compile_int(expr.left, f"operand of {op}")
+        right = _compile_int(expr.right, f"operand of {op}")
         if op == "&&":
             def and_(env, ctx):
                 if not left(env, ctx):
@@ -400,8 +422,8 @@ def _compile_binary(expr: Binary, functions: dict):
     leaf = _compile_leaf_binary(expr)
     if leaf is not None:
         return leaf
-    left = _compile_expr(expr.left, functions)
-    right = _compile_expr(expr.right, functions)
+    left = _compile_expr(expr.left)
+    right = _compile_expr(expr.right)
     message = f"operands of {op} must be integers"
     if op in _CMP_FNS:
         fn = _CMP_FNS[op]
@@ -422,9 +444,9 @@ def _compile_binary(expr: Binary, functions: dict):
     return arith
 
 
-def _compile_call(expr: Call, functions: dict):
+def _compile_call(expr: Call):
     name = expr.name
-    arg_fns = tuple(_compile_expr(a, functions) for a in expr.args)
+    arg_fns = tuple(_compile_expr(a) for a in expr.args)
     if name == BUILTIN_LEN:
         def len_call(env, ctx):
             if len(arg_fns) != 1:
@@ -436,7 +458,7 @@ def _compile_call(expr: Call, functions: dict):
         return len_call
 
     def call(env, ctx):
-        cfn = functions.get(name)
+        cfn = ctx.functions.get(name)
         if cfn is None:
             raise ToyFault("unknown-function", f"no function {name!r}")
         return cfn.invoke([fn(env, ctx) for fn in arg_fns], ctx)
@@ -446,12 +468,17 @@ def _compile_call(expr: Call, functions: dict):
 # ------------------------------------------------------- statement compile
 
 
-def _compile_stmt(stmt, functions: dict):
+def _compile_body(stmts: tuple) -> tuple:
+    """The code of each statement, kept on the statement."""
+    return tuple([compiled(s, _compile_stmt) for s in stmts])
+
+
+def _compile_stmt(stmt):
     t = type(stmt)
     sid = stmt.sid
     if t is Assign:
         name = stmt.name
-        value = _compile_expr(stmt.expr, functions)
+        value = _compile_expr(stmt.expr)
         def assign(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -463,8 +490,8 @@ def _compile_stmt(stmt, functions: dict):
         return assign
     if t is Store:
         name = stmt.name
-        idx = _compile_int(stmt.index, functions, "array index")
-        value = _compile_int(stmt.expr, functions, "stored value")
+        idx = _compile_int(stmt.index, "array index")
+        value = _compile_int(stmt.expr, "stored value")
         def store(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -482,7 +509,7 @@ def _compile_stmt(stmt, functions: dict):
             arr[i] = value(env, ctx)
         return store
     if t is Return:
-        value = _compile_expr(stmt.expr, functions)
+        value = _compile_expr(stmt.expr)
         def ret(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -490,12 +517,12 @@ def _compile_stmt(stmt, functions: dict):
                 raise ToyFault("budget", "step budget exhausted")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
-            raise _ReturnSignal(value(env, ctx))
+            return value(env, ctx)
         return ret
     if t is If:
-        cond = _compile_int(stmt.cond, functions, "condition")
-        then = tuple(_compile_stmt(s, functions) for s in stmt.then)
-        orelse = tuple(_compile_stmt(s, functions) for s in stmt.orelse)
+        cond = _compile_int(stmt.cond, "condition")
+        then = _compile_body(stmt.then)
+        orelse = _compile_body(stmt.orelse)
         def if_(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -504,14 +531,15 @@ def _compile_stmt(stmt, functions: dict):
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
             for s in then if cond(env, ctx) else orelse:
-                s(env, ctx)
+                value = s(env, ctx)
+                if value is not None:
+                    return value
         return if_
     if t is While:
-        cond = _compile_int(stmt.cond, functions, "condition")
-        body = tuple(_compile_stmt(s, functions) for s in stmt.body)
-        accumulators = None     # found at the first snapshot, if any
+        cond = _compile_int(stmt.cond, "condition")
+        body = _compile_body(stmt.body)
+        accumulators = _accumulators(stmt)
         def while_(env, ctx):
-            nonlocal accumulators
             seen = {}       # snapshot -> accumulator totals, in order
             left = [None]   # left[k]: steps left after iteration k (k <= 64)
             while True:
@@ -523,8 +551,6 @@ def _compile_stmt(stmt, functions: dict):
                     ctx.coverage.add(sid)
                 if not cond(env, ctx):
                     return
-                if accumulators is None:
-                    accumulators = _accumulators(stmt)
                 if accumulators:
                     key, totals = _split_state(env, accumulators)
                 else:
@@ -544,10 +570,12 @@ def _compile_stmt(stmt, functions: dict):
                 elif size < _CYCLE_CHECK_AFTER:
                     left.append(ctx.steps)
                 for s in body:
-                    s(env, ctx)
+                    value = s(env, ctx)
+                    if value is not None:
+                        return value
         return while_
     if t is Block:
-        body = tuple(_compile_stmt(s, functions) for s in stmt.body)
+        body = _compile_body(stmt.body)
         def block(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
@@ -556,22 +584,11 @@ def _compile_stmt(stmt, functions: dict):
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
             for s in body:
-                s(env, ctx)
+                value = s(env, ctx)
+                if value is not None:
+                    return value
         return block
     raise TypeError(f"not a statement node: {stmt!r}")
-
-
-def _self_update_delta(stmt: Assign):
-    """`e` when stmt is `v = v + e`, `v = v - e` or `v = e + v`, else None."""
-    expr = stmt.expr
-    if type(expr) is not Binary or expr.op not in ("+", "-"):
-        return None
-    if type(expr.left) is Var and expr.left.name == stmt.name:
-        return expr.right
-    if expr.op == "+" and type(expr.right) is Var \
-            and expr.right.name == stmt.name:
-        return expr.left
-    return None
 
 
 def _accumulators(loop: While) -> frozenset:
@@ -581,47 +598,19 @@ def _accumulators(loop: While) -> frozenset:
 
     Any other occurrence of a name counts against it, an occurrence inside
     a delta `e` included, so no delta reads its own or another
-    accumulator: a name in doubt is dropped in this one pass.
-    """
-    updated, other = set(), set()
-    todo = list(children(loop))
-    while todo:
-        node = todo.pop()
-        t = type(node)
-        if t is Assign:
-            delta = _self_update_delta(node)
-            if delta is not None:
-                updated.add(node.name)
-                todo.append(delta)
-                continue
-        if t is Var or t is Index or t is Store or t is Assign:
-            other.add(node.name)
-        todo.extend(children(node))
-    return frozenset(updated - other)
+    accumulator.  They are the names the loop's summary holds as only
+    self-updated (`syntax.loop_names`)."""
+    return loop_names(loop)[0]
 
 
 # --------------------------------------------------------------- running
 
 
 def compile_program(program: Program) -> dict:
-    """The program's functions, compiled, by name.  A call looks its callee
-    up in this dict when it runs, so one pass compiles them all.
-
-    A function that calls refers back to the dict that holds it, which is
-    a reference cycle.  The run that compiles a dict (`_run_tests`,
-    `_passes_all`) empties it when it ends, so the dict and its functions
-    are freed by reference counting alone, and plan cells can run without
-    the cyclic garbage collector.  A compile that raises empties its dict
-    too.  Any other caller that compiles a program with calls leaves the
-    cycle to the collector unless it empties the dict itself."""
-    functions = {}
-    try:
-        for fn in program.functions:
-            functions[fn.name] = _CompiledFn(fn, functions)
-    except BaseException:
-        functions.clear()
-        raise
-    return functions
+    """The program's functions, compiled, by name.  Each node keeps its
+    code (`syntax.compiled`), so this compiles only the nodes that no
+    program compiled before: for a variant, those its edits rebuilt."""
+    return {fn.name: compiled(fn, _CompiledFn) for fn in program.functions}
 
 
 class FitnessReport(NamedTuple):
@@ -640,7 +629,7 @@ def _stack_room(program: Program) -> int:
     that faults: per call, its `invoke` and at most three frames per level
     (a statement's or an expression's closure, plus an int check or a
     call's argument list), with headroom for raising a fault.  Compiling
-    takes fewer: at most three frames per level, once.  Measuring the
+    takes fewer: at most four frames per level, once.  Measuring the
     height takes at most one frame per level, and none below a statement
     measured before (the parser measures every statement it reads)."""
     levels = height([s for fn in program.functions for s in fn.body])
@@ -667,7 +656,7 @@ def _with_stack_room(run, program: Program, *args):
 
 def _run_case(functions: dict, case, step_budget: int, want_cov: bool):
     # the caller has checked that the entry function exists
-    ctx = _Ctx(step_budget, set() if want_cov else None)
+    ctx = _Ctx(step_budget, set() if want_cov else None, functions)
     args = [list(a) if type(a) in (list, tuple) else a for a in case.args]
     try:
         result = functions[case.entry].invoke(args, ctx)
@@ -690,24 +679,17 @@ def run_tests(program, suite, step_budget: int = DEFAULT_STEP_BUDGET,
 
 
 def _run_tests(program, cases: list, step_budget: int, coverage: bool):
-    """Compile the program and run the cases.  The compiled functions
-    refer back to their dict, so the dict is emptied on the way out, a
-    fault or a `RecursionError` included: the run leaves no reference
-    cycle for the cyclic garbage collector (see `compile_program`)."""
     functions = compile_program(program)
-    try:
-        if any(case.entry not in functions for case in cases):
-            return FitnessReport([False] * len(cases), 0.0,
-                                 ["missing-entry"] * len(cases),
-                                 [set() for _ in cases] if coverage else None)
-        flags, faults, covs = [], [], []
-        for case in cases:
-            ok, fault, cov = _run_case(functions, case, step_budget, coverage)
-            flags.append(ok)
-            faults.append(fault)
-            covs.append(cov)
-    finally:
-        functions.clear()
+    if any(case.entry not in functions for case in cases):
+        return FitnessReport([False] * len(cases), 0.0,
+                             ["missing-entry"] * len(cases),
+                             [set() for _ in cases] if coverage else None)
+    flags, faults, covs = [], [], []
+    for case in cases:
+        ok, fault, cov = _run_case(functions, case, step_budget, coverage)
+        flags.append(ok)
+        faults.append(fault)
+        covs.append(cov)
     fitness = sum(flags) / len(flags) if flags else 0.0
     return FitnessReport(flags, fitness, faults, covs if coverage else None)
 
@@ -722,13 +704,10 @@ def passes_all(program, suite, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
 
 def _passes_all(program, cases: list, step_budget: int) -> bool:
     functions = compile_program(program)
-    try:    # emptied on the way out, as in `_run_tests`
-        if any(case.entry not in functions for case in cases):
+    if any(case.entry not in functions for case in cases):
+        return False
+    for case in cases:
+        ok, _, _ = _run_case(functions, case, step_budget, False)
+        if not ok:
             return False
-        for case in cases:
-            ok, _, _ = _run_case(functions, case, step_budget, False)
-            if not ok:
-                return False
-        return True
-    finally:
-        functions.clear()
+    return True

@@ -86,9 +86,12 @@ class _Node:
         return f"{type(self).__qualname__}({fields})"
 
 
-# A node never changes, so `height` works its height out once, from its
-# children's, and keeps it in the node's `_height` slot; a constructor
-# leaves None there.  A leaf's height is a class attribute.
+# A node never changes, so what depends on its subtree alone is worked out
+# once and kept in a slot of the node, where a constructor leaves None:
+# `height` keeps its height in `_height`, from its children's, `loop_names`
+# a statement's names in `_names`, from its children's, and `compiled` the
+# interpreter's code for it in `_code`.  A leaf's height is a class
+# attribute, and a leaf keeps no code.
 
 
 class Num(_Node):
@@ -109,58 +112,64 @@ class Var(_Node):
 
 class Index(_Node):
     _fields = ("name", "index")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code")
 
     def __init__(self, name, index):
         self.name = name
         self.index = index
         self._height = None
+        self._code = None
 
 
 class Unary(_Node):
     _fields = ("operand",)  # unary minus is the only prefix operator
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code")
 
     def __init__(self, operand):
         self.operand = operand
         self._height = None
+        self._code = None
 
 
 class Binary(_Node):
     _fields = ("op", "left", "right")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code")
 
     def __init__(self, op, left, right):
         self.op = op
         self.left = left
         self.right = right
         self._height = None
+        self._code = None
 
 
 class Call(_Node):
     _fields = ("name", "args")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code")
 
     def __init__(self, name, args):
         self.name = name
         self.args = args
         self._height = None
+        self._code = None
 
 
 class Assign(_Node):
     _fields = ("sid", "name", "expr")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code", "_names")
 
     def __init__(self, sid, name, expr):
         self.sid = sid
         self.name = name
         self.expr = expr
         self._height = None
+        self._code = None
+        self._names = None
 
 
 class Store(_Node):
     _fields = ("sid", "name", "index", "expr")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code", "_names")
 
     def __init__(self, sid, name, index, expr):
         self.sid = sid
@@ -168,11 +177,13 @@ class Store(_Node):
         self.index = index
         self.expr = expr
         self._height = None
+        self._code = None
+        self._names = None
 
 
 class If(_Node):
     _fields = ("sid", "cond", "then", "orelse")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code", "_names")
 
     def __init__(self, sid, cond, then, orelse):
         self.sid = sid
@@ -180,37 +191,45 @@ class If(_Node):
         self.then = then
         self.orelse = orelse    # empty tuple when there is no else branch
         self._height = None
+        self._code = None
+        self._names = None
 
 
 class While(_Node):
     _fields = ("sid", "cond", "body")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code", "_names")
 
     def __init__(self, sid, cond, body):
         self.sid = sid
         self.cond = cond
         self.body = body
         self._height = None
+        self._code = None
+        self._names = None
 
 
 class Return(_Node):
     _fields = ("sid", "expr")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code", "_names")
 
     def __init__(self, sid, expr):
         self.sid = sid
         self.expr = expr
         self._height = None
+        self._code = None
+        self._names = None
 
 
 class Block(_Node):
     _fields = ("sid", "body")
-    __slots__ = _fields + ("_height",)
+    __slots__ = _fields + ("_height", "_code", "_names")
 
     def __init__(self, sid, body):
         self.sid = sid
         self.body = body
         self._height = None
+        self._code = None
+        self._names = None
 
 
 # The shape of the tree: which fields of each node type hold nodes, in
@@ -272,16 +291,94 @@ def height(nodes) -> int:
     return most
 
 
+def _self_update_delta(stmt: Assign):
+    """`e` when stmt is `v = v + e`, `v = v - e` or `v = e + v`, else None."""
+    expr = stmt.expr
+    if type(expr) is not Binary or expr.op not in ("+", "-"):
+        return None
+    if type(expr.left) is Var and expr.left.name == stmt.name:
+        return expr.right
+    if expr.op == "+" and type(expr.right) is Var \
+            and expr.right.name == stmt.name:
+        return expr.left
+    return None
+
+
+def _add_names(expr, names: set) -> None:
+    """Add the variables and arrays that expr reads to names."""
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t is Var:
+            names.add(node.name)
+        elif t is not Num:
+            if t is Index:
+                names.add(node.name)
+            todo.extend(children(node))
+
+
+_NO_NAMES = frozenset()
+
+
+def loop_names(stmt) -> tuple:
+    """(only, other): the names that stmt, nested statements included,
+    uses only as the target of a self-update `v = v + e`, `v = v - e` or
+    `v = e + v`, and the names it uses in any other way, a read inside a
+    delta `e` included; a callee is not a name.
+
+    The names self-updated and the names used otherwise are each a union
+    over the subtree, so a statement's names combine those of the
+    statements directly inside it, which it asks for here: it recurses,
+    one frame per level, only into statements not asked about before.
+    A statement with no name of a kind shares one empty set."""
+    names = stmt._names
+    if names is not None:
+        return names
+    only, other = set(), set()
+    t = type(stmt)
+    delta = _self_update_delta(stmt) if t is Assign else None
+    if delta is not None:
+        only.add(stmt.name)
+        _add_names(delta, other)
+    else:
+        if t is Assign or t is Store:
+            other.add(stmt.name)
+        for name in EXPR_FIELDS[t]:
+            _add_names(getattr(stmt, name), other)
+        for name in BODY_FIELDS[t]:
+            for inner in getattr(stmt, name):
+                inner_only, inner_other = loop_names(inner)
+                only |= inner_only
+                other |= inner_other
+    names = stmt._names = (frozenset(only - other) or _NO_NAMES,
+                           frozenset(other) or _NO_NAMES)
+    return names
+
+
+def compiled(node, compile):
+    """node's code: compile(node) on the first ask, kept in node's `_code`
+    slot for every later one.  The interpreter compiles a node from its
+    subtree alone, so every program that holds the node can run the code
+    it keeps.  A compile that raises keeps nothing."""
+    code = node._code
+    if code is None:
+        code = node._code = compile(node)
+    return code
+
+
 class Function(_Node):
     _fields = ("name", "params", "body")
-    # the tuple `statements` lists, kept on the node as a node's height is
-    __slots__ = _fields + ("_statements",)
+    # the tuple `statements` lists, kept on the node as a node's height is,
+    # and the interpreter's code for the function (`compiled`)
+    __slots__ = _fields + ("_statements", "_code")
 
     def __init__(self, name, params, body):
         self.name = name
         self.params = params
         self.body = body
         self._statements = None
+        self._code = None
 
     def statements(self) -> tuple:
         """Every statement of the body, pre-order, nested ones included."""

@@ -54,7 +54,7 @@ PAST_THE_ENDS = [
 
 def _run(text, args, budget=100_000):
     cp = compile_program(parse_program(text))
-    return cp["f"].invoke(list(args), _Ctx(budget, None))
+    return cp["f"].invoke(list(args), _Ctx(budget, None, cp))
 
 
 def _fault(text, args, budget=100_000):

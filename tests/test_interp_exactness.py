@@ -80,7 +80,7 @@ def _fault(text, args=(), budget=100_000):
     cp = compile_program(parse_program(text))
     with pytest.raises(ToyFault) as err:
         cp["f"].invoke([list(a) if isinstance(a, tuple) else a
-                        for a in args], _Ctx(budget, None))
+                        for a in args], _Ctx(budget, None, cp))
     return err.value.kind
 
 

@@ -27,7 +27,9 @@ from patchbandit.toylang import (ALL_OPERATORS, InapplicableOperator,
 from patchbandit.toylang import interp
 from patchbandit.toylang.interp import (MAX_CALL_DEPTH, ToyFault, _Ctx,
                                         _accumulators)
-from patchbandit.toylang.syntax import While, walk_statements
+from patchbandit.toylang.syntax import (Assign, Binary, Index, Store, Var,
+                                        While, children, walk_statements)
+from test_mutate import _rebuilt
 
 
 def _unprojected():
@@ -37,7 +39,7 @@ def _unprojected():
 
 def _run(cp, args, budget):
     """f's return value, its fault kind, and the context it ran in."""
-    ctx = _Ctx(budget, set())
+    ctx = _Ctx(budget, set(), cp)
     try:
         value = cp["f"].invoke([list(a) if isinstance(a, tuple) else a
                                 for a in args], ctx)
@@ -534,10 +536,86 @@ def _report(program, suite, budget):
 def test_projection_changes_no_flag_fault_or_coverage(bug, operators, seed,
                                                       budget):
     program = _lineage(bug, operators, random.Random(seed))
+    # a loop takes its accumulators when it compiles, and its node keeps
+    # the code, so the unprojected runs compile an equal copy afresh
+    twin = _rebuilt(program)
     for suite in (bug.repair_suite, bug.heldout_suite):
         projected = _report(program, suite, budget)
         with _unprojected():
-            assert _report(program, suite, budget) == projected
+            assert _report(twin, suite, budget) == projected
+
+
+def _walked_accumulators(loop):
+    """The loop's accumulators found by one walk of its whole subtree, the
+    reference for the names its statements keep."""
+    updated, other = set(), set()
+    todo = list(children(loop))
+    while todo:
+        node = todo.pop()
+        if type(node) is Assign and type(node.expr) is Binary \
+                and node.expr.op in ("+", "-"):
+            expr, target = node.expr, Var(node.name)
+            delta = (expr.right if expr.left == target else
+                     expr.left if expr.op == "+" and expr.right == target
+                     else None)
+            if delta is not None:
+                updated.add(node.name)
+                todo.append(delta)
+                continue
+        if type(node) in (Var, Index, Store, Assign):
+            other.add(node.name)
+        todo.extend(children(node))
+    return updated - other
+
+
+def _check_loops(program):
+    """Check every loop of program against the walk; their number."""
+    loops = [s for fn in program.functions for s in walk_statements(fn.body)
+             if type(s) is While]
+    for loop in loops:
+        assert _accumulators(loop) == _walked_accumulators(loop)
+    return len(loops)
+
+
+def test_the_names_statements_keep_give_each_loop_its_accumulators():
+    # reads in an else branch and an inner loop, which corpus mutants
+    # seldom have
+    assert _check_loops(parse_program("""
+fn f(a, n) {
+  s = 0;
+  t = 0;
+  i = 0;
+  while (i < n) {
+    s = s + 1;
+    t = t + 1;
+    if (i < 3) {
+      i = i + 1;
+    } else {
+      while (t < 0) {
+        a[0] = s;
+      }
+    }
+  }
+  return s;
+}
+""")) == 2
+    # each program of a lineage shares most of its statements, and the
+    # names they keep, with the program before it
+    loops = 0
+    for bug in load_corpus():
+        weights = localize(bug.program, bug.repair_suite, 5000).weights
+        rng = random.Random(f"names:{bug.name}")
+        for _ in range(20):
+            program = bug.program
+            for _ in range(8):
+                try:
+                    edit = mint_edit(rng.choice(ALL_OPERATORS), program,
+                                     weights, rng)
+                except InapplicableOperator:
+                    continue
+                program = apply_edit(program, edit)[0]
+                loops += _check_loops(program)
+    assert loops > 1000
 
 
 # ------------------------------------------------- deep toy recursion
@@ -569,9 +647,7 @@ def test_deep_toy_recursion_is_a_depth_fault(nesting, monkeypatch):
     # compiled up front, so only the toy recursion runs on that stack
     program = _deep(nesting)
     cp = compile_program(program)
-    # each run empties the table it compiled, so hand out a fresh copy;
-    # the copy's functions still call through cp
-    monkeypatch.setattr(interp, "compile_program", lambda p: dict(cp))
+    monkeypatch.setattr(interp, "compile_program", lambda p: cp)
     runs = []
     run_case = interp._run_case
 

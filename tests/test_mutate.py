@@ -734,7 +734,7 @@ def test_applying_a_list_is_a_left_fold(bug):
 
 def _rebuilt(value):
     """An equal copy of the same type that shares no node with value and
-    has no cached height."""
+    has nothing cached: no height, names or code."""
     if isinstance(value, tuple):
         items = tuple(_rebuilt(item) for item in value)
         # an Edit is a named tuple, equal to the plain tuple of its items

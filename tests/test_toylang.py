@@ -57,7 +57,7 @@ fn total(a, n) {
 
 def run_entry(text, entry, args, budget=100_000):
     cp = compile_program(parse_program(text))
-    ctx = _Ctx(budget, None)
+    ctx = _Ctx(budget, None, cp)
     return cp[entry].invoke([list(a) if isinstance(a, (list, tuple)) else a
                              for a in args], ctx)
 
