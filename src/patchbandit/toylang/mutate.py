@@ -307,8 +307,6 @@ def mint_edit(operator, program, weights, rng) -> Edit:
     """Draw an Edit: target weight-proportional, site uniform within it.
     Each weighted statement's builder is asked for its first option, and
     only the drawn target's options are listed."""
-    if operator not in _OPERATORS:
-        raise KeyError(f"unknown operator {operator!r}")
     sites = _OPERATORS[operator].sites
     candidates, target_weights = [], []
     for fn in program.functions:

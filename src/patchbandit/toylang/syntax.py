@@ -15,7 +15,9 @@ only builtin is len(a) for array parameters.  A '#' starts a line comment.
 
 Nodes are slotted values (`_Node`): each type's constructor takes its
 fields positionally, in the order its `_fields` tuple lists them, and
-equality, hashing and repr read those fields alone.  Every statement node
+equality, hashing and repr read those fields alone.  No type writes its
+constructor by hand: `_init` writes and compiles each one at import, from
+the field and cache names the class spells out.  Every statement node
 carries a small integer id (sid) assigned in pre-order during parsing;
 mutation edits address statements through these ids.
 
@@ -59,12 +61,14 @@ class ParseError(ValueError):
 
 
 class _Node:
-    """Base of the node types.  A node is a value: its constructor sets
-    the fields that `_fields` lists, in order, and nothing changes them
-    after (a guard on setting would make every build slow again).  So a
-    node equals only a node of its own type whose fields are equal in
-    order, and it hashes as the tuple of its fields.  A slot that
-    `_fields` leaves out is a cache: equality, hash and repr ignore it."""
+    """Base of the node types.  A node is a value: its constructor, which
+    `_init` writes from the type's `_fields` and `__slots__`, sets the
+    fields in order, and nothing changes them after (a guard on setting
+    would make every build slow again).  So a node equals only a node of
+    its own type whose fields are equal in order, and it hashes as the
+    tuple of its fields.  A slot that `_fields` leaves out is a cache:
+    the constructor sets it to None, and equality, hash and repr ignore
+    it."""
 
     __slots__ = ()
     _fields = ()
@@ -86,6 +90,22 @@ class _Node:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _init(name, fields, slots):
+    """The constructor of node type name: it takes fields positionally,
+    in order, and sets every other slot to None.  Its source is written
+    out and compiled once, as `collections.namedtuple` does, so a build
+    runs the straight-line code a hand-written constructor would.  It is
+    defined in a class of the type's name and compiled under the file
+    name `<name.__init__>`, so an error and a profile name the type."""
+    sets = [f"self.{slot} = {slot if slot in fields else None}"
+            for slot in slots]
+    source = (f"class {name}:\n"
+              f" def __init__(self, {', '.join(fields)}): {'; '.join(sets)}")
+    namespace = {"__name__": __name__}
+    exec(compile(source, f"<{name}.__init__>", "exec"), namespace)
+    return namespace[name].__init__
+
+
 # A node never changes, so what depends on its subtree alone is worked out
 # once and kept in a slot of the node, where a constructor leaves None:
 # `height` keeps its height in `_height`, from its children's, `loop_names`
@@ -96,140 +116,75 @@ class _Node:
 
 class Num(_Node):
     __slots__ = _fields = ("value",)
+    __init__ = _init(__qualname__, _fields, __slots__)
     _height = 1     # nothing inside it
-
-    def __init__(self, value):
-        self.value = value
 
 
 class Var(_Node):
     __slots__ = _fields = ("name",)
+    __init__ = _init(__qualname__, _fields, __slots__)
     _height = 1
-
-    def __init__(self, name):
-        self.name = name
 
 
 class Index(_Node):
     _fields = ("name", "index")
     __slots__ = _fields + ("_height", "_code")
-
-    def __init__(self, name, index):
-        self.name = name
-        self.index = index
-        self._height = None
-        self._code = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class Unary(_Node):
     _fields = ("operand",)  # unary minus is the only prefix operator
     __slots__ = _fields + ("_height", "_code")
-
-    def __init__(self, operand):
-        self.operand = operand
-        self._height = None
-        self._code = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class Binary(_Node):
     _fields = ("op", "left", "right")
     __slots__ = _fields + ("_height", "_code")
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-        self._height = None
-        self._code = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class Call(_Node):
     _fields = ("name", "args")
     __slots__ = _fields + ("_height", "_code")
-
-    def __init__(self, name, args):
-        self.name = name
-        self.args = args
-        self._height = None
-        self._code = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class Assign(_Node):
     _fields = ("sid", "name", "expr")
     __slots__ = _fields + ("_height", "_code", "_names")
-
-    def __init__(self, sid, name, expr):
-        self.sid = sid
-        self.name = name
-        self.expr = expr
-        self._height = None
-        self._code = None
-        self._names = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class Store(_Node):
     _fields = ("sid", "name", "index", "expr")
     __slots__ = _fields + ("_height", "_code", "_names")
-
-    def __init__(self, sid, name, index, expr):
-        self.sid = sid
-        self.name = name
-        self.index = index
-        self.expr = expr
-        self._height = None
-        self._code = None
-        self._names = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class If(_Node):
+    # orelse is the empty tuple when there is no else branch
     _fields = ("sid", "cond", "then", "orelse")
     __slots__ = _fields + ("_height", "_code", "_names")
-
-    def __init__(self, sid, cond, then, orelse):
-        self.sid = sid
-        self.cond = cond
-        self.then = then
-        self.orelse = orelse    # empty tuple when there is no else branch
-        self._height = None
-        self._code = None
-        self._names = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class While(_Node):
     _fields = ("sid", "cond", "body")
     __slots__ = _fields + ("_height", "_code", "_names")
-
-    def __init__(self, sid, cond, body):
-        self.sid = sid
-        self.cond = cond
-        self.body = body
-        self._height = None
-        self._code = None
-        self._names = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class Return(_Node):
     _fields = ("sid", "expr")
     __slots__ = _fields + ("_height", "_code", "_names")
-
-    def __init__(self, sid, expr):
-        self.sid = sid
-        self.expr = expr
-        self._height = None
-        self._code = None
-        self._names = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 class Block(_Node):
     _fields = ("sid", "body")
     __slots__ = _fields + ("_height", "_code", "_names")
-
-    def __init__(self, sid, body):
-        self.sid = sid
-        self.body = body
-        self._height = None
-        self._code = None
-        self._names = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
 
 # The shape of the tree: which fields of each node type hold nodes, in
@@ -372,13 +327,7 @@ class Function(_Node):
     # the tuple `statements` lists, kept on the node as a node's height is,
     # and the interpreter's code for the function (`compiled`)
     __slots__ = _fields + ("_statements", "_code")
-
-    def __init__(self, name, params, body):
-        self.name = name
-        self.params = params
-        self.body = body
-        self._statements = None
-        self._code = None
+    __init__ = _init(__qualname__, _fields, __slots__)
 
     def statements(self) -> tuple:
         """Every statement of the body, pre-order, nested ones included."""
@@ -388,11 +337,10 @@ class Function(_Node):
 
 
 class Program(_Node):
+    # functions: of Function, in source order; next_sid: the first id free
+    # for inserted statements
     __slots__ = _fields = ("functions", "next_sid")
-
-    def __init__(self, functions, next_sid):
-        self.functions = functions  # of Function, in source order
-        self.next_sid = next_sid    # first id free for inserted statements
+    __init__ = _init(__qualname__, _fields, __slots__)
 
     def function(self, name: str) -> Function | None:
         for fn in self.functions:

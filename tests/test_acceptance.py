@@ -7,6 +7,7 @@ repair-matrix tests share one module-scoped experiment run.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -208,6 +209,16 @@ MATRIX_CONFIGS = (ConfigSpec("uniform"),) + tuple(
     for credit in ("avg", "erwa"))
 
 
+# sha256 of the matrix report's artifacts, as `write_report` writes them;
+# a change to any record, metric or number format shows here
+MATRIX_DIGESTS = {
+    "detail.json":
+        "e351683aa4794652cdc70f9ac09d2c2bbcf97b6792f4346932d420407d849066",
+    "summary.csv":
+        "98d4c5e01254f28155e7db5c18890f620437006b1eb4812fd615381c4ccf9540",
+}
+
+
 @pytest.fixture(scope="module")
 def repair_matrix():
     plan = ExperimentPlan(configs=MATRIX_CONFIGS, attempts=20, base_seed=0)
@@ -229,6 +240,13 @@ def test_bandit_configs_patch_at_least_as_many_bugs_as_uniform(repair_matrix):
     for block in blocks[1:]:
         label = (block["policy"], block["credit"])
         assert block["metrics"]["bugs_patched"] >= baseline - 1, label
+
+
+def test_the_matrix_report_bytes_are_pinned(repair_matrix):
+    report, _ = repair_matrix
+    texts = {"detail.json": report.to_json(), "summary.csv": report.to_csv()}
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()} == MATRIX_DIGESTS
 
 
 SMALL_PLAN = (

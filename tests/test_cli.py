@@ -136,6 +136,11 @@ def test_quality_on_empty_directory(tmp_path, capsys):
     patch_dir.mkdir()
     assert main(["quality", "--patches", str(patch_dir)]) == EXIT_OK
     assert "no patch files" in capsys.readouterr().out
+    # a missing directory is not an empty one
+    missing = tmp_path / "missing"
+    assert main(["quality", "--patches", str(missing)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"usage error: not a directory: {missing}\n"
 
 
 def test_gate_passes_on_the_shipped_corpus(capsys):
@@ -247,6 +252,10 @@ def test_missing_corpus_is_a_corpus_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CORPUS
     assert "corpus error" in capsys.readouterr().err
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["gate", "--corpus", str(empty)]) == EXIT_CORPUS
+    assert "no bug directories under" in capsys.readouterr().err
 
 
 def test_unknown_bug_names_skip_but_flag_corpus_error(tmp_path, capsys):

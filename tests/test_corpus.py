@@ -11,6 +11,7 @@ from patchbandit.toylang import interp
 from patchbandit.toylang import (COARSE_OPERATORS, Edit, apply_edit,
                                  apply_edits, enumerate_edits, localize,
                                  passes_all, run_tests)
+from patchbandit.toylang.syntax import Function, Num, Program, Return
 
 EXPECTED_BUGS = ["callswap-1", "dupadd-1", "guard-1", "init-1", "mid3",
                  "negbal-1", "offbyone-1", "reset-1", "sched-1", "span-1",
@@ -207,6 +208,10 @@ def test_missing_files_raise_corpus_error(tmp_path):
     # Path("") is the working directory; only None names the packaged corpus
     with pytest.raises(CorpusError, match="empty corpus path"):
         load_corpus("")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(CorpusError, match="no bug directories under"):
+        load_corpus(empty)
 
 
 def test_parse_errors_are_wrapped(tmp_path):
@@ -240,6 +245,26 @@ def test_gate_flags_a_bug_that_fails_no_repair_test(corpus):
     result = check_bug(bug._replace(program=bug.fixed))
     assert result.errors == ("buggy program fails no repair test",)
     assert result.edits_examined == 0
+
+
+def test_gate_flags_a_program_that_does_not_round_trip(corpus):
+    bug = next(bug for bug in corpus if bug.name == "mid3")
+    # a hand-built -1 prints as `-1`, which parses back as -(1)
+    ret = Return(0, Num(-1))
+    odd = Program((Function("mid", ("x", "y", "z"), (ret,)),), 1)
+    errors = check_bug(bug._replace(program=odd)).errors
+    assert "buggy program does not round-trip" in errors
+    assert "fixed program does not round-trip" not in errors
+    errors = check_bug(bug._replace(fixed=odd)).errors
+    assert "fixed program does not round-trip" in errors
+    assert "buggy program does not round-trip" not in errors
+
+
+def test_gate_flags_a_reference_fix_that_fails_repair_tests(corpus):
+    bug = next(bug for bug in corpus if bug.name == "mid3")
+    errors = check_bug(bug._replace(fixed=bug.program)).errors
+    assert any(error.startswith("reference fix fails repair tests: ")
+               for error in errors), errors
 
 
 def test_gate_flags_a_bug_that_passes_no_repair_test(tmp_path):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -371,13 +372,24 @@ def test_plan_manifest_round_trip():
         population_size=10, generations=3, step_budget=4000)
 
 
-@pytest.mark.parametrize("line", [
-    "nonsense", "mystery = 4", "config = warp arms=3",
-    "config = pm arms=5", "config = pm tempo=fast",
-    "attempts = soon", "config =", "corpus =",
-])
+# each malformed plan line, and the message it gives
+MALFORMED_PLAN_LINES = {
+    "nonsense": "expected key = value",
+    "mystery = 4": "unknown key 'mystery'",
+    "config = warp arms=3": "unknown policy 'warp'",
+    "config = pm arms=5": "unknown arm scheme '5'",
+    "config = pm tempo=fast": "unknown config key 'tempo'",
+    "config = pm credit": "expected key=value, got 'credit'",
+    "attempts = soon": "attempts: not an integer: 'soon'",
+    "config =": "empty config",
+    "corpus =": "empty corpus",
+}
+
+
+@pytest.mark.parametrize("line", list(MALFORMED_PLAN_LINES))
 def test_malformed_plan_lines_raise(line):
-    with pytest.raises(PlanFormatError):
+    message = re.escape(MALFORMED_PLAN_LINES[line])
+    with pytest.raises(PlanFormatError, match=f"^line 2: {message}$"):
         parse_plan(f"config = uniform\n{line}\n")
 
 

@@ -204,6 +204,10 @@ def test_off_by_one_covers_loop_bounds():
 def test_store_index_is_an_off_by_one_site():
     program = parse_program("fn f(a, i) { a[i] = 7; return a[i]; }")
     target = sid_of(program, "a[i] = 7;")
+    offered = [e for e in enumerate_edits(program, {target: 1.0})
+               if e.op == "off_by_one"]
+    assert offered == [Edit("off_by_one", target, ("index",), (delta,))
+                       for delta in (1, -1)]
     out = apply_ok(program, Edit("off_by_one", target, ("index",), (1,)))
     assert "a[i + 1] = 7;" in print_program(out)
 
@@ -408,13 +412,18 @@ def test_expr_remove_keeps_one_operand():
     ("expr_add", "if (s > 10 && n > 0) {", ("cond",),
      ("n > 0", "&&", "middle")),
     ("expr_remove", "if (s > 10 && n > 0) {", ("cond",), ("middle",)),
+    ("default_return_insert", "return s;", (), (2,)),
+    ("negate_condition", "if (s > 10 && n > 0) {", (), ()),
 ], ids=["off_by_one+5", "off_by_one+0", "expr_add-middle",
-        "expr_remove-middle"])
+        "expr_remove-middle", "default_return_insert-2",
+        "negate_condition-empty-path"])
 def test_a_payload_value_the_operator_never_mints_is_a_no_op(op, text, path,
                                                              payload):
     # off_by_one mints deltas 1 and -1, expr_add and expr_remove the sides
-    # "left" and "right"; a patch file may hold any value of those types,
-    # and it must not apply as some other edit
+    # "left" and "right", default_return_insert the values 0 and 1, and an
+    # expression operator a path to an expression; a patch file may hold
+    # any value of those types, and it must not apply as some other edit
+    # (an empty path would graft an expression where a statement belongs)
     program = demo()
     edit = Edit(op, sid_of(program, text), path, payload)
     assert apply_edit(program, edit) == (program, False)
@@ -569,6 +578,7 @@ def test_negative_argument_steps_count_from_the_end_or_are_noops():
     first = apply_ok(program, Edit("off_by_one", call, ("expr", 0), (1,)))
     last = apply_ok(program, Edit("off_by_one", call, ("expr", -1), (1,)))
     assert first == last
+    assert "s = helper(s + 1);" in print_program(first)
     # one step before the first argument used to raise IndexError
     for path in (("expr", -2), ("expr", 1)):
         edit = Edit("off_by_one", call, path, (1,))

@@ -217,3 +217,24 @@ def _renumbered(fn):
     def body(stmts):
         return tuple(map(stmt, stmts))
     return Function(fn.name, fn.params, body(fn.body))
+
+
+@pytest.mark.parametrize("node_type, values", ONE_OF_EACH,
+                         ids=lambda case: getattr(case, "__name__", ""))
+def test_a_build_sets_the_fields_and_leaves_every_cache_empty(node_type,
+                                                              values):
+    node = node_type(*values)
+    assert node == node_type(**dict(zip(node_type._fields, values)))
+    assert tuple(getattr(node, name) for name in node_type._fields) == values
+    for slot in node_type.__slots__:
+        if slot not in node_type._fields:
+            assert getattr(node, slot) is None, slot
+    if node_type in (Num, Var):
+        assert node._height == 1    # a leaf's, kept on its class
+    # a wrong-arity build, and a profile, name the type
+    assert node_type.__init__.__qualname__ == f"{node_type.__name__}.__init__"
+    prefix = rf"^{node_type.__name__}\.__init__\(\) "
+    with pytest.raises(TypeError, match=prefix + "missing"):
+        node_type(*values[:-1])
+    with pytest.raises(TypeError, match=prefix + "takes"):
+        node_type(*values, None)

@@ -518,6 +518,13 @@ def test_manifest_errors_name_the_line():
         parse_suite("t | f | 1 | 0\nt | f | 2 | 0", "demo")
     with pytest.raises(SuiteFormatError, match="no test cases"):
         parse_suite("# only comments\n", "demo")
+    for row, message in (("t | f | 1], 2 | 0", "unbalanced ']'"),
+                         ("t | f | [1, 2 | 0", "unbalanced '\\['"),
+                         ("t | f | [1] 2 | 0", "malformed array"),
+                         (" | f | 1 | 0", "empty test name or entry"),
+                         ("t |  | 1 | 0", "empty test name or entry")):
+        with pytest.raises(SuiteFormatError, match=f"^demo:1: {message}"):
+            parse_suite(row, "demo")
 
 
 @pytest.mark.parametrize("row", ["t | f | 1,,2 | 3", "t | f | , | 0",
