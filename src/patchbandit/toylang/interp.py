@@ -699,6 +699,8 @@ def passes_all(program, suite, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
 
     Each case runs on a fresh context with copied arguments, so the verdict
     does not depend on the order of the cases, only the work done does."""
+    if step_budget <= 0:
+        raise ValueError("step_budget must be positive")
     return _with_stack_room(_passes_all, program, list(suite), step_budget)
 
 

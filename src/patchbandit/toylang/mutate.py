@@ -25,15 +25,21 @@ function's body, and its payload's item types.  A mint asks each
 weighted statement's builder for its first option, then lists the
 options of the one target it draws; a function's statements, its
 condition pool and its statements that have a next sibling are listed
-once, not once per target.  Two adapters build most of the rewrites:
-`_at_path` finds the expression at the edit's path, hands it to a small
-expression rewrite and grafts what that returns in its place (the seven
-expression operators), and `_guarded` wraps the target in an `if` on a
-condition built from the payload (the three guard operators).  The code
-here knows no node type's children: it finds, walks and rebuilds
-statements and expressions through syntax.EXPR_FIELDS and
-syntax.BODY_FIELDS, and rebuilds a node through its positional
-constructor with one field replaced.
+once, not once per target.
+
+An edit is applied in one walk: `_spliced` descends a function body to
+the first statement with the edit's target, pre-order, hands the list
+that holds it, its index and its nesting depth to the operator's splice,
+and rebuilds the statements around that list on the way back.  Two
+adapters build most of the rewrites: `_at_path` descends the edit's
+expression path in one `_grafted` walk the same way, hands the
+expression it reaches to a small expression rewrite and rebuilds the
+expressions above it on return (the seven expression operators), and
+`_guarded` wraps the target in an `if` on a condition built from the
+payload (the three guard operators).  The code here knows no node
+type's children: it finds and rebuilds statements and expressions
+through syntax.EXPR_FIELDS and syntax.BODY_FIELDS, and rebuilds a node
+through its positional constructor with one field replaced.
 """
 
 from bisect import bisect_right
@@ -105,24 +111,25 @@ def iter_own_expressions(node, path=()):
         yield from iter_own_expressions(child, path + (step,))
 
 
-def _chain(stmt, path):
-    """stmt and each expression along path below it; None if the path is
-    empty or leads nowhere."""
+def _grafted(node, path, graft):
+    """node with graft(expression) in place of the expression at path
+    below it, and each expression along the path rebuilt on the way back;
+    None if the path leads nowhere or graft returns None."""
     if not path:
-        return None
-    chain = [stmt]
-    for step in path:
-        node = chain[-1]
-        if isinstance(step, int):
-            if type(node) is not Call \
-                    or not -len(node.args) <= step < len(node.args):
-                return None
-            chain.append(node.args[step])
-        elif step in EXPR_FIELDS[type(node)]:
-            chain.append(getattr(node, step))
-        else:
+        return graft(node)
+    step = path[0]
+    if isinstance(step, int):
+        if type(node) is not Call \
+                or not -len(node.args) <= step < len(node.args):
             return None
-    return chain
+        args = list(node.args)
+        args[step] = _grafted(args[step], path[1:], graft)
+        return None if args[step] is None \
+            else _with(node, "args", tuple(args))
+    if step not in EXPR_FIELDS[type(node)]:
+        return None
+    sub = _grafted(getattr(node, step), path[1:], graft)
+    return None if sub is None else _with(node, step, sub)
 
 
 # ------------------------------------------------------ subtree collection
@@ -352,47 +359,25 @@ def _renumber(stmt, ctr):
     return node
 
 
-# A trail leads from a function body down to one statement: list indexes
-# alternating with the body fields passed through, e.g. (2, "orelse", 0)
-# is the first statement of the else branch of the body's third statement.
+class _Vetoed(Exception):
+    """An operator declines the edit at its target: the program stays as
+    it is."""
 
 
-def _trail(body, sid):
-    """Trail to the first statement with the id in body, pre-order; None
-    if no statement has it."""
+def _spliced(body, sid, splice, depth=0):
+    """body with splice(holder, index, depth) in place of the statement
+    list that holds the first statement with the id, pre-order, and each
+    statement around that list rebuilt on the way back; None if no
+    statement in body has the id.  depth counts the statements the holder
+    lies inside."""
     for i, stmt in enumerate(body):
         if stmt.sid == sid:
-            return (i,)
+            return splice(body, i, depth)
         for field in BODY_FIELDS[type(stmt)]:
-            rest = _trail(getattr(stmt, field), sid)
-            if rest is not None:
-                return (i, field) + rest
+            sub = _spliced(getattr(stmt, field), sid, splice, depth + 1)
+            if sub is not None:
+                return body[:i] + (_with(stmt, field, sub),) + body[i + 1:]
     return None
-
-
-def _locate(program, sid):
-    """(owner function, trail) of the first statement with the id, in
-    program order; (None, None) if no statement has it."""
-    for fn in program.functions:
-        trail = _trail(fn.body, sid)
-        if trail is not None:
-            return fn, trail
-    return None, None
-
-
-def _rebuild(body, trail, edit_holder, k=0):
-    """Copy body, rebuilding only the statements along trail[k:]; the list
-    the trail ends in becomes edit_holder(holder, index).  None from
-    edit_holder vetoes the edit and is returned as is."""
-    i = trail[k]
-    if k + 1 == len(trail):
-        return edit_holder(body, i)
-    stmt = body[i]
-    field = trail[k + 1]
-    sub = _rebuild(getattr(stmt, field), trail, edit_holder, k + 2)
-    if sub is None:
-        return None
-    return body[:i] + (_with(stmt, field, sub),) + body[i + 1:]
 
 
 def _statement(program, sid):
@@ -471,19 +456,11 @@ def _at_path(rewrite):
     place of the expression node at the edit's path.  A path that leads
     nowhere, or None from rewrite, vetoes the edit."""
     def transform(program, stmt, edit, ctr):
-        chain = _chain(stmt, edit.path)
-        if chain is None:
+        if not edit.path:   # the statement itself is no expression
             return None
-        node = rewrite(program, chain[-1], edit.payload)
-        if node is None:
-            return None
-        for parent, step in zip(reversed(chain[:-1]), reversed(edit.path)):
-            if isinstance(step, int):
-                args = list(parent.args)
-                args[step] = node
-                step, node = "args", tuple(args)
-            node = _with(parent, step, node)
-        return (node,)
+        node = _grafted(stmt, edit.path,
+                        lambda node: rewrite(program, node, edit.payload))
+        return None if node is None else (node,)
     return transform
 
 
@@ -581,35 +558,36 @@ def payload_fits(edit: Edit) -> bool:
 def _in_place(transform):
     """Body edit that puts transform's statements in the target's place,
     unless they would nest deeper there than the parser accepts."""
-    def body_edit(program, fn, trail, edit, ctr):
-        # the holder lies inside len(trail) // 2 statements, so its own
-        # statements sit one level below that, as the parser counts the
-        # function's block as its first level
-        depth = len(trail) // 2
-        def splice(holder, i):
+    def body_edit(program, fn, edit, ctr):
+        def splice(holder, i, depth):
             replacement = transform(program, holder[i], edit, ctr)
+            # the holder lies inside depth statements, so its own sit one
+            # level below that, as the parser counts the function's block
+            # as its first level
             if replacement is None \
                     or depth + height(replacement) > MAX_NESTING:
-                return None
+                raise _Vetoed
             return holder[:i] + replacement + holder[i + 1:]
-        return _rebuild(fn.body, trail, splice)
+        return _spliced(fn.body, edit.target, splice)
     return body_edit
 
 
-def _swap_with_next(holder, i):
+def _swap_with_next(holder, i, depth):
     if i + 1 >= len(holder):
-        return None
+        raise _Vetoed
     return holder[:i] + (holder[i + 1], holder[i]) + holder[i + 2:]
 
 
-def _edit_stmt_swap(program, fn, trail, edit, ctr):
-    return _rebuild(fn.body, trail, _swap_with_next)
+def _edit_stmt_swap(program, fn, edit, ctr):
+    return _spliced(fn.body, edit.target, _swap_with_next)
 
 
-def _edit_default_return_insert(program, fn, trail, edit, ctr):
+def _edit_default_return_insert(program, fn, edit, ctr):
     # the target only names the function; the return goes at its end
-    if edit.payload[0] not in (0, 1):
+    if not any(stmt.sid == edit.target for stmt in fn.statements()):
         return None
+    if edit.payload[0] not in (0, 1):
+        raise _Vetoed
     return fn.body + (Return(_fresh(ctr), Num(edit.payload[0])),)
 
 
@@ -617,8 +595,9 @@ class _Operator(NamedTuple):
     # (program, owner function, target) -> an iterable of the (path,
     # payload) options; a mint asks it for the first to test the target
     sites: Callable
-    # (program, owner function, trail to the target, edit, id counter) ->
-    # the function's new body, or None to veto the edit
+    # (program, function, edit, id counter) -> the function's new body,
+    # or None if no statement of the function has the edit's target;
+    # raises _Vetoed to veto the edit
     body_edit: Callable
     # the payload's item types: statement ids, deltas and literals are
     # ints, names and printed expressions are strings.  A float or bool
@@ -678,20 +657,20 @@ def apply_edit(program: Program, edit: Edit):
     """Apply one edit; returns (program, applied). Never raises."""
     if not payload_fits(edit):
         return program, False
-    fn, trail = _locate(program, edit.target)
-    if fn is None:
-        return program, False
+    body_edit = _OPERATORS[edit.op].body_edit
     ctr = [program.next_sid]
     try:
-        new_body = _OPERATORS[edit.op].body_edit(program, fn, trail, edit,
-                                                 ctr)
-    except RecursionError:
-        # only a tree hundreds of levels tall, far past MAX_NESTING,
-        # outgrows the stack while it is rebuilt or measured
-        return program, False
-    if new_body is None:
-        return program, False
-    return _function_with_body(program, fn, new_body, ctr[0]), True
+        # the first function that holds the target takes the edit
+        for fn in program.functions:
+            new_body = body_edit(program, fn, edit, ctr)
+            if new_body is not None:
+                return _function_with_body(program, fn, new_body,
+                                           ctr[0]), True
+    except (_Vetoed, RecursionError):
+        # a RecursionError: only a tree hundreds of levels tall, far past
+        # MAX_NESTING, outgrows the stack while it is rebuilt or measured
+        pass
+    return program, False
 
 
 def apply_edits(program: Program, edits):

@@ -739,6 +739,12 @@ def test_applying_a_list_is_a_left_fold(bug):
             assert second.next_sid == whole.next_sid
             assert head_flags + tail_flags == flags
             noops += flags.count(False)
+            # ids stay unique, so the first statement with an edit's
+            # target, which application takes, is the only one
+            for program in (first, second, whole):
+                sids = [s.sid for _, s in program_statements(program)]
+                assert len(sids) == len(set(sids))
+                assert all(sid < program.next_sid for sid in sids)
     assert noops > 0
 
 

@@ -417,6 +417,17 @@ def test_the_default_step_budget_is_100000_steps(text, n, steps, passes):
     assert passes_all(program, suite) is passes
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("check", [run_tests, passes_all, localize])
+def test_a_step_budget_below_one_is_refused(check, budget):
+    # a passing suite: a check that ran it would read the program as
+    # failing every case on a budget too small for one step
+    program, suite = parse_program(COUNT), [TestCase("t", "f", (1,), 1)]
+    assert passes_all(program, suite, 1_000)
+    with pytest.raises(ValueError, match="^step_budget must be positive$"):
+        check(program, suite, budget)
+
+
 # ----------------------------------------------------------- run_tests
 
 
