@@ -6,7 +6,7 @@ ints in the signed 64-bit range (`syntax.INT_MIN` to `INT_MAX`, in place of
 a cap on products alone) plus int arrays (lists) bound to parameters, and
 never None: so a statement's code returns None, or the value of the
 `return` it ran, which its function returns.  Literals and test values are
-checked where they are read and results in `_ARITH_FNS`, so every value
+checked where they are read and results in `_BINARY_FNS`, so every value
 stays in range.  Any misuse (undefined variable, array index out of
 bounds, division or modulus by zero, non-integer operand, a result outside
 the range, unknown callee, wrong arity, call depth past the cap, falling
@@ -159,12 +159,17 @@ def _checked(fn):
     return checked
 
 
-# every arithmetic operator, on ints the caller has checked
-_ARITH_FNS = {"+": _checked(operator.add), "-": _checked(operator.sub),
-              "*": _checked(operator.mul), "/": _checked(_div),
-              "%": _checked(_mod)}
-_CMP_FNS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+# every binary operator but `&&` and `||`, on ints the caller has checked;
+# a comparison gives the int 1 or 0
+_BINARY_FNS = {"+": _checked(operator.add), "-": _checked(operator.sub),
+               "*": _checked(operator.mul), "/": _checked(_div),
+               "%": _checked(_mod),
+               "<": lambda a, b: 1 if a < b else 0,
+               "<=": lambda a, b: 1 if a <= b else 0,
+               ">": lambda a, b: 1 if a > b else 0,
+               ">=": lambda a, b: 1 if a >= b else 0,
+               "==": lambda a, b: 1 if a == b else 0,
+               "!=": lambda a, b: 1 if a != b else 0}
 
 
 def _state_key(env: dict) -> tuple:
@@ -208,7 +213,7 @@ def _skip_periods(env: dict, ctx: _Ctx, accumulators: frozenset,
     skip = max(ctx.steps // period - 1, 0)
     for name, a, b in zip([n for n in env if n in accumulators], was, now):
         if a != b:
-            env[name] = _ARITH_FNS["+"](b, skip * (b - a))
+            env[name] = _BINARY_FNS["+"](b, skip * (b - a))
     return _Ctx(ctx.steps - skip * period, None, ctx.functions,
                 ctx.depth)
 
@@ -310,7 +315,7 @@ def _compile_index(expr: Index):
 
 def _compile_unary(expr: Unary):
     operand = _compile_int(expr.operand, "operand of -")
-    sub = _ARITH_FNS["-"]
+    sub = _BINARY_FNS["-"]
     return lambda env, ctx: sub(0, operand(env, ctx))
 
 
@@ -335,7 +340,7 @@ def _compile_index_by_var(name: str, idx_name: str):
 
 
 def _compile_leaf_binary(expr: Binary):
-    """Arithmetic or comparison of a variable with a variable or an int
+    """An operator of `_BINARY_FNS` on a variable and a variable or an int
     literal, read straight from env; None for other operand shapes.
 
     Faults keep the general path's order: the left variable undefined,
@@ -344,24 +349,12 @@ def _compile_leaf_binary(expr: Binary):
     left, right = expr.left, expr.right
     if type(left) is not Var:
         return None
-    op = expr.op
-    is_cmp = op in _CMP_FNS
-    fn = _CMP_FNS[op] if is_cmp else _ARITH_FNS[op]
+    fn = _BINARY_FNS[expr.op]
     a_name = left.name
-    message = f"operands of {op} must be integers"
+    message = f"operands of {expr.op} must be integers"
     if type(right) is Num and type(right.value) is int:
         b = right.value
-        if is_cmp:
-            def cmp_var_num(env, ctx):
-                try:
-                    a = env[a_name]
-                except KeyError:
-                    raise _undefined(a_name)
-                if type(a) is not int:
-                    raise ToyFault("type", message)
-                return 1 if fn(a, b) else 0
-            return cmp_var_num
-        def arith_var_num(env, ctx):
+        def var_num(env, ctx):
             try:
                 a = env[a_name]
             except KeyError:
@@ -369,24 +362,10 @@ def _compile_leaf_binary(expr: Binary):
             if type(a) is not int:
                 raise ToyFault("type", message)
             return fn(a, b)
-        return arith_var_num
+        return var_num
     if type(right) is Var:
         b_name = right.name
-        if is_cmp:
-            def cmp_var_var(env, ctx):
-                try:
-                    a = env[a_name]
-                except KeyError:
-                    raise _undefined(a_name)
-                try:
-                    b = env[b_name]
-                except KeyError:
-                    raise _undefined(b_name)
-                if type(a) is not int or type(b) is not int:
-                    raise ToyFault("type", message)
-                return 1 if fn(a, b) else 0
-            return cmp_var_var
-        def arith_var_var(env, ctx):
+        def var_var(env, ctx):
             try:
                 a = env[a_name]
             except KeyError:
@@ -398,7 +377,7 @@ def _compile_leaf_binary(expr: Binary):
             if type(a) is not int or type(b) is not int:
                 raise ToyFault("type", message)
             return fn(a, b)
-        return arith_var_var
+        return var_var
     return None
 
 
@@ -424,24 +403,15 @@ def _compile_binary(expr: Binary):
         return leaf
     left = _compile_expr(expr.left)
     right = _compile_expr(expr.right)
+    fn = _BINARY_FNS[op]
     message = f"operands of {op} must be integers"
-    if op in _CMP_FNS:
-        fn = _CMP_FNS[op]
-        def cmp(env, ctx):
-            a = left(env, ctx)
-            b = right(env, ctx)
-            if type(a) is not int or type(b) is not int:
-                raise ToyFault("type", message)
-            return 1 if fn(a, b) else 0
-        return cmp
-    fn = _ARITH_FNS[op]
-    def arith(env, ctx):
+    def binary(env, ctx):
         a = left(env, ctx)
         b = right(env, ctx)
         if type(a) is not int or type(b) is not int:
             raise ToyFault("type", message)
         return fn(a, b)
-    return arith
+    return binary
 
 
 def _compile_call(expr: Call):
@@ -636,24 +606,6 @@ def _stack_room(program: Program) -> int:
     return (MAX_CALL_DEPTH + 1) * (3 * levels + 2) + 100
 
 
-def _with_stack_room(run, program: Program, *args):
-    """run(program, *args), which compiles and runs the program.  If
-    Python's stack runs out first (deep toy recursion, or compiling a
-    deeply nested program, on top of whatever the caller's stack already
-    holds), the whole run is rerun once with room for the whole toy depth,
-    so that the toy semantics decide the outcome.  Each case runs on a
-    fresh context with copied arguments, so the rerun is exact."""
-    try:
-        return run(program, *args)
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + _stack_room(program))
-        try:
-            return run(program, *args)
-        finally:
-            sys.setrecursionlimit(limit)
-
-
 def _run_case(functions: dict, case, step_budget: int, want_cov: bool):
     # the caller has checked that the entry function exists
     ctx = _Ctx(step_budget, set() if want_cov else None, functions)
@@ -672,44 +624,56 @@ def run_tests(program, suite, step_budget: int = DEFAULT_STEP_BUDGET,
     A missing entry function zeroes the variant: every test is marked
     failed and fitness is 0.0.
     """
-    if step_budget <= 0:
-        raise ValueError("step_budget must be positive")
-    return _with_stack_room(_run_tests, program, list(suite), step_budget,
-                            coverage)
-
-
-def _run_tests(program, cases: list, step_budget: int, coverage: bool):
-    functions = compile_program(program)
-    if any(case.entry not in functions for case in cases):
-        return FitnessReport([False] * len(cases), 0.0,
-                             ["missing-entry"] * len(cases),
-                             [set() for _ in cases] if coverage else None)
-    flags, faults, covs = [], [], []
-    for case in cases:
-        ok, fault, cov = _run_case(functions, case, step_budget, coverage)
-        flags.append(ok)
-        faults.append(fault)
-        covs.append(cov)
-    fitness = sum(flags) / len(flags) if flags else 0.0
-    return FitnessReport(flags, fitness, faults, covs if coverage else None)
+    return _run(program, suite, step_budget, coverage, False)
 
 
 def passes_all(program, suite, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
-    """Short-circuit check that every test passes (first failure stops).
+    """Whether every test passes: the run of `run_tests`, stopped at the
+    first failure.
 
     Each case runs on a fresh context with copied arguments, so the verdict
     does not depend on the order of the cases, only the work done does."""
+    return _run(program, suite, step_budget, False, True).all_passed
+
+
+def _run(program, suite, step_budget: int, coverage: bool,
+         stop_at_failure: bool) -> FitnessReport:
+    """Compile the program, check its entry functions and run the cases in
+    order; with `stop_at_failure` the report ends at the first failing case.
+
+    If Python's stack runs out first (deep toy recursion, or compiling a
+    deeply nested program, on top of whatever the caller's stack already
+    holds), the whole run is rerun once with room for the whole toy depth,
+    so that the toy semantics decide the outcome.  Each case runs on a
+    fresh context with copied arguments, so the rerun is exact."""
     if step_budget <= 0:
         raise ValueError("step_budget must be positive")
-    return _with_stack_room(_passes_all, program, list(suite), step_budget)
-
-
-def _passes_all(program, cases: list, step_budget: int) -> bool:
-    functions = compile_program(program)
-    if any(case.entry not in functions for case in cases):
-        return False
-    for case in cases:
-        ok, _, _ = _run_case(functions, case, step_budget, False)
-        if not ok:
-            return False
-    return True
+    cases = list(suite)
+    limit = sys.getrecursionlimit()
+    try:
+        for rerun in (False, True):
+            try:
+                functions = compile_program(program)
+                if any(case.entry not in functions for case in cases):
+                    return FitnessReport(
+                        [False] * len(cases), 0.0,
+                        ["missing-entry"] * len(cases),
+                        [set() for _ in cases] if coverage else None)
+                flags, faults, covs = [], [], []
+                for case in cases:
+                    ok, fault, cov = _run_case(functions, case, step_budget,
+                                               coverage)
+                    flags.append(ok)
+                    faults.append(fault)
+                    covs.append(cov)
+                    if stop_at_failure and not ok:
+                        break
+                fitness = sum(flags) / len(flags) if flags else 0.0
+                return FitnessReport(flags, fitness, faults,
+                                     covs if coverage else None)
+            except RecursionError:
+                if rerun:
+                    raise
+                sys.setrecursionlimit(limit + _stack_room(program))
+    finally:
+        sys.setrecursionlimit(limit)

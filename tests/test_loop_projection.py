@@ -689,6 +689,18 @@ def test_compiling_on_a_nearly_full_stack_is_rerun_with_room():
     assert sys.getrecursionlimit() == limit
 
 
+def test_a_rerun_that_outgrows_the_stack_again_raises(monkeypatch):
+    # with no room added the rerun fails as the first run did, and the
+    # error is raised rather than read as a report
+    monkeypatch.setattr(interp, "_stack_room", lambda program: 0)
+    program, suite = _deep(40), parse_suite("t | f | 0 | 0\n")
+    limit = sys.getrecursionlimit()
+    for run in (run_tests, passes_all):
+        with pytest.raises(RecursionError):
+            run(program, suite)
+        assert sys.getrecursionlimit() == limit
+
+
 def test_recursion_just_inside_the_cap_returns_its_value():
     text = """
 fn f(n) {

@@ -44,7 +44,7 @@ def test_the_grammars_precedence_productions_are_the_parsers_levels():
 
 
 def test_the_interpreter_evaluates_exactly_the_parsers_operators():
-    evaluated = set(interp._ARITH_FNS) | set(interp._CMP_FNS) | {"&&", "||"}
+    evaluated = set(interp._BINARY_FNS) | {"&&", "||"}
     assert set(syntax._PRECEDENCE) == evaluated
 
 

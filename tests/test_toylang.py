@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from patchbandit.toylang import interp
 from patchbandit.toylang.interp import (run_tests, passes_all, ToyFault,
                                         compile_program, _Ctx)
 from patchbandit.toylang.suite import SuiteFormatError, TestCase, parse_suite
@@ -306,6 +307,24 @@ def test_comparisons_and_logic_yield_zero_or_one():
     assert run_entry("fn f() { return 0 && 1; }", "f", []) == 0
 
 
+# each comparison's value at (x, y) = (2, 3), (3, 3) and (4, 3)
+COMPARISONS = {"<": (1, 0, 0), "<=": (1, 1, 0), ">": (0, 0, 1),
+               ">=": (0, 1, 1), "==": (0, 1, 0), "!=": (1, 0, 1)}
+
+
+@pytest.mark.parametrize("shape", ["x {} 3", "x {} y", "(x + 0) {} y"],
+                         ids=["var-num", "var-var", "general"])
+@pytest.mark.parametrize("op", syntax.CMP_OPS)
+def test_each_comparison_shape_yields_the_int_one_or_zero(op, shape):
+    # the int itself, not a bool: a stored comparison is an operand later
+    expr = shape.format(op)
+    for x, want in zip((2, 3, 4), COMPARISONS[op]):
+        v = run_entry(f"fn f(x, y) {{ return {expr}; }}", "f", [x, 3])
+        assert type(v) is int and v == want, (expr, x)
+        assert run_entry(f"fn f(x, y) {{ z = {expr}; return z + 1; }}",
+                         "f", [x, 3]) == want + 1
+
+
 def test_logic_short_circuits_past_faulting_operand():
     assert run_entry("fn f() { return 0 && 1 / 0; }", "f", []) == 0
     assert run_entry("fn f() { return 1 || 1 / 0; }", "f", []) == 1
@@ -348,20 +367,33 @@ fn fib(n) {
     assert run_entry(fib, "fib", [10]) == 55
 
 
+def test_a_bare_block_runs_its_statements_and_returns_their_return():
+    text = "fn f() { x = 1; { x = x + 1; { return x; } } return 0; }"
+    assert run_entry(text, "f", []) == 2
+
+
 # -------------------------------------------------------------- faults
 
 
 def test_runtime_fault_kinds():
     assert fault_kind("fn f() { return 1 / 0; }", "f", []) == "div-zero"
     assert fault_kind("fn f() { return 1 % 0; }", "f", []) == "div-zero"
+    with pytest.raises(ToyFault, match="^modulus by zero$"):
+        run_entry("fn f() { return 1 % 0; }", "f", [])
     assert fault_kind("fn f(a) { return a[3]; }", "f", [[1, 2]]) == "index"
     assert fault_kind("fn f(a) { a[-1] = 0; return 0; }", "f", [[1]]) == "index"
+    assert fault_kind("fn f(a) { a[0] = 1; return 0; }", "f", [5]) == "type"
+    assert fault_kind("fn f() { b[0] = 1; return 0; }", "f", []) == \
+        "undefined-variable"
+    assert fault_kind("fn f(a) { return a[0]; }", "f", [5]) == "type"
+    assert fault_kind("fn f() { return b[0]; }", "f", []) == "undefined-variable"
     assert fault_kind("fn f() { return x; }", "f", []) == "undefined-variable"
     assert fault_kind("fn f() { return g(); }", "f", []) == "unknown-function"
     assert fault_kind("fn g(x) { return x; } fn f() { return g(); }",
                       "f", []) == "arity"
     assert fault_kind("fn f() { x = 1; }", "f", []) == "missing-return"
     assert fault_kind("fn f(a) { return a + 1; }", "f", [[1]]) == "type"
+    assert fault_kind("fn f(a) { return 1 == a; }", "f", [[1]]) == "type"
     assert fault_kind("fn f() { return f(); }", "f", []) == "depth"
 
 
@@ -392,6 +424,17 @@ def test_steps_count_statement_executions():
     text = "fn f() { x = 1; y = 2; return x + y; }"
     assert run_entry(text, "f", [], budget=3) == 3
     assert fault_kind(text, "f", [], budget=2) == "budget"
+
+
+@pytest.mark.parametrize("stmt", ["y = a[5];", "a[5] = 1;", "return 1;",
+                                  "if (1) { }", "while (0) { }", "{ }"])
+def test_the_statement_past_the_budget_faults_before_it_runs(stmt):
+    # had it run, it would fault `index`, return 1 or fall off the end
+    program = parse_program(f"fn f(a) {{ x = 0; {stmt} }}")
+    first = program.functions[0].body[0].sid
+    report = run_tests(program, suite_of(("t", "f", ((0,),), 1)),
+                       step_budget=1, coverage=True)
+    assert (report.faults, report.coverage) == (["budget"], [{first}])
 
 
 # counting loops that never repeat a snapshot: `f(n)` takes 2n + 3 steps
@@ -449,12 +492,23 @@ def test_fitness_is_exact_fraction():
     assert not report.all_passed
 
 
+def test_an_empty_suite_has_fitness_zero_and_passes():
+    assert run_tests(parse_program(SUM), ()) == ([], 0.0, [], None)
+    assert passes_all(parse_program(SUM), ()) is True
+
+
 def test_missing_entry_zeroes_the_variant():
     suite = suite_of(("t1", "nope", (), 0))
     report = run_tests(parse_program(SUM), suite)
     assert report.fitness == 0.0
     assert report.flags == [False]
     assert report.faults == ["missing-entry"]
+    # one missing entry fails every case, the ones that would pass included
+    suite = suite_of(("t1", "total", ((1,), 1), 1), ("t2", "nope", (), 0))
+    report = run_tests(parse_program(SUM), suite, coverage=True)
+    assert report == ([False, False], 0.0, ["missing-entry"] * 2,
+                      [set(), set()])
+    assert passes_all(parse_program(SUM), suite) is False
 
 
 def test_run_tests_is_deterministic():
@@ -486,16 +540,57 @@ fn f(x) {
     assert stmts["r = 2;"] not in cov
 
 
+def test_coverage_holds_each_kind_of_statement_run():
+    text = """
+fn f(a) {
+  a[0] = 1;
+  {
+    x = 0;
+  }
+  if (x < 1) {
+    x = 1;
+  }
+  while (x < 2) {
+    x = x + 1;
+  }
+  return x;
+}
+"""
+    program = parse_program(text)
+    report = run_tests(program, suite_of(("t", "f", ((0,),), 2)),
+                       coverage=True)
+    assert report.flags == [True]
+    assert report.coverage == [{s.sid for _, s in program_statements(program)}]
+
+
 def print_stmt(stmt):
     return print_statement(stmt)
 
 
-def test_passes_all_short_circuits_same_verdict():
+def test_passes_all_short_circuits_same_verdict(monkeypatch):
     suite = suite_of(("t1", "total", ((1,), 1), 1),
                      ("t2", "total", ((2,), 1), 99))
     assert passes_all(parse_program(SUM), suite) is False
     good = suite_of(("t1", "total", ((1,), 1), 1))
     assert passes_all(parse_program(SUM), good) is True
+
+    # run_tests runs every case; passes_all stops after the first failure
+    calls = []
+    run_case = interp._run_case
+
+    def counted(*args):
+        calls.append(args[1].name)
+        return run_case(*args)
+
+    monkeypatch.setattr(interp, "_run_case", counted)
+    suite = suite_of(("t1", "total", ((1,), 1), 1),
+                     ("t2", "total", ((2,), 1), 99),
+                     ("t3", "total", ((3,), 1), 3))
+    assert run_tests(parse_program(SUM), suite).flags == [True, False, True]
+    assert calls == ["t1", "t2", "t3"]
+    calls.clear()
+    assert passes_all(parse_program(SUM), suite) is False
+    assert calls == ["t1", "t2"]
 
 
 # ------------------------------------------------------------ manifests
