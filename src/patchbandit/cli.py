@@ -6,12 +6,12 @@ import sys
 from pathlib import Path
 
 from .aos import CADENCES, CREDITS, POLICIES, REWARDS, ConfigError
-from .corpus import CorpusError, load_corpus, load_patch, run_gate
+from .corpus import (CorpusError, GATE_STEP_BUDGET, load_corpus, load_patch,
+                     run_gate)
 from .engine import ARM_SCHEMES
 from .experiment import (ConfigSpec, EXPERIMENT_STEP_BUDGET, ExperimentPlan,
                          PlanFormatError, evaluate_quality, load_plan,
                          parse_bug_names, run_experiment, write_report)
-from .toylang import DEFAULT_STEP_BUDGET
 from .toylang.syntax import read_int
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     gate = sub.add_parser("gate", help="corpus reachability oracle")
     gate.add_argument("--corpus", default=None, type=_path)
     gate.add_argument("--step-budget", type=_step_budget,
-                      default=DEFAULT_STEP_BUDGET)
+                      default=GATE_STEP_BUDGET)
     gate.set_defaults(func=cmd_gate)
     return parser
 

@@ -20,9 +20,11 @@ from .toylang import (ALL_OPERATORS, Edit, NothingToRepair, ParseError,
                       SuiteFormatError, enumerate_edits, apply_edit,
                       localize, parse_program, parse_suite, passes_all,
                       payload_fits, print_program, run_tests, same_shape)
-from .toylang.interp import DEFAULT_STEP_BUDGET
 
 DEFAULT_CORPUS_DIR = Path(__file__).parent / "corpus"
+
+# the step budget of `repair gate` when --step-budget is not given
+GATE_STEP_BUDGET = 100_000
 
 BUG_FILES = ("bug.toy", "fixed.toy", "repair.tests", "heldout.tests")
 
@@ -60,7 +62,7 @@ def load_bug(path) -> Bug:
     return Bug(path.name, program, fixed, repair, heldout)
 
 
-def load_corpus(path=None):
+def load_corpus(path):
     """Load every bug under the corpus directory, sorted by name; None
     names the packaged corpus."""
     if path == "":      # Path("") would name the working directory
@@ -147,8 +149,7 @@ class BugGateResult(NamedTuple):
         return not self.errors
 
 
-def check_bug(bug: Bug, step_budget: int = DEFAULT_STEP_BUDGET) \
-        -> BugGateResult:
+def check_bug(bug: Bug, step_budget: int) -> BugGateResult:
     errors = []
 
     if not same_shape(parse_program(print_program(bug.program)), bug.program):
@@ -197,6 +198,6 @@ def check_bug(bug: Bug, step_budget: int = DEFAULT_STEP_BUDGET) \
                          fix_count, examined)
 
 
-def run_gate(bugs, step_budget: int = DEFAULT_STEP_BUDGET) -> tuple:
+def run_gate(bugs, step_budget: int) -> tuple:
     """One BugGateResult per bug, in the order given."""
     return tuple(check_bug(bug, step_budget) for bug in bugs)

@@ -34,9 +34,9 @@ from typing import NamedTuple
 
 from .aos import (CADENCES, CREDITS, DEFAULT_ALPHA, POLICIES, REWARDS,
                   ConfigError, Controller, UniformSelector)
-from .toylang import (ALL_OPERATORS, COARSE_OPERATORS, DEFAULT_STEP_BUDGET,
-                      InapplicableOperator, OPERATOR_GROUPS, apply_edits,
-                      localize, mint_edit, run_tests)
+from .toylang import (ALL_OPERATORS, COARSE_OPERATORS, InapplicableOperator,
+                      OPERATOR_GROUPS, apply_edits, localize, mint_edit,
+                      run_tests)
 
 # scheme -> its arms, in arm order.  A coarse arm is a bare operator name;
 # a group arm is a tuple of operators and draws one uniformly, even when it
@@ -203,7 +203,7 @@ class RepairOutcome(NamedTuple):
 
 def run_repair(program, suite, spec: ConfigSpec, *, seed: int,
                population_size: int, generations: int,
-               step_budget: int = DEFAULT_STEP_BUDGET) -> RepairOutcome:
+               step_budget: int) -> RepairOutcome:
     """One repair attempt under spec, the baseline or a bandit."""
     if spec.is_uniform:
         # one arm per operator: each pick is one randrange on the aos stream

@@ -28,15 +28,14 @@ from .aos import ConfigError
 from .corpus import edits_to_jsonable, load_corpus
 from .engine import (MIN_POPULATION, CheckedRecord, ConfigSpec, RepairOutcome,
                      derive_seed, format_value, run_repair)
-from .toylang import (DEFAULT_STEP_BUDGET, NothingToRepair, apply_edits,
-                      run_tests)
+from .toylang import NothingToRepair, apply_edits, run_tests
 from .toylang.syntax import read_int
 
 run_repair_uniform = run_repair  # unused; perfbench/spans.py hooks the name
 
-# experiment searches cap the interpreter tighter than the library default:
-# every true corpus fix runs in well under this, so only doomed variants
-# are cut short
+# experiment searches cap the interpreter tighter than the gate does
+# (corpus.GATE_STEP_BUDGET): every true corpus fix runs in well under this,
+# so only doomed variants are cut short
 EXPERIMENT_STEP_BUDGET = 5000
 
 # the six config axes, then the five metrics
@@ -87,7 +86,7 @@ class ExperimentPlan(CheckedRecord, _PlanFields):
         return derive_seed(self.base_seed, bug_name, config.key(), attempt)
 
 
-def evaluate_quality(edits, bug, step_budget: int = DEFAULT_STEP_BUDGET):
+def evaluate_quality(edits, bug, step_budget: int):
     """Held-out pass fraction of the patched program, as the attempt record
     stores it: {"t_pass", "t_total", "score"}."""
     patched, _ = apply_edits(bug.program, edits)

@@ -1,7 +1,7 @@
 """Toy imperative language: parsing, interpretation, localization, mutation."""
 
-from .interp import (DEFAULT_STEP_BUDGET, FitnessReport, ToyFault,
-                     compile_program, passes_all, run_tests)
+from .interp import (FitnessReport, ToyFault, compile_program, passes_all,
+                     run_tests)
 from .localize import LocalizeResult, NothingToRepair, localize
 from .mutate import (ALL_OPERATORS, COARSE_OPERATORS, Edit,
                      InapplicableOperator, OPERATOR_GROUPS, apply_edit,
@@ -12,7 +12,7 @@ from .syntax import (ParseError, Program, parse_expression, parse_program,
                      program_statements, same_shape, walk_statements)
 
 __all__ = [
-    "ALL_OPERATORS", "COARSE_OPERATORS", "DEFAULT_STEP_BUDGET", "Edit",
+    "ALL_OPERATORS", "COARSE_OPERATORS", "Edit",
     "FitnessReport", "InapplicableOperator", "LocalizeResult",
     "NothingToRepair", "OPERATOR_GROUPS", "ParseError", "Program",
     "SuiteFormatError", "TestCase", "ToyFault", "apply_edit",

@@ -94,7 +94,6 @@ from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
                      Program, Return, Store, Unary, Var, While, BUILTIN_LEN,
                      INT_MAX, INT_MIN, compiled, height, loop_names)
 
-DEFAULT_STEP_BUDGET = 100_000
 MAX_CALL_DEPTH = 100
 _CYCLE_CHECK_AFTER = 64
 
@@ -587,11 +586,7 @@ class FitnessReport(NamedTuple):
     flags: list          # pass/fail per test, in suite order
     fitness: float       # passed / total, exactly
     faults: list         # fault kind per failed test, None when passed
-    coverage: list | None = None  # per-test executed statement ids
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.flags)
+    coverage: list | None  # per-test executed statement ids, if asked for
 
 
 def _stack_room(program: Program) -> int:
@@ -617,29 +612,34 @@ def _run_case(functions: dict, case, step_budget: int, want_cov: bool):
         return False, fault.kind, ctx.coverage
 
 
-def run_tests(program, suite, step_budget: int = DEFAULT_STEP_BUDGET,
+def run_tests(program, suite, step_budget: int,
               coverage: bool = False) -> FitnessReport:
     """Run the whole suite; fitness is the exact fraction of passing tests.
 
     A missing entry function zeroes the variant: every test is marked
     failed and fitness is 0.0.
     """
-    return _run(program, suite, step_budget, coverage, False)
+    flags, faults, covs = _run(program, suite, step_budget, coverage, False)
+    fitness = sum(flags) / len(flags) if flags else 0.0
+    return FitnessReport(flags, fitness, faults, covs)
 
 
-def passes_all(program, suite, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
+def passes_all(program, suite, step_budget: int) -> bool:
     """Whether every test passes: the run of `run_tests`, stopped at the
     first failure.
 
     Each case runs on a fresh context with copied arguments, so the verdict
     does not depend on the order of the cases, only the work done does."""
-    return _run(program, suite, step_budget, False, True).all_passed
+    flags, _, _ = _run(program, suite, step_budget, False, True)
+    return all(flags)
 
 
 def _run(program, suite, step_budget: int, coverage: bool,
-         stop_at_failure: bool) -> FitnessReport:
+         stop_at_failure: bool) -> tuple:
     """Compile the program, check its entry functions and run the cases in
-    order; with `stop_at_failure` the report ends at the first failing case.
+    order: the pass flags, fault kinds and (with `coverage`, else None)
+    executed statement ids of the cases run.  With `stop_at_failure` the
+    lists end at the first failing case.
 
     If Python's stack runs out first (deep toy recursion, or compiling a
     deeply nested program, on top of whatever the caller's stack already
@@ -655,10 +655,9 @@ def _run(program, suite, step_budget: int, coverage: bool,
             try:
                 functions = compile_program(program)
                 if any(case.entry not in functions for case in cases):
-                    return FitnessReport(
-                        [False] * len(cases), 0.0,
-                        ["missing-entry"] * len(cases),
-                        [set() for _ in cases] if coverage else None)
+                    return ([False] * len(cases),
+                            ["missing-entry"] * len(cases),
+                            [set() for _ in cases] if coverage else None)
                 flags, faults, covs = [], [], []
                 for case in cases:
                     ok, fault, cov = _run_case(functions, case, step_budget,
@@ -668,9 +667,7 @@ def _run(program, suite, step_budget: int, coverage: bool,
                     covs.append(cov)
                     if stop_at_failure and not ok:
                         break
-                fitness = sum(flags) / len(flags) if flags else 0.0
-                return FitnessReport(flags, fitness, faults,
-                                     covs if coverage else None)
+                return flags, faults, covs if coverage else None
             except RecursionError:
                 if rerun:
                     raise

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .interp import DEFAULT_STEP_BUDGET, FitnessReport, run_tests
+from .interp import FitnessReport, run_tests
 from .syntax import Program, program_statements
 
 WEIGHT_FAILING_ONLY = 1.0
@@ -31,10 +31,9 @@ class LocalizeResult(NamedTuple):
     report: FitnessReport  # the coverage run on the buggy program
 
 
-def localize(program: Program, suite,
-             step_budget: int = DEFAULT_STEP_BUDGET) -> LocalizeResult:
+def localize(program: Program, suite, step_budget: int) -> LocalizeResult:
     report = run_tests(program, suite, step_budget=step_budget, coverage=True)
-    if report.all_passed:
+    if all(report.flags):
         raise NothingToRepair("all tests pass; nothing to localize")
     failing, passing = set(), set()
     for ok, cov in zip(report.flags, report.coverage):

@@ -80,8 +80,8 @@ class InapplicableOperator(Exception):
 class Edit(NamedTuple):
     op: str
     target: int
-    path: tuple = ()
-    payload: tuple = ()
+    path: tuple
+    payload: tuple
 
 
 # --------------------------------------------------- expression addressing

@@ -72,7 +72,7 @@ def _parse_arg(text: str, source: str, lineno: int):
     return _parse_int(text, source, lineno)
 
 
-def parse_suite(text: str, source: str = "<string>") -> tuple:
+def parse_suite(text: str, source: str) -> tuple:
     """The suite's test cases, in file order."""
     cases = []
     names = set()

@@ -24,7 +24,7 @@ import pytest
 import patchbandit
 from patchbandit import aos
 from patchbandit.aos import Controller, DEFAULT_ALPHA, compute_reward
-from patchbandit.corpus import load_corpus, run_gate
+from patchbandit.corpus import GATE_STEP_BUDGET, load_corpus, run_gate
 from patchbandit.engine import derive_seed
 from patchbandit.experiment import (
     CSV_COLUMNS,
@@ -190,8 +190,8 @@ def test_recency_weighted_credit_tracks_drift_where_average_lags():
 
 def test_corpus_gate_proves_single_edit_reachability():
     t0 = time.perf_counter()
-    bugs = load_corpus()
-    results = run_gate(bugs)
+    bugs = load_corpus(None)
+    results = run_gate(bugs, GATE_STEP_BUDGET)
     assert len(results) == 12
     bad = [(r.name, r.errors) for r in results if not r.ok]
     assert not bad

@@ -9,8 +9,9 @@ import pytest
 from patchbandit import cli
 from patchbandit.cli import (EXIT_CORPUS, EXIT_GATE, EXIT_OK, EXIT_USAGE,
                              main)
-from patchbandit.corpus import DEFAULT_CORPUS_DIR
-from patchbandit.experiment import CSV_COLUMNS, ExperimentPlan, parse_plan
+from patchbandit.corpus import DEFAULT_CORPUS_DIR, GATE_STEP_BUDGET
+from patchbandit.experiment import (CSV_COLUMNS, EXPERIMENT_STEP_BUDGET,
+                                    ExperimentPlan, parse_plan)
 
 # a directory and a plan that exist wherever the tests run from
 TESTS_DIR = Path(__file__).resolve().parent
@@ -147,6 +148,15 @@ def test_gate_passes_on_the_shipped_corpus(capsys):
     assert main(["gate", "--step-budget", "100000"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "gate: PASS (12 bugs)" in out
+
+
+def test_gate_and_quality_default_to_their_stated_step_budgets():
+    # perfbench's gate workload runs `repair gate` at its default
+    parser = cli.build_parser()
+    assert parser.parse_args(["gate"]).step_budget == GATE_STEP_BUDGET \
+        == 100_000
+    assert parser.parse_args(["quality", "--patches", "p"]).step_budget \
+        == EXPERIMENT_STEP_BUDGET == 5000
 
 
 def test_gate_fails_on_unreachable_fix(tmp_path, capsys):

@@ -19,18 +19,19 @@ from patchbandit.toylang import interp
 from patchbandit.toylang.syntax import walk_statements
 from test_mutate import _rebuilt
 
+BUDGET = 100_000
 LINEAGES_PER_BUG = 6
 LINEAGE_STEPS = 8
 
 
 def _bug(name):
-    return next(bug for bug in load_corpus() if bug.name == name)
+    return next(bug for bug in load_corpus(None) if bug.name == name)
 
 
 def test_a_shared_caller_calls_its_own_programs_callee():
     bug = _bug("callswap-1")
     original = bug.program
-    before = run_tests(original, bug.repair_suite)
+    before = run_tests(original, bug.repair_suite, BUDGET)
     assert before.flags == [True, False, True, False, False, True]
     # `return x / 2;` in half becomes `return x / 3;`
     ret = original.function("half").body[0]
@@ -41,11 +42,11 @@ def test_a_shared_caller_calls_its_own_programs_callee():
     assert variant.function("split_fee") is caller
     assert caller._code is not None
     assert compile_program(variant)["split_fee"] is caller._code
-    report = run_tests(variant, bug.repair_suite)
+    report = run_tests(variant, bug.repair_suite, BUDGET)
     assert report.flags == [False, True, False, True, True, False]
-    assert report == run_tests(_rebuilt(variant), bug.repair_suite)
-    assert passes_all(variant, bug.repair_suite[1:2])
-    assert run_tests(original, bug.repair_suite) == before
+    assert report == run_tests(_rebuilt(variant), bug.repair_suite, BUDGET)
+    assert passes_all(variant, bug.repair_suite[1:2], BUDGET)
+    assert run_tests(original, bug.repair_suite, BUDGET) == before
 
 
 def _lineage(bug, weights, rng):
@@ -61,7 +62,7 @@ def _lineage(bug, weights, rng):
         yield program
 
 
-@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+@pytest.mark.parametrize("bug", load_corpus(None), ids=lambda bug: bug.name)
 def test_running_a_program_is_a_function_of_its_value(bug):
     # each variant runs on the code its nodes keep, most of it compiled
     # for the programs before it, and its twin on code compiled afresh
@@ -89,10 +90,10 @@ def test_compile_cost_follows_the_edit(monkeypatch):
 
     monkeypatch.setattr(interp, "_compile_stmt", spy)
     variants = rebuilt = 0
-    for bug in load_corpus():
+    for bug in load_corpus(None):
         compile_program(bug.program)
         kept = set(map(id, _statements(bug.program)))
-        weights = localize(bug.program, bug.repair_suite).weights
+        weights = localize(bug.program, bug.repair_suite, BUDGET).weights
         for edit in enumerate_edits(bug.program, weights):
             variant = apply_edit(bug.program, edit)[0]
             built.clear()

@@ -3,9 +3,9 @@
 import pytest
 
 from patchbandit.corpus import (Bug, CorpusError, DEFAULT_CORPUS_DIR,
-                                check_bug, edits_from_jsonable,
-                                edits_to_jsonable, load_bug, load_corpus,
-                                load_patch, run_gate)
+                                GATE_STEP_BUDGET, check_bug,
+                                edits_from_jsonable, edits_to_jsonable,
+                                load_bug, load_corpus, load_patch, run_gate)
 from patchbandit.experiment import ExperimentReport, write_report
 from patchbandit.toylang import interp
 from patchbandit.toylang import (COARSE_OPERATORS, Edit, apply_edit,
@@ -39,12 +39,12 @@ GATE_TABLE = {
 
 @pytest.fixture(scope="module")
 def corpus():
-    return load_corpus()
+    return load_corpus(None)
 
 
 @pytest.fixture(scope="module")
 def gate(corpus):
-    return run_gate(corpus)
+    return run_gate(corpus, GATE_STEP_BUDGET)
 
 
 def test_corpus_ships_twelve_bugs(corpus):
@@ -66,7 +66,7 @@ def test_passes_all_verdict_does_not_depend_on_case_order(corpus):
     # the repair suite in file order and with the cases the buggy program
     # fails moved to the front give every single-edit variant one verdict
     for bug in corpus:
-        located = localize(bug.program, bug.repair_suite)
+        located = localize(bug.program, bug.repair_suite, GATE_STEP_BUDGET)
         cases = bug.repair_suite
         failing_first = [case for ok in (False, True)
                          for case, flag in zip(cases, located.report.flags)
@@ -74,8 +74,9 @@ def test_passes_all_verdict_does_not_depend_on_case_order(corpus):
         assert sorted(failing_first, key=cases.index) == list(cases)
         for edit in enumerate_edits(bug.program, located.weights):
             variant = apply_edit(bug.program, edit)[0]
-            assert passes_all(variant, cases) == \
-                passes_all(variant, failing_first), (bug.name, edit)
+            assert passes_all(variant, cases, GATE_STEP_BUDGET) == \
+                passes_all(variant, failing_first, GATE_STEP_BUDGET), \
+                (bug.name, edit)
 
 
 def test_gate_runs_each_failing_variant_to_its_first_failing_test(
@@ -90,7 +91,8 @@ def test_gate_runs_each_failing_variant_to_its_first_failing_test(
         return run_case(*args)
 
     monkeypatch.setattr(interp, "_run_case", counted)
-    assert all(result.ok for result in run_gate(load_corpus()))
+    assert all(result.ok for result in run_gate(load_corpus(None),
+                                                GATE_STEP_BUDGET))
     assert len(calls) == 2741
 
 
@@ -119,15 +121,17 @@ def test_template_groups_all_have_unique_signal(gate):
 
 def test_buggy_programs_fail_and_pass_repair_tests(corpus):
     for bug in corpus:
-        report = run_tests(bug.program, bug.repair_suite)
+        report = run_tests(bug.program, bug.repair_suite, GATE_STEP_BUDGET)
         assert False in report.flags, bug.name
         assert True in report.flags, bug.name
 
 
 def test_reference_fixes_are_perfect(corpus):
     for bug in corpus:
-        assert run_tests(bug.fixed, bug.repair_suite).fitness == 1.0
-        assert run_tests(bug.fixed, bug.heldout_suite).fitness == 1.0
+        assert run_tests(bug.fixed, bug.repair_suite,
+                         GATE_STEP_BUDGET).fitness == 1.0
+        assert run_tests(bug.fixed, bug.heldout_suite,
+                         GATE_STEP_BUDGET).fitness == 1.0
 
 
 def test_overfit_patch_discriminates_suites():
@@ -136,8 +140,9 @@ def test_overfit_patch_discriminates_suites():
     assert name == "offbyone-1"
     variant, flags = apply_edits(bug.program, edits)
     assert all(flags)
-    assert run_tests(variant, bug.repair_suite).fitness == 1.0
-    held = run_tests(variant, bug.heldout_suite)
+    assert run_tests(variant, bug.repair_suite,
+                     GATE_STEP_BUDGET).fitness == 1.0
+    held = run_tests(variant, bug.heldout_suite, GATE_STEP_BUDGET)
     assert held.fitness < 1.0
     assert held.flags.count(False) == 1   # exactly the boundary case
 
@@ -167,7 +172,7 @@ def test_patch_files_round_trip(tmp_path):
 ])
 def test_targets_and_paths_must_be_ints_and_strings(field, value):
     record = {"op": "stmt_delete", "target": 2, "path": [], "payload": []}
-    assert edits_from_jsonable([record]) == (Edit("stmt_delete", 2),)
+    assert edits_from_jsonable([record]) == (Edit("stmt_delete", 2, (), ()),)
     record[field] = value
     with pytest.raises(CorpusError, match=field):
         edits_from_jsonable([record])
@@ -235,14 +240,14 @@ def test_gate_flags_unfixable_bug(tmp_path):
     (bugdir / "repair.tests").write_text(
         "t0 | f | 0 | 0\nt2 | f | 2 | 74\nt3 | f | 3 | 111\n")
     (bugdir / "heldout.tests").write_text("h1 | f | 1 | 37\n")
-    result = check_bug(load_bug(bugdir))
+    result = check_bug(load_bug(bugdir), GATE_STEP_BUDGET)
     assert not result.ok
     assert any("no single-edit variant" in e for e in result.errors)
 
 
 def test_gate_flags_a_bug_that_fails_no_repair_test(corpus):
     bug = next(bug for bug in corpus if bug.name == "mid3")
-    result = check_bug(bug._replace(program=bug.fixed))
+    result = check_bug(bug._replace(program=bug.fixed), GATE_STEP_BUDGET)
     assert result.errors == ("buggy program fails no repair test",)
     assert result.edits_examined == 0
 
@@ -252,17 +257,18 @@ def test_gate_flags_a_program_that_does_not_round_trip(corpus):
     # a hand-built -1 prints as `-1`, which parses back as -(1)
     ret = Return(0, Num(-1))
     odd = Program((Function("mid", ("x", "y", "z"), (ret,)),), 1)
-    errors = check_bug(bug._replace(program=odd)).errors
+    errors = check_bug(bug._replace(program=odd), GATE_STEP_BUDGET).errors
     assert "buggy program does not round-trip" in errors
     assert "fixed program does not round-trip" not in errors
-    errors = check_bug(bug._replace(fixed=odd)).errors
+    errors = check_bug(bug._replace(fixed=odd), GATE_STEP_BUDGET).errors
     assert "fixed program does not round-trip" in errors
     assert "buggy program does not round-trip" not in errors
 
 
 def test_gate_flags_a_reference_fix_that_fails_repair_tests(corpus):
     bug = next(bug for bug in corpus if bug.name == "mid3")
-    errors = check_bug(bug._replace(fixed=bug.program)).errors
+    errors = check_bug(bug._replace(fixed=bug.program),
+                       GATE_STEP_BUDGET).errors
     assert any(error.startswith("reference fix fails repair tests: ")
                for error in errors), errors
 
@@ -274,6 +280,6 @@ def test_gate_flags_a_bug_that_passes_no_repair_test(tmp_path):
     (bugdir / "fixed.toy").write_text("fn f(x) { return x; }\n")
     (bugdir / "repair.tests").write_text("t0 | f | 0 | 0\nt2 | f | 2 | 2\n")
     (bugdir / "heldout.tests").write_text("h1 | f | 1 | 1\n")
-    result = check_bug(load_bug(bugdir))
+    result = check_bug(load_bug(bugdir), GATE_STEP_BUDGET)
     assert "buggy program passes no repair test" in result.errors
     assert "buggy program fails no repair test" not in result.errors

@@ -13,6 +13,8 @@ from patchbandit.experiment import ConfigSpec
 from patchbandit.toylang import parse_program, parse_suite, passes_all, \
     run_tests
 
+BUDGET = 100_000
+
 # P0's three configs (perfbench/workloads.py), at a small pop and gens
 P0_CONFIGS = (ConfigSpec("uniform"), ConfigSpec("ucb", credit="erwa"),
               ConfigSpec("pm", arms="7"))
@@ -83,13 +85,13 @@ def test_runs_of_functions_that_call_each_other_leave_no_cyclic_garbage():
     program = parse_program(EVEN_ODD)
     # a pass, a failure, a depth fault and a missing entry function
     suite = parse_suite("a | even | 4 | 1\nb | odd | 4 | 1\n"
-                        "c | even | 500 | 1\n")
-    missing = parse_suite("d | none | 1 | 1\n")
-    assert run_tests(program, suite).faults == [None, None, "depth"]
+                        "c | even | 500 | 1\n", "<string>")
+    missing = parse_suite("d | none | 1 | 1\n", "<string>")
+    assert run_tests(program, suite, BUDGET).faults == [None, None, "depth"]
     for run, cases in [(run_tests, suite), (run_tests, missing),
                        (passes_all, suite), (passes_all, suite[:1]),
                        (passes_all, missing)]:
-        assert _cyclic_garbage(run, program, cases) == 0
+        assert _cyclic_garbage(run, program, cases, BUDGET) == 0
 
 
 def test_a_compile_that_runs_out_of_stack_leaves_no_cyclic_garbage():
@@ -99,12 +101,12 @@ def test_a_compile_that_runs_out_of_stack_leaves_no_cyclic_garbage():
     for _ in range(40):
         deep = f"if (n >= 0) {{ {deep} }}"
     program = parse_program(EVEN_ODD + f"fn f(n) {{ {deep} return 1; }}")
-    suite = parse_suite("t | even | 2 | 1\n")
+    suite = parse_suite("t | even | 2 | 1\n", "<string>")
 
     def nested(levels):
         if levels:
             return nested(levels - 1)
-        return run_tests(program, suite)
+        return run_tests(program, suite, BUDGET)
 
     depth, frame = 0, sys._getframe()
     while frame is not None:

@@ -21,7 +21,7 @@ BUDGET = 5000
 
 @pytest.fixture(scope="module")
 def bugs():
-    return {bug.name: bug for bug in load_corpus()}
+    return {bug.name: bug for bug in load_corpus(None)}
 
 
 def repair(bug, seed, spec=ConfigSpec("uniform"), population_size=40,
@@ -152,7 +152,8 @@ def test_patches_revalidate_on_a_fresh_interpreter(bugs):
         out = repair(bug, seed=11)
         assert out.patched, name
         patched, _ = apply_edits(bug.program, out.patch.edits)
-        assert run_tests(patched, bug.repair_suite).fitness == 1.0, name
+        assert run_tests(patched, bug.repair_suite, BUDGET).fitness == 1.0, \
+            name
         assert out.patch.fitness == 1.0
         assert out.patch.variant_index <= out.total_evaluations
 
@@ -216,7 +217,8 @@ def test_correct_program_raises_nothing_to_repair(bugs):
     bug = bugs["mid3"]
     with pytest.raises(NothingToRepair):
         run_repair(bug.fixed, bug.repair_suite, ConfigSpec("uniform"),
-                   seed=1, population_size=40, generations=10)
+                   seed=1, population_size=40, generations=10,
+                   step_budget=BUDGET)
 
 
 # ------------------------------------------------------- evaluation budget
@@ -232,7 +234,8 @@ def test_memoized_duplicates_do_not_recount(bugs, monkeypatch):
     bug = bugs["guard-1"]
     weighted = [sid for sid, w in __import__("patchbandit.toylang",
                 fromlist=["localize"]).localize(
-                    bug.program, bug.repair_suite).weights.items() if w > 0]
+                    bug.program, bug.repair_suite, BUDGET).weights.items()
+                if w > 0]
     fixed_edit = Edit("stmt_delete", weighted[0], (), ())
 
     def same_edit_every_time(operator, program, weights, rng):
@@ -251,11 +254,11 @@ def test_first_evaluation_claims_the_variant_index(bugs, monkeypatch):
     bug = bugs["reset-1"]
     # reset-1's unique fix is deleting its spurious accumulator reset
     from patchbandit.toylang import enumerate_edits, localize, passes_all
-    loc = localize(bug.program, bug.repair_suite)
+    loc = localize(bug.program, bug.repair_suite, BUDGET)
     fixing = [e for e in enumerate_edits(bug.program, loc.weights)
               if e.op == "stmt_delete"
               and passes_all(apply_edits(bug.program, [e])[0],
-                             bug.repair_suite)]
+                             bug.repair_suite, BUDGET)]
     assert len(fixing) == 1
 
     monkeypatch.setattr(engine, "mint_edit", lambda *a: fixing[0])
@@ -399,7 +402,7 @@ def test_patch_variants_record_their_arm(bugs):
 
 
 def test_variants_compare_by_all_but_their_program(bugs):
-    edits = (Edit("stmt_delete", 0),)
+    edits = (Edit("stmt_delete", 0, (), ()),)
     same = {"born_arm": 1, "parent_fitness": 0.5, "fitness": 0.75,
             "variant_index": 3}
     first = Variant(edits, program=bugs["mid3"].program, **same)

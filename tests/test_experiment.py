@@ -11,7 +11,8 @@ from patchbandit.aos import ConfigError
 from patchbandit.corpus import DEFAULT_CORPUS_DIR, load_corpus, load_patch
 from patchbandit import experiment
 from patchbandit.engine import derive_seed
-from patchbandit.experiment import (CSV_COLUMNS, ConfigSpec, ExperimentPlan,
+from patchbandit.experiment import (CSV_COLUMNS, ConfigSpec,
+                                    EXPERIMENT_STEP_BUDGET, ExperimentPlan,
                                     PlanFormatError, compute_metrics,
                                     evaluate_quality,
                                     load_plan, parse_plan, run_experiment,
@@ -23,7 +24,7 @@ EXAMPLE_PLAN = Path(__file__).resolve().parent.parent / "docs" / "example.plan"
 
 @pytest.fixture(scope="module")
 def bugs():
-    return {bug.name: bug for bug in load_corpus()}
+    return {bug.name: bug for bug in load_corpus(None)}
 
 
 SMALL_PLAN = ExperimentPlan(
@@ -141,7 +142,7 @@ def test_reference_fix_scores_full_quality(bugs):
     # empty edit list on the fixed program = the developer patch
     for bug in bugs.values():
         shifted = bug._replace(program=bug.fixed)
-        quality = evaluate_quality((), shifted)
+        quality = evaluate_quality((), shifted, EXPERIMENT_STEP_BUDGET)
         t_total = len(bug.heldout_suite)
         assert quality == {"t_pass": t_total, "t_total": t_total,
                            "score": 1.0}
@@ -151,9 +152,9 @@ def test_overfit_patch_scores_below_full_quality(bugs):
     bug = bugs["offbyone-1"]
     _, edits = load_patch(DEFAULT_CORPUS_DIR / bug.name / "overfit.patch")
     assert run_tests(apply_edits(bug.program, edits)[0],
-                     bug.repair_suite).fitness == 1.0
+                     bug.repair_suite, EXPERIMENT_STEP_BUDGET).fitness == 1.0
     t_total = len(bug.heldout_suite)
-    assert evaluate_quality(edits, bug) == {
+    assert evaluate_quality(edits, bug, EXPERIMENT_STEP_BUDGET) == {
         "t_pass": t_total - 1, "t_total": t_total,
         "score": (t_total - 1) / t_total}
 
@@ -290,7 +291,8 @@ def test_written_patches_reapply_and_revalidate(tmp_path, bugs, small_report):
     for path in patch_files:
         bug_name, edits = load_patch(path)
         program, _ = apply_edits(bugs[bug_name].program, edits)
-        assert run_tests(program, bugs[bug_name].repair_suite).fitness == 1.0
+        assert run_tests(program, bugs[bug_name].repair_suite,
+                         EXPERIMENT_STEP_BUDGET).fitness == 1.0
 
 
 def test_worker_pool_does_not_change_the_bytes(small_report, monkeypatch):

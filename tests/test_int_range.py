@@ -144,7 +144,7 @@ def test_leading_zeros_do_not_count_against_a_literal():
 
 def test_suite_values_at_each_end_of_the_range_parse():
     suite = parse_suite(f"t | f | {INT_MAX}, [{INT_MIN}, 0, {INT_MAX}] "
-                        f"| {INT_MIN}\n")
+                        f"| {INT_MIN}\n", "<string>")
     (case,) = suite
     assert case.args == (INT_MAX, (INT_MIN, 0, INT_MAX))
     assert case.expected == INT_MIN

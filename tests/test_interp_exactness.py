@@ -47,7 +47,7 @@ def _random_edit_lists(bug, weights):
 
 def _oracle_variants():
     """Every single-edit variant, then seeded random edit lists, per bug."""
-    for bug in load_corpus():
+    for bug in load_corpus(None):
         weights = localize(bug.program, bug.repair_suite,
                            ORACLE_BUDGET).weights
         yield bug, bug.program

@@ -31,6 +31,8 @@ from patchbandit.toylang.syntax import (Assign, Binary, Index, Store, Var,
                                         While, children, walk_statements)
 from test_mutate import _rebuilt
 
+BUDGET = 100_000
+
 
 def _unprojected():
     return mock.patch.object(interp, "_accumulators",
@@ -527,7 +529,7 @@ def _report(program, suite, budget):
     return report.flags, report.faults, report.coverage
 
 
-@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+@pytest.mark.parametrize("bug", load_corpus(None), ids=lambda bug: bug.name)
 @settings(max_examples=60, deadline=None)
 @given(operators=st.lists(st.sampled_from(ALL_OPERATORS), min_size=1,
                           max_size=12),
@@ -602,7 +604,7 @@ fn f(a, n) {
     # each program of a lineage shares most of its statements, and the
     # names they keep, with the program before it
     loops = 0
-    for bug in load_corpus():
+    for bug in load_corpus(None):
         weights = localize(bug.program, bug.repair_suite, 5000).weights
         rng = random.Random(f"names:{bug.name}")
         for _ in range(20):
@@ -637,9 +639,9 @@ def _stack_depth():
 
 @pytest.mark.parametrize("nesting", [0, 10, 40])
 def test_deep_toy_recursion_is_a_depth_fault(nesting, monkeypatch):
-    suite = parse_suite("t | f | 0 | 0\n")
+    suite = parse_suite("t | f | 0 | 0\n", "<string>")
     limit = sys.getrecursionlimit()
-    report = run_tests(_deep(nesting), suite, coverage=True)
+    report = run_tests(_deep(nesting), suite, BUDGET, coverage=True)
     assert report.faults == ["depth"]
     assert sys.getrecursionlimit() == limit
 
@@ -661,27 +663,27 @@ def test_deep_toy_recursion_is_a_depth_fault(nesting, monkeypatch):
     def nested(levels):
         if levels:
             return nested(levels - 1)
-        return run_tests(program, suite, coverage=True)
+        return run_tests(program, suite, BUDGET, coverage=True)
 
     deep_report = nested(limit - _stack_depth() - 60)
     assert (deep_report.faults, deep_report.coverage) == \
            (report.faults, report.coverage)
     assert runs == ["t", "t"]       # outgrew the stack, then was retried
-    assert not passes_all(program, suite)
+    assert not passes_all(program, suite, BUDGET)
     assert sys.getrecursionlimit() == limit
 
 
 def test_compiling_on_a_nearly_full_stack_is_rerun_with_room():
     # compiling forty nested ifs takes more than the 60 frames left, so the
     # whole run is rerun, compiling included
-    suite = parse_suite("t | f | 0 | 0\n")
+    suite = parse_suite("t | f | 0 | 0\n", "<string>")
     program = _deep(40)
     limit = sys.getrecursionlimit()
 
     def nested(levels, run):
         if levels:
             return nested(levels - 1, run)
-        return run(program, suite)
+        return run(program, suite, BUDGET)
 
     report = nested(limit - _stack_depth() - 60, run_tests)
     assert report.faults == ["depth"]
@@ -693,11 +695,11 @@ def test_a_rerun_that_outgrows_the_stack_again_raises(monkeypatch):
     # with no room added the rerun fails as the first run did, and the
     # error is raised rather than read as a report
     monkeypatch.setattr(interp, "_stack_room", lambda program: 0)
-    program, suite = _deep(40), parse_suite("t | f | 0 | 0\n")
+    program, suite = _deep(40), parse_suite("t | f | 0 | 0\n", "<string>")
     limit = sys.getrecursionlimit()
     for run in (run_tests, passes_all):
         with pytest.raises(RecursionError):
-            run(program, suite)
+            run(program, suite, BUDGET)
         assert sys.getrecursionlimit() == limit
 
 
@@ -714,7 +716,8 @@ fn f(n) {
 """
     depth = MAX_CALL_DEPTH - 1
     report = run_tests(parse_program(text),
-                       parse_suite(f"t | f | {depth} | {depth}\n"))
+                       parse_suite(f"t | f | {depth} | {depth}\n", "<string>"),
+                       BUDGET)
     assert report.flags == [True]
 
 

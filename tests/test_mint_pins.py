@@ -22,6 +22,7 @@ from patchbandit.toylang.mutate import (ALL_OPERATORS, InapplicableOperator,
                                         mint_edit)
 from patchbandit.toylang.syntax import program_statements
 
+BUDGET = 100_000
 LINEAGE_STEPS = 8
 SEEDS = (0, 1, 2, 3)
 
@@ -46,7 +47,7 @@ ENUMERATION_DIGESTS = {
 
 @pytest.fixture(scope="module")
 def bugs():
-    return load_corpus()
+    return load_corpus(None)
 
 
 def _ones(program):
@@ -80,7 +81,7 @@ def _lineage(program, seed):
 
 
 def _mint_lines(bug, index):
-    located = localize(bug.program, bug.repair_suite).weights
+    located = localize(bug.program, bug.repair_suite, BUDGET).weights
     for step, program in enumerate(_lineage(bug.program, index)):
         for label, weights in (("localize", located),
                                ("ones", _ones(program))):
@@ -108,7 +109,7 @@ def test_mint_outcomes_match_their_digest(bugs):
 def test_each_bugs_enumerated_edits_match_their_digest(bugs):
     digests = {}
     for index, bug in enumerate(bugs):
-        located = localize(bug.program, bug.repair_suite).weights
+        located = localize(bug.program, bug.repair_suite, BUDGET).weights
         last = _lineage(bug.program, index)[-1]
         edits = [*enumerate_edits(bug.program, located),
                  *enumerate_edits(bug.program, _ones(bug.program)),

@@ -38,7 +38,7 @@ def _lineage(program, operators, rng):
     return edits
 
 
-@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+@pytest.mark.parametrize("bug", load_corpus(None), ids=lambda bug: bug.name)
 @settings(max_examples=40, deadline=None)
 @given(first=operators_st, second=operators_st,
        seed=st.integers(min_value=0, max_value=2 ** 32),

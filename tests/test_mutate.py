@@ -89,7 +89,7 @@ def test_every_operator_has_one_record_in_group_order():
 def test_delete_shrinks_enclosing_body():
     program = parse_program("fn f(x) { y = x; return y; }")
     target = sid_of(program, "return y;")
-    out = apply_ok(program, Edit("stmt_delete", target))
+    out = apply_ok(program, Edit("stmt_delete", target, (), ()))
     assert len(out.function("f").body) == 1
     assert "return y;" not in print_program(out)
 
@@ -120,8 +120,8 @@ def test_replace_substitutes_fresh_copy():
 def test_vanished_target_and_donor_are_noops():
     program = demo()
     target = sid_of(program, "s = s + a[i];")
-    smaller = apply_ok(program, Edit("stmt_delete", target))
-    again, applied = apply_edit(smaller, Edit("stmt_delete", target))
+    smaller = apply_ok(program, Edit("stmt_delete", target, (), ()))
+    again, applied = apply_edit(smaller, Edit("stmt_delete", target, (), ()))
     assert not applied and again is smaller
     donor_gone, applied = apply_edit(
         smaller, Edit("stmt_append", sid_of(smaller, "s = 0;"), (), (target,)))
@@ -259,14 +259,15 @@ def test_negate_condition_complements_comparisons():
         program = parse_program(
             f"fn f(x) {{ if (x {op} 1) {{ return 1; }} return 0; }}")
         target = sid_of(program, f"if (x {op} 1) {{")
-        out = apply_ok(program, Edit("negate_condition", target, ("cond",)))
+        out = apply_ok(program,
+                       Edit("negate_condition", target, ("cond",), ()))
         assert f"if (x {flipped} 1) {{" in print_program(out)
 
 
 def test_negate_condition_wraps_non_comparisons():
     program = parse_program("fn f(x) { while (x) { x = x - 1; } return x; }")
     target = sid_of(program, "while (x) {")
-    out = apply_ok(program, Edit("negate_condition", target, ("cond",)))
+    out = apply_ok(program, Edit("negate_condition", target, ("cond",), ()))
     assert "while (x == 0) {" in print_program(out)
 
 
@@ -290,13 +291,13 @@ def test_default_return_insert_appends_to_function_end():
 def test_stmt_swap_exchanges_with_successor():
     program = demo()
     target = sid_of(program, "s = s + a[i];")
-    out = apply_ok(program, Edit("stmt_swap", target))
+    out = apply_ok(program, Edit("stmt_swap", target, (), ()))
     loop = next(s for _, s in program_statements(out)
                 if print_statement(s).startswith("while"))
     assert [print_statement(s) for s in loop.body] == \
         ["i = i + 1;", "s = s + a[i];"]
     last = sid_of(program, "return s;")
-    _, applied = apply_edit(program, Edit("stmt_swap", last))
+    _, applied = apply_edit(program, Edit("stmt_swap", last, (), ()))
     assert not applied
 
 
@@ -320,10 +321,12 @@ fn f(x) {
 
 def test_stmt_swap_inside_orelse_and_nested_block():
     program = parse_program(NESTED)
-    out = apply_ok(program, Edit("stmt_swap", sid_of(program, "y = 2;")))
+    out = apply_ok(program,
+                   Edit("stmt_swap", sid_of(program, "y = 2;"), (), ()))
     orelse = out.function("f").body[1].orelse
     assert [print_statement(s) for s in orelse[:2]] == ["y = 3;", "y = 2;"]
-    out = apply_ok(program, Edit("stmt_swap", sid_of(program, "y = 4;")))
+    out = apply_ok(program,
+                   Edit("stmt_swap", sid_of(program, "y = 4;"), (), ()))
     block = out.function("f").body[1].orelse[2]
     assert [print_statement(s) for s in block.body] == ["y = 5;", "y = 4;"]
 
@@ -333,8 +336,8 @@ def test_stmt_swap_on_last_nested_statement_is_a_noop():
     # not: the swap must not reach into the parent's list
     program = parse_program(NESTED)
     for text in ("y = 1;", "y = 5;"):
-        out, applied = apply_edit(program,
-                                  Edit("stmt_swap", sid_of(program, text)))
+        out, applied = apply_edit(
+            program, Edit("stmt_swap", sid_of(program, text), (), ()))
         assert not applied and out is program
 
 
@@ -349,13 +352,14 @@ def test_stmt_replace_takes_donors_across_nesting_levels():
     assert [print_statement(s) for s in block.body] == ["y = 0;", "y = 5;"]
 
 
-@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+@pytest.mark.parametrize("bug", load_corpus(None), ids=lambda bug: bug.name)
 def test_stmt_swap_is_offered_exactly_where_it_applies(bug):
     for program in (bug.program, bug.fixed):
         offered = {edit.target for edit in enumerate_edits(
             program, all_weights(program)) if edit.op == "stmt_swap"}
         for _, stmt in program_statements(program):
-            _, applied = apply_edit(program, Edit("stmt_swap", stmt.sid))
+            _, applied = apply_edit(program,
+                                    Edit("stmt_swap", stmt.sid, (), ()))
             assert applied == (stmt.sid in offered), print_statement(stmt)
 
 
@@ -536,9 +540,9 @@ def test_all_enumerated_edits_apply_and_round_trip():
 def test_apply_edits_reports_per_edit_flags():
     program = demo()
     target = sid_of(program, "i = 0;")
-    edits = [Edit("stmt_delete", target),
-             Edit("stmt_delete", target),          # now gone: no-op
-             Edit("stmt_delete", sid_of(program, "s = 0;"))]
+    edits = [Edit("stmt_delete", target, (), ()),
+             Edit("stmt_delete", target, (), ()),          # now gone: no-op
+             Edit("stmt_delete", sid_of(program, "s = 0;"), (), ())]
     out, flags = apply_edits(program, edits)
     assert flags == (True, False, True)
     assert "i = 0;" not in [print_statement(s) for s in
@@ -569,7 +573,8 @@ def test_payloads_that_do_not_fit_their_operator_are_noops():
         for bad in _misfits(edit.payload):
             misfit = Edit(edit.op, edit.target, edit.path, bad)
             assert apply_edit(program, misfit) == (program, False), misfit
-    assert apply_edit(program, Edit("no_such_op", 0)) == (program, False)
+    assert apply_edit(program, Edit("no_such_op", 0, (), ())) == \
+        (program, False)
 
 
 def test_negative_argument_steps_count_from_the_end_or_are_noops():
@@ -646,7 +651,7 @@ def test_equal_edits_hash_equal_and_different_edits_differ():
     edit = Edit("off_by_one", 3, ("expr", "index"), (1,))
     twin = Edit("off_by_one", 3, ("expr", "index"), (1,))
     assert edit == twin and hash(edit) == hash(twin)
-    assert Edit("stmt_delete", 3) == Edit("stmt_delete", 3, (), ())
+    assert Edit("stmt_delete", 3, (), ()) == Edit("stmt_delete", 3, (), ())
     for other in (Edit("const_perturb", 3, ("expr", "index"), (1,)),
                   Edit("off_by_one", 4, ("expr", "index"), (1,)),
                   Edit("off_by_one", 3, ("index",), (1,)),
@@ -660,7 +665,7 @@ def test_an_edit_prints_and_pickles_as_it_did():
     edit = Edit("expr_add", 7, ("cond",), ("n > 0", "&&", "left"))
     assert repr(edit) == ("Edit(op='expr_add', target=7, path=('cond',), "
                           "payload=('n > 0', '&&', 'left'))")
-    assert repr(Edit("stmt_delete", 2)) \
+    assert repr(Edit("stmt_delete", 2, (), ())) \
         == "Edit(op='stmt_delete', target=2, path=(), payload=())"
     back = pickle.loads(pickle.dumps(edit))
     assert back == edit and type(back) is Edit
@@ -682,7 +687,7 @@ def test_payload_that_parses_alone_but_nests_too_deep_in_place_is_a_noop():
 
 @pytest.mark.parametrize("length", [70, 600])
 def test_guards_stacked_past_the_parser_limit_are_noops(length):
-    bug = next(bug for bug in load_corpus() if bug.name == "mid3")
+    bug = next(bug for bug in load_corpus(None) if bug.name == "mid3")
     last = [stmt for _, stmt in program_statements(bug.program)][-1]
     rng = random.Random(length)
     program, flags = bug.program, []
@@ -720,7 +725,7 @@ def _minted_list(program, weights, rng):
     return tuple(edits), program
 
 
-@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+@pytest.mark.parametrize("bug", load_corpus(None), ids=lambda bug: bug.name)
 def test_applying_a_list_is_a_left_fold(bug):
     weights = localize(bug.program, bug.repair_suite, 5000).weights
     rng = random.Random(f"fold:{bug.name}")
@@ -761,7 +766,7 @@ def _rebuilt(value):
     return value
 
 
-@pytest.mark.parametrize("bug", load_corpus(), ids=lambda bug: bug.name)
+@pytest.mark.parametrize("bug", load_corpus(None), ids=lambda bug: bug.name)
 def test_apply_edit_is_a_function_of_the_program_value(bug):
     # the search reuses one build for every equal (prefix, edit) step,
     # which is exact only while apply_edit leaves its input as it was and

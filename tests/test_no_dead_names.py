@@ -23,6 +23,15 @@ A name that a module-level import binds must be read in that module, as
 a plain name (`name` or `name.attr`); an `__init__.py` imports names to
 re-export them, and `from __future__ import annotations` binds a feature,
 so neither counts.
+
+Every default value of a function, method or named tuple field in src
+must be one that some call in src leaves out, positionally or by keyword:
+a default no call relies on is a second, unused statement of the value.
+A call is matched to its callee by name (`f(...)` and `x.f(...)` both
+call f); a class's `__init__` and a named tuple's fields are called by
+the name of the class or of any class built on it, as is `cls(...)` in a
+method of one of those classes.  A call through `*args` or `**kwargs`
+counts as relying on every default of its callee.
 """
 
 import ast
@@ -158,6 +167,99 @@ def _imported_names(tree):
                     yield alias.asname or alias.name, node.lineno
 
 
+def _families(trees):
+    """Each class name -> that name and the names of every class built on
+    it, however indirectly."""
+    bases = {node.name: {base.id for base in node.bases
+                         if isinstance(base, ast.Name)}
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def family(name):
+        return {name}.union(*(family(sub) for sub, of in bases.items()
+                              if name in of))
+    return {name: family(name) for name in bases}
+
+
+def _is_named_tuple(cls):
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple"
+               for base in cls.bases)
+
+
+def _defaults(node, families, scope="", cls=None):
+    """(name, callees, position, parameter) of each default of a function,
+    method or named tuple field under the node.  `callees` are the names a
+    call of it goes by: the function's own, or for `__init__` and a field
+    those of its class and of every class built on it.  `position` counts
+    the arguments a call passes before it; None for a keyword-only one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            if _is_named_tuple(child):
+                fields = [statement for statement in child.body
+                          if isinstance(statement, ast.AnnAssign)]
+                for position, field in enumerate(fields):
+                    if field.value is not None:
+                        yield (f"{scope}{child.name}.{field.target.id}",
+                               families[child.name], position, field.target.id)
+            yield from _defaults(child, families, f"{scope}{child.name}.",
+                                 child)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            # a call of a method passes no self or cls (src has no static
+            # methods)
+            skip = cls is not None
+            callees = (families[cls.name] if cls is not None
+                       and child.name == "__init__" else {child.name})
+            name = f"{scope}{child.name}"
+            first = len(positional) - len(args.defaults)
+            for position, arg in enumerate(positional[first:], first - skip):
+                yield f"{name}.{arg.arg}", callees, position, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{name}.{arg.arg}", callees, None, arg.arg
+            yield from _defaults(child, families, f"{name}.")
+
+
+def _calls(node, families, cls=None):
+    """(callees, positional arguments, keywords, starred) of each call under
+    the node: `f(...)` and `x.f(...)` call f, and `cls(...)` in a class
+    calls that class or a class built on it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Attribute):
+                callees = {func.attr}
+            elif isinstance(func, ast.Name) and func.id == "cls" and cls:
+                callees = families[cls.name]
+            else:
+                callees = {getattr(func, "id", None)}
+            starred = any(isinstance(arg, ast.Starred) for arg in child.args) \
+                or any(keyword.arg is None for keyword in child.keywords)
+            yield (callees, len(child.args),
+                   {keyword.arg for keyword in child.keywords}, starred)
+        yield from _calls(child, families,
+                          child if isinstance(child, ast.ClassDef) else cls)
+
+
+def _unrelied_defaults(texts):
+    """`module.name.parameter` of each default in the modules (qualifier ->
+    source text) that no call in them leaves to its default; a call through
+    `*args` or `**kwargs` counts as leaving every default."""
+    trees = {qualifier: ast.parse(text) for qualifier, text in texts.items()}
+    families = _families(trees.values())
+    calls = [call for tree in trees.values()
+             for call in _calls(tree, families)]
+    return sorted(
+        f"{qualifier}.{name}"
+        for qualifier, tree in trees.items()
+        for name, callees, position, parameter in _defaults(tree, families)
+        if not any(names & callees
+                   and (starred or parameter not in keywords
+                        and (position is None or count <= position))
+                   for names, count, keywords, starred in calls))
+
+
 def _sources():
     return {path: path.read_text(encoding="utf-8")
             for path in sorted(SRC.rglob("*.py"))}
@@ -242,3 +344,58 @@ def test_every_class_member_is_read_in_src(unread_members):
 
 def test_the_allowed_members_are_still_unread(unread_members):
     assert ALLOWED_MEMBERS <= unread_members
+
+
+def test_every_default_is_one_a_src_call_leaves_out():
+    texts = {_qualifier(path): text for path, text in _sources().items()}
+    assert _unrelied_defaults(texts) == []
+
+
+NAMED_TUPLE = """
+from typing import NamedTuple
+class Fields(NamedTuple):
+    a: int
+    b: int = 0
+"""
+
+
+@pytest.mark.parametrize("texts, unrelied", [
+    ({"m": "def f(a, b=1): pass\nf(1, 2)\n"}, ["m.f.b"]),
+    ({"m": "def f(a, *, b=1): pass\nf(1, b=2)\n"}, ["m.f.b"]),
+    # the 2 is a, not self
+    ({"m": "class C:\n    def m(self, a, b=1): pass\nC().m(1, 2)\n"},
+     ["m.C.m.b"]),
+    ({"m": "class C:\n    def __init__(self, a=1): pass\nC(2)\n"},
+     ["m.C.__init__.a"]),
+    ({"m": NAMED_TUPLE + "Fields(1, 2)\n"}, ["m.Fields.b"]),
+    # a default of an uncalled function, and one of a function nested in it
+    ({"m": "def f(a=1):\n    def g(b=2): pass\n"}, ["m.f.a", "m.f.g.b"]),
+], ids=["function", "keyword-only", "method", "init", "named-tuple-field",
+        "uncalled"])
+def test_a_default_no_call_leaves_out_is_found(texts, unrelied):
+    assert _unrelied_defaults(texts) == unrelied
+
+
+@pytest.mark.parametrize("texts", [
+    {"m": "def f(a, b=1): pass\nf(1)\n"},
+    {"m": "def f(a, b=1, c=2): pass\nf(1, c=3)\nf(a=1, b=2)\n"},
+    {"m": "def f(a, *, b=1): pass\nf(1)\n"},
+    {"m": "class C:\n    def m(self, a, b=1): pass\nC().m(1)\n"},
+    {"m": "class C:\n    def __init__(self, a=1): pass\nC()\n"},
+    {"m": "def f(a, b=1): pass\nf(1, *values)\n"},
+    {"m": "def f(a, b=1): pass\nf(1, **given)\n"},
+    {"m": NAMED_TUPLE + "Fields(a=1)\n"},
+    # a call in another module of a class built on the named tuple
+    {"m": NAMED_TUPLE, "n": "from m import Fields\n"
+                             "class Checked(Fields): pass\nChecked(1)\n"},
+    {"m": NAMED_TUPLE + """
+class Base(tuple):
+    @classmethod
+    def make(cls, values):
+        return cls(*values)
+class Record(Base, Fields): pass
+"""},
+], ids=["positional", "keyword", "keyword-only", "method", "init", "args",
+        "kwargs", "named-tuple-field", "subclass", "cls-args"])
+def test_a_default_some_call_leaves_out_passes(texts):
+    assert _unrelied_defaults(texts) == []

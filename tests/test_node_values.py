@@ -63,7 +63,7 @@ def _mutants(bug):
 
 
 def _reprs():
-    for bug in load_corpus():
+    for bug in load_corpus(None):
         yield repr(bug.program)
         yield repr(bug.fixed)
         yield from map(repr, _mutants(bug))
@@ -143,7 +143,7 @@ def test_equal_trees_hash_equal():
     for (_, a), (_, b) in zip(program_statements(first),
                               program_statements(second)):
         assert a == b and hash(a) == hash(b)
-    for bug in load_corpus():
+    for bug in load_corpus(None):
         assert hash(bug.program) == \
             hash(parse_program(print_program(bug.program)))
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from patchbandit.corpus import GATE_STEP_BUDGET
 from patchbandit.toylang import interp
 from patchbandit.toylang.interp import (run_tests, passes_all, ToyFault,
                                         compile_program, _Ctx)
@@ -42,6 +43,8 @@ fn mid(x, y, z) {
   return m;
 }
 """
+
+BUDGET = 100_000
 
 SUM = """
 fn total(a, n) {
@@ -448,16 +451,16 @@ COUNT_PLUS_ONE = COUNT.replace("i = 0;", "j = 0; i = 0;")
     (COUNT_PLUS_ONE, 49_998, 100_000, True),
     (COUNT, 49_999, 100_001, False),
 ], ids=["100000-steps", "100001-steps"])
-def test_the_default_step_budget_is_100000_steps(text, n, steps, passes):
+def test_the_gate_step_budget_is_100000_steps(text, n, steps, passes):
     program, suite = parse_program(text), [TestCase("t", "f", (n,), n)]
     # the loop needs exactly `steps` steps
     assert run_tests(program, suite, step_budget=steps).flags == [True]
     assert run_tests(program, suite, step_budget=steps - 1).faults == \
         ["budget"]
-    report = run_tests(program, suite)
+    report = run_tests(program, suite, GATE_STEP_BUDGET)
     assert report.flags == [passes]
     assert report.faults == [None if passes else "budget"]
-    assert passes_all(program, suite) is passes
+    assert passes_all(program, suite, GATE_STEP_BUDGET) is passes
 
 
 @pytest.mark.parametrize("budget", [0, -5])
@@ -485,37 +488,37 @@ def test_fitness_is_exact_fraction():
         ("t3", "total", ((), 0), 99),     # wrong expectation: fails
         ("t4", "total", ((2, 2), 2), 0),  # wrong expectation: fails
     )
-    report = run_tests(parse_program(SUM), suite)
+    report = run_tests(parse_program(SUM), suite, BUDGET)
     assert report.flags == [True, True, False, False]
     assert report.fitness == 0.5
     assert report.faults == [None, None, None, None]
-    assert not report.all_passed
+    assert not all(report.flags)
 
 
 def test_an_empty_suite_has_fitness_zero_and_passes():
-    assert run_tests(parse_program(SUM), ()) == ([], 0.0, [], None)
-    assert passes_all(parse_program(SUM), ()) is True
+    assert run_tests(parse_program(SUM), (), BUDGET) == ([], 0.0, [], None)
+    assert passes_all(parse_program(SUM), (), BUDGET) is True
 
 
 def test_missing_entry_zeroes_the_variant():
     suite = suite_of(("t1", "nope", (), 0))
-    report = run_tests(parse_program(SUM), suite)
+    report = run_tests(parse_program(SUM), suite, BUDGET)
     assert report.fitness == 0.0
     assert report.flags == [False]
     assert report.faults == ["missing-entry"]
     # one missing entry fails every case, the ones that would pass included
     suite = suite_of(("t1", "total", ((1,), 1), 1), ("t2", "nope", (), 0))
-    report = run_tests(parse_program(SUM), suite, coverage=True)
+    report = run_tests(parse_program(SUM), suite, BUDGET, coverage=True)
     assert report == ([False, False], 0.0, ["missing-entry"] * 2,
                       [set(), set()])
-    assert passes_all(parse_program(SUM), suite) is False
+    assert passes_all(parse_program(SUM), suite, BUDGET) is False
 
 
 def test_run_tests_is_deterministic():
     suite = suite_of(("t1", "total", ((1, 2), 2), 3),
                      ("t2", "total", ((4,), 1), 4))
-    a = run_tests(parse_program(SUM), suite, coverage=True)
-    b = run_tests(parse_program(SUM), suite, coverage=True)
+    a = run_tests(parse_program(SUM), suite, BUDGET, coverage=True)
+    b = run_tests(parse_program(SUM), suite, BUDGET, coverage=True)
     assert a.flags == b.flags and a.fitness == b.fitness
     assert a.coverage == b.coverage
 
@@ -534,7 +537,8 @@ fn f(x) {
 """
     program = parse_program(text)
     stmts = {print_stmt(s): s.sid for _, s in program_statements(program)}
-    report = run_tests(program, suite_of(("pos", "f", (5,), 1)), coverage=True)
+    report = run_tests(program, suite_of(("pos", "f", (5,), 1)), BUDGET,
+                       coverage=True)
     cov = report.coverage[0]
     assert stmts["r = 1;"] in cov
     assert stmts["r = 2;"] not in cov
@@ -557,7 +561,7 @@ fn f(a) {
 }
 """
     program = parse_program(text)
-    report = run_tests(program, suite_of(("t", "f", ((0,),), 2)),
+    report = run_tests(program, suite_of(("t", "f", ((0,),), 2)), BUDGET,
                        coverage=True)
     assert report.flags == [True]
     assert report.coverage == [{s.sid for _, s in program_statements(program)}]
@@ -570,9 +574,9 @@ def print_stmt(stmt):
 def test_passes_all_short_circuits_same_verdict(monkeypatch):
     suite = suite_of(("t1", "total", ((1,), 1), 1),
                      ("t2", "total", ((2,), 1), 99))
-    assert passes_all(parse_program(SUM), suite) is False
+    assert passes_all(parse_program(SUM), suite, BUDGET) is False
     good = suite_of(("t1", "total", ((1,), 1), 1))
-    assert passes_all(parse_program(SUM), good) is True
+    assert passes_all(parse_program(SUM), good, BUDGET) is True
 
     # run_tests runs every case; passes_all stops after the first failure
     calls = []
@@ -586,10 +590,11 @@ def test_passes_all_short_circuits_same_verdict(monkeypatch):
     suite = suite_of(("t1", "total", ((1,), 1), 1),
                      ("t2", "total", ((2,), 1), 99),
                      ("t3", "total", ((3,), 1), 3))
-    assert run_tests(parse_program(SUM), suite).flags == [True, False, True]
+    assert run_tests(parse_program(SUM), suite, BUDGET).flags == \
+        [True, False, True]
     assert calls == ["t1", "t2", "t3"]
     calls.clear()
-    assert passes_all(parse_program(SUM), suite) is False
+    assert passes_all(parse_program(SUM), suite, BUDGET) is False
     assert calls == ["t1", "t2"]
 
 
@@ -660,7 +665,7 @@ fn f(x) {
     program = parse_program(text)
     suite = suite_of(("pos", "f", (5,), 5),     # fails: hits then-branch
                      ("neg", "f", (-4,), 4))    # passes: hits else-branch
-    result = localize(program, suite)
+    result = localize(program, suite, BUDGET)
     by_text = {print_stmt(s): s.sid for _, s in program_statements(program)}
     weights = result.weights
     assert weights[by_text["r = x + 1;"]] == 1.0   # failing only
@@ -673,7 +678,7 @@ fn f(x) {
 def test_localize_raises_when_nothing_fails():
     suite = suite_of(("t1", "total", ((1, 2), 2), 3))
     with pytest.raises(NothingToRepair):
-        localize(parse_program(SUM), suite)
+        localize(parse_program(SUM), suite, BUDGET)
 
 
 def test_unexecuted_statements_get_zero_weight():
@@ -687,6 +692,6 @@ fn f(x) {
 """
     program = parse_program(text)
     suite = suite_of(("t", "f", (1,), 1),)   # fails (returns 2), never enters if
-    result = localize(program, suite)
+    result = localize(program, suite, BUDGET)
     by_text = {print_stmt(s): s.sid for _, s in program_statements(program)}
     assert result.weights[by_text["x = 0;"]] == 0.0
