@@ -29,9 +29,11 @@ repeat of such a reduced snapshot the loop can never end: it faults
 (`_skip_periods`).  Each is the fault the loop would reach without the
 projection, at any budget.  A loop snapshots from its first iteration,
 so a loop that freezes early stops at its first repeat, and works out
-there which fault the rule would give.
+there which fault the rule would give.  A loop whose ints drift in step
+faults `budget` at its eighth condition check when one pass over its path
+shows that it cannot leave before the budget is gone (`_drift_verdict`).
 
-The hot path rests on five exactness arguments:
+The hot path rests on six exactness arguments:
 
 * The code a node keeps is the code every program that holds the node
   would compile for it.  A node never changes, and its code is made from
@@ -82,6 +84,26 @@ The hot path rests on five exactness arguments:
   `Index` and user `Call` results keep it: a variable or a callee's
   return may be an array, and array elements come from test arguments
   that nothing validates.
+* At its eighth condition check a loop compares its frame with the one a
+  check before.  If both hold the same names and the ints have moved by a
+  vector D, not all zero, one pass replays the iteration's path on forms
+  c + k*s, k counting iterations from here, each int starting with slope
+  D.  The pass follows assignments, `if`s and blocks over literals,
+  variables, negation, `+`, `-`, `*` with a constant side, `/` and `%` of
+  constants, comparisons, `&&`, `||`, `len` and reads at a constant index;
+  anything else, or any error, refuses.  Suppose it ends at the start
+  moved by D, its arrays as they were, and up to the last iteration whose
+  condition check the steps allow no test changes its truth and no value
+  leaves the range (a comparison of forms is monotone in k, and `==` or
+  `!=` changes at one k at most, so its two ends and its root decide every
+  k).  Then each of those iterations takes the frame at k to the frame at
+  k + 1 along the same path, so the frames from here are all distinct, no
+  snapshot the rule takes from iteration 64 on repeats, and the loop runs
+  the path until the budget is gone.  The verdict asks for the steps to
+  run the first iteration whole, so the path's statements are all the loop
+  covers from here, and faulting `budget` at once with them is the rule's
+  outcome.  This is the loop acceleration of Gonnord and Halbwachs (SAS
+  2006), applied to one concrete path.
 """
 
 from __future__ import annotations
@@ -92,10 +114,11 @@ from typing import NamedTuple
 
 from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
                      Program, Return, Store, Unary, Var, While, BUILTIN_LEN,
-                     INT_MAX, INT_MIN, compiled, height, loop_names)
+                     CMP_OPS, INT_MAX, INT_MIN, compiled, height, loop_names)
 
 MAX_CALL_DEPTH = 100
 _CYCLE_CHECK_AFTER = 64
+_DRIFT_CHECK = 8    # the condition check at which a loop tries the verdict
 
 
 class ToyFault(Exception):
@@ -107,11 +130,11 @@ class ToyFault(Exception):
 
 
 class _Ctx:
-    """One case's run: the steps left, the ids of the statements it ran
-    (None when coverage is off), the program's compiled functions by name,
-    which a call looks its callee up in, and the toy call depth.  A fault
-    ends the case, and its context with it, so a call that faults leaves
-    the depth as it is."""
+    """A run's context, reset for each case: the steps left, the ids of
+    the statements the case ran (None when coverage is off), the program's
+    compiled functions by name, which a call looks its callee up in, and
+    the toy call depth.  A fault ends the case, so a call that faults
+    leaves the depth as it is until the next case resets it."""
     __slots__ = ("steps", "coverage", "functions", "depth")
 
     def __init__(self, steps: int, coverage, functions: dict, depth: int = 0):
@@ -215,6 +238,133 @@ def _skip_periods(env: dict, ctx: _Ctx, accumulators: frozenset,
             env[name] = _BINARY_FNS["+"](b, skip * (b - a))
     return _Ctx(ctx.steps - skip * period, None, ctx.functions,
                 ctx.depth)
+
+
+# ------------------------------------------------------- drift verdict
+
+
+class _Refusal(Exception):
+    """A shape the affine pass does not follow."""
+
+
+def _drift_verdict(cond, body, env: dict, before: tuple, steps: int):
+    """The ids of the statements that one iteration of the loop (nodes
+    `cond` and `body`) runs from here if, by the module docstring's last
+    exactness argument, the loop runs them until its budget is gone; else
+    None.
+    `before` is the frame at the check before (`_state_key`), and `steps`
+    the steps left after this check."""
+    if len(before) != len(env):
+        return None
+    forms, after, moved = {}, {}, False     # the frame at k = 0 and k = 1
+    for (name, v), w in zip(env.items(), before):
+        if type(v) is int and type(w) is int:
+            forms[name], after[name] = (v, v - w), (v + v - w, v - w)
+            moved = moved or v != w
+        elif type(v) is list:
+            forms[name] = after[name] = v
+        else:
+            return None
+    if not moved:
+        return None
+    checks, path = [], []
+    try:
+        if not _affine_test(cond, forms, checks):
+            return None
+        _affine_body(body, forms, checks, path)
+    except Exception:       # a refused shape, a fault or Python's own error
+        return None
+    if steps < len(path) or forms != after:
+        return None
+    last = steps // (len(path) + 1)     # the last k whose condition runs
+    for op, c, s in checks:
+        end = c + last * s
+        if op is None:
+            if not (INT_MIN <= c <= INT_MAX and INT_MIN <= end <= INT_MAX):
+                return None
+        elif s and (c % s == 0 and 0 <= -c // s <= last
+                    if op == "==" or op == "!=" else
+                    _BINARY_FNS[op](c, 0) != _BINARY_FNS[op](end, 0)):
+            return None
+    return path
+
+
+def _affine_body(stmts: tuple, forms: dict, checks: list, path: list):
+    """Run stmts on forms, adding the id of each statement run to path."""
+    for stmt in stmts:
+        path.append(stmt.sid)
+        t = type(stmt)
+        if t is Assign:
+            forms[stmt.name] = _affine(stmt.expr, forms, checks)
+        elif t is If:
+            _affine_body(stmt.then if _affine_test(stmt.cond, forms, checks)
+                         else stmt.orelse, forms, checks, path)
+        elif t is Block:
+            _affine_body(stmt.body, forms, checks, path)
+        else:
+            raise _Refusal
+
+
+def _affine(expr, forms: dict, checks: list):
+    """expr's value k iterations from now: a pair (c, s) for the int
+    c + k*s, or an array.  Each test on the way is added to checks as
+    (op, c, s), c + k*s compared with 0, whose truth must not change, and
+    each int computed as (None, c, s), which must stay in range."""
+    t = type(expr)
+    if t is Num and type(expr.value) is int:
+        return expr.value, 0
+    if t is Var:
+        return forms[expr.name]
+    if t is Index:
+        arr = forms[expr.name]
+        i, s = _affine_int(expr.index, forms, checks)
+        if type(arr) is list and not s and 0 <= i < len(arr) \
+                and type(arr[i]) is int:
+            return arr[i], 0
+    elif t is Call:
+        if expr.name == BUILTIN_LEN and len(expr.args) == 1:
+            arr = _affine(expr.args[0], forms, checks)
+            if type(arr) is list:
+                return len(arr), 0
+    elif t is Unary:
+        c, s = _affine_int(expr.operand, forms, checks)
+        checks.append((None, -c, -s))
+        return -c, -s
+    elif t is Binary:
+        op = expr.op
+        if op == "&&" or op == "||":
+            value = _affine_test(expr.left, forms, checks)
+            if value == (op == "||"):
+                return value, 0
+            return _affine_test(expr.right, forms, checks), 0
+        a, p = _affine_int(expr.left, forms, checks)
+        b, q = _affine_int(expr.right, forms, checks)
+        if op in CMP_OPS:
+            checks.append((op, a - b, p - q))
+            return _BINARY_FNS[op](a, b), 0
+        if not (p or q):        # a constant, `/` and `%` included
+            return _BINARY_FNS[op](a, b), 0
+        if op == "+" or op == "-" or (op == "*" and not (p and q)):
+            c, s = _BINARY_FNS[op](a, b), (p + q if op == "+" else
+                                           p - q if op == "-" else
+                                           p * b + a * q)
+            checks.append((None, c, s))
+            return c, s
+    raise _Refusal
+
+
+def _affine_int(expr, forms: dict, checks: list) -> tuple:
+    value = _affine(expr, forms, checks)
+    if type(value) is not tuple:
+        raise _Refusal
+    return value
+
+
+def _affine_test(expr, forms: dict, checks: list) -> int:
+    """expr's truth now, 1 or 0, which must not change."""
+    c, s = _affine_int(expr, forms, checks)
+    checks.append(("!=", c, s))
+    return 1 if c else 0
 
 
 class _CompiledFn:
@@ -505,8 +655,9 @@ def _compile_stmt(stmt):
                     return value
         return if_
     if t is While:
-        cond = _compile_int(stmt.cond, "condition")
-        body = _compile_body(stmt.body)
+        cond_node, body_nodes = stmt.cond, stmt.body
+        cond = _compile_int(cond_node, "condition")
+        body = _compile_body(body_nodes)
         accumulators = _accumulators(stmt)
         def while_(env, ctx):
             seen = {}       # snapshot -> accumulator totals, in order
@@ -538,6 +689,15 @@ def _compile_stmt(stmt):
                     seen, left = {}, [None]
                 elif size < _CYCLE_CHECK_AFTER:
                     left.append(ctx.steps)
+                    if size == _DRIFT_CHECK - 2:    # the check before
+                        before = _state_key(env)
+                    elif size == _DRIFT_CHECK - 1:
+                        path = _drift_verdict(cond_node, body_nodes, env,
+                                              before, ctx.steps)
+                        if path is not None:
+                            if ctx.coverage is not None:
+                                ctx.coverage.update(path)
+                            raise ToyFault("budget", "step budget exhausted")
                 for s in body:
                     value = s(env, ctx)
                     if value is not None:
@@ -601,12 +761,15 @@ def _stack_room(program: Program) -> int:
     return (MAX_CALL_DEPTH + 1) * (3 * levels + 2) + 100
 
 
-def _run_case(functions: dict, case, step_budget: int, want_cov: bool):
-    # the caller has checked that the entry function exists
-    ctx = _Ctx(step_budget, set() if want_cov else None, functions)
+def _run_case(ctx: _Ctx, case, step_budget: int, want_cov: bool):
+    """Run one case on the run's context, reset for it; the caller has
+    checked that the entry function exists."""
+    ctx.steps = step_budget
+    ctx.depth = 0
+    ctx.coverage = set() if want_cov else None
     args = [list(a) if type(a) in (list, tuple) else a for a in case.args]
     try:
-        result = functions[case.entry].invoke(args, ctx)
+        result = ctx.functions[case.entry].invoke(args, ctx)
         return result == case.expected, None, ctx.coverage
     except ToyFault as fault:
         return False, fault.kind, ctx.coverage
@@ -628,8 +791,9 @@ def passes_all(program, suite, step_budget: int) -> bool:
     """Whether every test passes: the run of `run_tests`, stopped at the
     first failure.
 
-    Each case runs on a fresh context with copied arguments, so the verdict
-    does not depend on the order of the cases, only the work done does."""
+    Each case runs on the run's context, reset for it, with copied
+    arguments, so the verdict does not depend on the order of the cases,
+    only the work done does."""
     flags, _, _ = _run(program, suite, step_budget, False, True)
     return all(flags)
 
@@ -645,7 +809,7 @@ def _run(program, suite, step_budget: int, coverage: bool,
     deeply nested program, on top of whatever the caller's stack already
     holds), the whole run is rerun once with room for the whole toy depth,
     so that the toy semantics decide the outcome.  Each case runs on a
-    fresh context with copied arguments, so the rerun is exact."""
+    context reset for it, with copied arguments, so the rerun is exact."""
     if step_budget <= 0:
         raise ValueError("step_budget must be positive")
     cases = list(suite)
@@ -659,8 +823,9 @@ def _run(program, suite, step_budget: int, coverage: bool,
                             ["missing-entry"] * len(cases),
                             [set() for _ in cases] if coverage else None)
                 flags, faults, covs = [], [], []
+                ctx = _Ctx(step_budget, None, functions)
                 for case in cases:
-                    ok, fault, cov = _run_case(functions, case, step_budget,
+                    ok, fault, cov = _run_case(ctx, case, step_budget,
                                                coverage)
                     flags.append(ok)
                     faults.append(fault)

@@ -16,6 +16,7 @@ from patchbandit.corpus import load_corpus
 from patchbandit.toylang import (ALL_OPERATORS, InapplicableOperator,
                                  apply_edit, enumerate_edits, localize,
                                  mint_edit, run_tests)
+from patchbandit.toylang import interp
 from patchbandit.toylang.interp import ToyFault, _Ctx, compile_program
 from patchbandit.toylang.syntax import parse_program
 
@@ -29,6 +30,9 @@ ORACLE_CALLS = 6860
 ORACLE_FAULTS = {"budget": 867, "cycle": 8141, "div-zero": 215,
                  "index": 2300, "missing-return": 1048, "type": 23,
                  "undefined-variable": 6870}
+# the `budget` faults that the drift verdict decides at a loop's eighth
+# condition check
+ORACLE_DECIDED = 87
 
 
 def _random_edit_lists(bug, weights):
@@ -57,7 +61,17 @@ def _oracle_variants():
             yield bug, program
 
 
-def test_flags_faults_and_coverage_match_the_recorded_digest():
+def test_flags_faults_and_coverage_match_the_recorded_digest(monkeypatch):
+    decided = []
+    verdict = interp._drift_verdict
+
+    def spy(*args):
+        path = verdict(*args)
+        if path is not None:
+            decided.append(path)
+        return path
+
+    monkeypatch.setattr(interp, "_drift_verdict", spy)
     digest = hashlib.sha256()
     calls = 0
     faults = Counter()
@@ -70,6 +84,7 @@ def test_flags_faults_and_coverage_match_the_recorded_digest():
             calls += 1
             faults.update(kind for kind in report.faults if kind)
     assert (calls, dict(faults)) == (ORACLE_CALLS, ORACLE_FAULTS)
+    assert len(decided) == ORACLE_DECIDED
     assert digest.hexdigest() == ORACLE_SHA256
 
 

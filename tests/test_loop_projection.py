@@ -5,9 +5,10 @@ A loop leaves its accumulators (names only ever updated as `v = v + e`,
 repeat of the rest: `cycle` when the accumulators repeat too, `budget`
 otherwise, unless an accumulator would leave the int range (`overflow`)
 before the budget is gone.  Every case here is checked against the same
-interpreter with no accumulators, which snapshots the whole frame and, on
-a runaway loop, spends the whole budget: the fault kind, the return value
-and the coverage must agree, and the projected run may only stop earlier.
+interpreter with no accumulators and no drift verdict, which snapshots the
+whole frame and, on a runaway loop, spends the whole budget: the fault
+kind, the return value and the coverage must agree, and the projected run
+may only stop earlier.
 """
 
 import hashlib
@@ -35,8 +36,9 @@ BUDGET = 100_000
 
 
 def _unprojected():
-    return mock.patch.object(interp, "_accumulators",
-                             lambda loop: frozenset())
+    """The literal run: whole-frame snapshots, and no drift verdict."""
+    return mock.patch.multiple(interp, _accumulators=lambda loop: frozenset(),
+                               _drift_verdict=lambda *args: None)
 
 
 def _run(cp, args, budget):
