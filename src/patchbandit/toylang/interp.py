@@ -43,7 +43,6 @@ The hot path rests on six exactness arguments:
   loop's accumulators come from its names (`syntax.loop_names`), which
   are a union over its subtree; combining the unions of the statements
   directly inside it gives what a walk of the whole subtree gives.
-
 * A loop snapshot is the tuple of the frame's values alone, arrays copied
   to tuples.  Names are never removed from a frame, only added, and a
   dict keeps insertion order, so two snapshots of one loop with the same
@@ -73,9 +72,10 @@ The hot path rests on six exactness arguments:
   the same path, spends the same steps and covers the same statements
   every p = j - i iterations from i on.  The rule, which looks only from
   iteration 64 on, first meets a repeat at iteration max(i, 64) + p, and
-  the steps left there follow from the steps left at iterations i to j
-  (`_fault_at_repeat`).  Steps only go down, so if that count is negative
-  the budget runs out on the way there.  Every statement run after j was
+  the steps left there follow from the steps left after the condition
+  checks of iterations i to j, which the loop's table of snapshots holds
+  for every iteration (`_fault_at_repeat`).  Steps only go down, so if
+  that count is negative the budget runs out on the way there.  Every statement run after j was
   run between i and j, so faulting at j gives the rule's fault kind and
   coverage; only the steps left differ, and no report carries them.
 * `Num` with an int literal, `Unary`, `Binary` and `len(...)` can only
@@ -210,18 +210,20 @@ def _split_state(env: dict, accumulators: frozenset) -> tuple:
     return tuple(key), tuple(totals)
 
 
-def _fault_at_repeat(i: int, j: int, left: list, steps: int) -> ToyFault:
+def _fault_at_repeat(i: int, j: int, seen: dict, steps: int) -> ToyFault:
     """The fault the loop rule gives, now that iteration j's snapshot
-    repeats iteration i's and no accumulator has changed: left[k] holds
-    the steps left after iteration k (k <= 64) and `steps` iteration j's.
+    repeats iteration i's and no accumulator has changed: `seen` holds
+    iterations 1 to j - 1 in order, each with left[k], the steps left
+    after its condition check, and `steps` is iteration j's.
     From i the loop repeats every p = j - i iterations for the same steps.
     If i >= 64 the rule sees this repeat itself; otherwise it first meets
     one at J = 64 + p, with left[i + r] - q * (left[i] - steps) steps
-    left, where J - i = q * p + r and so i + r <= 64.
+    left, where J - i = q * p + r and r < p, so i + r < j.
     """
     if i < _CYCLE_CHECK_AFTER:
         period = j - i
         q, r = divmod(_CYCLE_CHECK_AFTER + period - i, period)
+        left = [None] + [after for _, after, _ in seen.values()]
         if left[i + r] - q * (left[i] - steps) < 0:
             return ToyFault("budget", "step budget exhausted")
     return ToyFault("cycle", "loop state repeats; the loop cannot terminate")
@@ -658,10 +660,9 @@ def _compile_stmt(stmt):
         cond_node, body_nodes = stmt.cond, stmt.body
         cond = _compile_int(cond_node, "condition")
         body = _compile_body(body_nodes)
-        accumulators = _accumulators(stmt)
+        accumulators = loop_names(stmt)[0]
         def while_(env, ctx):
-            seen = {}       # snapshot -> accumulator totals, in order
-            left = [None]   # left[k]: steps left after iteration k (k <= 64)
+            seen = {}   # snapshot -> (iteration, steps left, totals), in order
             while True:
                 steps = ctx.steps - 1
                 ctx.steps = steps
@@ -676,28 +677,23 @@ def _compile_stmt(stmt):
                 else:
                     key, totals = _state_key(env), None
                 size = len(seen)
-                first = seen.setdefault(key, totals)
+                i, left_i, first = seen.setdefault(
+                    key, (size + 1, ctx.steps, totals))
                 if len(seen) == size:
-                    i = list(seen).index(key) + 1
                     if first == totals:
-                        raise _fault_at_repeat(i, size + 1, left, ctx.steps)
-                    # the steps are kept for iterations up to 64 only; for
-                    # a later i, start afresh and skip at the next repeat
-                    if i < len(left):
-                        ctx = _skip_periods(env, ctx, accumulators, first,
-                                            totals, left[i] - ctx.steps)
-                    seen, left = {}, [None]
-                elif size < _CYCLE_CHECK_AFTER:
-                    left.append(ctx.steps)
-                    if size == _DRIFT_CHECK - 2:    # the check before
-                        before = _state_key(env)
-                    elif size == _DRIFT_CHECK - 1:
-                        path = _drift_verdict(cond_node, body_nodes, env,
-                                              before, ctx.steps)
-                        if path is not None:
-                            if ctx.coverage is not None:
-                                ctx.coverage.update(path)
-                            raise ToyFault("budget", "step budget exhausted")
+                        raise _fault_at_repeat(i, size + 1, seen, ctx.steps)
+                    ctx = _skip_periods(env, ctx, accumulators, first, totals,
+                                        left_i - ctx.steps)
+                    seen = {}
+                elif size == _DRIFT_CHECK - 2:      # the check before
+                    before = _state_key(env)
+                elif size == _DRIFT_CHECK - 1:
+                    path = _drift_verdict(cond_node, body_nodes, env, before,
+                                          ctx.steps)
+                    if path is not None:
+                        if ctx.coverage is not None:
+                            ctx.coverage.update(path)
+                        raise ToyFault("budget", "step budget exhausted")
                 for s in body:
                     value = s(env, ctx)
                     if value is not None:
@@ -718,18 +714,6 @@ def _compile_stmt(stmt):
                     return value
         return block
     raise TypeError(f"not a statement node: {stmt!r}")
-
-
-def _accumulators(loop: While) -> frozenset:
-    """Names whose every occurrence in the loop (condition and body, nested
-    statements included) is the target of a self-update `v = v + e`,
-    `v = v - e` or `v = e + v`.
-
-    Any other occurrence of a name counts against it, an occurrence inside
-    a delta `e` included, so no delta reads its own or another
-    accumulator.  They are the names the loop's summary holds as only
-    self-updated (`syntax.loop_names`)."""
-    return loop_names(loop)[0]
 
 
 # --------------------------------------------------------------- running

@@ -1,14 +1,14 @@
 """Accumulator projection of loop snapshots, and deep toy recursion.
 
 A loop leaves its accumulators (names only ever updated as `v = v + e`,
-`v = v - e` or `v = e + v`) out of its snapshot and decides at the first
-repeat of the rest: `cycle` when the accumulators repeat too, `budget`
-otherwise, unless an accumulator would leave the int range (`overflow`)
-before the budget is gone.  Every case here is checked against the same
-interpreter with no accumulators and no drift verdict, which snapshots the
-whole frame and, on a runaway loop, spends the whole budget: the fault
-kind, the return value and the coverage must agree, and the projected run
-may only stop earlier.
+`v = v - e` or `v = e + v`, where no delta `e` reads an accumulator) out
+of its snapshot and decides at the first repeat of the rest: `cycle` when
+the accumulators repeat too, `budget` otherwise, unless an accumulator
+would leave the int range (`overflow`) before the budget is gone.  Every
+case here is checked against the same interpreter with no accumulators and
+no drift verdict, which snapshots the whole frame and, on a runaway loop,
+spends the whole budget: the fault kind, the return value and the coverage
+must agree, and the projected run may only stop earlier.
 """
 
 import hashlib
@@ -26,10 +26,10 @@ from patchbandit.toylang import (ALL_OPERATORS, InapplicableOperator,
                                  mint_edit, parse_program, parse_suite,
                                  passes_all, run_tests)
 from patchbandit.toylang import interp
-from patchbandit.toylang.interp import (MAX_CALL_DEPTH, ToyFault, _Ctx,
-                                        _accumulators)
+from patchbandit.toylang.interp import MAX_CALL_DEPTH, ToyFault, _Ctx
 from patchbandit.toylang.syntax import (Assign, Binary, Index, Store, Var,
-                                        While, children, walk_statements)
+                                        While, children, loop_names,
+                                        walk_statements)
 from test_mutate import _rebuilt
 
 BUDGET = 100_000
@@ -37,7 +37,8 @@ BUDGET = 100_000
 
 def _unprojected():
     """The literal run: whole-frame snapshots, and no drift verdict."""
-    return mock.patch.multiple(interp, _accumulators=lambda loop: frozenset(),
+    return mock.patch.multiple(interp,
+                               loop_names=lambda loop: (frozenset(), None),
                                _drift_verdict=lambda *args: None)
 
 
@@ -88,7 +89,7 @@ fn f(a) {
   }
 }
 """
-    assert _accumulators(_loops(text)[0]) == {"s"}
+    assert loop_names(_loops(text)[0])[0] == {"s"}
     _, kind, steps, full_steps = _compare(text, [(0, 5, 5)])
     assert kind == "cycle" and steps == full_steps
 
@@ -173,6 +174,28 @@ fn f(d) {
     assert _compare(text, [2 ** 63 // 1000])[1] == "overflow"
 
 
+@pytest.mark.parametrize("budget", [5_000, 100_000])
+def test_a_drift_whose_first_repeat_is_after_iteration_64_stops_there(
+        budget):
+    # i settles at iteration 101 and t then runs a period of 50, so the
+    # reduced snapshot first repeats after iteration 64 while s drifts; the
+    # drift verdict refuses the loop, because i < 100 flips in the budget
+    text = """
+fn f() {
+  i = 0; s = 0; t = 0;
+  while (1) {
+    if (i < 100) { i = i + 1; } else { t = t + 1; if (t == 50) { t = 0; } }
+    s = s + 1;
+  }
+}
+"""
+    value, kind, steps, _ = _compare(text, budget=budget)
+    assert (value, kind) == (None, "budget")
+    assert _outcome(text, (), budget)[3] == list(range(10))
+    # the loop skips its periods at that first repeat
+    assert budget - steps <= 700
+
+
 _DRIFT_STATEMENTS = (
     "s = s + d;", "s = s - e;", "s = e + s;", "t = t + (d * 2);",
     "if (i < {k}) {{ i = i + 1; }}",
@@ -221,7 +244,7 @@ fn f(d) {{
   }}
 }}
 """
-    assert _accumulators(_loops(loop.format(1))[0]) == {"s", "t"}
+    assert loop_names(_loops(loop.format(1))[0])[0] == {"s", "t"}
     assert _compare(loop.format(0), [0])[1] == "cycle"
     assert _compare(loop.format(1), [0])[1] == "budget"
     assert _compare(loop.format(0), [2])[1] == "budget"
@@ -256,7 +279,7 @@ fn f(a) {{
   return s;
 }}
 """
-    assert "s" not in _accumulators(_loops(text)[0])
+    assert "s" not in loop_names(_loops(text)[0])[0]
     assert _compare(text, [(1, 2)], budget=20_000)[1] == kind
 
 
@@ -271,7 +294,7 @@ fn f(a) {
   }
 }
 """
-    assert _accumulators(_loops(text)[0]) == {"u"}
+    assert loop_names(_loops(text)[0])[0] == {"u"}
     assert _compare(text, [(1, 2)])[1] == "type"
     assert _compare(text.replace("    a = a + 1;\n", ""),
                     [(1, 2)])[1] == "undefined-variable"
@@ -312,7 +335,7 @@ fn f(a, n) {
 }
 """
     outer, inner = _loops(text)
-    assert _accumulators(outer) == _accumulators(inner) == {"s"}
+    assert loop_names(outer)[0] == loop_names(inner)[0] == {"s"}
     assert _compare(text, [(1, 2), 1])[1] == "budget"
     assert _compare(text, [(0, 0), 1])[1] == "cycle"
     ending = text.replace("    j = 0;", "    i = i + 1;\n    j = 0;")
@@ -577,7 +600,7 @@ def _check_loops(program):
     loops = [s for fn in program.functions for s in walk_statements(fn.body)
              if type(s) is While]
     for loop in loops:
-        assert _accumulators(loop) == _walked_accumulators(loop)
+        assert loop_names(loop)[0] == _walked_accumulators(loop)
     return len(loops)
 
 

@@ -346,6 +346,19 @@ def test_the_allowed_members_are_still_unread(unread_members):
     assert ALLOWED_MEMBERS <= unread_members
 
 
+def test_every_allowed_entry_has_a_reader_outside_src():
+    # an entry whose last name no perfbench or test module mentions keeps
+    # dead code out of sight
+    texts = [path.read_text(encoding="utf-8")
+             for folder in ("perfbench", "tests")
+             for path in sorted((SRC.parent / folder).rglob("*.py"))
+             if path.name != Path(__file__).name]
+    unread = [entry for entry in sorted(ALLOWED | ALLOWED_MEMBERS)
+              if not any(re.search(rf"\b{entry.rsplit('.', 1)[1]}\b", text)
+                         for text in texts)]
+    assert unread == []
+
+
 def test_every_default_is_one_a_src_call_leaves_out():
     texts = {_qualifier(path): text for path, text in _sources().items()}
     assert _unrelied_defaults(texts) == []
