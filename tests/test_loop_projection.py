@@ -382,10 +382,11 @@ fn f() {
 # ------------------------------------------------- the budget boundary
 
 # Each loop shape's (return value, fault kind, sorted coverage) at every
-# budget from 1 to 1,500, hashed.  The digests were recorded with the
-# 64-iteration check that snapshotted from iteration 64 on; a loop that
-# finds its repeat earlier must decide `cycle` or `budget` exactly as that
-# check would at every budget.
+# budget from 1 to 1,500, hashed, and as segments: (first budget, return
+# value, fault kind, coverage) at each budget where the outcome changes.
+# The digests were recorded with the 64-iteration check that snapshotted
+# from iteration 64 on; a loop that finds its repeat earlier must decide
+# `cycle` or `budget` exactly as that check would at every budget.
 BOUNDARY_SHAPES = {
     "frozen": ("""
 fn f(n) {
@@ -395,7 +396,11 @@ fn f(n) {
   }
   return x;
 }
-""", [3], "1f405edfd9d20c9feb02ecca88c6a0b04d6ae924abdd74d1d881f72250b4bb17"),
+""", [3], "1f405edfd9d20c9feb02ecca88c6a0b04d6ae924abdd74d1d881f72250b4bb17",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (130, None, "cycle", (0, 1, 2)))),
     # the iteration that takes the `if` costs two steps more
     "period-3": ("""
 fn f() {
@@ -409,7 +414,14 @@ fn f() {
   }
   return 0;
 }
-""", [], "a60cbabfed457a967979648ba0ae5fd75022f7ace1555a5d23fade9b87937f03"),
+""", [], "a60cbabfed457a967979648ba0ae5fd75022f7ace1555a5d23fade9b87937f03",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (11, None, "budget", (0, 1, 2, 3, 4)),
+         (12, None, "budget", (0, 1, 2, 3, 4, 5)),
+         (244, None, "cycle", (0, 1, 2, 3, 4, 5)))),
     "transient-100": ("""
 fn f() {
   i = 0;
@@ -420,7 +432,12 @@ fn f() {
   }
   return i;
 }
-""", [], "ed804d04a546ceb4e59999578e42f9330cf5a8cae8fe7432f7e477999c68fec5"),
+""", [], "ed804d04a546ceb4e59999578e42f9330cf5a8cae8fe7432f7e477999c68fec5",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (304, None, "cycle", (0, 1, 2, 3)))),
     # the frame grows at iteration 50, so the cycle runs from 50 to 150
     # and straddles iteration 64
     "period-100": ("""
@@ -434,7 +451,13 @@ fn f() {
   }
   return k;
 }
-""", [], "93e7be4a562ed56c994e6a569e0d7c9f0986ca794e5f6114e1ef92efbabd9b58"),
+""", [], "93e7be4a562ed56c994e6a569e0d7c9f0986ca794e5f6114e1ef92efbabd9b58",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (152, None, "budget", (0, 1, 2, 3, 4)),
+         (493, None, "cycle", (0, 1, 2, 3, 4)))),
     "condition-calls": ("""
 fn g(v) {
   j = 0;
@@ -450,7 +473,15 @@ fn f(n) {
   }
   return x;
 }
-""", [4], "922200a16dbc979da387908552eba5921c13e66a47ecae2e8ffca777d76a214a"),
+""", [4], "922200a16dbc979da387908552eba5921c13e66a47ecae2e8ffca777d76a214a",
+        ((1, None, "budget", (4,)),
+         (2, None, "budget", (4, 5)),
+         (3, None, "budget", (0, 4, 5)),
+         (4, None, "budget", (0, 1, 4, 5)),
+         (5, None, "budget", (0, 1, 2, 4, 5)),
+         (13, None, "budget", (0, 1, 2, 3, 4, 5)),
+         (14, None, "budget", (0, 1, 2, 3, 4, 5, 6)),
+         (858, None, "cycle", (0, 1, 2, 3, 4, 5, 6)))),
     "nested": ("""
 fn f(a) {
   i = 0;
@@ -465,7 +496,15 @@ fn f(a) {
   return s;
 }
 """, [(1, 2, 3)],
-        "c265bb5133656ecbaf71d29b03bb240e1074b68e01806dee0bce9586592f2057"),
+        "c265bb5133656ecbaf71d29b03bb240e1074b68e01806dee0bce9586592f2057",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (5, None, "budget", (0, 1, 2, 3, 4)),
+         (6, None, "budget", (0, 1, 2, 3, 4, 5)),
+         (7, None, "budget", (0, 1, 2, 3, 4, 5, 6)),
+         (771, None, "cycle", (0, 1, 2, 3, 4, 5, 6)))),
     "zero-drift": ("""
 fn f() {
   s = 0;
@@ -476,7 +515,13 @@ fn f() {
   }
   return s;
 }
-""", [], "f309a38e900052a163393dbdf8e8269db75b10ef24298c22b9f98237a322c4e9"),
+""", [], "f309a38e900052a163393dbdf8e8269db75b10ef24298c22b9f98237a322c4e9",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (5, None, "budget", (0, 1, 2, 3, 4)),
+         (198, None, "cycle", (0, 1, 2, 3, 4)))),
     "drift": ("""
 fn f() {
   s = 0;
@@ -487,7 +532,12 @@ fn f() {
   }
   return s;
 }
-""", [], "a69a76a58cefe821ade998f2a0f6353c983e027e582b5b6988dc47551624c907"),
+""", [], "a69a76a58cefe821ade998f2a0f6353c983e027e582b5b6988dc47551624c907",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (5, None, "budget", (0, 1, 2, 3, 4)))),
     "late-frame": ("""
 fn f() {
   i = 0;
@@ -500,7 +550,13 @@ fn f() {
   }
   return 0;
 }
-""", [], "b1c1edb2e529d6e4b23ffa2b3f265aa5cb00593e349ec13538ab2847f1fc2784"),
+""", [], "b1c1edb2e529d6e4b23ffa2b3f265aa5cb00593e349ec13538ab2847f1fc2784",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (214, None, "budget", (0, 1, 2, 3, 4)),
+         (218, None, "cycle", (0, 1, 2, 3, 4)))),
     "ends": ("""
 fn f(n) {
   i = 0;
@@ -513,25 +569,39 @@ fn f(n) {
   }
   return s;
 }
-""", [300], "a9a778f9ada264701f06c1c21d993ff501121a650a7b0ca7a601a0237d967947"),
+""", [300], "a9a778f9ada264701f06c1c21d993ff501121a650a7b0ca7a601a0237d967947",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (5, None, "budget", (0, 1, 2, 3, 4)),
+         (12, None, "budget", (0, 1, 2, 3, 4, 5)),
+         (1004, 15150, None, (0, 1, 2, 3, 4, 5, 6)))),
 }
 
 
-def _sweep(text, args):
+def _check_sweep(text, args, expected, segments):
+    """Fail at the first budget whose outcome is not the recorded
+    segment's, then on the digest of all 1,500 outcomes."""
+    starts = {first: (value, kind, list(coverage))
+              for first, value, kind, coverage in segments}
     cp = compile_program(parse_program(text))
     digest = hashlib.sha256()
+    want = None
     for budget in range(1, 1501):
         value, kind, ctx = _run(cp, args, budget)
-        digest.update(repr((value, kind, sorted(ctx.coverage))).encode())
-    return digest.hexdigest()
+        got = (value, kind, sorted(ctx.coverage))
+        want = starts.get(budget, want)
+        assert got == want, f"budget {budget}: {got}, recorded {want}"
+        digest.update(repr(got).encode())
+    assert digest.hexdigest() == expected
 
 
 @pytest.mark.parametrize("shape", BOUNDARY_SHAPES)
 def test_every_budget_up_to_1500_gives_the_recorded_outcome(shape):
-    text, args, expected = BOUNDARY_SHAPES[shape]
-    assert _sweep(text, args) == expected
+    _check_sweep(*BOUNDARY_SHAPES[shape])
     with _unprojected():
-        assert _sweep(text, args) == expected
+        _check_sweep(*BOUNDARY_SHAPES[shape])
 
 
 # ------------------------------------------- differential, whole programs
