@@ -17,23 +17,22 @@ rerun whole, compiling included, with room for the whole cap.
 
 A step is one statement execution; a while loop spends one step per
 condition check.  Exhausting the budget is a fault.  The fault rule for
-loops is: a loop whose snapshot, taken at every condition check from its
-64th iteration on, repeats one taken earlier faults `cycle` there.  A
-snapshot leaves out the loop's accumulators: names whose every occurrence
-in the loop (condition and body, nested statements included) is a
-self-update `v = v + e`, `v = v - e` or `v = e + v`, where `e` reads no
-accumulator (found when the loop is compiled).  At the first
-repeat of such a reduced snapshot the loop can never end: it faults
-`cycle` if the accumulators repeat too, and otherwise `budget`, or
-`overflow` if an accumulator leaves the range before the budget is gone
-(`_skip_periods`).  Each is the fault the loop would reach without the
-projection, at any budget.  A loop snapshots from its first iteration,
-so a loop that freezes early stops at its first repeat, and works out
-there which fault the rule would give.  A loop whose ints drift in step
-faults `budget` at its eighth condition check when one pass over its path
-shows that it cannot leave before the budget is gone (`_drift_verdict`).
+loops is one sentence: a loop faults `cycle` at the first condition check
+at which its frame repeats the frame of an earlier check of the same run
+of the loop.  A loop finds that check with a snapshot that leaves out its
+accumulators: names whose every occurrence in the loop (condition and
+body, nested statements included) is a self-update `v = v + e`,
+`v = v - e` or `v = e + v`, where `e` reads no accumulator (found when
+the loop is compiled).  At the first repeat of such a reduced snapshot the
+loop can never end: it faults `cycle` if the accumulators repeat too, and
+otherwise `budget`, or `overflow` if an accumulator leaves the range
+before the budget is gone (`_skip_periods`).  Each is the fault the loop
+would reach without the projection, at any budget.  A loop whose ints
+drift in step faults `budget` at its eighth condition check when one pass
+over its path shows that it cannot leave before the budget is gone
+(`_drift_verdict`).
 
-The hot path rests on six exactness arguments:
+The hot path rests on five exactness arguments:
 
 * The code a node keeps is the code every program that holds the node
   would compile for it.  A node never changes, and its code is made from
@@ -57,27 +56,18 @@ The hot path rests on six exactness arguments:
   unless it never ran the update).  So once the reduced snapshot repeats,
   the loop takes the same path forever and each accumulator changes by
   the same amount every period.  If every amount is zero, the full frame
-  repeats at this iteration, the first at which it can, and the full
-  snapshot repeats here too.  Otherwise the full frame never repeats and
-  the loop runs until the budget is gone or an accumulator leaves the
-  range.  An accumulator moves by the same amount each period at each
-  point of the period, so it leaves the range within the budget only if
-  it is out of range at some point of the last two periods the budget
-  allows, which hold the last time the loop reaches each point.  So the
-  loop moves the accumulators on by the periods before those (a value
-  that leaves the range there faults `overflow` at once, as it would at
-  the period's last update) and runs the two.  Every statement it would
-  run was covered in that period, so coverage matches as well.
-* When iteration j's snapshot first repeats iteration i's, the loop runs
-  the same path, spends the same steps and covers the same statements
-  every p = j - i iterations from i on.  The rule, which looks only from
-  iteration 64 on, first meets a repeat at iteration max(i, 64) + p, and
-  the steps left there follow from the steps left after the condition
-  checks of iterations i to j, which the loop's table of snapshots holds
-  for every iteration (`_fault_at_repeat`).  Steps only go down, so if
-  that count is negative the budget runs out on the way there.  Every statement run after j was
-  run between i and j, so faulting at j gives the rule's fault kind and
-  coverage; only the steps left differ, and no report carries them.
+  repeats at this check, the first at which it can: a repeat of the full
+  frame is a repeat of the reduced snapshot.  Otherwise the full frame
+  never repeats and the loop runs until the budget is gone or an
+  accumulator leaves the range.  An accumulator moves by the same amount
+  each period at each point of the period, so it leaves the range within
+  the budget only if it is out of range at some point of the last two
+  periods the budget allows, which hold the last time the loop reaches
+  each point.  So the loop moves the accumulators on by the periods before
+  those (a value that leaves the range there faults `overflow` at once,
+  as it would at the period's last update) and runs the two.  Every
+  statement it would run was covered in that period, so coverage matches
+  as well.
 * `Num` with an int literal, `Unary`, `Binary` and `len(...)` can only
   produce an int (or fault), so conditions, `&&`/`||` operands, indexes
   and stored values built from them skip the run-time int check.  `Var`,
@@ -92,18 +82,22 @@ The hot path rests on six exactness arguments:
   variables, negation, `+`, `-`, `*` with a constant side, `/` and `%` of
   constants, comparisons, `&&`, `||`, `len` and reads at a constant index;
   anything else, or any error, refuses.  Suppose it ends at the start
-  moved by D, its arrays as they were, and up to the last iteration whose
-  condition check the steps allow no test changes its truth and no value
-  leaves the range (a comparison of forms is monotone in k, and `==` or
-  `!=` changes at one k at most, so its two ends and its root decide every
-  k).  Then each of those iterations takes the frame at k to the frame at
-  k + 1 along the same path, so the frames from here are all distinct, no
-  snapshot the rule takes from iteration 64 on repeats, and the loop runs
-  the path until the budget is gone.  The verdict asks for the steps to
-  run the first iteration whole, so the path's statements are all the loop
-  covers from here, and faulting `budget` at once with them is the rule's
-  outcome.  This is the loop acceleration of Gonnord and Halbwachs (SAS
-  2006), applied to one concrete path.
+  moved by D, its arrays as they were, and up to eight iterations past
+  the last one whose condition check the steps allow no test changes its
+  truth and no value leaves the range (a comparison of forms is monotone
+  in k, and `==` or `!=` changes at one k at most, so its two ends and its
+  root decide every k).  Then each of those iterations takes the frame at
+  k to the frame at k + 1 along the same path, so the frames from here
+  are all distinct.  Nor does the frame at a k >= 1 within the budget
+  repeat the frame of an earlier check, j <= 7 checks back (checks before
+  a skip of periods never repeat, by the third argument): the path reads
+  only the frame's values, so that frame would run the path j times to
+  the frame here, making it the frame at k + j, which D rules out.  So
+  the loop runs the path until the budget is gone.  The verdict asks for
+  the steps to run the first iteration whole, so the path's statements
+  are all the loop covers from here, and faulting `budget` at once with
+  them is the rule's outcome.  This is the loop acceleration of Gonnord
+  and Halbwachs (SAS 2006), applied to one concrete path.
 """
 
 from __future__ import annotations
@@ -117,7 +111,6 @@ from .syntax import (Assign, Binary, Block, Call, Function, If, Index, Num,
                      CMP_OPS, INT_MAX, INT_MIN, compiled, height, loop_names)
 
 MAX_CALL_DEPTH = 100
-_CYCLE_CHECK_AFTER = 64
 _DRIFT_CHECK = 8    # the condition check at which a loop tries the verdict
 
 
@@ -210,25 +203,6 @@ def _split_state(env: dict, accumulators: frozenset) -> tuple:
     return tuple(key), tuple(totals)
 
 
-def _fault_at_repeat(i: int, j: int, seen: dict, steps: int) -> ToyFault:
-    """The fault the loop rule gives, now that iteration j's snapshot
-    repeats iteration i's and no accumulator has changed: `seen` holds
-    iterations 1 to j - 1 in order, each with left[k], the steps left
-    after its condition check, and `steps` is iteration j's.
-    From i the loop repeats every p = j - i iterations for the same steps.
-    If i >= 64 the rule sees this repeat itself; otherwise it first meets
-    one at J = 64 + p, with left[i + r] - q * (left[i] - steps) steps
-    left, where J - i = q * p + r and r < p, so i + r < j.
-    """
-    if i < _CYCLE_CHECK_AFTER:
-        period = j - i
-        q, r = divmod(_CYCLE_CHECK_AFTER + period - i, period)
-        left = [None] + [after for _, after, _ in seen.values()]
-        if left[i + r] - q * (left[i] - steps) < 0:
-            return ToyFault("budget", "step budget exhausted")
-    return ToyFault("cycle", "loop state repeats; the loop cannot terminate")
-
-
 def _skip_periods(env: dict, ctx: _Ctx, accumulators: frozenset,
                   was: tuple, now: tuple, period: int) -> _Ctx:
     """Move changed accumulators (`was` and `now`, in frame order) on by
@@ -278,13 +252,15 @@ def _drift_verdict(cond, body, env: dict, before: tuple, steps: int):
         return None
     if steps < len(path) or forms != after:
         return None
-    last = steps // (len(path) + 1)     # the last k whose condition runs
+    # past the last k whose condition runs by as many iterations as the
+    # checks before this one, so that none of their frames comes back
+    horizon = steps // (len(path) + 1) + _DRIFT_CHECK
     for op, c, s in checks:
-        end = c + last * s
+        end = c + horizon * s
         if op is None:
             if not (INT_MIN <= c <= INT_MAX and INT_MIN <= end <= INT_MAX):
                 return None
-        elif s and (c % s == 0 and 0 <= -c // s <= last
+        elif s and (c % s == 0 and 0 <= -c // s <= horizon
                     if op == "==" or op == "!=" else
                     _BINARY_FNS[op](c, 0) != _BINARY_FNS[op](end, 0)):
             return None
@@ -662,7 +638,7 @@ def _compile_stmt(stmt):
         body = _compile_body(body_nodes)
         accumulators = loop_names(stmt)[0]
         def while_(env, ctx):
-            seen = {}   # snapshot -> (iteration, steps left, totals), in order
+            seen = {}   # snapshot -> (steps left, accumulator totals)
             while True:
                 steps = ctx.steps - 1
                 ctx.steps = steps
@@ -677,13 +653,13 @@ def _compile_stmt(stmt):
                 else:
                     key, totals = _state_key(env), None
                 size = len(seen)
-                i, left_i, first = seen.setdefault(
-                    key, (size + 1, ctx.steps, totals))
+                left, first = seen.setdefault(key, (ctx.steps, totals))
                 if len(seen) == size:
                     if first == totals:
-                        raise _fault_at_repeat(i, size + 1, seen, ctx.steps)
+                        raise ToyFault("cycle", "loop state repeats; "
+                                       "the loop cannot terminate")
                     ctx = _skip_periods(env, ctx, accumulators, first, totals,
-                                        left_i - ctx.steps)
+                                        left - ctx.steps)
                     seen = {}
                 elif size == _DRIFT_CHECK - 2:      # the check before
                     before = _state_key(env)

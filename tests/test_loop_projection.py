@@ -1,14 +1,16 @@
 """Accumulator projection of loop snapshots, and deep toy recursion.
 
-A loop leaves its accumulators (names only ever updated as `v = v + e`,
-`v = v - e` or `v = e + v`, where no delta `e` reads an accumulator) out
-of its snapshot and decides at the first repeat of the rest: `cycle` when
-the accumulators repeat too, `budget` otherwise, unless an accumulator
-would leave the int range (`overflow`) before the budget is gone.  Every
-case here is checked against the same interpreter with no accumulators and
-no drift verdict, which snapshots the whole frame and, on a runaway loop,
-spends the whole budget: the fault kind, the return value and the coverage
-must agree, and the projected run may only stop earlier.
+A loop faults `cycle` at the first condition check where its frame
+repeats.  It leaves its accumulators (names only ever updated as
+`v = v + e`, `v = v - e` or `v = e + v`, where no delta `e` reads an
+accumulator) out of its snapshot and decides at the first repeat of the
+rest: `cycle` when the accumulators repeat too, `budget` otherwise, unless
+an accumulator would leave the int range (`overflow`) before the budget is
+gone.  Every case here is checked against the same interpreter with no
+accumulators and no drift verdict, which is the language rule itself:
+whole-frame snapshots with no acceleration, so a runaway loop spends the
+whole budget.  The fault kind, the return value and the coverage must
+agree, and the projected run may only stop earlier.
 """
 
 import hashlib
@@ -178,7 +180,7 @@ fn f(d) {
 def test_a_drift_whose_first_repeat_is_after_iteration_64_stops_there(
         budget):
     # i settles at iteration 101 and t then runs a period of 50, so the
-    # reduced snapshot first repeats after iteration 64 while s drifts; the
+    # reduced snapshot first repeats at iteration 151 while s drifts; the
     # drift verdict refuses the loop, because i < 100 flips in the budget
     text = """
 fn f() {
@@ -215,8 +217,8 @@ _BIG = [2 ** 63 // n for n in (1, 3, 50, 700, 1500)]
        budget=st.integers(min_value=1, max_value=6000))
 def test_random_drifting_loops_fault_as_the_unprojected_run(body, k, d, e,
                                                             budget):
-    # accumulators with deltas up to 2^63, some settling only after
-    # iteration 64 (k = 70, 130)
+    # accumulators with deltas up to 2^63, some settling only after 70 or
+    # 130 iterations
     statements = " ".join(stmt.format(k=k) for stmt in body)
     text = f"""
 fn f(d, e) {{
@@ -379,14 +381,33 @@ fn f() {
     assert (steps == -1) == (budget < 2 + 2 + 1)
 
 
+def test_a_frozen_loop_is_a_cycle_at_its_second_condition_check():
+    # the frame is whole before the loop, so its second condition check
+    # repeats its first, whatever the budget
+    text = """
+fn f(n) {
+  i = 0;
+  x = 0;
+  while (i < n) {
+    x = i;
+  }
+  return x;
+}
+"""
+    for budget in [*range(1, 200), 100_000]:
+        _, kind, steps, full_steps = _compare(text, [3], budget)
+        # two assignments, two condition checks and one body
+        assert kind == ("cycle" if budget >= 2 + 2 + 1 else "budget")
+        assert steps == full_steps == max(budget - 5, -1)
+
+
 # ------------------------------------------------- the budget boundary
 
 # Each loop shape's (return value, fault kind, sorted coverage) at every
 # budget from 1 to 1,500, hashed, and as segments: (first budget, return
 # value, fault kind, coverage) at each budget where the outcome changes.
-# The digests were recorded with the 64-iteration check that snapshotted
-# from iteration 64 on; a loop that finds its repeat earlier must decide
-# `cycle` or `budget` exactly as that check would at every budget.
+# A loop faults `cycle` at its first repeated frame, at any budget that
+# reaches that condition check, and `budget` below it.
 BOUNDARY_SHAPES = {
     "frozen": ("""
 fn f(n) {
@@ -396,11 +417,11 @@ fn f(n) {
   }
   return x;
 }
-""", [3], "1f405edfd9d20c9feb02ecca88c6a0b04d6ae924abdd74d1d881f72250b4bb17",
+""", [3], "bb506e4d4e1260470b2bd7c2ccc32463ff0ede001877732960dfd1e0bc00c9a2",
         ((1, None, "budget", (0,)),
          (2, None, "budget", (0, 1)),
          (3, None, "budget", (0, 1, 2)),
-         (130, None, "cycle", (0, 1, 2)))),
+         (6, None, "cycle", (0, 1, 2)))),
     # the iteration that takes the `if` costs two steps more
     "period-3": ("""
 fn f() {
@@ -414,14 +435,14 @@ fn f() {
   }
   return 0;
 }
-""", [], "a60cbabfed457a967979648ba0ae5fd75022f7ace1555a5d23fade9b87937f03",
+""", [], "980bbdf38f20641f1b4d1ec80d506824350eb022779a1a80fa659f30f347dcb5",
         ((1, None, "budget", (0,)),
          (2, None, "budget", (0, 1)),
          (3, None, "budget", (0, 1, 2)),
          (4, None, "budget", (0, 1, 2, 3)),
          (11, None, "budget", (0, 1, 2, 3, 4)),
          (12, None, "budget", (0, 1, 2, 3, 4, 5)),
-         (244, None, "cycle", (0, 1, 2, 3, 4, 5)))),
+         (24, None, "cycle", (0, 1, 2, 3, 4, 5)))),
     "transient-100": ("""
 fn f() {
   i = 0;
@@ -439,7 +460,6 @@ fn f() {
          (4, None, "budget", (0, 1, 2, 3)),
          (304, None, "cycle", (0, 1, 2, 3)))),
     # the frame grows at iteration 50, so the cycle runs from 50 to 150
-    # and straddles iteration 64
     "period-100": ("""
 fn f() {
   k = 0;
@@ -451,13 +471,13 @@ fn f() {
   }
   return k;
 }
-""", [], "93e7be4a562ed56c994e6a569e0d7c9f0986ca794e5f6114e1ef92efbabd9b58",
+""", [], "1019dde9d0ba1ff00a34020dc640750f75a6526794e54a436baa98f5a476e10a",
         ((1, None, "budget", (0,)),
          (2, None, "budget", (0, 1)),
          (3, None, "budget", (0, 1, 2)),
          (4, None, "budget", (0, 1, 2, 3)),
          (152, None, "budget", (0, 1, 2, 3, 4)),
-         (493, None, "cycle", (0, 1, 2, 3, 4)))),
+         (454, None, "cycle", (0, 1, 2, 3, 4)))),
     "condition-calls": ("""
 fn g(v) {
   j = 0;
@@ -473,7 +493,7 @@ fn f(n) {
   }
   return x;
 }
-""", [4], "922200a16dbc979da387908552eba5921c13e66a47ecae2e8ffca777d76a214a",
+""", [4], "b677cae8b2fe9a4d31a13065fc2b72887a7c4ae4a47b55d67fda4c2fb417fa8c",
         ((1, None, "budget", (4,)),
          (2, None, "budget", (4, 5)),
          (3, None, "budget", (0, 4, 5)),
@@ -481,7 +501,7 @@ fn f(n) {
          (5, None, "budget", (0, 1, 2, 4, 5)),
          (13, None, "budget", (0, 1, 2, 3, 4, 5)),
          (14, None, "budget", (0, 1, 2, 3, 4, 5, 6)),
-         (858, None, "cycle", (0, 1, 2, 3, 4, 5, 6)))),
+         (39, None, "cycle", (0, 1, 2, 3, 4, 5, 6)))),
     "nested": ("""
 fn f(a) {
   i = 0;
@@ -496,7 +516,7 @@ fn f(a) {
   return s;
 }
 """, [(1, 2, 3)],
-        "c265bb5133656ecbaf71d29b03bb240e1074b68e01806dee0bce9586592f2057",
+        "5f67f08d6aa09ade156fa2c7904c9240737fad065ac2714ede03e58b514519f9",
         ((1, None, "budget", (0,)),
          (2, None, "budget", (0, 1)),
          (3, None, "budget", (0, 1, 2)),
@@ -504,7 +524,7 @@ fn f(a) {
          (5, None, "budget", (0, 1, 2, 3, 4)),
          (6, None, "budget", (0, 1, 2, 3, 4, 5)),
          (7, None, "budget", (0, 1, 2, 3, 4, 5, 6)),
-         (771, None, "cycle", (0, 1, 2, 3, 4, 5, 6)))),
+         (27, None, "cycle", (0, 1, 2, 3, 4, 5, 6)))),
     "zero-drift": ("""
 fn f() {
   s = 0;
@@ -515,13 +535,13 @@ fn f() {
   }
   return s;
 }
-""", [], "f309a38e900052a163393dbdf8e8269db75b10ef24298c22b9f98237a322c4e9",
+""", [], "0fc07204288b6f52bf0f4f6ab9f142f4a5fc782746cbf2f6b0aa950d7eb8f099",
         ((1, None, "budget", (0,)),
          (2, None, "budget", (0, 1)),
          (3, None, "budget", (0, 1, 2)),
          (4, None, "budget", (0, 1, 2, 3)),
          (5, None, "budget", (0, 1, 2, 3, 4)),
-         (198, None, "cycle", (0, 1, 2, 3, 4)))),
+         (9, None, "cycle", (0, 1, 2, 3, 4)))),
     "drift": ("""
 fn f() {
   s = 0;
@@ -557,6 +577,28 @@ fn f() {
          (4, None, "budget", (0, 1, 2, 3)),
          (214, None, "budget", (0, 1, 2, 3, 4)),
          (218, None, "cycle", (0, 1, 2, 3, 4)))),
+    # i runs 97, 98, 99, 100, 0, 1, 2, 3 at the first eight checks, so the
+    # drift verdict sees a step of 1 while the first check's frame lies
+    # ahead on that line: a budget that reaches i = 97 again is a cycle
+    "drift-back": ("""
+fn f() {
+  i = 97;
+  while (1) {
+    if (i < 100) {
+      i = i + 1;
+    } else {
+      i = 0;
+    }
+  }
+  return 0;
+}
+""", [], "444b9172e3f04e4be238c5d4e6b3d498c61392a6c0fe5ad052e24abc2e0ddf16",
+        ((1, None, "budget", (0,)),
+         (2, None, "budget", (0, 1)),
+         (3, None, "budget", (0, 1, 2)),
+         (4, None, "budget", (0, 1, 2, 3)),
+         (13, None, "budget", (0, 1, 2, 3, 4)),
+         (305, None, "cycle", (0, 1, 2, 3, 4)))),
     "ends": ("""
 fn f(n) {
   i = 0;
