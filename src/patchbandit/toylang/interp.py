@@ -252,8 +252,8 @@ def _drift_verdict(cond, body, env: dict, before: tuple, steps: int):
         return None
     if steps < len(path) or forms != after:
         return None
-    # past the last k whose condition runs by as many iterations as the
-    # checks before this one, so that none of their frames comes back
+    # _DRIFT_CHECK iterations past the last k whose condition runs, more
+    # than the checks before this one, so none of their frames comes back
     horizon = steps // (len(path) + 1) + _DRIFT_CHECK
     for op, c, s in checks:
         end = c + horizon * s
