@@ -17,20 +17,19 @@ rerun whole, compiling included, with room for the whole cap.
 
 A step is one statement execution; a while loop spends one step per
 condition check.  Exhausting the budget is a fault.  The fault rule for
-loops is one sentence: a loop faults `cycle` at the first condition check
-at which its frame repeats the frame of an earlier check of the same run
-of the loop.  A loop finds that check with a snapshot that leaves out its
-accumulators: names whose every occurrence in the loop (condition and
-body, nested statements included) is a self-update `v = v + e`,
-`v = v - e` or `v = e + v`, where `e` reads no accumulator (found when
-the loop is compiled).  At the first repeat of such a reduced snapshot the
-loop can never end: it faults `cycle` if the accumulators repeat too, and
-otherwise `budget`, or `overflow` if an accumulator leaves the range
-before the budget is gone (`_skip_periods`).  Each is the fault the loop
-would reach without the projection, at any budget.  A loop whose ints
-drift in step faults `budget` at its eighth condition check when one pass
-over its path shows that it cannot leave before the budget is gone
-(`_drift_verdict`).
+loops is one sentence: at the first condition check at which a loop's
+frame, less its accumulators, repeats the frame of an earlier check of
+the same run of the loop, the loop faults `cycle` if its accumulators
+repeat too and `budget` if they do not.  Accumulators are names whose
+every occurrence in the loop (condition and body, nested statements
+included) is a self-update `v = v + e`, `v = v - e` or `v = e + v`,
+where `e` reads no accumulator (found when the loop is compiled).  Either
+way the loop can never end; `budget` says that an int keeps moving, as
+the drift verdict's does.  An accumulator that leaves the range before
+that check faults `overflow`, because the loop runs literally until then.
+A loop whose ints drift in step faults `budget` at its eighth condition
+check when one pass over its path shows that it cannot leave before the
+budget is gone (`_drift_verdict`).
 
 The hot path rests on five exactness arguments:
 
@@ -54,20 +53,11 @@ The hot path rests on five exactness arguments:
   faults only if the name is undefined (the frame length shows that) or
   not an int (then the period before the repeat would have faulted,
   unless it never ran the update).  So once the reduced snapshot repeats,
-  the loop takes the same path forever and each accumulator changes by
-  the same amount every period.  If every amount is zero, the full frame
-  repeats at this check, the first at which it can: a repeat of the full
-  frame is a repeat of the reduced snapshot.  Otherwise the full frame
-  never repeats and the loop runs until the budget is gone or an
-  accumulator leaves the range.  An accumulator moves by the same amount
-  each period at each point of the period, so it leaves the range within
-  the budget only if it is out of range at some point of the last two
-  periods the budget allows, which hold the last time the loop reaches
-  each point.  So the loop moves the accumulators on by the periods before
-  those (a value that leaves the range there faults `overflow` at once,
-  as it would at the period's last update) and runs the two.  Every
-  statement it would run was covered in that period, so coverage matches
-  as well.
+  the loop takes the same path forever, covering nothing new, and each
+  accumulator changes by the same amount every period.  If every amount
+  is zero, the full frame repeats at this check, the first at which it
+  can: a repeat of the full frame is a repeat of the reduced snapshot.
+  Otherwise the full frame never repeats, and the loop faults `budget`.
 * `Num` with an int literal, `Unary`, `Binary` and `len(...)` can only
   produce an int (or fault), so conditions, `&&`/`||` operands, indexes
   and stored values built from them skip the run-time int check.  `Var`,
@@ -87,17 +77,19 @@ The hot path rests on five exactness arguments:
   truth and no value leaves the range (a comparison of forms is monotone
   in k, and `==` or `!=` changes at one k at most, so its two ends and its
   root decide every k).  Then each of those iterations takes the frame at
-  k to the frame at k + 1 along the same path, so the frames from here
-  are all distinct.  Nor does the frame at a k >= 1 within the budget
-  repeat the frame of an earlier check, j <= 7 checks back (checks before
-  a skip of periods never repeat, by the third argument): the path reads
-  only the frame's values, so that frame would run the path j times to
-  the frame here, making it the frame at k + j, which D rules out.  So
-  the loop runs the path until the budget is gone.  The verdict asks for
-  the steps to run the first iteration whole, so the path's statements
-  are all the loop covers from here, and faulting `budget` at once with
-  them is the rule's outcome.  This is the loop acceleration of Gonnord
-  and Halbwachs (SAS 2006), applied to one concrete path.
+  k to the frame at k + 1 along the same path.  If D moves accumulators
+  alone, the reduced snapshot repeats at k = 1, and the loop faults
+  `budget` there.  Otherwise the reduced snapshots from here are all
+  distinct, nor does the one at a k >= 1 within the budget repeat that
+  of an earlier check, j <= 7 checks back: the loop is steered by its
+  reduced snapshot alone, so that check's frame would run the path j
+  times to the snapshot here, making it the one at k + j, which D rules
+  out; so the loop runs the path until the budget is gone.  Either way
+  the verdict asks for the steps to run the first iteration whole, so
+  the path's statements are all the loop covers from here, and faulting
+  `budget` at once with them is the rule's outcome.  This is the loop
+  acceleration of Gonnord and Halbwachs (SAS 2006), applied to one
+  concrete path.
 """
 
 from __future__ import annotations
@@ -130,11 +122,11 @@ class _Ctx:
     leaves the depth as it is until the next case resets it."""
     __slots__ = ("steps", "coverage", "functions", "depth")
 
-    def __init__(self, steps: int, coverage, functions: dict, depth: int = 0):
+    def __init__(self, steps: int, coverage, functions: dict):
         self.steps = steps
         self.coverage = coverage
         self.functions = functions
-        self.depth = depth
+        self.depth = 0
 
 
 def _undefined(name: str) -> ToyFault:
@@ -201,19 +193,6 @@ def _split_state(env: dict, accumulators: frozenset) -> tuple:
         (totals if name in accumulators else key).append(
             tuple(v) if type(v) is list else v)
     return tuple(key), tuple(totals)
-
-
-def _skip_periods(env: dict, ctx: _Ctx, accumulators: frozenset,
-                  was: tuple, now: tuple, period: int) -> _Ctx:
-    """Move changed accumulators (`was` and `now`, in frame order) on by
-    all but the last two periods the budget allows, and return a context
-    for the rest of the loop, which covers nothing new."""
-    skip = max(ctx.steps // period - 1, 0)
-    for name, a, b in zip([n for n in env if n in accumulators], was, now):
-        if a != b:
-            env[name] = _BINARY_FNS["+"](b, skip * (b - a))
-    return _Ctx(ctx.steps - skip * period, None, ctx.functions,
-                ctx.depth)
 
 
 # ------------------------------------------------------- drift verdict
@@ -638,7 +617,7 @@ def _compile_stmt(stmt):
         body = _compile_body(body_nodes)
         accumulators = loop_names(stmt)[0]
         def while_(env, ctx):
-            seen = {}   # snapshot -> (steps left, accumulator totals)
+            seen = {}   # reduced snapshot -> accumulator totals
             while True:
                 steps = ctx.steps - 1
                 ctx.steps = steps
@@ -653,14 +632,12 @@ def _compile_stmt(stmt):
                 else:
                     key, totals = _state_key(env), None
                 size = len(seen)
-                left, first = seen.setdefault(key, (ctx.steps, totals))
+                first = seen.setdefault(key, totals)
                 if len(seen) == size:
                     if first == totals:
                         raise ToyFault("cycle", "loop state repeats; "
                                        "the loop cannot terminate")
-                    ctx = _skip_periods(env, ctx, accumulators, first, totals,
-                                        left - ctx.steps)
-                    seen = {}
+                    raise ToyFault("budget", "step budget exhausted")
                 elif size == _DRIFT_CHECK - 2:      # the check before
                     before = _state_key(env)
                 elif size == _DRIFT_CHECK - 1:
