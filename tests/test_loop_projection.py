@@ -133,9 +133,9 @@ fn f(d) {{
   }}
 }}
 """
-    # the reduced snapshot first repeats at the second check: 2^62 per
-    # update leaves the range at the second update, so only two updates
-    # an iteration leave it before that repeat
+    # the reduced snapshot first repeats at the second check, after one
+    # update; 2^62 per update leaves the range at the second or third, so
+    # only two updates an iteration leave it before that repeat
     _, kind, steps, _ = _compare(text, [delta])
     assert kind == fault
     assert steps > 100_000 - 200
@@ -143,7 +143,7 @@ fn f(d) {{
 
 def test_an_accumulator_that_only_swings_out_of_range_inside_a_period():
     # s is 0 at the first snapshot and grows by one per period, so s + d
-    # would leave the range once s reached 1001, long after the reduced
+    # would leave the range once s passed 1001, long after the reduced
     # snapshot first repeats, at the second check; from s = 1002 it leaves
     # the range in the first period
     text = """
