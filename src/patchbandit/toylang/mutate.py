@@ -23,9 +23,10 @@ Each operator is one record in `_OPERATORS`: where it can act (a site
 builder that yields its options on a target), how it rewrites the owner
 function's body, and its payload's item types.  A mint asks each
 weighted statement's builder for its first option, then lists the
-options of the one target it draws; a function's statements, its
-condition pool and its statements that have a next sibling are listed
-once, not once per target.
+options of the one target it draws.  The builders read a function's
+statements, its condition texts and the ids of its statements that have
+a next sibling from the `Function` node, which works each out once in
+its life (`statements`, `conditions`, `followed`), not once per target.
 
 An edit is applied in one walk: `_spliced` descends a function body to
 the first statement with the edit's target, pre-order, hands the list
@@ -155,55 +156,22 @@ def _subtree_index_vars(stmt):
                   and type(node.index) is Var)
 
 
-def _condition_parts(expr):
-    yield expr
-    if isinstance(expr, Binary) and expr.op in ("&&", "||"):
-        yield from _condition_parts(expr.left)
-        yield from _condition_parts(expr.right)
-
-
-def _for_last_function(build):
-    """build(fn), kept for the last function it was asked about: a mint or
-    an enumeration asks about one function at each of its targets in turn,
-    so each function's answer is worked out once."""
-    last = [None, None]
-
-    def memo(fn: Function):
-        if last[0] is not fn:
-            last[:] = fn, build(fn)
-        return last[1]
-    return memo
-
-
-@_for_last_function
-def _condition_pool(fn):
-    """Printed texts of every branch/loop condition and their operands."""
-    texts = (print_expr(part) for s in fn.statements()
-             if isinstance(s, (If, While))
-             for part in _condition_parts(s.cond))
-    return tuple(_dedup(texts))
-
-
-@_for_last_function
-def _followed(fn):
-    """Ids of the statements that another statement follows in their
-    statement list: the function body or a statement's body field."""
-    holders = [fn.body] + [getattr(s, field) for s in fn.statements()
-                           for field in BODY_FIELDS[type(s)]]
-    return frozenset(s.sid for holder in holders for s in holder[:-1])
-
-
 # ------------------------------------------------------------ site minting
 #
 # Each builder yields the (path, payload) options the operator admits on
 # one target statement, in deterministic program order: a tuple where the
 # set is fixed, otherwise lazily, so that asking for the first option
-# tests the target for a site.  No option means the operator cannot act
-# there.
+# tests the target for a site (`stmt_append`'s is a `map`, which a mint
+# drops after one option without closing a suspended generator).  No
+# option means the operator cannot act there.
+
+
+def _donor_option(donor):
+    return (), (donor.sid,)
 
 
 def _sites_stmt_append(program, fn, stmt):
-    return (((), (donor.sid,)) for donor in fn.statements())
+    return map(_donor_option, fn.statements())
 
 
 def _sites_stmt_delete(program, fn, stmt):
@@ -228,8 +196,7 @@ def _sites_expr_replace(program, fn, stmt):
     if not isinstance(stmt, (If, While)):
         return ()
     own = print_expr(stmt.cond)
-    return ((("cond",), (text,)) for text in _condition_pool(fn)
-            if text != own)
+    return ((("cond",), (text,)) for text in fn.conditions() if text != own)
 
 
 def _sites_expr_add(program, fn, stmt):
@@ -307,7 +274,7 @@ def _sites_default_return_insert(program, fn, stmt):
 
 
 def _sites_stmt_swap(program, fn, stmt):
-    return (((), ()),) if stmt.sid in _followed(fn) else ()
+    return (((), ()),) if stmt.sid in fn.followed() else ()
 
 
 def mint_edit(operator, program, weights, rng) -> Edit:

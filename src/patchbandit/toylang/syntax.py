@@ -111,7 +111,9 @@ def _init(name, fields, slots):
 # `height` keeps its height in `_height`, from its children's, `loop_names`
 # a statement's names in `_names`, from its children's, and `compiled` the
 # interpreter's code for it in `_code`.  A leaf's height is a class
-# attribute, and a leaf keeps no code.
+# attribute, and a leaf keeps no code.  A `Function` keeps its statements,
+# its condition texts and the ids of its followed statements the same way,
+# for the mutation sites that read them at every target.
 
 
 class Num(_Node):
@@ -324,9 +326,11 @@ def compiled(node, compile):
 
 class Function(_Node):
     _fields = ("name", "params", "body")
-    # the tuple `statements` lists, kept on the node as a node's height is,
-    # and the interpreter's code for the function (`compiled`)
-    __slots__ = _fields + ("_statements", "_code")
+    # what `statements`, `conditions` and `followed` answer, each kept on
+    # the node as a node's height is, and the interpreter's code for the
+    # function (`compiled`)
+    __slots__ = _fields + ("_statements", "_conditions", "_followed",
+                           "_code")
     __init__ = _init(__qualname__, _fields, __slots__)
 
     def statements(self) -> tuple:
@@ -334,6 +338,34 @@ class Function(_Node):
         if self._statements is None:
             self._statements = tuple(walk_statements(self.body))
         return self._statements
+
+    def conditions(self) -> tuple:
+        """The printed text of every if and while condition and of each
+        of its `&&`/`||` operands, nested ones included, each once, in
+        pre-order."""
+        if self._conditions is None:
+            texts = []
+            for stmt in self.statements():
+                if type(stmt) is If or type(stmt) is While:
+                    parts = [stmt.cond]
+                    while parts:
+                        part = parts.pop()
+                        texts.append(print_expr(part))
+                        if type(part) is Binary and part.op in ("&&", "||"):
+                            parts += part.right, part.left
+            self._conditions = tuple(dict.fromkeys(texts))
+        return self._conditions
+
+    def followed(self) -> frozenset:
+        """Ids of the statements that another statement follows in their
+        statement list: the body or a statement's body field."""
+        if self._followed is None:
+            holders = [self.body] + [getattr(stmt, field)
+                                     for stmt in self.statements()
+                                     for field in BODY_FIELDS[type(stmt)]]
+            self._followed = frozenset(stmt.sid for holder in holders
+                                       for stmt in holder[:-1])
+        return self._followed
 
 
 class Program(_Node):
