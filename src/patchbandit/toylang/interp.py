@@ -107,11 +107,14 @@ _DRIFT_CHECK = 8    # the condition check at which a loop tries the verdict
 
 
 class ToyFault(Exception):
-    """Runtime fault; `kind` is a short machine-readable tag."""
+    """Runtime fault; `kind` is a short machine-readable tag, and a fault
+    is nothing more.  It carries no text because none is read: no fault
+    leaves `_run_case`, which keeps only the kind, or the drift verdict,
+    which turns any error into a refusal."""
 
-    def __init__(self, kind: str, msg: str):
-        super().__init__(msg)
-        self.kind = kind
+    @property
+    def kind(self) -> str:
+        return self.args[0]
 
 
 class _Ctx:
@@ -129,29 +132,22 @@ class _Ctx:
         self.depth = 0
 
 
-def _undefined(name: str) -> ToyFault:
-    return ToyFault("undefined-variable",
-                    f"variable {name!r} read before assignment")
-
-
-def _not_an_array(name: str, value) -> ToyFault:
-    """The fault of using `name` as an array; value is env.get(name)."""
-    if value is None:
-        return ToyFault("undefined-variable", f"array {name!r} is not defined")
-    return ToyFault("type", f"{name!r} is not an array")
+def _not_an_array(value) -> ToyFault:
+    """The fault of using a name as an array; value is its env.get."""
+    return ToyFault("undefined-variable" if value is None else "type")
 
 
 # `/` rounds toward zero, and `%` is the remainder with the sign of a
 def _div(a: int, b: int) -> int:
     if b == 0:
-        raise ToyFault("div-zero", "division by zero")
+        raise ToyFault("div-zero")
     q = a // b
     return q + 1 if q < 0 and q * b != a else q
 
 
 def _mod(a: int, b: int) -> int:
     if b == 0:
-        raise ToyFault("div-zero", "modulus by zero")
+        raise ToyFault("div-zero")
     return a - _div(a, b) * b
 
 
@@ -162,7 +158,7 @@ def _checked(fn):
         v = fn(a, b)
         if low <= v <= high:
             return v
-        raise ToyFault("overflow", "result outside the signed 64-bit range")
+        raise ToyFault("overflow")
     return checked
 
 
@@ -325,23 +321,20 @@ def _affine_test(expr, forms: dict, checks: list) -> int:
 
 
 class _CompiledFn:
-    """A function's code.  It keeps the function's name and not its node,
-    so that the code a node keeps refers to nothing that refers back."""
-    __slots__ = ("name", "params", "body")
+    """A function's code.  It keeps its parameters and not its node, so
+    that the code a node keeps refers to nothing that refers back."""
+    __slots__ = ("params", "body")
 
     def __init__(self, fn: Function):
-        self.name = fn.name
         self.params = fn.params
         self.body = _compile_body(fn.body)
 
     def invoke(self, args: list, ctx: _Ctx):
         if len(args) != len(self.params):
-            raise ToyFault("arity",
-                           f"{self.name} expects {len(self.params)} "
-                           f"arguments, got {len(args)}")
+            raise ToyFault("arity")
         depth = ctx.depth + 1
         if depth > MAX_CALL_DEPTH:
-            raise ToyFault("depth", "call depth limit exceeded")
+            raise ToyFault("depth")
         ctx.depth = depth
         env = dict(zip(self.params, args))
         for stmt in self.body:
@@ -349,7 +342,7 @@ class _CompiledFn:
             if value is not None:
                 ctx.depth = depth - 1
                 return value
-        raise ToyFault("missing-return", f"{self.name} fell off the end")
+        raise ToyFault("missing-return")
 
 
 # ------------------------------------------------------ expression compile
@@ -363,16 +356,15 @@ def _yields_int(expr) -> bool:
     return t is Unary or t is Binary or (t is Call and expr.name == BUILTIN_LEN)
 
 
-def _compile_int(expr, what: str):
+def _compile_int(expr):
     """Compile expr into a closure that returns an int or faults `type`."""
     fn = _compile_expr(expr)
     if _yields_int(expr):
         return fn
-    message = f"{what} must be an integer"
     def checked(env, ctx):
         v = fn(env, ctx)
         if type(v) is not int:
-            raise ToyFault("type", message)
+            raise ToyFault("type")
         return v
     return checked
 
@@ -389,7 +381,7 @@ def _compile_expr(expr):
             try:
                 return env[name]
             except KeyError:
-                raise _undefined(name)
+                raise ToyFault("undefined-variable")
         return var_read
     if t is Index:
         return compiled(expr, _compile_index)
@@ -406,21 +398,20 @@ def _compile_index(expr: Index):
     name = expr.name
     if type(expr.index) is Var:
         return _compile_index_by_var(name, expr.index.name)
-    idx = _compile_int(expr.index, "array index")
+    idx = _compile_int(expr.index)
     def index_read(env, ctx):
         arr = env.get(name)
         if type(arr) is not list:
-            raise _not_an_array(name, arr)
+            raise _not_an_array(arr)
         i = idx(env, ctx)
         if 0 <= i < len(arr):
             return arr[i]
-        raise ToyFault("index",
-                       f"{name}[{i}] out of bounds (length {len(arr)})")
+        raise ToyFault("index")
     return index_read
 
 
 def _compile_unary(expr: Unary):
-    operand = _compile_int(expr.operand, "operand of -")
+    operand = _compile_int(expr.operand)
     sub = _BINARY_FNS["-"]
     return lambda env, ctx: sub(0, operand(env, ctx))
 
@@ -431,17 +422,16 @@ def _compile_index_by_var(name: str, idx_name: str):
     def index_by_var(env, ctx):
         arr = env.get(name)
         if type(arr) is not list:
-            raise _not_an_array(name, arr)
+            raise _not_an_array(arr)
         try:
             i = env[idx_name]
         except KeyError:
-            raise _undefined(idx_name)
+            raise ToyFault("undefined-variable")
         if type(i) is not int:
-            raise ToyFault("type", "array index must be an integer")
+            raise ToyFault("type")
         if 0 <= i < len(arr):
             return arr[i]
-        raise ToyFault("index",
-                       f"{name}[{i}] out of bounds (length {len(arr)})")
+        raise ToyFault("index")
     return index_by_var
 
 
@@ -457,16 +447,15 @@ def _compile_leaf_binary(expr: Binary):
         return None
     fn = _BINARY_FNS[expr.op]
     a_name = left.name
-    message = f"operands of {expr.op} must be integers"
     if type(right) is Num and type(right.value) is int:
         b = right.value
         def var_num(env, ctx):
             try:
                 a = env[a_name]
             except KeyError:
-                raise _undefined(a_name)
+                raise ToyFault("undefined-variable")
             if type(a) is not int:
-                raise ToyFault("type", message)
+                raise ToyFault("type")
             return fn(a, b)
         return var_num
     if type(right) is Var:
@@ -475,13 +464,13 @@ def _compile_leaf_binary(expr: Binary):
             try:
                 a = env[a_name]
             except KeyError:
-                raise _undefined(a_name)
+                raise ToyFault("undefined-variable")
             try:
                 b = env[b_name]
             except KeyError:
-                raise _undefined(b_name)
+                raise ToyFault("undefined-variable")
             if type(a) is not int or type(b) is not int:
-                raise ToyFault("type", message)
+                raise ToyFault("type")
             return fn(a, b)
         return var_var
     return None
@@ -490,8 +479,8 @@ def _compile_leaf_binary(expr: Binary):
 def _compile_binary(expr: Binary):
     op = expr.op
     if op == "&&" or op == "||":
-        left = _compile_int(expr.left, f"operand of {op}")
-        right = _compile_int(expr.right, f"operand of {op}")
+        left = _compile_int(expr.left)
+        right = _compile_int(expr.right)
         if op == "&&":
             def and_(env, ctx):
                 if not left(env, ctx):
@@ -510,12 +499,11 @@ def _compile_binary(expr: Binary):
     left = _compile_expr(expr.left)
     right = _compile_expr(expr.right)
     fn = _BINARY_FNS[op]
-    message = f"operands of {op} must be integers"
     def binary(env, ctx):
         a = left(env, ctx)
         b = right(env, ctx)
         if type(a) is not int or type(b) is not int:
-            raise ToyFault("type", message)
+            raise ToyFault("type")
         return fn(a, b)
     return binary
 
@@ -526,17 +514,17 @@ def _compile_call(expr: Call):
     if name == BUILTIN_LEN:
         def len_call(env, ctx):
             if len(arg_fns) != 1:
-                raise ToyFault("arity", "len takes exactly one argument")
+                raise ToyFault("arity")
             arr = arg_fns[0](env, ctx)
             if type(arr) is not list:
-                raise ToyFault("type", "len expects an array")
+                raise ToyFault("type")
             return len(arr)
         return len_call
 
     def call(env, ctx):
         cfn = ctx.functions.get(name)
         if cfn is None:
-            raise ToyFault("unknown-function", f"no function {name!r}")
+            raise ToyFault("unknown-function")
         return cfn.invoke([fn(env, ctx) for fn in arg_fns], ctx)
     return call
 
@@ -559,29 +547,28 @@ def _compile_stmt(stmt):
             steps = ctx.steps - 1
             ctx.steps = steps
             if steps < 0:
-                raise ToyFault("budget", "step budget exhausted")
+                raise ToyFault("budget")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
             env[name] = value(env, ctx)
         return assign
     if t is Store:
         name = stmt.name
-        idx = _compile_int(stmt.index, "array index")
-        value = _compile_int(stmt.expr, "stored value")
+        idx = _compile_int(stmt.index)
+        value = _compile_int(stmt.expr)
         def store(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
             if steps < 0:
-                raise ToyFault("budget", "step budget exhausted")
+                raise ToyFault("budget")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
             arr = env.get(name)
             if type(arr) is not list:
-                raise _not_an_array(name, arr)
+                raise _not_an_array(arr)
             i = idx(env, ctx)
             if not 0 <= i < len(arr):
-                raise ToyFault("index",
-                               f"{name}[{i}] out of bounds (length {len(arr)})")
+                raise ToyFault("index")
             arr[i] = value(env, ctx)
         return store
     if t is Return:
@@ -590,20 +577,20 @@ def _compile_stmt(stmt):
             steps = ctx.steps - 1
             ctx.steps = steps
             if steps < 0:
-                raise ToyFault("budget", "step budget exhausted")
+                raise ToyFault("budget")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
             return value(env, ctx)
         return ret
     if t is If:
-        cond = _compile_int(stmt.cond, "condition")
+        cond = _compile_int(stmt.cond)
         then = _compile_body(stmt.then)
         orelse = _compile_body(stmt.orelse)
         def if_(env, ctx):
             steps = ctx.steps - 1
             ctx.steps = steps
             if steps < 0:
-                raise ToyFault("budget", "step budget exhausted")
+                raise ToyFault("budget")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
             for s in then if cond(env, ctx) else orelse:
@@ -613,7 +600,7 @@ def _compile_stmt(stmt):
         return if_
     if t is While:
         cond_node, body_nodes = stmt.cond, stmt.body
-        cond = _compile_int(cond_node, "condition")
+        cond = _compile_int(cond_node)
         body = _compile_body(body_nodes)
         accumulators = loop_names(stmt)[0]
         def while_(env, ctx):
@@ -622,7 +609,7 @@ def _compile_stmt(stmt):
                 steps = ctx.steps - 1
                 ctx.steps = steps
                 if steps < 0:
-                    raise ToyFault("budget", "step budget exhausted")
+                    raise ToyFault("budget")
                 if ctx.coverage is not None:
                     ctx.coverage.add(sid)
                 if not cond(env, ctx):
@@ -635,9 +622,8 @@ def _compile_stmt(stmt):
                 first = seen.setdefault(key, totals)
                 if len(seen) == size:
                     if first == totals:
-                        raise ToyFault("cycle", "loop state repeats; "
-                                       "the loop cannot terminate")
-                    raise ToyFault("budget", "step budget exhausted")
+                        raise ToyFault("cycle")
+                    raise ToyFault("budget")
                 elif size == _DRIFT_CHECK - 2:      # the check before
                     before = _state_key(env)
                 elif size == _DRIFT_CHECK - 1:
@@ -646,7 +632,7 @@ def _compile_stmt(stmt):
                     if path is not None:
                         if ctx.coverage is not None:
                             ctx.coverage.update(path)
-                        raise ToyFault("budget", "step budget exhausted")
+                        raise ToyFault("budget")
                 for s in body:
                     value = s(env, ctx)
                     if value is not None:
@@ -658,7 +644,7 @@ def _compile_stmt(stmt):
             steps = ctx.steps - 1
             ctx.steps = steps
             if steps < 0:
-                raise ToyFault("budget", "step budget exhausted")
+                raise ToyFault("budget")
             if ctx.coverage is not None:
                 ctx.coverage.add(sid)
             for s in body:

@@ -194,7 +194,7 @@ def test_an_error_inside_the_pass_is_a_refusal(monkeypatch):
     cp = compile_program(_program("i != x", [], 1, [], 0))
     with _literal():
         literal = _outcome(cp, [(1,), -1, 0, 0], 5000)[0]
-    for error in (RecursionError, TypeError, ToyFault("index", "")):
+    for error in (RecursionError, TypeError, ToyFault("index")):
         def broken(*args):
             raise error
         monkeypatch.setattr(interp, "_affine", broken)
